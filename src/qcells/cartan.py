@@ -18,7 +18,6 @@ Supported types: A1-A4, B2-B3, C2-C3, D4, G2.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,9 +94,6 @@ class RootVector:
         """Nonzero with all coordinates >= 0."""
         return any(self.coords) and all(a >= 0 for a in self.coords)
 
-    def is_nonneg(self) -> bool:
-        return all(a >= 0 for a in self.coords)
-
 
 @dataclass(frozen=True, slots=True)
 class Coweight:
@@ -129,12 +125,14 @@ class RootDatum:
         self.d = d
         self.name = f"{family}{rank}"
         self._validate()
-        # caches filled lazily by other modules; see their owners for locking
+        # the one owner of per-datum caches, filled lazily: reduced words
+        # (cartan), Lusztig form values (freeuq), modules by highest weight
+        # (hwmod) and flag minor images by (word, lambda) (cells)
         self._pos_roots: tuple[RootVector, ...] | None = None
         self._rw_memo: dict = {}
         self._form_memo: dict = {}
         self._module_cache: dict = {}
-        self._build_lock = threading.Lock()
+        self._minor_cache: dict = {}
 
     def _validate(self) -> None:
         n = self.rank
@@ -184,9 +182,6 @@ class RootDatum:
         c = [0] * self.rank
         c[i - 1] = 1
         return Coweight(tuple(c))
-
-    def zero_weight(self) -> Weight:
-        return Weight((0,) * self.rank)
 
     def rho(self) -> Weight:
         return Weight((1,) * self.rank)

@@ -42,6 +42,7 @@ __all__ = [
     "VerificationReport",
     "feigin_matrix_coeff",
     "feigin_minor",
+    "MinorRoutesDisagree",
     "class_equal",
     "find_presentation",
     "twist_inverse_image",
@@ -190,10 +191,18 @@ def feigin_matrix_coeff(pres: TorusPresentation, spec: MatrixCoeffSpec) -> Torus
         acc[k] = 0
 
     descend(n - 1, spec.right)
-    return TorusElement._raw(pres, terms, True)
+    return TorusElement._raw(pres, terms)
 
 
-_minor_cache: dict = {}
+class MinorRoutesDisagree(AssertionError):
+    """The closed form of a flag minor differs from its module pairing."""
+
+    def __init__(self, closed: TorusElement, paired: TorusElement):
+        self.closed = closed
+        self.paired = paired
+        super().__init__(
+            f"minor routes disagree: {torus_str(closed)} vs {torus_str(paired)}"
+        )
 
 
 def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
@@ -202,11 +211,11 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     Computed in closed form: exponent a_k pairs the k-th partial-product
     coroot with w.lam, and the coefficient is the matching q-power.  The
     result is always cross-checked against the module pairing route before
-    being cached.
+    being cached on the datum; a disagreement raises MinorRoutesDisagree.
     """
     datum = pres.datum
-    key = (datum, pres.letters, lam.coords)
-    hit = _minor_cache.get(key)
+    key = (pres.letters, lam.coords)
+    hit = datum._minor_cache.get(key)
     if hit is not None:
         return hit
     if not lam.is_dominant():
@@ -226,10 +235,8 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     spec = MatrixCoeffSpec(mod, extremal_vector(mod, word), mod.highest())
     paired = feigin_matrix_coeff(pres, spec)
     if not class_equal(closed, paired):
-        raise AssertionError(
-            f"minor routes disagree: {torus_str(closed)} vs {torus_str(paired)}"
-        )
-    _minor_cache[key] = closed
+        raise MinorRoutesDisagree(closed, paired)
+    datum._minor_cache[key] = closed
     return closed
 
 
@@ -245,7 +252,8 @@ def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> Theorem
     for j in range(1, k + 1):
         h = weyl_act_coweight(datum, word[:j], datum.coroot(word[j - 1]))
         d.append(datum.coweight_weight(h, target))
-    assert d[-1] == 1
+    if d[-1] != 1:
+        raise AssertionError(f"exponent d_k = {d[-1]}, expected 1")
     return TheoremInstance(datum, word, k, tuple(d))
 
 

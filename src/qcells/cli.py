@@ -8,11 +8,12 @@ feigin-minor   print the image of a flag minor and its cross-check
 reduced-words  list reduced words of an element, or all elements
 selftest       run a small fixed battery of known values
 
-Exit codes: 0 all checks pass, 1 some identity failed, 2 bad usage,
-3 the presentation search cap was exhausted.
+Exit codes: 0 all checks pass, 1 some identity failed (a failed chamber
+ansatz recovery included), 2 bad usage or environment, 3 the presentation
+search cap was exhausted.
 
-Defaults for --search-cap, --format and --jobs can be overridden with the
-environment variables QCELLS_SEARCH_CAP, QCELLS_FORMAT and QCELLS_JOBS.
+Defaults for --search-cap and --format can be overridden with the
+environment variables QCELLS_SEARCH_CAP and QCELLS_FORMAT.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Iterator
+from typing import Any, Callable
 
 from .cartan import (
     RootDatum,
@@ -33,16 +33,13 @@ from .cartan import (
     weyl_elements,
 )
 from .cells import (
-    MatrixCoeffSpec,
+    MinorRoutesDisagree,
     PresentationError,
     VerificationReport,
     chamber_ansatz,
-    class_equal,
-    feigin_matrix_coeff,
     feigin_minor,
     verify_theorem,
 )
-from .hwmod import extremal_vector, get_module
 from .qtorus import TorusPresentation, torus_str
 from .scalars import scalar_str
 
@@ -56,18 +53,37 @@ class UsageError(Exception):
     """Invalid command-line input (reported on stderr, exit code 2)."""
 
 
-def _env_int(name: str, fallback: int) -> int:
+_FORMATS = ("text", "json")
+
+
+def _nonneg_int(text: str) -> int:
+    """Option type for caps and bounds: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
+def _format_name(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {', '.join(_FORMATS)}, got {text!r}"
+        )
+    return text
+
+
+def _env_default(name: str, parse: Callable[[str], Any], fallback: Any) -> Any:
+    """Option default from the environment, checked like the option itself."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return int(raw)
-    except ValueError:
-        return fallback
-
-
-def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get(name, fallback)
+        return parse(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def _datum(cartan: str) -> RootDatum:
@@ -147,14 +163,21 @@ def _record(
     }
     if chamber.exponent_match and chamber.residual_q_power is not None:
         rec["residual_q_power"] = chamber.residual_q_power
+    else:
+        # the product of minors that should have been q^r t_k
+        rec["chamber_mismatch"] = torus_str(chamber.lhs)
     return rec
+
+
+def _passed(rec: dict[str, Any]) -> bool:
+    return rec["equal"] and "chamber_mismatch" not in rec
 
 
 def _text_line(rec: dict[str, Any]) -> str:
     word = ",".join(map(str, rec["word"]))
     if "error" in rec:
         return f"{rec['cartan']} word {word} k={rec['k']}: CAP  {rec['error']}"
-    status = "ok" if rec["equal"] else "MISMATCH"
+    status = "ok" if _passed(rec) else "MISMATCH"
     lamp = ",".join(map(str, rec["presentation"]["lambda"]))
     parts = [
         f"{rec['cartan']} word {word} k={rec['k']}: {status}",
@@ -165,6 +188,8 @@ def _text_line(rec: dict[str, Any]) -> str:
         parts.insert(2, f"rhs = {rec['rhs']}")
     if "residual_q_power" in rec:
         parts.append(f"t_{rec['k']} residual q^{rec['residual_q_power']}")
+    if "chamber_mismatch" in rec:
+        parts.append(f"t_{rec['k']} not recovered: {rec['chamber_mismatch']}")
     return "  ".join(parts)
 
 
@@ -184,39 +209,24 @@ def _emit_records(
     cartan: str,
     search_cap: int,
     fmt: str,
-    jobs: int,
-    out,
 ) -> tuple[int, int, int]:
-    """Run instances (possibly in a thread pool), print in input order.
+    """Run instances in order, printing one record each.
 
-    Returns (total, equal, capped).
+    Returns (total, passed, capped).
     """
-
-    def run(inst: tuple[TorusPresentation, int]) -> dict[str, Any]:
-        return _run_instance(cartan, inst[0], inst[1], search_cap)
-
-    if jobs > 1:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        results: Iterator[dict[str, Any]] = pool.map(run, instances)
-    else:
-        pool = None
-        results = map(run, instances)
-    total = equal = capped = 0
-    try:
-        for rec in results:
-            total += 1
-            if "error" in rec:
-                capped += 1
-            elif rec["equal"]:
-                equal += 1
-            if fmt == "json":
-                print(json.dumps(rec, ensure_ascii=False), file=out)
-            else:
-                print(_text_line(rec), file=out)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return total, equal, capped
+    total = passed = capped = 0
+    for pres, k in instances:
+        rec = _run_instance(cartan, pres, k, search_cap)
+        total += 1
+        if "error" in rec:
+            capped += 1
+        elif _passed(rec):
+            passed += 1
+        if fmt == "json":
+            print(json.dumps(rec, ensure_ascii=False))
+        else:
+            print(_text_line(rec))
+    return total, passed, capped
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -225,12 +235,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ks = _parse_k(args.k, word)
     pres = TorusPresentation(datum, word)
     instances = [(pres, k) for k in ks]
-    total, equal, capped = _emit_records(
-        instances, datum.name, args.search_cap, args.format, args.jobs, sys.stdout
+    total, passed, capped = _emit_records(
+        instances, datum.name, args.search_cap, args.format
     )
     if capped:
         return EXIT_CAP
-    return EXIT_OK if equal == total else EXIT_MISMATCH
+    return EXIT_OK if passed == total else EXIT_MISMATCH
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -242,16 +252,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for word in reduced_words(datum, w):
             pres = TorusPresentation(datum, word)
             instances.extend((pres, k) for k in range(1, len(word) + 1))
-    total, equal, capped = _emit_records(
-        instances, datum.name, args.search_cap, args.format, args.jobs, sys.stdout
+    total, passed, capped = _emit_records(
+        instances, datum.name, args.search_cap, args.format
     )
-    mismatched = total - equal - capped
+    mismatched = total - passed - capped
     if args.format == "json":
         summary = {
             "summary": {
                 "cartan": datum.name,
                 "instances": total,
-                "equal": equal,
+                "equal": passed,
                 "mismatched": mismatched,
                 "capped": capped,
             }
@@ -259,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(json.dumps(summary, ensure_ascii=False))
     else:
         print(
-            f"{datum.name}: {total} instances, {equal} equal, "
+            f"{datum.name}: {total} instances, {passed} equal, "
             f"{mismatched} mismatched, {capped} capped"
         )
     if capped:
@@ -272,12 +282,12 @@ def cmd_feigin_minor(args: argparse.Namespace) -> int:
     word = _parse_reduced_word(args.word, datum)
     lam = _parse_lambda(getattr(args, "lambda"), datum)
     pres = TorusPresentation(datum, word)
-    closed = feigin_minor(pres, lam)
-    mod = get_module(datum, lam)
-    pairing = feigin_matrix_coeff(
-        pres, MatrixCoeffSpec(mod, extremal_vector(mod, word), mod.highest())
-    )
-    equal = class_equal(closed, pairing)
+    # feigin_minor checks its closed form against the module pairing itself
+    try:
+        closed = pairing = feigin_minor(pres, lam)
+        equal = True
+    except MinorRoutesDisagree as exc:
+        closed, pairing, equal = exc.closed, exc.paired, False
     if args.format == "json":
         rec = {
             "cartan": datum.name,
@@ -368,6 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify quantum torus images of flag minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    search_cap = _env_default("QCELLS_SEARCH_CAP", _nonneg_int, 3)
+    fmt = _env_default("QCELLS_FORMAT", _format_name, "text")
 
     def common(p: argparse.ArgumentParser, word_required: bool = True) -> None:
         p.add_argument("--cartan", required=True, help="Cartan type, e.g. A2, B2, G2")
@@ -375,21 +387,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word", required=True, help="comma-separated letters, 1-based")
         p.add_argument(
             "--search-cap",
-            type=int,
-            default=_env_int("QCELLS_SEARCH_CAP", 3),
+            type=_nonneg_int,
+            default=search_cap,
             help="largest coordinate sum tried for the presenting highest weight",
         )
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default=_env_str("QCELLS_FORMAT", "text"),
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=_env_int("QCELLS_JOBS", 1),
-            help="worker threads; output order does not depend on this",
-        )
+        p.add_argument("--format", choices=_FORMATS, default=fmt)
 
     p = sub.add_parser("verify", help="check predicted monomials for one word")
     common(p)
@@ -399,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify a whole Weyl group")
     common(p, word_required=False)
     p.add_argument(
-        "--max-length", type=int, default=None, help="bound on Weyl element length"
+        "--max-length", type=_nonneg_int, default=None, help="bound on Weyl element length"
     )
     p.set_defaults(func=cmd_sweep)
 
@@ -415,12 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduced-words", help="list reduced words or elements")
     p.add_argument("--cartan", required=True)
     p.add_argument("--word", default=None, help="element given by any word over the letters")
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=_env_str("QCELLS_FORMAT", "text"),
-    )
+    p.add_argument("--max-length", type=_nonneg_int, default=None)
+    p.add_argument("--format", choices=_FORMATS, default=fmt)
     p.set_defaults(func=cmd_reduced_words)
 
     p = sub.add_parser("selftest", help="run a fixed battery of known values")
@@ -430,9 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

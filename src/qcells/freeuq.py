@@ -399,7 +399,7 @@ def feigin_on_element(pres, x: FreeNegElement):
                 terms[a] = coeff
             elif prev is not None:
                 del terms[a]
-    return TorusElement._raw(pres, terms, True)
+    return TorusElement._raw(pres, terms)
 
 
 def _coeff_str(c: ScalarQ) -> str:

@@ -8,18 +8,18 @@ form, which is computed by the commutation recursion
 
     (f_i x, f_j y) = (x, f_j e_i y) + delta_ij [<h_i, wt y>]_{q_i} (x, y).
 
-Stored per module: basis tags, Gram matrices and their inverses, and the
-matrices of the Chevalley actions f_i, e_i between adjacent weight
-spaces.  Missing action keys mean the zero map.
+Stored per module: basis tags, Gram matrices, and the matrices of the
+Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
+keys mean the zero map.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import RootDatum, Weight, weyl_act, weyl_dim
+from .cartan import RootDatum, Weight, weyl_dim
 from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_square_multi
-from .scalars import ScalarQ, S_ONE, S_ZERO, qfact_i, qint_i
+from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, qfact_i, qint_i
 
 
 __all__ = [
@@ -48,7 +48,6 @@ class HWModule:
         "weights",
         "basis",
         "gram",
-        "gram_inv",
         "fmat",
         "emat",
         "dim",
@@ -62,7 +61,6 @@ class HWModule:
         self.weights: tuple[Weight, ...] = ()
         self.basis: dict[Weight, tuple[tuple[int, ...], ...]] = {}
         self.gram: dict[Weight, list[list[ScalarQ]]] = {}
-        self.gram_inv: dict[Weight, list[list[ScalarQ]]] = {}
         self.fmat: dict[tuple[int, Weight], list[tuple[ScalarQ, ...]]] = {}
         self.emat: dict[tuple[int, Weight], list[tuple[ScalarQ, ...]]] = {}
         self.dim = 0
@@ -72,13 +70,6 @@ class HWModule:
     def dim_of(self, mu: Weight) -> int:
         b = self.basis.get(mu)
         return len(b) if b else 0
-
-    def gram_inverse(self, mu: Weight) -> list[list[ScalarQ]]:
-        got = self.gram_inv.get(mu)
-        if got is None:
-            got = invert_matrix(self.gram[mu])
-            self.gram_inv[mu] = got
-        return got
 
     def basis_vector(self, mu: Weight, idx: int) -> "ModuleVector":
         n = self.dim_of(mu)
@@ -186,25 +177,23 @@ _PROFILE_Q0 = 1220703125
 _pow_memo: dict[int, int] = {}
 
 
-def _eval_mod(c: ScalarQ) -> int | None:
+def _eval_laurent_mod(x: LaurentQ) -> int:
     p = _PROFILE_P
-    num = 0
-    for e, k in c.num.c.items():
+    acc = 0
+    for e, k in x.c.items():
         w = _pow_memo.get(e)
         if w is None:
             w = pow(_PROFILE_Q0, e, p)
             _pow_memo[e] = w
-        num = (num + k * w) % p
-    den = 0
-    for e, k in c.den.c.items():
-        w = _pow_memo.get(e)
-        if w is None:
-            w = pow(_PROFILE_Q0, e, p)
-            _pow_memo[e] = w
-        den = (den + k * w) % p
+        acc = (acc + k * w) % p
+    return acc
+
+
+def _eval_mod(c: ScalarQ) -> int | None:
+    den = _eval_laurent_mod(c.den)
     if den == 0:
         return None
-    return num * pow(den, p - 2, p) % p
+    return _eval_laurent_mod(c.num) * pow(den, _PROFILE_P - 2, _PROFILE_P) % _PROFILE_P
 
 
 def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
@@ -249,7 +238,6 @@ def build_module(
 
     mod.basis[lam] = ((),)
     mod.gram[lam] = [[S_ONE]]
-    mod.gram_inv[lam] = [[S_ONE]]
     weights_order = [lam]
     prev_layer = [lam]
 
@@ -367,6 +355,11 @@ def build_module(
 
             mod.basis[mu] = tuple(cands[c][3] for c in sel)
             mod.gram[mu] = g
+            # z[i][c] is e_i of candidate c, so the selected columns are the
+            # raising action out of mu; every entry z reads is from an earlier
+            # layer and already final
+            for i, per_col in zvecs.items():
+                mod.emat[(i, mu)] = [tuple(per_col[c]) for c in sel]
             weights_order.append(mu)
             new_layer.append(mu)
 
@@ -391,35 +384,6 @@ def build_module(
                 assert all(col is not None for col in store)
                 mod.fmat[key] = store
 
-        # raising action out of the new layer, now that its bases are fixed
-        for mu in new_layer:
-            tags = mod.basis[mu]
-            for i in datum.index_set:
-                nu = mu + alpha_w[i]
-                if nu not in mod.basis:
-                    continue
-                tdim = len(mod.basis[nu])
-                cols = []
-                for (j, *w) in tags:
-                    w = tuple(w)
-                    parent_j = mu + alpha_w[j]
-                    widx = mod.basis[parent_j].index(w)
-                    z = [S_ZERO] * tdim
-                    inter = parent_j + alpha_w[i]
-                    ecols = mod.emat.get((i, parent_j))
-                    if ecols is not None and inter in mod.basis:
-                        evec = list(ecols[widx])
-                        fcols = mod.fmat.get((j, inter))
-                        if fcols is not None:
-                            z = _apply_cols(fcols, evec, tdim)
-                    if i == j:
-                        hval = datum.h_weight(i, parent_j)
-                        if hval:
-                            bump = qint_i(hval, datum.di(i)).to_scalar()
-                            z[widx] = z[widx] + bump
-                    cols.append(tuple(z))
-                mod.emat[(i, mu)] = cols
-
         prev_layer = new_layer
 
     mod.weights = tuple(weights_order)
@@ -432,16 +396,11 @@ def build_module(
 
 
 def get_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule:
-    """Module cache keyed by highest weight; safe under concurrent use."""
-    key = lam.coords
-    mod = datum._module_cache.get(key)
-    if mod is not None:
-        return mod
-    with datum._build_lock:
-        mod = datum._module_cache.get(key)
-        if mod is None:
-            mod = build_module(datum, lam, dim_cap)
-            datum._module_cache[key] = mod
+    """V(lam) from the datum's module cache, built on the first request."""
+    mod = datum._module_cache.get(lam.coords)
+    if mod is None:
+        mod = build_module(datum, lam, dim_cap)
+        datum._module_cache[lam.coords] = mod
     return mod
 
 

@@ -110,6 +110,31 @@ def column_rank_profile(rows: list[list[ScalarQ]]) -> list[int]:
     return [c for _, c in _echelon(work)]
 
 
+def _back_substitute(
+    aug: list[list[LaurentQ]],
+    pivots: list[tuple[int, int]],
+    nc: int,
+    rhs: int | None,
+    free: int | None = None,
+) -> list[ScalarQ]:
+    """Solve the echelon system in the first nc columns of aug.
+
+    The right-hand side is column rhs of aug, or zero when rhs is None.
+    Free columns are zero, except x[free] = 1.
+    """
+    x = [S_ZERO] * nc
+    if free is not None:
+        x[free] = S_ONE
+    for (r, c) in reversed(pivots):
+        row = aug[r]
+        acc = row[rhs].to_scalar() if rhs is not None else S_ZERO
+        for k in range(c + 1, nc):
+            if row[k].c and x[k].num.c:
+                acc = acc - row[k].to_scalar() * x[k]
+        x[c] = acc / row[c].to_scalar()
+    return x
+
+
 def solve_linear(
     rows: list[list[ScalarQ]], rhs: list[ScalarQ]
 ) -> tuple[list[ScalarQ], list[list[ScalarQ]]] | None:
@@ -130,49 +155,17 @@ def solve_linear(
         return None
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(nc) if c not in pivot_cols]
-
-    def back_substitute(values: dict[int, ScalarQ], with_rhs: bool) -> list[ScalarQ]:
-        x = [S_ZERO] * nc
-        for c, v in values.items():
-            x[c] = v
-        for (r, c) in reversed(pivots):
-            row = aug[r]
-            acc = row[nc].to_scalar() if with_rhs else S_ZERO
-            for k in range(c + 1, nc):
-                if row[k].c and x[k].num.c:
-                    acc = acc - row[k].to_scalar() * x[k]
-            x[c] = acc / row[c].to_scalar()
-        return x
-
-    particular = back_substitute({}, True)
-    nullspace = [
-        back_substitute({f: S_ONE}, False) for f in free_cols
-    ]
+    particular = _back_substitute(aug, pivots, nc, nc)
+    nullspace = [_back_substitute(aug, pivots, nc, None, f) for f in free_cols]
     return particular, nullspace
 
 
 def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
     """Inverse of a square invertible matrix over Q(q)."""
     n = len(rows)
-    aug = _clear_rows(
-        [row + [S_ONE if r == c else S_ZERO for c in range(n)] for r, row in enumerate(rows)]
-    )
-    pivots = _echelon(aug)
-    if len(pivots) != n or any(c >= n for _, c in pivots):
-        raise ValueError("matrix is singular")
-    # back substitution for each rhs column
-    inv_cols: list[list[ScalarQ]] = []
-    for j in range(n):
-        x = [S_ZERO] * n
-        for (r, c) in reversed(pivots):
-            row = aug[r]
-            acc = row[n + j].to_scalar()
-            for k in range(c + 1, n):
-                if row[k].c and x[k].num.c:
-                    acc = acc - row[k].to_scalar() * x[k]
-            x[c] = acc / row[c].to_scalar()
-        inv_cols.append(x)
-    return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+    ident = [[S_ONE if r == c else S_ZERO for r in range(n)] for c in range(n)]
+    cols = solve_square_multi(rows, ident)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def solve_square_multi(
@@ -190,18 +183,7 @@ def solve_square_multi(
     pivots = _echelon(aug)
     if len(pivots) != n or any(c >= n for _, c in pivots):
         raise ValueError("matrix is singular")
-    out: list[list[ScalarQ]] = []
-    for j in range(len(rhs_cols)):
-        x = [S_ZERO] * n
-        for (r, c) in reversed(pivots):
-            row = aug[r]
-            acc = row[n + j].to_scalar()
-            for k in range(c + 1, n):
-                if row[k].c and x[k].num.c:
-                    acc = acc - row[k].to_scalar() * x[k]
-            x[c] = acc / row[c].to_scalar()
-        out.append(x)
-    return out
+    return [_back_substitute(aug, pivots, n, n + j) for j in range(len(rhs_cols))]
 
 
 def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:

@@ -1,19 +1,18 @@
-"""Quantum tori and quantum affine spaces attached to a word.
+"""Quantum tori attached to a word.
 
 For a root datum and a word (i_1, ..., i_l) the torus has generators
 t_1, ..., t_l with t_j t_k = q^{kappa_jk} t_k t_j for j < k, where
 kappa_jk = (alpha_{i_j}, alpha_{i_k}).  Elements are kept in normal order
-t_1^{e_1} ... t_l^{e_l}; the affine flag restricts exponents to be
-nonnegative at construction and survives products but not inversion.
+t_1^{e_1} ... t_l^{e_l}.
 """
 
 from __future__ import annotations
 
 from .cartan import RootDatum, RootVector
-from .scalars import ScalarQ, S_ONE, S_ZERO, scalar_str
+from .scalars import ScalarQ, S_ONE, scalar_str
 
 
-__all__ = ["TorusPresentation", "TorusElement", "normalize", "monomial_json", "torus_str"]
+__all__ = ["TorusPresentation", "TorusElement", "torus_str"]
 
 
 class TorusPresentation:
@@ -58,10 +57,10 @@ class TorusPresentation:
         return acc
 
     def unit(self) -> "TorusElement":
-        return TorusElement(self, {(0,) * self.nvars: S_ONE}, affine=True)
+        return TorusElement(self, {(0,) * self.nvars: S_ONE})
 
     def zero(self) -> "TorusElement":
-        return TorusElement(self, {}, affine=True)
+        return TorusElement(self, {})
 
     def generator(self, k: int, power: int = 1) -> "TorusElement":
         """t_k^power (1-based k)."""
@@ -69,10 +68,10 @@ class TorusPresentation:
             raise ValueError(f"no generator t_{k}")
         e = [0] * self.nvars
         e[k - 1] = power
-        return TorusElement(self, {tuple(e): S_ONE}, affine=power >= 0)
+        return TorusElement(self, {tuple(e): S_ONE})
 
     def monomial(self, e: tuple[int, ...], coeff: ScalarQ = S_ONE) -> "TorusElement":
-        return TorusElement(self, {tuple(e): coeff}, affine=all(x >= 0 for x in e))
+        return TorusElement(self, {tuple(e): coeff})
 
     def __repr__(self) -> str:
         return f"TorusPresentation({self.datum.name}, {self.letters})"
@@ -81,31 +80,26 @@ class TorusPresentation:
 class TorusElement:
     """Normal-ordered element: {exponent vector: ScalarQ coefficient}."""
 
-    __slots__ = ("pres", "terms", "affine")
+    __slots__ = ("pres", "terms")
 
     def __init__(
         self,
         pres: TorusPresentation,
         terms: dict[tuple[int, ...], ScalarQ] | None = None,
-        affine: bool = False,
     ):
         self.pres = pres
         self.terms = {}
         for e, c in (terms or {}).items():
             if len(e) != pres.nvars:
                 raise ValueError("exponent vector length mismatch")
-            if affine and any(x < 0 for x in e):
-                raise ValueError("affine elements need nonnegative exponents")
             if c.num.c:
                 self.terms[tuple(e)] = c
-        self.affine = affine
 
     @classmethod
-    def _raw(cls, pres, terms, affine=False) -> "TorusElement":
+    def _raw(cls, pres, terms) -> "TorusElement":
         obj = object.__new__(cls)
         obj.pres = pres
         obj.terms = terms
-        obj.affine = affine
         return obj
 
     def is_zero(self) -> bool:
@@ -146,22 +140,18 @@ class TorusElement:
                     out[e] = s
                 else:
                     del out[e]
-        return TorusElement._raw(self.pres, out, self.affine and other.affine)
+        return TorusElement._raw(self.pres, out)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement._raw(
-            self.pres, {e: -c for e, c in self.terms.items()}, self.affine
-        )
+        return TorusElement._raw(self.pres, {e: -c for e, c in self.terms.items()})
 
     def scaled(self, c: ScalarQ) -> "TorusElement":
         if not c.num.c:
-            return TorusElement._raw(self.pres, {}, self.affine)
-        return TorusElement._raw(
-            self.pres, {e: x * c for e, x in self.terms.items()}, self.affine
-        )
+            return TorusElement._raw(self.pres, {})
+        return TorusElement._raw(self.pres, {e: x * c for e, x in self.terms.items()})
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._require_same(other)
@@ -181,14 +171,14 @@ class TorusElement:
                         out[g] = s
                     else:
                         del out[g]
-        return TorusElement._raw(pres, out, self.affine and other.affine)
+        return TorusElement._raw(pres, out)
 
     def invert_monomial(self) -> "TorusElement":
         """Inverse of a monomial; only monomials are invertible here."""
         e, c = self.monomial()
         s = self.pres.reorder_power(e, tuple(-x for x in e))
         inv = c.inverse().mul_qpow(-s)
-        return TorusElement._raw(self.pres, {tuple(-x for x in e): inv}, False)
+        return TorusElement._raw(self.pres, {tuple(-x for x in e): inv})
 
     def weight_of(self) -> RootVector:
         """Letter-weighted exponent sum of a homogeneous element, as a root
@@ -216,24 +206,6 @@ class TorusElement:
 
     def __repr__(self) -> str:
         return f"TorusElement({torus_str(self)})"
-
-
-def normalize(
-    pres: TorusPresentation, factors: list[tuple[int, int]], coeff: ScalarQ = S_ONE
-) -> TorusElement:
-    """Normal-order coeff * t_{k_1}^{e_1} ... t_{k_m}^{e_m} given as
-    (1-based generator, exponent) pairs in left-to-right order."""
-    out = pres.unit().scaled(coeff)
-    for k, e in factors:
-        out = out * pres.generator(k, e)
-    return out
-
-
-def monomial_json(x: TorusElement) -> dict:
-    """Serialize a monomial as {"q": power or scalar text, "exp": [...]}."""
-    e, c = x.monomial()
-    k = c.as_q_power()
-    return {"q": k if k is not None else scalar_str(c), "exp": list(e)}
 
 
 def _term_str(e: tuple[int, ...], c: ScalarQ) -> str:

@@ -521,10 +521,6 @@ class ScalarQ:
             return self
         return ScalarQ._raw(self.num.subst(d), self.den.subst(d))
 
-    def as_laurent(self) -> "LaurentQ | None":
-        """The numerator when the denominator is 1, else None."""
-        return self.num if self.den.c == {0: 1} else None
-
     def as_q_power(self) -> "int | None":
         """Exponent k when the value is exactly q^k, else None."""
         if self.den.c == {0: 1} and len(self.num.c) == 1:
@@ -532,16 +528,6 @@ class ScalarQ:
             if c == 1:
                 return e
         return None
-
-    def complexity(self) -> int:
-        """Crude size measure used for pivot selection in linear algebra."""
-        n = len(self.num.c) + len(self.den.c)
-        span = 0
-        if self.num.c:
-            span += self.num.max_exp() - self.num.min_exp()
-        if self.den.c:
-            span += self.den.max_exp()
-        return span + n
 
     def __str__(self) -> str:
         return scalar_str(self)

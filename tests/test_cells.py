@@ -3,6 +3,9 @@ predicted monomials, and generator recovery."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from qcells.cartan import Weight, build_root_datum
@@ -97,6 +100,22 @@ def test_theorem_instance_rejects_bad_input():
         theorem_instance(A2, (1, 1), 1)
     with pytest.raises(ValueError):
         theorem_instance(A2, (1, 2), 3)
+
+
+def test_theorem_instance_check_survives_optimized_mode():
+    # under -O an assert would vanish; a wrong final exponent must still raise
+    script = (
+        "import qcells.cells as c\n"
+        "from qcells.cartan import build_root_datum, weyl_act\n"
+        "c.weyl_act = lambda datum, word, lam: weyl_act(datum, word, lam).scaled(2)\n"
+        "try:\n"
+        "    c.theorem_instance(build_root_datum('A2'), (1, 2, 1), 2)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_theorem_monomial_strings():

@@ -5,11 +5,17 @@ from __future__ import annotations
 
 import json
 
-from qcells import cli
+import pytest
+
+from qcells import cells, cli
+from qcells.cartan import build_root_datum
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad option values this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -127,10 +133,8 @@ def test_sweep_summary_and_exit(capsys):
 
 def test_sweep_json_deterministic_across_jobs(capsys):
     outs = []
-    for jobs in ("1", "3", "1"):
-        code, out, err = run(
-            capsys, "sweep", "--cartan", "A2", "--format", "json", "--jobs", jobs
-        )
+    for _ in range(3):
+        code, out, err = run(capsys, "sweep", "--cartan", "A2", "--format", "json")
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
@@ -170,3 +174,67 @@ def test_selftest_passes(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     assert out.strip().splitlines()[-1] == "selftest: all passed"
+
+
+def test_feigin_minor_reports_disagreeing_routes(capsys, monkeypatch):
+    # a fresh minor cache, so the closed form is checked against the broken route
+    monkeypatch.setattr(build_root_datum("A2"), "_minor_cache", {})
+    monkeypatch.setattr(cells, "feigin_matrix_coeff", lambda pres, spec: pres.unit())
+    argv = ("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == ["t2 t3", "pairing route: 1", "equal: NO"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["closed_form"], rec["pairing"], rec["equal"]) == ("t2 t3", "1", False)
+
+
+def test_failed_chamber_ansatz_is_a_mismatch(capsys, monkeypatch):
+    real = cli.chamber_ansatz
+
+    def broken(pres, k):
+        rep = real(pres, k)
+        rep.exponent_match = False
+        return rep
+
+    monkeypatch.setattr(cli, "chamber_ansatz", broken)
+    code, out, err = run(
+        capsys, "verify", "--cartan", "A1", "--word", "1", "--k", "1", "--format", "json"
+    )
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["equal"] is True
+    assert "residual_q_power" not in rec
+    assert rec["chamber_mismatch"] == "q^-1 · t1"
+    code, out, err = run(capsys, "sweep", "--cartan", "A1")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("A1 word 1 k=1: MISMATCH")
+    assert "t_1 not recovered: q^-1 · t1" in lines[0]
+    assert lines[-1] == "A1: 1 instances, 0 equal, 1 mismatched, 0 capped"
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("QCELLS_FORMAT", "xml"), ("QCELLS_SEARCH_CAP", "abc"), ("QCELLS_SEARCH_CAP", "-1")],
+)
+def test_bad_environment_value_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "verify", "--cartan", "A1", "--word", "1")
+    assert code == 2
+    assert name in err and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--cartan", "A1", "--word", "1", "--search-cap", "-1"),
+        ("sweep", "--cartan", "A2", "--max-length", "-1"),
+        ("reduced-words", "--cartan", "A2", "--max-length", "-1"),
+    ],
+)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert ">= 0" in err and not out

@@ -21,6 +21,7 @@ from qcells.hwmod import (
     extremal_vector,
     get_module,
 )
+from qcells.linalg import invert_matrix
 from qcells.scalars import LaurentQ, ScalarQ
 
 A1 = build_root_datum("A1")
@@ -82,7 +83,7 @@ def test_gram_inverse_is_exact():
     for mu in mod.weights:
         n = mod.dim_of(mu)
         g = mod.gram[mu]
-        ginv = mod.gram_inverse(mu)
+        ginv = invert_matrix(g)
         for i in range(n):
             for j in range(n):
                 acc = ScalarQ(0)

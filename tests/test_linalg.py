@@ -102,14 +102,13 @@ def test_solve_square_multi_matches_inverse():
     for _ in range(6):
         n = rng.randrange(2, 5)
         rows = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
+        cols = [[rand_scalar(rng) for _ in range(n)] for _ in range(2)]
         try:
-            inv = invert_matrix(rows)
+            sols = solve_square_multi(rows, cols)
         except ValueError:
             continue
-        cols = [[rand_scalar(rng) for _ in range(n)] for _ in range(2)]
-        sols = solve_square_multi(rows, cols)
         for c in range(2):
-            assert sols[c] == mat_vec(inv, cols[c])
+            assert mat_vec(rows, sols[c]) == cols[c]
 
 
 def test_solve_square_multi_singular():
