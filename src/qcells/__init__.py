@@ -8,7 +8,7 @@ minors together with the chamber-ansatz factorization it implies.
 from .cartan import Weight, build_root_datum
 from .cells import chamber_ansatz, feigin_minor, verify_theorem
 from .qtorus import TorusPresentation, torus_str
-from .scalars import LaurentQ, ScalarQ, qint, qfact, qbinom, subst_qi, gauss_product
+from .scalars import LaurentQ, ScalarQ, qint, qfact, qbinom, gauss_product
 
 __all__ = [
     "LaurentQ",
@@ -22,7 +22,6 @@ __all__ = [
     "qbinom",
     "qfact",
     "qint",
-    "subst_qi",
     "torus_str",
     "verify_theorem",
 ]

@@ -2,16 +2,22 @@
 
 Conventions, fixed once for the whole package:
 
-* Cartan matrix entries are ``a[i][j] = <h_i, alpha_j>`` (coroot paired
-  against simple root), Bourbaki numbering, with the minimal positive
-  symmetrizers d so that ``d_i a_ij = d_j a_ji``.  Short roots get d = 1.
+* Cartan matrix entries are ``a[i][j] = <h_i, alpha_j>``, Bourbaki
+  numbering, with the minimal positive symmetrizers d so that
+  ``d_i a_ij = d_j a_ji``.  Short roots get d = 1.
   In particular B2 has a_12 = -1, a_21 = -2, d = (2, 1) and G2 has
   a_12 = -3, a_21 = -1, d = (1, 3).
 * Weights live in the weight lattice with fundamental-weight coordinates,
-  root vectors in the root lattice with simple-root coordinates, coweights
-  in the coroot lattice with simple-coroot coordinates.  All integer tuples.
+  root vectors in the root lattice with simple-root coordinates.  All
+  integer tuples.  The coordinate ``lam.coords[i - 1]`` is the pairing
+  ``<h_i, lam>``, and the Cartan matrix converts root coordinates into
+  weight coordinates.  Every pairing ``<w h_i, lam> = <h_i, w^{-1} lam>``
+  the package needs is read off a weight this way.
 * A word ``(i_1, ..., i_m)`` over the 1-based index set acts as the group
   element s_{i_1} ... s_{i_m}, i.e. s_{i_m} is applied first.
+* Words are handled on the weight side, by walking one weight through
+  reflections.  The root-side routines (``positive_roots``,
+  ``weyl_act_root``, ``length``) stay as the independent reference.
 
 Supported types: A1-A4, B2-B3, C2-C3, D4, G2.
 """
@@ -21,18 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 __all__ = [
     "Weight",
     "RootVector",
-    "Coweight",
     "RootDatum",
     "build_root_datum",
     "weyl_act",
     "weyl_act_root",
-    "weyl_act_coweight",
     "weyl_key",
+    "word_exponents",
     "is_reduced",
     "length",
     "reduced_words",
@@ -95,22 +101,6 @@ class RootVector:
         return any(self.coords) and all(a >= 0 for a in self.coords)
 
 
-@dataclass(frozen=True, slots=True)
-class Coweight:
-    """Element of the coweight lattice, coordinates over simple coroots."""
-
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "Coweight") -> "Coweight":
-        return Coweight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Coweight") -> "Coweight":
-        return Coweight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Coweight":
-        return Coweight(tuple(-a for a in self.coords))
-
-
 class RootDatum:
     """Immutable root datum of finite type plus per-type caches.
 
@@ -125,6 +115,16 @@ class RootDatum:
         self.d = d
         self.name = f"{family}{rank}"
         self._validate()
+        # the simple roots in weight coordinates (the columns of a), and the
+        # inverse Cartan matrix as integer rows over one common denominator
+        self._alpha_w = tuple(
+            Weight(tuple(row[j] for row in a)) for j in range(rank)
+        )
+        inv = _inverse([[Fraction(x) for x in row] for row in a])
+        self._inv_den = lcm(*(x.denominator for row in inv for x in row))
+        self._inv_num = tuple(
+            tuple(int(x * self._inv_den) for x in row) for row in inv
+        )
         # the one owner of per-datum caches, filled lazily: reduced words
         # (cartan), Lusztig form values (freeuq), modules by highest weight
         # (hwmod) and flag minor images by (word, lambda) (cells)
@@ -173,15 +173,14 @@ class RootDatum:
         c[i - 1] = 1
         return RootVector(tuple(c))
 
+    def alpha_weight(self, i: int) -> Weight:
+        """alpha_i in weight coordinates."""
+        return self._alpha_w[i - 1]
+
     def fundamental(self, i: int) -> Weight:
         c = [0] * self.rank
         c[i - 1] = 1
         return Weight(tuple(c))
-
-    def coroot(self, i: int) -> Coweight:
-        c = [0] * self.rank
-        c[i - 1] = 1
-        return Coweight(tuple(c))
 
     def rho(self) -> Weight:
         return Weight((1,) * self.rank)
@@ -196,10 +195,6 @@ class RootDatum:
         """<h_i, nu>."""
         row = self.a[i - 1]
         return sum(row[j] * c for j, c in enumerate(nu.coords) if c)
-
-    def coweight_weight(self, h: Coweight, lam: Weight) -> int:
-        """<h, lam>."""
-        return sum(x * y for x, y in zip(h.coords, lam.coords))
 
     def sym_pair(self, lam: Weight, nu: RootVector) -> int:
         """(lam, nu) for lam in the weight lattice, nu in the root lattice."""
@@ -220,17 +215,13 @@ class RootDatum:
     def weight_to_root(self, lam: Weight) -> RootVector:
         """Express a weight in simple-root coordinates; it must lie in the
         root lattice."""
-        n = self.rank
-        rows = [
-            [Fraction(self.a[i][j]) for j in range(n)] + [Fraction(lam.coords[i])]
-            for i in range(n)
-        ]
-        sol = _solve_fraction(rows, n)
+        den = self._inv_den
         out = []
-        for x in sol:
-            if x.denominator != 1:
+        for row in self._inv_num:
+            x = sum(r * c for r, c in zip(row, lam.coords))
+            if x % den:
                 raise ValueError(f"{lam} is not in the root lattice")
-            out.append(int(x))
+            out.append(x // den)
         return RootVector(tuple(out))
 
     # reflections -------------------------------------------------------------
@@ -249,14 +240,6 @@ class RootDatum:
         c = list(nu.coords)
         c[i - 1] -= k
         return RootVector(tuple(c))
-
-    def reflect_coweight(self, i: int, h: Coweight) -> Coweight:
-        k = sum(h.coords[j] * self.a[j][i - 1] for j in range(self.rank))
-        if k == 0:
-            return h
-        c = list(h.coords)
-        c[i - 1] -= k
-        return Coweight(tuple(c))
 
     def positive_roots(self) -> tuple[RootVector, ...]:
         """All positive roots, sorted by (height, coordinates)."""
@@ -301,20 +284,20 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _solve_fraction(rows: list[list[Fraction]], n: int) -> list[Fraction]:
-    """Solve a square system given as rows of [A | b]; A must be invertible."""
+def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of an invertible square matrix, by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [row + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
     for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
+        piv = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
         for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return [rows[r][n] for r in range(n)]
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
 
 
 _SUPPORTED = {
@@ -386,12 +369,6 @@ def weyl_act_root(datum: RootDatum, word: tuple[int, ...], nu: RootVector) -> Ro
     return nu
 
 
-def weyl_act_coweight(datum: RootDatum, word: tuple[int, ...], h: Coweight) -> Coweight:
-    for i in reversed(word):
-        h = datum.reflect_coweight(i, h)
-    return h
-
-
 def weyl_key(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical key of the group element: its matrix on the weight lattice
     (columns = images of the fundamental weights)."""
@@ -399,13 +376,28 @@ def weyl_key(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return tuple(cols)
 
 
+def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tuple[int, ...]:
+    """The exponents c_m = <h_{i_m}, s_{i_{m+1}} ... s_{i_l} lam> for m = 1..l,
+    read off while lam walks through the word rightmost letter first."""
+    out = []
+    for i in reversed(word):
+        out.append(lam.coords[i - 1])
+        lam = datum.reflect_weight(i, lam)
+    out.reverse()
+    return tuple(out)
+
+
 def is_reduced(datum: RootDatum, word: tuple[int, ...]) -> bool:
-    """True when the word is reduced: every prefix sends the next simple
-    root to a positive root."""
-    for k in range(1, len(word) + 1):
-        beta = weyl_act_root(datum, word[: k - 1], datum.alpha(word[k - 1]))
-        if not beta.is_positive():
+    """True when the word is reduced: walking mu = rho forward, every letter
+    i has <h_i, mu> > 0 before mu becomes s_i mu.  Raises ValueError on a
+    letter outside the index set."""
+    mu = datum.rho()
+    for i in word:
+        if not 1 <= i <= datum.rank:
+            raise ValueError(f"letter {i} outside the index set of {datum.name}")
+        if mu.coords[i - 1] <= 0:
             return False
+        mu = datum.reflect_weight(i, mu)
     return True
 
 
@@ -419,20 +411,17 @@ def length(datum: RootDatum, word: tuple[int, ...]) -> int:
 
 
 def _descent_word(datum: RootDatum, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Some reduced word for the element of an arbitrary word."""
+    """Some reduced word for the element w of an arbitrary word: starting
+    from mu = w.rho, peel the smallest left descent i (<h_i, mu> < 0) until
+    mu is dominant."""
     out: list[int] = []
-    cur = tuple(word)
+    mu = weyl_act(datum, word, datum.rho())
     while True:
-        ln = length(datum, cur)
-        if ln == 0:
+        i = next((j + 1 for j, c in enumerate(mu.coords) if c < 0), None)
+        if i is None:
             return tuple(out)
-        for i in datum.index_set:
-            if length(datum, (i,) + cur) < ln:
-                out.append(i)
-                cur = (i,) + cur
-                break
-        else:  # pragma: no cover - impossible for a nontrivial element
-            raise AssertionError("no descent found")
+        out.append(i)
+        mu = datum.reflect_weight(i, mu)
 
 
 def reduced_words(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

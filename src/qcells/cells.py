@@ -18,7 +18,7 @@ from .cartan import (
     Weight,
     is_reduced,
     weyl_act,
-    weyl_act_coweight,
+    word_exponents,
 )
 from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
@@ -208,10 +208,11 @@ class MinorRoutesDisagree(AssertionError):
 def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     """Image of the minor D_{w lam, lam} for the full letter sequence.
 
-    Computed in closed form: exponent a_k pairs the k-th partial-product
-    coroot with w.lam, and the coefficient is the matching q-power.  The
-    result is always cross-checked against the module pairing route before
-    being cached on the datum; a disagreement raises MinorRoutesDisagree.
+    Computed in closed form: exponent a_k is the divided-power exponent
+    <h_{i_k}, s_{i_{k+1}} ... s_{i_l} lam> of the extremal vector u_{w lam},
+    and the coefficient is the matching q-power.  The result is always
+    cross-checked against the module pairing route before being cached on
+    the datum; a disagreement raises MinorRoutesDisagree.
     """
     datum = pres.datum
     key = (pres.letters, lam.coords)
@@ -223,13 +224,9 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     word = pres.letters
     if not is_reduced(datum, word):
         raise ValueError("letter sequence must be reduced")
-    wlam = weyl_act(datum, word, lam)
-    a = []
-    for k in range(1, len(word) + 1):
-        h = weyl_act_coweight(datum, word[:k], datum.coroot(word[k - 1]))
-        a.append(datum.coweight_weight(h, wlam))
+    a = word_exponents(datum, word, lam)
     tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
-    closed = pres.monomial(tuple(a), ScalarQ.q_power(tw))
+    closed = pres.monomial(a, ScalarQ.q_power(tw))
 
     mod = get_module(datum, lam)
     spec = MatrixCoeffSpec(mod, extremal_vector(mod, word), mod.highest())
@@ -241,20 +238,17 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
 
 
 def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> TheoremInstance:
-    """Exponent data d_j = <w_{<=j} h_{i_j}, w_{<=k} varpi_{i_k}> for j <= k."""
+    """Exponent data d_j = <w_{<=j} h_{i_j}, w_{<=k} varpi_{i_k}> for j <= k,
+    which equals <h_{i_j}, s_{i_{j+1}} ... s_{i_k} varpi_{i_k}>."""
     word = tuple(word)
     if not 1 <= k <= len(word):
         raise ValueError("position k out of range")
     if not is_reduced(datum, word):
         raise ValueError("letter sequence must be reduced")
-    target = weyl_act(datum, word[:k], datum.fundamental(word[k - 1]))
-    d = []
-    for j in range(1, k + 1):
-        h = weyl_act_coweight(datum, word[:j], datum.coroot(word[j - 1]))
-        d.append(datum.coweight_weight(h, target))
+    d = word_exponents(datum, word[:k], datum.fundamental(word[k - 1]))
     if d[-1] != 1:
         raise AssertionError(f"exponent d_k = {d[-1]}, expected 1")
-    return TheoremInstance(datum, word, k, tuple(d))
+    return TheoremInstance(datum, word, k, d)
 
 
 def theorem_monomial(pres: TorusPresentation, k: int) -> TorusElement:

@@ -3,9 +3,9 @@
 Elements are Q(q)-linear combinations of words in the generators f_i, with
 no Serre reduction: every downstream consumer factors through the twisted
 bilinear form (whose radical contains the Serre ideal) or through a module
-action, so a normal form is never needed.  The two twisted derivations peel
-a generator from the left or from the right; the form is defined by the
-left recursion and memoized per root datum.
+action, so a normal form is never needed.  The twisted derivation peels a
+generator from the left; the form is defined by its recursion and memoized
+per root datum.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ __all__ = [
     "FreeNegElement",
     "word_weight",
     "eprime",
-    "eprime_op",
-    "star",
     "lusztig_form",
     "divided_monomial",
     "serre_element",
@@ -172,21 +170,6 @@ def _eprime_word(datum: RootDatum, i: int, word: tuple[int, ...]):
     return out
 
 
-def _eprime_op_word(datum: RootDatum, i: int, word: tuple[int, ...]):
-    """Right twisted derivation on a word (prefix/suffix roles swapped)."""
-    di = datum.di(i)
-    arow = datum.a[i - 1]
-    acc = 0
-    out = []
-    for m in range(len(word) - 1, -1, -1):
-        j = word[m]
-        if j == i:
-            out.append((di * acc, word[:m] + word[m + 1 :]))
-        acc -= arow[j - 1]
-    out.reverse()
-    return out
-
-
 def eprime(datum: RootDatum, i: int, x: FreeNegElement) -> FreeNegElement:
     """The left twisted derivation with e'_i(f_j) = delta_ij."""
     out: dict[tuple[int, ...], ScalarQ] = {}
@@ -203,31 +186,6 @@ def eprime(datum: RootDatum, i: int, x: FreeNegElement) -> FreeNegElement:
                 else:
                     del out[sub]
     return FreeNegElement._raw(x.datum, out)
-
-
-def eprime_op(datum: RootDatum, i: int, x: FreeNegElement) -> FreeNegElement:
-    """The right twisted derivation, i.e. the star conjugate of eprime."""
-    out: dict[tuple[int, ...], ScalarQ] = {}
-    for w, c in x.terms.items():
-        for e, sub in _eprime_op_word(datum, i, w):
-            add = c.mul_qpow(e)
-            got = out.get(sub)
-            if got is None:
-                out[sub] = add
-            else:
-                s = got + add
-                if s.num.c:
-                    out[sub] = s
-                else:
-                    del out[sub]
-    return FreeNegElement._raw(x.datum, out)
-
-
-def star(x: FreeNegElement) -> FreeNegElement:
-    """The anti-automorphism reversing every word."""
-    return FreeNegElement._raw(
-        x.datum, {tuple(reversed(w)): c for w, c in x.terms.items()}
-    )
 
 
 def _form_factor(datum: RootDatum, i: int) -> ScalarQ:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import RootDatum, Weight, weyl_dim
+from .cartan import RootDatum, Weight, weyl_dim, word_exponents
 from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_square_multi
 from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, qfact_i, qint_i
 
@@ -234,7 +234,7 @@ def build_module(
         raise ValueError(f"module dimension {total} exceeds cap {dim_cap}")
 
     mod = HWModule(datum, lam)
-    alpha_w = {i: datum.root_to_weight(datum.alpha(i)) for i in datum.index_set}
+    alpha_w = {i: datum.alpha_weight(i) for i in datum.index_set}
 
     mod.basis[lam] = ((),)
     mod.gram[lam] = [[S_ONE]]
@@ -408,46 +408,24 @@ def get_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule:
 # Chevalley actions
 
 
-def act_f(i: int, vec: ModuleVector) -> ModuleVector:
+def _act(mats: dict, step: Weight, i: int, vec: ModuleVector) -> ModuleVector:
+    """Apply the action stored in mats, which moves weight mu to mu + step."""
     mod = vec.mod
-    alpha = mod.datum.root_to_weight(mod.datum.alpha(i))
     out: dict[Weight, list[ScalarQ]] = {}
     for mu, coeffs in vec.parts.items():
-        cols = mod.fmat.get((i, mu))
-        if cols is None:
-            continue
-        target = mu - alpha
-        acc = out.get(target)
-        if acc is None:
-            acc = [S_ZERO] * len(mod.basis[target])
-            out[target] = acc
-        for cidx, c in enumerate(coeffs):
-            if c.num.c:
-                for r, a in enumerate(cols[cidx]):
-                    if a.num.c:
-                        acc[r] = acc[r] + a * c
+        cols = mats.get((i, mu))
+        if cols is not None:
+            target = mu + step
+            out[target] = _apply_cols(cols, coeffs, len(mod.basis[target]))
     return ModuleVector(mod, out)
+
+
+def act_f(i: int, vec: ModuleVector) -> ModuleVector:
+    return _act(vec.mod.fmat, -vec.mod.datum.alpha_weight(i), i, vec)
 
 
 def act_e(i: int, vec: ModuleVector) -> ModuleVector:
-    mod = vec.mod
-    alpha = mod.datum.root_to_weight(mod.datum.alpha(i))
-    out: dict[Weight, list[ScalarQ]] = {}
-    for mu, coeffs in vec.parts.items():
-        cols = mod.emat.get((i, mu))
-        if cols is None:
-            continue
-        target = mu + alpha
-        acc = out.get(target)
-        if acc is None:
-            acc = [S_ZERO] * len(mod.basis[target])
-            out[target] = acc
-        for cidx, c in enumerate(coeffs):
-            if c.num.c:
-                for r, a in enumerate(cols[cidx]):
-                    if a.num.c:
-                        acc[r] = acc[r] + a * c
-    return ModuleVector(mod, out)
+    return _act(vec.mod.emat, vec.mod.datum.alpha_weight(i), i, vec)
 
 
 @lru_cache(maxsize=None)
@@ -460,25 +438,25 @@ def _inv_qint(a: int, d: int) -> ScalarQ:
     return qint_i(a, d).to_scalar().inverse()
 
 
-def act_f_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
-    """Divided power f_i^{(a)} = f_i^a / [a]_{q_i}!."""
+def _act_divided(act, i: int, a: int, vec: ModuleVector) -> ModuleVector:
+    """act^a / [a]_{q_i}! for act one of act_f, act_e."""
     if a < 0:
         raise ValueError("divided power needs a nonnegative exponent")
     for _ in range(a):
-        vec = act_f(i, vec)
+        vec = act(i, vec)
     if a > 1:
         vec = vec.scaled(_inv_qfact(a, vec.mod.datum.di(i)))
     return vec
+
+
+def act_f_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
+    """Divided power f_i^{(a)} = f_i^a / [a]_{q_i}!."""
+    return _act_divided(act_f, i, a, vec)
 
 
 def act_e_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
-    if a < 0:
-        raise ValueError("divided power needs a nonnegative exponent")
-    for _ in range(a):
-        vec = act_e(i, vec)
-    if a > 1:
-        vec = vec.scaled(_inv_qfact(a, vec.mod.datum.di(i)))
-    return vec
+    """Divided power e_i^{(a)} = e_i^a / [a]_{q_i}!."""
+    return _act_divided(act_e, i, a, vec)
 
 
 def contravariant_form(v: ModuleVector, w: ModuleVector) -> ScalarQ:
@@ -517,14 +495,12 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     got = mod._extremal_memo.get(word)
     if got is not None:
         return got
+    exps = word_exponents(mod.datum, word, mod.lam)
+    if any(c < 0 for c in exps):
+        raise ValueError(f"word {word} is not reduced for weight {mod.lam.coords}")
     vec = mod.highest()
-    wt = mod.lam
-    for i in reversed(word):
-        c = mod.datum.h_weight(i, wt)
-        if c < 0:
-            raise ValueError(f"word {word} is not reduced for weight {mod.lam.coords}")
+    for i, c in zip(reversed(word), reversed(exps)):
         vec = act_f_divided(i, c, vec)
-        wt = mod.datum.reflect_weight(i, wt)
     mod._extremal_memo[word] = vec
     return vec
 

@@ -8,7 +8,7 @@ t_1^{e_1} ... t_l^{e_l}.
 
 from __future__ import annotations
 
-from .cartan import RootDatum, RootVector
+from .cartan import RootDatum
 from .scalars import ScalarQ, S_ONE, scalar_str
 
 
@@ -179,27 +179,6 @@ class TorusElement:
         s = self.pres.reorder_power(e, tuple(-x for x in e))
         inv = c.inverse().mul_qpow(-s)
         return TorusElement._raw(self.pres, {tuple(-x for x in e): inv})
-
-    def weight_of(self) -> RootVector:
-        """Letter-weighted exponent sum of a homogeneous element, as a root
-        vector: t_k contributes alpha_{i_k}.  Matrix-coefficient images carry
-        the negative of this as their module weight."""
-        pres = self.pres
-        rank = pres.datum.rank
-        got: RootVector | None = None
-        for e in self.terms:
-            c = [0] * rank
-            for k, x in enumerate(e):
-                if x:
-                    c[pres.letters[k] - 1] += x
-            nu = RootVector(tuple(c))
-            if got is None:
-                got = nu
-            elif got != nu:
-                raise ValueError("element is not weight-homogeneous")
-        if got is None:
-            raise ValueError("the zero element has no weight")
-        return got
 
     def __str__(self) -> str:
         return torus_str(self)

@@ -23,7 +23,6 @@ __all__ = [
     "qint_i",
     "qfact_i",
     "qbinom_i",
-    "subst_qi",
     "gauss_product",
     "laurent_str",
     "scalar_str",
@@ -592,11 +591,6 @@ def qfact_i(n: int, d: int) -> LaurentQ:
 
 def qbinom_i(n: int, k: int, d: int) -> LaurentQ:
     return qbinom(n, k).subst(d)
-
-
-def subst_qi(x, d: int):
-    """Substitute q -> q^d in a LaurentQ or ScalarQ."""
-    return x.subst(d)
 
 
 def gauss_product(a: int) -> tuple[list[LaurentQ], list[LaurentQ]]:

@@ -7,15 +7,14 @@ import random
 import pytest
 
 from qcells.cartan import (
-    Coweight,
     RootVector,
     Weight,
+    _descent_word,
     build_root_datum,
     is_reduced,
     length,
     reduced_words,
     weyl_act,
-    weyl_act_coweight,
     weyl_act_root,
     weyl_dim,
     weyl_elements,
@@ -76,12 +75,27 @@ def test_pairing_examples():
                 assert got == (dat.di(j) if i == j else 0)
 
 
+# the fundamental weights that lie in the root lattice; every type but G2
+# has Cartan determinant > 1 and so at least one that does not
+ROOT_LATTICE_FUNDAMENTALS = {
+    "A1": set(), "A2": set(), "A3": set(), "A4": set(), "B2": {1}, "B3": {1, 2},
+    "C2": {2}, "C3": {2}, "D4": {2}, "G2": {1, 2},
+}
+
+
 def test_lattice_conversions():
     a2 = build_root_datum("A2")
     assert a2.root_to_weight(RootVector((1, 0))) == Weight((2, -1))
     assert a2.weight_to_root(Weight((1, 1))) == RootVector((1, 1))
-    with pytest.raises(ValueError):
-        a2.weight_to_root(a2.fundamental(1))
+    for name, inside in ROOT_LATTICE_FUNDAMENTALS.items():
+        dat = build_root_datum(name)
+        for i in dat.index_set:
+            lam = dat.fundamental(i)
+            if i in inside:
+                assert dat.root_to_weight(dat.weight_to_root(lam)) == lam
+            else:
+                with pytest.raises(ValueError):
+                    dat.weight_to_root(lam)
     rng = random.Random(7)
     for name in ALL_TYPES:
         dat = build_root_datum(name)
@@ -95,7 +109,6 @@ def test_reflection_examples():
     assert a2.reflect_root(1, a2.alpha(1)) == -a2.alpha(1)
     assert a2.reflect_root(2, a2.alpha(1)) == RootVector((1, 1))
     assert a2.reflect_weight(1, a2.fundamental(1)) == Weight((-1, 1))
-    assert a2.reflect_coweight(1, Coweight((1, 0))) == Coweight((-1, 0))
 
 
 def test_weyl_act_examples():
@@ -104,7 +117,6 @@ def test_weyl_act_examples():
     # rightmost letter first: word (1,2) applies s_2 then s_1
     lam = Weight((2, -3))
     assert weyl_act(a2, (1, 2), lam) == a2.reflect_weight(1, a2.reflect_weight(2, lam))
-    assert weyl_act_coweight(a2, (1, 2, 1), Coweight((1, 0))) == Coweight((0, -1))
 
 
 def test_form_is_weyl_invariant():
@@ -116,10 +128,6 @@ def test_form_is_weyl_invariant():
         word = tuple(rng.choice(list(dat.index_set)) for _ in range(rng.randrange(6)))
         lhs = dat.sym_pair(weyl_act(dat, word, lam), weyl_act_root(dat, word, nu))
         assert lhs == dat.sym_pair(lam, nu)
-        h = Coweight(tuple(rng.randrange(-3, 4) for _ in dat.index_set))
-        assert dat.coweight_weight(
-            weyl_act_coweight(dat, word, h), weyl_act(dat, word, lam)
-        ) == dat.coweight_weight(h, lam)
 
 
 def test_reduced_and_length():
@@ -133,6 +141,30 @@ def test_reduced_and_length():
         dat = build_root_datum(rng.choice(["A2", "A3", "B2", "G2"]))
         word = tuple(rng.choice(list(dat.index_set)) for _ in range(rng.randrange(8)))
         assert is_reduced(dat, word) == (length(dat, word) == len(word))
+
+
+def test_letters_outside_index_set_rejected():
+    for name in ["A1", "A2", "G2", "D4"]:
+        dat = build_root_datum(name)
+        for bad in (0, -1, dat.rank + 1):
+            for word in [(bad,), (1, bad), (bad, 1)]:
+                with pytest.raises(ValueError):
+                    is_reduced(dat, word)
+                with pytest.raises(ValueError):
+                    reduced_words(dat, word)
+
+
+def test_descent_word_of_non_reduced_words():
+    rng = random.Random(13)
+    for _ in range(150):
+        dat = build_root_datum(rng.choice(ALL_TYPES))
+        word = tuple(rng.choice(list(dat.index_set)) for _ in range(rng.randrange(2, 10)))
+        if is_reduced(dat, word):
+            continue
+        got = _descent_word(dat, word)
+        assert len(got) == length(dat, word)
+        assert length(dat, got) == len(got)
+        assert weyl_act(dat, got, dat.rho()) == weyl_act(dat, word, dat.rho())
 
 
 def test_reduced_words_enumeration():

@@ -3,12 +3,20 @@ predicted monomials, and generator recovery."""
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 
 import pytest
 
-from qcells.cartan import Weight, build_root_datum
+from qcells.cartan import (
+    Weight,
+    build_root_datum,
+    reduced_words,
+    weyl_act,
+    weyl_act_root,
+    weyl_elements,
+)
 from qcells.cells import (
     MatrixCoeffSpec,
     PresentationError,
@@ -95,6 +103,33 @@ def test_theorem_instance_exponents():
     assert theorem_instance(A2, (1, 2, 1), 3).d == (0, 1, 1)
 
 
+def test_exponents_match_root_side_pairings():
+    # <w h_i, mu> = (mu, w alpha_i) / d_i, evaluated on the root side
+    rng = random.Random(21)
+    for name in ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"]:
+        dat = build_root_datum(name)
+        elements = weyl_elements(dat)
+        for _ in range(10):
+            word = rng.choice(reduced_words(dat, rng.choice(elements)))
+
+            def pairing(j, mu):
+                beta = weyl_act_root(dat, word[:j], dat.alpha(word[j - 1]))
+                got = dat.sym_pair(mu, beta)
+                assert got % dat.di(word[j - 1]) == 0
+                return got // dat.di(word[j - 1])
+
+            for k in range(1, len(word) + 1):
+                target = weyl_act(dat, word[:k], dat.fundamental(word[k - 1]))
+                want = tuple(pairing(j, target) for j in range(1, k + 1))
+                assert theorem_instance(dat, word, k).d == want
+            if len(word) <= 5:
+                lam = dat.fundamental(rng.choice(list(dat.index_set)))
+                wlam = weyl_act(dat, word, lam)
+                want = tuple(pairing(j, wlam) for j in range(1, len(word) + 1))
+                exps, _c = feigin_minor(TorusPresentation(dat, word), lam).monomial()
+                assert exps == want
+
+
 def test_theorem_instance_rejects_bad_input():
     with pytest.raises(ValueError):
         theorem_instance(A2, (1, 1), 1)
@@ -106,8 +141,8 @@ def test_theorem_instance_check_survives_optimized_mode():
     # under -O an assert would vanish; a wrong final exponent must still raise
     script = (
         "import qcells.cells as c\n"
-        "from qcells.cartan import build_root_datum, weyl_act\n"
-        "c.weyl_act = lambda datum, word, lam: weyl_act(datum, word, lam).scaled(2)\n"
+        "from qcells.cartan import build_root_datum, word_exponents\n"
+        "c.word_exponents = lambda *args: tuple(2 * x for x in word_exponents(*args))\n"
         "try:\n"
         "    c.theorem_instance(build_root_datum('A2'), (1, 2, 1), 2)\n"
         "except AssertionError:\n"

@@ -10,12 +10,10 @@ from qcells.freeuq import (
     FreeNegElement,
     divided_monomial,
     eprime,
-    eprime_op,
     feigin_on_element,
     free_str,
     lusztig_form,
     serre_element,
-    star,
     word_weight,
     words_of_weight,
 )
@@ -60,14 +58,7 @@ def test_words_of_positive_weight_empty():
     assert words_of_weight(A2, -nu) == []
 
 
-# ----------------------------------------------------------- star and eprime
-
-def test_star_reverses_words():
-    x = word_elt(A2, 1, 2, 2)
-    assert star(x) == word_elt(A2, 2, 2, 1)
-    y = x + word_elt(A2, 1, 1, 2).scaled(ScalarQ.q_power(3))
-    assert star(star(y)) == y
-
+# ------------------------------------------------------------------ eprime
 
 def test_eprime_on_generators():
     assert eprime(A2, 1, gen(A2, 1)) == FreeNegElement.one(A2)
@@ -80,15 +71,6 @@ def test_eprime_leibniz_on_word():
     x = word_elt(A2, 1, 2)
     got = eprime(A2, 1, x)
     assert got == gen(A2, 2)
-
-
-def test_eprime_op_mirrors_eprime_through_star():
-    rng = random.Random(3)
-    for _ in range(10):
-        w = tuple(rng.choice([1, 2]) for _ in range(rng.randrange(1, 5)))
-        x = word_elt(A2, *w)
-        for i in (1, 2):
-            assert eprime_op(A2, i, x) == star(eprime(A2, i, star(x)))
 
 
 # ------------------------------------------------------------------ the form

@@ -63,15 +63,6 @@ def test_invert_rejects_sums():
         x.invert_monomial()
 
 
-def test_weight_of_counts_letters():
-    t1, t2 = P121.generator(1), P121.generator(2)
-    assert (t1 * t2).weight_of().coords == (1, 1)
-    # positions 1 and 3 both carry letter 1
-    assert P121.monomial((1, 0, 1)).weight_of().coords == (2, 0)
-    with pytest.raises(ValueError):
-        P121.zero().weight_of()
-
-
 def test_arithmetic_and_zero():
     t1, t2 = P121.generator(1), P121.generator(2)
     assert (t1 - t1).is_zero()

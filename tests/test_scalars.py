@@ -18,7 +18,6 @@ from qcells.scalars import (
     qfact,
     qint,
     scalar_str,
-    subst_qi,
 )
 
 
@@ -204,8 +203,9 @@ def test_q_power_detection():
 
 
 def test_subst_qi_dispatch():
-    assert subst_qi(qint(2), 2) == lau({2: 1, -2: 1})
-    assert subst_qi(ScalarQ(qint(2)), 3) == ScalarQ(lau({3: 1, -3: 1}))
+    # q -> q_i = q^d on both scalar classes
+    assert qint(2).subst(2) == lau({2: 1, -2: 1})
+    assert ScalarQ(qint(2)).subst(3) == ScalarQ(lau({3: 1, -3: 1}))
 
 
 # ------------------------------------------------------------------ text form
