@@ -38,6 +38,7 @@ __all__ = [
     "weyl_act",
     "weyl_act_root",
     "weyl_key",
+    "dominant_conjugate",
     "word_exponents",
     "is_reduced",
     "length",
@@ -120,7 +121,10 @@ class RootDatum:
         self._alpha_w = tuple(
             Weight(tuple(row[j] for row in a)) for j in range(rank)
         )
-        inv = _inverse([[Fraction(x) for x in row] for row in a])
+        # a^-1 = B^-1 diag(d) for the symmetrized B = (d_i a_ij); inverting B
+        # also proves it positive definite, i.e. a of finite type
+        binv = _inverse([[Fraction(d[i] * x) for x in row] for i, row in enumerate(a)])
+        inv = [[x * d[j] for j, x in enumerate(row)] for row in binv]
         self._inv_den = lcm(*(x.denominator for row in inv for x in row))
         self._inv_num = tuple(
             tuple(int(x * self._inv_den) for x in row) for row in inv
@@ -149,11 +153,6 @@ class RootDatum:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise ValueError("Cartan matrix is not symmetrized by d")
-        # positive definiteness of (d_i a_ij) via leading principal minors
-        for k in range(1, n + 1):
-            rows = [[Fraction(d[i] * a[i][j]) for j in range(k)] for i in range(k)]
-            if _det(rows) <= 0:
-                raise ValueError("root datum is not of finite type")
 
     # 1-based accessors -----------------------------------------------------
 
@@ -264,33 +263,16 @@ class RootDatum:
         return f"RootDatum({self.name})"
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] / rows[c][c]
-                for k in range(c, n):
-                    rows[r][k] -= f * rows[c][k]
-    return det
-
-
 def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of an invertible square matrix, by Gauss-Jordan elimination."""
+    """Inverse of a symmetric positive definite matrix, by Gauss-Jordan
+    elimination without row swaps.  The pivots are the ratios of successive
+    leading principal minors, so a pivot <= 0 proves the matrix is not
+    positive definite: then ValueError, "not of finite type"."""
     n = len(rows)
     aug = [row + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
     for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
+        if aug[c][c] <= 0:
+            raise ValueError("root datum is not of finite type")
         inv = 1 / aug[c][c]
         aug[c] = [x * inv for x in aug[c]]
         for r in range(n):
@@ -410,18 +392,23 @@ def length(datum: RootDatum, word: tuple[int, ...]) -> int:
     return n
 
 
-def _descent_word(datum: RootDatum, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Some reduced word for the element w of an arbitrary word: starting
-    from mu = w.rho, peel the smallest left descent i (<h_i, mu> < 0) until
-    mu is dominant."""
+def dominant_conjugate(datum: RootDatum, mu: Weight) -> tuple[tuple[int, ...], Weight]:
+    """The dominant weight in the Weyl orbit of mu, with the letters
+    (i_1, ..., i_m) such that s_{i_m} ... s_{i_1} mu is it: reflect mu at
+    its first negative coordinate until none is left."""
     out: list[int] = []
-    mu = weyl_act(datum, word, datum.rho())
     while True:
         i = next((j + 1 for j, c in enumerate(mu.coords) if c < 0), None)
         if i is None:
-            return tuple(out)
+            return tuple(out), mu
         out.append(i)
         mu = datum.reflect_weight(i, mu)
+
+
+def _descent_word(datum: RootDatum, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Some reduced word for the element w of an arbitrary word: the letters
+    that peel w.rho back to rho, the smallest left descent first."""
+    return dominant_conjugate(datum, weyl_act(datum, word, datum.rho()))[0]
 
 
 def reduced_words(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -23,6 +23,7 @@ from .cartan import (
 from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
     HWModule,
+    ModuleTooLarge,
     ModuleVector,
     act_f,
     act_f_divided,
@@ -312,7 +313,7 @@ def find_presentation(
         mup = weyl_act(datum, word, lamp) - shift
         try:
             modp = get_module(datum, lamp)
-        except ValueError:
+        except ModuleTooLarge:
             continue
         r = modp.dim_of(mup)
         if r == 0:

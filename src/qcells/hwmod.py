@@ -1,12 +1,18 @@
 """Integrable highest weight modules with exact bases over Q(q).
 
 A module V(lam) is built weight space by weight space, descending by
-height.  Each weight space gets a basis of f-monomial vectors selected
-greedily from the candidates f_i . (basis of V(mu + alpha_i)); linear
-independence is decided through the Gram matrix of the contravariant
-form, which is computed by the commutation recursion
+height.  The basis of the weight space mu is picked from the candidates
+f_i . (basis of V(mu + alpha_i)) through their Gram matrix under the
+contravariant form, computed by the commutation recursion
 
     (f_i x, f_j y) = (x, f_j e_i y) + delta_ij [<h_i, wt y>]_{q_i} (x, y).
+
+The multiplicity m(mu) comes first, exactly, from the weight spaces above
+mu, and mu is skipped when it is 0.  The pick is the column rank profile
+of the Gram matrix at a fixed modular point, or the exact profile for that
+weight space alone when the modular one is short.  Exact facts certify it:
+it has m(mu) vectors, and the exact solve on their Gram block proves them
+independent.
 
 Stored per module: basis tags, Gram matrices, and the matrices of the
 Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
@@ -17,13 +23,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import RootDatum, Weight, weyl_dim, word_exponents
+from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
 from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_square_multi
-from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, qfact_i, qint_i
+from .scalars import ScalarQ, S_ONE, S_ZERO, qfact_i, qint_i
 
 
 __all__ = [
     "HWModule",
+    "ModuleTooLarge",
     "ModuleVector",
     "build_module",
     "get_module",
@@ -169,31 +176,32 @@ def _apply_cols(
     return out
 
 
-# fixed prime field and evaluation point used to guess column rank profiles;
-# every guess is certified by the exact Gram-block inversion that follows,
-# and a degenerate point falls back to the exact echelon
+# The prime field and evaluation point of the modular pick.  They only pick
+# bases: a pick is kept when it has m(mu) columns, and then its Gram block is
+# nonsingular mod p, hence exactly.  A shorter pick, or a denominator that
+# vanishes at the point, gives way to the exact rank profile.
 _PROFILE_P = (1 << 61) - 1
 _PROFILE_Q0 = 1220703125
-_pow_memo: dict[int, int] = {}
 
 
-def _eval_laurent_mod(x: LaurentQ) -> int:
+def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
+    """c at q = _PROFILE_Q0 in GF(_PROFILE_P), with powers memoizing q0^e.
+
+    Raises ZeroDivisionError when the denominator vanishes at the point."""
     p = _PROFILE_P
-    acc = 0
-    for e, k in x.c.items():
-        w = _pow_memo.get(e)
-        if w is None:
-            w = pow(_PROFILE_Q0, e, p)
-            _pow_memo[e] = w
-        acc = (acc + k * w) % p
-    return acc
-
-
-def _eval_mod(c: ScalarQ) -> int | None:
-    den = _eval_laurent_mod(c.den)
-    if den == 0:
-        return None
-    return _eval_laurent_mod(c.num) * pow(den, _PROFILE_P - 2, _PROFILE_P) % _PROFILE_P
+    vals = []
+    for x in (c.num, c.den):
+        acc = 0
+        for e, k in x.c.items():
+            w = powers.get(e)
+            if w is None:
+                w = powers[e] = pow(_PROFILE_Q0, e, p)
+            acc += k * w
+        vals.append(acc % p)
+    num, den = vals
+    if not den:
+        raise ZeroDivisionError("denominator vanishes at the profile point")
+    return num * pow(den, p - 2, p) % p
 
 
 def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
@@ -218,33 +226,65 @@ def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
                     row[cc] = (row[cc] - f * prow[cc]) % p
         piv.append(c)
         top += 1
-        if top == len(m):
-            break
     return piv
 
 
-def build_module(
-    datum: RootDatum, lam: Weight, dim_cap: int = 5000, _numeric: bool = True
-) -> HWModule:
+def _multiplicity(mod: HWModule, mu: Weight) -> int:
+    """dim V(lam)_mu from the weight spaces above mu, which are built: that of
+    the dominant conjugate, or for a dominant mu Freudenthal's formula
+
+        ((lam+rho)^2 - (mu+rho)^2) m(mu) = 2 sum_{beta>0, k>=1} m(mu+k beta) (mu+k beta, beta),
+
+    where each beta-string above mu ends at its first missing weight."""
+    datum = mod.datum
+    dom = dominant_conjugate(datum, mu)[1]
+    if dom != mu:
+        return mod.dim_of(dom)
+    total = 0
+    for beta in datum.positive_roots():
+        step = datum.root_to_weight(beta)
+        nu = mu + step
+        while nu in mod.basis:
+            total += len(mod.basis[nu]) * datum.sym_pair(nu, beta)
+            nu = nu + step
+    lam = mod.lam
+    gap = datum.sym_pair(
+        lam + mu + datum.rho().scaled(2), datum.weight_to_root(lam - mu)
+    )
+    if gap <= 0 or 2 * total % gap:
+        raise AssertionError(
+            f"Freudenthal quotient {2 * total}/{gap} at {mu.coords} is not a multiplicity"
+        )
+    return 2 * total // gap
+
+
+class ModuleTooLarge(ValueError):
+    """The Weyl dimension of the requested module exceeds the build cap."""
+
+
+def build_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule:
     """Construct V(lam) for dominant lam, all weight spaces at once."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
     if total > dim_cap:
-        raise ValueError(f"module dimension {total} exceeds cap {dim_cap}")
+        raise ModuleTooLarge(f"module dimension {total} exceeds cap {dim_cap}")
 
     mod = HWModule(datum, lam)
     alpha_w = {i: datum.alpha_weight(i) for i in datum.index_set}
+    powers: dict[int, int] = {}
 
     mod.basis[lam] = ((),)
     mod.gram[lam] = [[S_ONE]]
-    weights_order = [lam]
     prev_layer = [lam]
 
     while prev_layer:
         cand_set = {mu - alpha_w[i] for mu in prev_layer for i in datum.index_set}
         new_layer = []
         for mu in sorted(cand_set, key=lambda w: w.coords):
+            mult = _multiplicity(mod, mu)
+            if not mult:
+                continue
             # candidate vectors f_i . b_w, tagged (i,) + tag(b_w)
             cands: list[tuple[int, Weight, int, tuple[int, ...]]] = []
             for i in datum.index_set:
@@ -253,8 +293,6 @@ def build_module(
                 if tags:
                     for widx, w in enumerate(tags):
                         cands.append((i, parent, widx, (i,) + w))
-            if not cands:
-                continue
             cands.sort(key=lambda t: t[3])
             n = len(cands)
 
@@ -284,74 +322,39 @@ def build_module(
 
             def exact_row(ridx: int) -> list[ScalarQ]:
                 i, parent_i, vidx, _t = cands[ridx]
-                grow = mod.gram[parent_i][vidx]
-                per_col = zvecs[i]
-                row = []
-                for c in range(n):
-                    acc = S_ZERO
-                    for s, zc in enumerate(per_col[c]):
-                        if zc.num.c and grow[s].num.c:
-                            acc = acc + grow[s] * zc
-                    row.append(acc)
-                return row
+                return mat_vec(zvecs[i], mod.gram[parent_i][vidx])
 
-            # guess the rank profile at a fixed modular point; the guess is
-            # certified by the exact solve below (a singular block falls
-            # through to the exact echelon, a short one fails the final
-            # dimension check and triggers an exact rebuild)
-            sel: list[int] | None = None
-            sel_rows: list[list[ScalarQ]] = []
-            sol_cols: list[list[ScalarQ]] | None = None
-            unsel: list[int] = []
-
-            def try_block(chosen: list[int], rows_x: list[list[ScalarQ]]):
-                block = [[row[c] for c in chosen] for row in rows_x]
-                rhs = [[row[c] for row in rows_x] for c in range(n) if c not in chosen]
-                return block, solve_square_multi(block, rhs)
-
-            if _numeric:
-                rows_mod: list[list[int]] | None = []
-                zmod: dict[int, list[list[int | None]]] = {
-                    i: [[_eval_mod(zc) for zc in col] for col in per_col]
+            # the pick: the rank profile at the modular point, or the exact
+            # one for this weight space when that is short or undefined
+            try:
+                zmod = {
+                    i: [[_eval_mod(zc, powers) for zc in col] for col in per_col]
                     for i, per_col in zvecs.items()
                 }
+                rows_mod = []
                 for i, parent_i, vidx, _tag in cands:
-                    grow_mod = [_eval_mod(x) for x in mod.gram[parent_i][vidx]]
-                    per_col = zmod[i]
-                    row = []
-                    for c in range(n):
-                        acc = 0
-                        for gm, zm in zip(grow_mod, per_col[c]):
-                            if gm is None or zm is None:
-                                rows_mod = None
-                                break
-                            acc = (acc + gm * zm) % _PROFILE_P
-                        if rows_mod is None:
-                            break
-                        row.append(acc)
-                    if rows_mod is None:
-                        break
-                    rows_mod.append(row)
-                if rows_mod is not None:
-                    guess = _mod_rank_profile(rows_mod)
-                    if guess:
-                        rows_x = [exact_row(r) for r in guess]
-                        try:
-                            g, sol_cols = try_block(guess, rows_x)
-                            sel = guess
-                            sel_rows = rows_x
-                        except ValueError:
-                            sel = None
-
-            if sel is None:
+                    grow = [_eval_mod(x, powers) for x in mod.gram[parent_i][vidx]]
+                    rows_mod.append(
+                        [sum(g * z for g, z in zip(grow, col)) % _PROFILE_P for col in zmod[i]]
+                    )
+                sel = _mod_rank_profile(rows_mod)
+            except ZeroDivisionError:
+                sel = []
+            if len(sel) < mult:
                 gram_full = [exact_row(r) for r in range(n)]
                 sel = column_rank_profile(gram_full)
-                if sel:
-                    sel_rows = [gram_full[r] for r in sel]
-                    g, sol_cols = try_block(sel, sel_rows)
-            if not sel:
-                continue
+                sel_rows = [gram_full[r] for r in sel]
+            else:
+                sel_rows = [exact_row(r) for r in sel]
+            if len(sel) != mult:
+                raise AssertionError(
+                    f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
+                )
+            # the Gram matrix is symmetric, so its block on the rows and
+            # columns of its rank profile is nonsingular, mod p as exactly
             unsel = [c for c in range(n) if c not in sel]
+            g = [[row[c] for c in sel] for row in sel_rows]
+            sol_cols = solve_square_multi(g, [[row[c] for row in sel_rows] for c in unsel])
 
             mod.basis[mu] = tuple(cands[c][3] for c in sel)
             mod.gram[mu] = g
@@ -360,38 +363,24 @@ def build_module(
             # layer and already final
             for i, per_col in zvecs.items():
                 mod.emat[(i, mu)] = [tuple(per_col[c]) for c in sel]
-            weights_order.append(mu)
             new_layer.append(mu)
 
-            # express every candidate over the selected basis to get the
-            # f_i action matrices out of the parents
-            sel_pos = {c: k for k, c in enumerate(sel)}
-            unsel_pos = {c: k for k, c in enumerate(unsel)}
-            fcols_by_key: dict[tuple[int, Weight], list] = {}
+            # express every candidate over the picked basis to get the f_i
+            # action matrices out of the parents; each parent basis vector is
+            # exactly one candidate, so every column gets filled
+            coords = dict(zip(unsel, sol_cols))
+            for k, c in enumerate(sel):
+                coords[c] = [S_ONE if r == k else S_ZERO for r in range(mult)]
             for cidx, (j, parent_j, widx, _tag) in enumerate(cands):
-                key = (j, parent_j)
-                store = fcols_by_key.get(key)
-                if store is None:
-                    store = [None] * len(mod.basis[parent_j])
-                    fcols_by_key[key] = store
-                if cidx in sel_pos:
-                    col = [S_ZERO] * len(sel)
-                    col[sel_pos[cidx]] = S_ONE
-                else:
-                    col = sol_cols[unsel_pos[cidx]]
-                store[widx] = tuple(col)
-            for key, store in fcols_by_key.items():
-                assert all(col is not None for col in store)
-                mod.fmat[key] = store
+                store = mod.fmat.setdefault((j, parent_j), [None] * len(mod.basis[parent_j]))
+                store[widx] = tuple(coords[cidx])
 
         prev_layer = new_layer
 
-    mod.weights = tuple(weights_order)
+    mod.weights = tuple(mod.basis)
     mod.dim = sum(len(b) for b in mod.basis.values())
     if mod.dim != total:
-        if _numeric:
-            return build_module(datum, lam, dim_cap, _numeric=False)
-        raise AssertionError((mod.dim, total))
+        raise AssertionError(f"built dimension {mod.dim}, Weyl dimension {total}")
     return mod
 
 

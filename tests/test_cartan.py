@@ -7,6 +7,7 @@ import random
 import pytest
 
 from qcells.cartan import (
+    RootDatum,
     RootVector,
     Weight,
     _descent_word,
@@ -47,6 +48,29 @@ def test_symmetrizability_everywhere():
         for i in dat.index_set:
             for j in dat.index_set:
                 assert dat.di(i) * dat.aij(i, j) == dat.di(j) * dat.aij(j, i)
+
+
+def test_validate_rejects_infinite_and_unsymmetrized_types():
+    for a in (
+        ((2, -2), (-2, 2)),  # affine A1
+        ((2, -3), (-3, 2)),  # hyperbolic
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # the 3-cycle, affine A2
+    ):
+        with pytest.raises(ValueError, match="not of finite type"):
+            RootDatum("X", len(a), a, (1,) * len(a))
+    b2 = build_root_datum("B2")
+    with pytest.raises(ValueError, match="not symmetrized"):
+        RootDatum("B", 2, b2.a, (1, 1))
+
+
+def test_inverse_cartan_tables():
+    for name in ALL_TYPES:
+        dat = build_root_datum(name)
+        n = dat.rank
+        for i in range(n):
+            for j in range(n):
+                got = sum(dat.a[i][k] * dat._inv_num[k][j] for k in range(n))
+                assert got == (dat._inv_den if i == j else 0)
 
 
 def test_parse_and_interning():

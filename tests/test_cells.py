@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from qcells import cells
 from qcells.cartan import (
     Weight,
     build_root_datum,
@@ -34,7 +35,13 @@ from qcells.cells import (
     verify_theorem,
 )
 from qcells.freeuq import FreeNegElement, lusztig_form
-from qcells.hwmod import act_f, contravariant_form, extremal_vector, get_module
+from qcells.hwmod import (
+    act_f,
+    build_module,
+    contravariant_form,
+    extremal_vector,
+    get_module,
+)
 from qcells.qtorus import TorusPresentation, torus_str
 
 A1 = build_root_datum("A1")
@@ -175,6 +182,29 @@ def test_presentation_error_reports_candidates():
     err = PresentationError([(1, 0), (0, 1)])
     assert err.tried == [(1, 0), (0, 1)]
     assert "candidates tried" in str(err)
+
+
+def test_capped_candidate_is_tried_and_skipped(monkeypatch):
+    # V(0,2) (dim 10) presents k = 2; over a cap of 5 it is listed and skipped
+    monkeypatch.setattr(
+        cells, "get_module", lambda datum, lam: build_module(datum, lam, dim_cap=5)
+    )
+    with pytest.raises(PresentationError) as err:
+        find_presentation(PB, 2)
+    assert err.value.tried == [
+        (1, 0), (2, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 2), (2, 1), (3, 0)
+    ]
+
+
+def test_build_failure_propagates_from_search(monkeypatch):
+    def broken(datum, lam):
+        if lam == Weight((1, 0)):
+            return get_module(datum, lam)
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(cells, "get_module", broken)
+    with pytest.raises(ValueError, match="singular"):
+        find_presentation(PB, 2)
 
 
 # ------------------------------------------------------------------- twist

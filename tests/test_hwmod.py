@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from qcells import hwmod
 from qcells.cartan import Weight, build_root_datum, weyl_dim, weyl_elements
 from qcells.hwmod import (
     act_e,
@@ -159,15 +160,59 @@ def test_braid_route_matches_divided_power_route():
         assert extremal_by_braid(mod, w) == extremal_vector(mod, w)
 
 
-def test_numeric_and_exact_builds_agree():
-    for datum, coords in ((A2, (1, 1)), (B2, (1, 1))):
+def test_short_modular_pick_falls_back_per_weight(monkeypatch):
+    """An empty or short modular pick gives way to the exact rank profile of
+    that weight space, and the module comes out as the default build."""
+    real_profile = hwmod._mod_rank_profile
+    real_exact = hwmod.column_rank_profile
+    exact_calls = []
+
+    def counted(rows):
+        exact_calls.append(len(rows))
+        return real_exact(rows)
+
+    monkeypatch.setattr(hwmod, "column_rank_profile", counted)
+    for datum, coords in ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 1))):
         lam = Weight(coords)
-        exact = build_module(datum, lam, _numeric=False)
-        fast = build_module(datum, lam)
-        assert exact.basis == fast.basis
-        assert exact.gram == fast.gram
-        assert exact.fmat == fast.fmat
-        assert exact.emat == fast.emat
+        default = build_module(datum, lam)
+        assert exact_calls == []
+        for force in (lambda rows: [], lambda rows: real_profile(rows)[:-1]):
+            monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
+            forced = build_module(datum, lam)
+            monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
+            assert len(exact_calls) == len(forced.weights) - 1
+            exact_calls.clear()
+            assert forced.basis == default.basis
+            assert forced.gram == default.gram
+            assert forced.fmat == default.fmat
+            assert forced.emat == default.emat
+
+
+def test_wrong_multiplicity_fails_loudly(monkeypatch):
+    real = hwmod._multiplicity
+    monkeypatch.setattr(hwmod, "_multiplicity", lambda mod, mu: real(mod, mu) + 1)
+    with pytest.raises(AssertionError, match="multiplicity"):
+        build_module(B2, Weight((1, 1)))
+    monkeypatch.setattr(hwmod, "_multiplicity", lambda mod, mu: 0)
+    with pytest.raises(AssertionError, match="Weyl dimension"):
+        build_module(B2, Weight((1, 1)))
+
+
+ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"]
+
+
+def test_weight_multiplicities_are_weyl_invariant():
+    for name in ALL_TYPES:
+        datum = build_root_datum(name)
+        # the adjoint module: its highest weight is the highest root
+        theta = datum.root_to_weight(datum.positive_roots()[-1])
+        ends = datum.fundamental(1) + datum.fundamental(datum.rank)
+        for lam in (theta, ends):
+            mod = get_module(datum, lam)
+            for mu in mod.weights:
+                for i in datum.index_set:
+                    assert mod.dim_of(datum.reflect_weight(i, mu)) == mod.dim_of(mu)
+        assert get_module(datum, theta).dim_of(Weight((0,) * datum.rank)) == datum.rank
 
 
 def test_dimension_cap():
