@@ -16,7 +16,9 @@ Conventions, fixed once for the whole package:
 * A word ``(i_1, ..., i_m)`` over the 1-based index set acts as the group
   element s_{i_1} ... s_{i_m}, i.e. s_{i_m} is applied first.
 * Words are handled on the weight side, by walking one weight through
-  reflections.  The root-side routines (``positive_roots``,
+  reflections.  A group element w is represented by the regular weight
+  w.rho, which determines it: its left descents are the i with
+  <h_i, w.rho> < 0.  The root-side routines (``positive_roots``,
   ``weyl_act_root``, ``length``) stay as the independent reference.
 
 Supported types: A1-A4, B2-B3, C2-C3, D4, G2.
@@ -37,7 +39,6 @@ __all__ = [
     "build_root_datum",
     "weyl_act",
     "weyl_act_root",
-    "weyl_key",
     "dominant_conjugate",
     "word_exponents",
     "is_reduced",
@@ -129,9 +130,9 @@ class RootDatum:
         self._inv_num = tuple(
             tuple(int(x * self._inv_den) for x in row) for row in inv
         )
-        # the one owner of per-datum caches, filled lazily: reduced words
-        # (cartan), Lusztig form values (freeuq), modules by highest weight
-        # (hwmod) and flag minor images by (word, lambda) (cells)
+        # the one owner of per-datum caches, filled lazily: reduced words by
+        # w.rho (cartan), Lusztig form values (freeuq), modules by highest
+        # weight (hwmod) and flag minor images by (word, lambda) (cells)
         self._pos_roots: tuple[RootVector, ...] | None = None
         self._rw_memo: dict = {}
         self._form_memo: dict = {}
@@ -351,13 +352,6 @@ def weyl_act_root(datum: RootDatum, word: tuple[int, ...], nu: RootVector) -> Ro
     return nu
 
 
-def weyl_key(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Canonical key of the group element: its matrix on the weight lattice
-    (columns = images of the fundamental weights)."""
-    cols = [weyl_act(datum, word, datum.fundamental(j)).coords for j in datum.index_set]
-    return tuple(cols)
-
-
 def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tuple[int, ...]:
     """The exponents c_m = <h_{i_m}, s_{i_{m+1}} ... s_{i_l} lam> for m = 1..l,
     read off while lam walks through the word rightmost letter first."""
@@ -373,10 +367,11 @@ def is_reduced(datum: RootDatum, word: tuple[int, ...]) -> bool:
     """True when the word is reduced: walking mu = rho forward, every letter
     i has <h_i, mu> > 0 before mu becomes s_i mu.  Raises ValueError on a
     letter outside the index set."""
+    bad = next((i for i in word if not 1 <= i <= datum.rank), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} outside the index set of {datum.name}")
     mu = datum.rho()
     for i in word:
-        if not 1 <= i <= datum.rank:
-            raise ValueError(f"letter {i} outside the index set of {datum.name}")
         if mu.coords[i - 1] <= 0:
             return False
         mu = datum.reflect_weight(i, mu)
@@ -395,7 +390,8 @@ def length(datum: RootDatum, word: tuple[int, ...]) -> int:
 def dominant_conjugate(datum: RootDatum, mu: Weight) -> tuple[tuple[int, ...], Weight]:
     """The dominant weight in the Weyl orbit of mu, with the letters
     (i_1, ..., i_m) such that s_{i_m} ... s_{i_1} mu is it: reflect mu at
-    its first negative coordinate until none is left."""
+    its first negative coordinate until none is left.  For mu = w.rho the
+    letters are the lexicographically smallest reduced word of w."""
     out: list[int] = []
     while True:
         i = next((j + 1 for j, c in enumerate(mu.coords) if c < 0), None)
@@ -405,39 +401,30 @@ def dominant_conjugate(datum: RootDatum, mu: Weight) -> tuple[tuple[int, ...], W
         mu = datum.reflect_weight(i, mu)
 
 
-def _descent_word(datum: RootDatum, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Some reduced word for the element w of an arbitrary word: the letters
-    that peel w.rho back to rho, the smallest left descent first."""
-    return dominant_conjugate(datum, weyl_act(datum, word, datum.rho()))[0]
-
-
 def reduced_words(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All reduced words of the element represented by ``word`` (which need
-    not itself be reduced), sorted lexicographically."""
-    if not is_reduced(datum, word):
-        word = _descent_word(datum, word)
+    """All reduced words of the element w represented by ``word`` (which need
+    not itself be reduced), sorted lexicographically.
 
+    They are (i,) + tail for each left descent i of w, i.e. <h_i, w.rho> < 0,
+    in increasing order, and tail a reduced word of s_i w; memoized by w.rho."""
+    is_reduced(datum, word)  # rejects letters outside the index set
     memo = datum._rw_memo
+    rho = datum.rho()
 
-    def rec(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        if not w:
+    def rec(mu: Weight) -> tuple[tuple[int, ...], ...]:
+        if mu == rho:
             return ((),)
-        key = weyl_key(datum, w)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out = []
-        for i in datum.index_set:
-            # i is a left descent iff s_i * w is shorter, iff (i,)+w not reduced
-            if not is_reduced(datum, (i,) + w):
-                shorter = _descent_word(datum, (i,) + w)
-                for tail in rec(shorter):
-                    out.append((i,) + tail)
-        res = tuple(sorted(out))
-        memo[key] = res
-        return res
+        got = memo.get(mu)
+        if got is None:
+            got = memo[mu] = tuple(
+                (i,) + tail
+                for i in datum.index_set
+                if mu.coords[i - 1] < 0
+                for tail in rec(datum.reflect_weight(i, mu))
+            )
+        return got
 
-    return rec(word)
+    return rec(weyl_act(datum, word, rho))
 
 
 def weyl_elements(
@@ -445,27 +432,24 @@ def weyl_elements(
 ) -> list[tuple[int, ...]]:
     """One reduced word per Weyl group element with length <= max_length
     (every element when None), sorted by (length, word); the representative
-    is the lexicographically smallest reduced word."""
-    seen = {weyl_key(datum, ()): ()}
-    frontier = [()]
-    reps: list[tuple[int, ...]] = [()]
-    ln = 0
-    while frontier and (max_length is None or ln < max_length):
+    is the lexicographically smallest reduced word.
+
+    Walks the orbit W.rho one length at a time: s_i w is longer than w iff
+    <h_i, w.rho> > 0."""
+    layer = [datum.rho()]
+    seen = set(layer)
+    out: list[tuple[int, ...]] = [()]
+    while layer and (max_length is None or len(out[-1]) < max_length):
         nxt = []
-        for w in frontier:
+        for mu in layer:
             for i in datum.index_set:
-                cand = w + (i,)
-                if not is_reduced(datum, cand):
-                    continue
-                key = weyl_key(datum, cand)
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
-        reps.extend(nxt)
-        ln += 1
-    out = [min(reduced_words(datum, w)) if w else () for w in reps]
-    out.sort(key=lambda w: (len(w), w))
+                if mu.coords[i - 1] > 0:
+                    nu = datum.reflect_weight(i, mu)
+                    if nu not in seen:
+                        seen.add(nu)
+                        nxt.append(nu)
+        out.extend(sorted(dominant_conjugate(datum, mu)[0] for mu in nxt))
+        layer = nxt
     return out
 
 

@@ -26,8 +26,8 @@ from .hwmod import (
     ModuleTooLarge,
     ModuleVector,
     act_f,
-    act_f_divided,
     contravariant_form,
+    divided_powers,
     extremal_vector,
     get_module,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "class_equal",
     "find_presentation",
     "twist_inverse_image",
-    "twist_image",
     "theorem_instance",
     "theorem_monomial",
     "verify_theorem",
@@ -180,10 +179,8 @@ def feigin_matrix_coeff(pres: TorusPresentation, spec: MatrixCoeffSpec) -> Torus
             return
         i = letters[k]
         cap = rem[i - 1]
-        for a in range(cap + 1):
-            w = act_f_divided(i, a, vec) if a else vec
-            if w.is_zero():
-                break
+        # f_i^{(a)} vec for a = 0..cap, up to the first zero
+        for a, w in zip(range(cap + 1), divided_powers(act_f, i, vec)):
             rem[i - 1] = cap - a
             acc[k] = a
             if k == 0 or feasible(k):
@@ -360,24 +357,6 @@ def twist_inverse_image(
     qpow = datum.sym_pair(lamp, nu)
     minor_inv = feigin_minor(pres, lamp).invert_monomial()
     part = feigin_matrix_coeff(pres, MatrixCoeffSpec(modp, uprime, modp.highest()))
-    return (minor_inv * part).scaled(ScalarQ.q_power(qpow))
-
-
-def twist_image(pres: TorusPresentation, lam: Weight, u: ModuleVector) -> TorusElement:
-    """Torus image of the twist of [D_{u, highest}]:
-    q^{-(lam, wt u - lam)} times minor^{-1} times the image of
-    D_{u_{w lam}, u}."""
-    datum = pres.datum
-    mod = u.mod
-    if mod.datum is not datum:
-        raise ValueError("vector and presentation use different root data")
-    if mod.lam != lam:
-        raise ValueError("vector does not live in V(lam)")
-    nu = datum.weight_to_root(u.weight() - lam)
-    qpow = -datum.sym_pair(lam, nu)
-    minor_inv = feigin_minor(pres, lam).invert_monomial()
-    uw = extremal_vector(mod, pres.letters)
-    part = feigin_matrix_coeff(pres, MatrixCoeffSpec(mod, uw, u))
     return (minor_inv * part).scaled(ScalarQ.q_power(qpow))
 
 

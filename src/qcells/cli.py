@@ -177,6 +177,11 @@ def _text_line(rec: dict[str, Any]) -> str:
     word = ",".join(map(str, rec["word"]))
     if "error" in rec:
         return f"{rec['cartan']} word {word} k={rec['k']}: CAP  {rec['error']}"
+    if "minor_mismatch" in rec:
+        return (
+            f"{rec['cartan']} word {word} k={rec['k']}: MISMATCH  "
+            f"minor routes disagree: {rec['minor_mismatch']}"
+        )
     status = "ok" if _passed(rec) else "MISMATCH"
     lamp = ",".join(map(str, rec["presentation"]["lambda"]))
     parts = [
@@ -200,6 +205,15 @@ def _run_instance(
         rep = verify_theorem(pres, k, search_cap)
     except PresentationError as exc:
         return {"cartan": cartan, "word": list(pres.letters), "k": k, "error": str(exc)}
+    except MinorRoutesDisagree as exc:
+        # the inverse twist could not trust its minor: a failed identity
+        return {
+            "cartan": cartan,
+            "word": list(pres.letters),
+            "k": k,
+            "equal": False,
+            "minor_mismatch": f"{torus_str(exc.closed)} vs {torus_str(exc.paired)}",
+        }
     chamber = chamber_ansatz(pres, k)
     return _record(cartan, pres.letters, k, rep, chamber)
 

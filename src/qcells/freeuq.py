@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .cartan import RootDatum, RootVector
-from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, qbinom_i, qfact
+from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, qbinom, qfact
 
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "serre_element",
     "words_of_weight",
     "feigin_on_element",
-    "free_str",
 ]
 
 
@@ -261,7 +260,7 @@ def serre_element(datum: RootDatum, i: int, j: int) -> FreeNegElement:
     n = 1 - datum.aij(i, j)
     out = FreeNegElement.zero(datum)
     for k in range(n + 1):
-        coeff = ScalarQ(qbinom_i(n, k, datum.di(i)))
+        coeff = ScalarQ(qbinom(n, k).subst(datum.di(i)))
         if k % 2:
             coeff = -coeff
         w = (i,) * k + (j,) + (i,) * (n - k)
@@ -358,32 +357,3 @@ def feigin_on_element(pres, x: FreeNegElement):
             elif prev is not None:
                 del terms[a]
     return TorusElement._raw(pres, terms)
-
-
-def _coeff_str(c: ScalarQ) -> str:
-    from .scalars import scalar_str
-
-    k = c.as_q_power()
-    if k is not None:
-        return "1" if k == 0 else f"q^{k}"
-    s = scalar_str(c)
-    if "+" in s or "-" in s[1:]:
-        return f"({s})"
-    return s
-
-
-def free_str(x: FreeNegElement) -> str:
-    """Deterministic text form: words as "f1 f2 f1", terms joined by " + "."""
-    if not x.terms:
-        return "0"
-    bits: list[str] = []
-    for w in sorted(x.terms):
-        c = x.terms[w]
-        word = " ".join(f"f{i}" for i in w)
-        if not word:
-            bits.append(_coeff_str(c))
-        elif c.is_one():
-            bits.append(word)
-        else:
-            bits.append(f"{_coeff_str(c)} * {word}")
-    return " + ".join(bits)

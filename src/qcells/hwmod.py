@@ -21,11 +21,13 @@ keys mean the zero map.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
 from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_square_multi
-from .scalars import ScalarQ, S_ONE, S_ZERO, qfact_i, qint_i
+from .scalars import ScalarQ, S_ONE, S_ZERO, qint
 
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "act_e",
     "act_f_divided",
     "act_e_divided",
+    "divided_powers",
     "contravariant_form",
     "extremal_vector",
     "braid_T",
@@ -315,7 +318,7 @@ def build_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule
                     if i == j:
                         hval = datum.h_weight(i, parent_j)
                         if hval:
-                            bump = qint_i(hval, datum.di(i)).to_scalar()
+                            bump = qint(hval).subst(datum.di(i)).to_scalar()
                             z[widx] = z[widx] + bump
                     per_col.append(z)
                 zvecs[i] = per_col
@@ -418,24 +421,29 @@ def act_e(i: int, vec: ModuleVector) -> ModuleVector:
 
 
 @lru_cache(maxsize=None)
-def _inv_qfact(a: int, d: int) -> ScalarQ:
-    return qfact_i(a, d).to_scalar().inverse()
-
-
-@lru_cache(maxsize=None)
 def _inv_qint(a: int, d: int) -> ScalarQ:
-    return qint_i(a, d).to_scalar().inverse()
+    return qint(a).subst(d).to_scalar().inverse()
+
+
+def divided_powers(act, i: int, vec: ModuleVector) -> Iterator[ModuleVector]:
+    """The ladder act^{(a)} vec = act^a vec / [a]_{q_i}! for a = 0, 1, ...
+    while it is nonzero, for act one of act_f, act_e: each term is act(i, .)
+    of the one before, divided by [a]_{q_i}."""
+    di = vec.mod.datum.di(i)
+    a = 0
+    while not vec.is_zero():
+        yield vec
+        a += 1
+        vec = act(i, vec)
+        if a > 1:
+            vec = vec.scaled(_inv_qint(a, di))
 
 
 def _act_divided(act, i: int, a: int, vec: ModuleVector) -> ModuleVector:
-    """act^a / [a]_{q_i}! for act one of act_f, act_e."""
+    """The a-th term of the ladder, zero past its end."""
     if a < 0:
         raise ValueError("divided power needs a nonnegative exponent")
-    for _ in range(a):
-        vec = act(i, vec)
-    if a > 1:
-        vec = vec.scaled(_inv_qfact(a, vec.mod.datum.di(i)))
-    return vec
+    return next(islice(divided_powers(act, i, vec), a, None), vec.mod.zero())
 
 
 def act_f_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
@@ -504,12 +512,8 @@ def braid_T(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
     out = mod.zero()
     for mu, coeffs in vec.parts.items():
         h = mod.datum.h_weight(i, mu)
-        ec = ModuleVector(mod, {mu: coeffs})
-        c = 0
-        while not ec.is_zero():
-            fb = ec
-            b = 0
-            while not fb.is_zero():
+        for c, ec in enumerate(divided_powers(act_e, i, ModuleVector(mod, {mu: coeffs}))):
+            for b, fb in enumerate(divided_powers(act_f, i, ec)):
                 a = b - c - h
                 if a >= 0:
                     term = act_e_divided(i, a, fb)
@@ -518,10 +522,6 @@ def braid_T(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
                         if b % 2:
                             coeff = coeff.mul_int(-1)
                         out = out + term.scaled(coeff)
-                b += 1
-                fb = act_f(i, fb).scaled(_inv_qint(b, di))
-            c += 1
-            ec = act_e(i, ec).scaled(_inv_qint(c, di))
     return out
 
 

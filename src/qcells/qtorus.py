@@ -105,9 +105,6 @@ class TorusElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def monomial(self) -> tuple[tuple[int, ...], ScalarQ]:
         """The (exponent, coefficient) pair of a monomial element."""
         if len(self.terms) != 1:

@@ -20,9 +20,6 @@ __all__ = [
     "qint",
     "qfact",
     "qbinom",
-    "qint_i",
-    "qfact_i",
-    "qbinom_i",
     "gauss_product",
     "laurent_str",
     "scalar_str",
@@ -578,19 +575,6 @@ def qbinom(n: int, k: int) -> LaurentQ:
     if not num.c:
         return _L_ZERO
     return num.exact_div(qfact(k))
-
-
-def qint_i(n: int, d: int) -> LaurentQ:
-    """[n] in the variable q_i = q^d."""
-    return qint(n).subst(d)
-
-
-def qfact_i(n: int, d: int) -> LaurentQ:
-    return qfact(n).subst(d)
-
-
-def qbinom_i(n: int, k: int, d: int) -> LaurentQ:
-    return qbinom(n, k).subst(d)
 
 
 def gauss_product(a: int) -> tuple[list[LaurentQ], list[LaurentQ]]:

@@ -406,13 +406,14 @@ def test_12_verified_images_are_monomials(capsys):
     report(capsys, "12", "verified images are single monomials", ok, f"{count} instances")
 
 
-def test_13_deterministic_sweep_output(capsys):
+def test_13_deterministic_sweep_output(capsys, child_env):
     outs = []
     for _ in range(4):
         proc = subprocess.run(
             [sys.executable, "-m", "qcells.cli", "sweep", "--cartan", "A2",
              "--format", "json"],
             capture_output=True,
+            env=child_env,
         )
         assert proc.returncode == 0
         outs.append(proc.stdout)

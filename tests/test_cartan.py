@@ -10,7 +10,6 @@ from qcells.cartan import (
     RootDatum,
     RootVector,
     Weight,
-    _descent_word,
     build_root_datum,
     is_reduced,
     length,
@@ -19,7 +18,6 @@ from qcells.cartan import (
     weyl_act_root,
     weyl_dim,
     weyl_elements,
-    weyl_key,
 )
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"]
@@ -171,7 +169,8 @@ def test_letters_outside_index_set_rejected():
     for name in ["A1", "A2", "G2", "D4"]:
         dat = build_root_datum(name)
         for bad in (0, -1, dat.rank + 1):
-            for word in [(bad,), (1, bad), (bad, 1)]:
+            # (1, 1, bad) is not reduced before the bad letter is reached
+            for word in [(bad,), (1, bad), (bad, 1), (1, 1, bad)]:
                 with pytest.raises(ValueError):
                     is_reduced(dat, word)
                 with pytest.raises(ValueError):
@@ -179,16 +178,18 @@ def test_letters_outside_index_set_rejected():
 
 
 def test_descent_word_of_non_reduced_words():
+    # a non-reduced word resolves to the reduced words of its element
     rng = random.Random(13)
     for _ in range(150):
         dat = build_root_datum(rng.choice(ALL_TYPES))
         word = tuple(rng.choice(list(dat.index_set)) for _ in range(rng.randrange(2, 10)))
         if is_reduced(dat, word):
             continue
-        got = _descent_word(dat, word)
-        assert len(got) == length(dat, word)
-        assert length(dat, got) == len(got)
-        assert weyl_act(dat, got, dat.rho()) == weyl_act(dat, word, dat.rho())
+        target = weyl_act(dat, word, dat.rho())
+        for got in reduced_words(dat, word):
+            assert len(got) == length(dat, word)
+            assert length(dat, got) == len(got)
+            assert weyl_act(dat, got, dat.rho()) == target
 
 
 def test_reduced_words_enumeration():
@@ -199,10 +200,37 @@ def test_reduced_words_enumeration():
     a3 = build_root_datum("A3")
     words = reduced_words(a3, (1, 2, 1, 3, 2, 1))
     assert len(words) == 16
-    key = weyl_key(a3, (1, 2, 1, 3, 2, 1))
+    mu = weyl_act(a3, (1, 2, 1, 3, 2, 1), a3.rho())
     for w in words:
         assert is_reduced(a3, w)
-        assert weyl_key(a3, w) == key
+        assert weyl_act(a3, w, a3.rho()) == mu
+
+
+# longest word length enumerated by brute force, per rank
+BRUTE_LENGTH = {1: 6, 2: 6, 3: 5, 4: 4}
+
+
+def test_reduced_words_and_elements_by_brute_force():
+    # every reduced word up to a length, grouped by its element w.rho: each
+    # group is the reduced_words of any member, and its minimum is the
+    # weyl_elements representative
+    for name in ALL_TYPES:
+        dat = build_root_datum(name)
+        top = BRUTE_LENGTH[dat.rank]
+        groups: dict[Weight, list[tuple[int, ...]]] = {}
+        layer = [()]
+        for _ in range(top + 1):
+            for w in layer:
+                groups.setdefault(weyl_act(dat, w, dat.rho()), []).append(w)
+            layer = [w + (i,) for w in layer for i in dat.index_set if is_reduced(dat, w + (i,))]
+        reps = set(weyl_elements(dat, top))
+        # a reduced word of w has length l(w), so every group is complete
+        for words in groups.values():
+            expect = tuple(sorted(words))
+            assert reduced_words(dat, words[0]) == expect
+            assert reduced_words(dat, words[-1]) == expect
+            assert min(words) in reps
+        assert len(reps) == len(groups)
 
 
 def test_weyl_element_counts():

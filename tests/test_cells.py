@@ -30,7 +30,6 @@ from qcells.cells import (
     ore_commutation_check,
     theorem_instance,
     theorem_monomial,
-    twist_image,
     twist_inverse_image,
     verify_theorem,
 )
@@ -74,7 +73,7 @@ def test_minor_image_a2():
 def test_minor_images_are_monomials():
     for pres, coords in ((P121, (0, 1)), (P121, (1, 1)), (PB, (1, 0)), (PB, (1, 1))):
         x = feigin_minor(pres, Weight(coords))
-        assert x.is_monomial()
+        assert len(x.terms) == 1
 
 
 def test_minor_image_multiplicative_in_lambda():
@@ -144,7 +143,7 @@ def test_theorem_instance_rejects_bad_input():
         theorem_instance(A2, (1, 2), 3)
 
 
-def test_theorem_instance_check_survives_optimized_mode():
+def test_theorem_instance_check_survives_optimized_mode(child_env):
     # under -O an assert would vanish; a wrong final exponent must still raise
     script = (
         "import qcells.cells as c\n"
@@ -156,7 +155,9 @@ def test_theorem_instance_check_survives_optimized_mode():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -215,23 +216,6 @@ def test_twist_inverse_image_rank_one():
     assert torus_str(got) == "q^1 · t1^-1"
     low = extremal_vector(mod, (1,))
     assert torus_str(twist_inverse_image(P1, Weight((1,)), low)) == "1"
-
-
-def test_twist_image_rank_one():
-    mod = get_module(A1, Weight((1,)))
-    assert torus_str(twist_image(P1, Weight((1,)), extremal_vector(mod, (1,)))) == "q^1 · t1^-1"
-    assert torus_str(twist_image(P1, Weight((1,)), mod.highest())) == "1"
-
-
-def test_twist_routes_agree_on_extremal_vectors():
-    # pushing u_{w lam} forward or pulling the highest vector back lands on
-    # the same torus element
-    for pres, coords in ((P121, (1, 0)), (P121, (0, 1)), (PB, (0, 1))):
-        lam = Weight(coords)
-        mod = get_module(pres.datum, lam)
-        fwd = twist_image(pres, lam, extremal_vector(mod, pres.letters))
-        bwd = twist_inverse_image(pres, lam, mod.highest())
-        assert class_equal(fwd, bwd)
 
 
 # ------------------------------------------------------------ verification

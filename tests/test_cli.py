@@ -215,6 +215,33 @@ def test_failed_chamber_ansatz_is_a_mismatch(capsys, monkeypatch):
     assert lines[-1] == "A1: 1 instances, 0 equal, 1 mismatched, 0 capped"
 
 
+def test_disagreeing_minor_routes_are_a_sweep_mismatch(capsys, monkeypatch):
+    def broken(pres, lam):
+        raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
+
+    monkeypatch.setattr(cells, "feigin_minor", broken)
+    code, out, err = run(capsys, "sweep", "--cartan", "A2")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 13
+    assert lines[0] == "A2 word 1 k=1: MISMATCH  minor routes disagree: t1 vs 1"
+    assert lines[-1] == "A2: 12 instances, 0 equal, 12 mismatched, 0 capped"
+    code, out, err = run(capsys, "sweep", "--cartan", "A2", "--format", "json")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert json.loads(lines[0]) == {
+        "cartan": "A2",
+        "word": [1],
+        "k": 1,
+        "equal": False,
+        "minor_mismatch": "t1 vs 1",
+    }
+    assert json.loads(lines[-1])["summary"]["mismatched"] == 12
+    code, out, err = run(capsys, "verify", "--cartan", "A2", "--word", "1,2", "--k", "2")
+    assert code == 1
+    assert out == "A2 word 1,2 k=2: MISMATCH  minor routes disagree: t1 vs 1\n"
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("QCELLS_FORMAT", "xml"), ("QCELLS_SEARCH_CAP", "abc"), ("QCELLS_SEARCH_CAP", "-1")],

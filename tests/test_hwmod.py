@@ -18,6 +18,7 @@ from qcells.hwmod import (
     braid_T_inv,
     build_module,
     contravariant_form,
+    divided_powers,
     extremal_by_braid,
     extremal_vector,
     get_module,
@@ -126,6 +127,23 @@ def test_divided_powers_rescale_plain_powers():
     # [4 choose 2] = q^4 + q^2 + 2 + q^-2 + q^-4
     binom = ScalarQ(LaurentQ({4: 1, 2: 1, 0: 2, -2: 1, -4: 1}))
     assert back == u.scaled(binom)
+    # the ladder yields f^a u / [a]! for a = 0..4 and stops at the first zero
+    fact = ScalarQ.from_int(1)
+    plain = u
+    ladder = list(divided_powers(act_f, 1, u))
+    assert len(ladder) == 5
+    for a, term in enumerate(ladder):
+        if a:
+            fact = fact * ScalarQ(LaurentQ({a - 1 - 2 * j: 1 for j in range(a)}))
+            plain = act_f(1, plain)
+        assert term.scaled(fact) == plain
+        assert term == act_f_divided(1, a, u)
+    assert act_f(1, plain).is_zero()
+    assert act_f_divided(1, 5, u).is_zero()
+    assert list(divided_powers(act_e, 1, u)) == [u]
+    assert list(divided_powers(act_f, 1, mod.zero())) == []
+    with pytest.raises(ValueError):
+        act_f_divided(1, -1, u)
 
 
 def test_extremal_vectors_have_norm_one():
