@@ -4,8 +4,10 @@ Everything here lives on the image side of the Feigin map attached to a
 reduced letter sequence: quantum minors become explicit monomials in a
 quantum torus, the twist automorphism becomes a q-power times a ratio of
 such images, and each twisted flag minor is checked against its predicted
-monomial.  The localized algebra itself is never materialized; all
-identities are verified between normal-ordered torus elements.
+monomial.  A matrix coefficient x -> (left, x . right) is passed as its two
+vectors, which must live in one module.  The localized algebra itself is
+never materialized; all identities are verified between normal-ordered
+torus elements.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 from .cartan import (
     RootDatum,
+    RootVector,
     Weight,
     is_reduced,
     weyl_act,
@@ -22,7 +25,6 @@ from .cartan import (
 )
 from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
-    HWModule,
     ModuleTooLarge,
     ModuleVector,
     act_f,
@@ -33,10 +35,9 @@ from .hwmod import (
 )
 from .linalg import solve_linear
 from .qtorus import TorusElement, TorusPresentation, torus_str
-from .scalars import ScalarQ, S_ZERO
+from .scalars import ScalarQ, S_ZERO, add_term
 
 __all__ = [
-    "MatrixCoeffSpec",
     "TheoremInstance",
     "Presentation",
     "PresentationError",
@@ -56,24 +57,6 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class MatrixCoeffSpec:
-    """Matrix coefficient x -> (left, x . right) on a simple module.
-
-    Both vectors must be weight-homogeneous and nonzero.
-    """
-
-    module: HWModule
-    left: ModuleVector
-    right: ModuleVector
-
-    def __post_init__(self) -> None:
-        if self.left.mod is not self.module or self.right.mod is not self.module:
-            raise ValueError("vectors do not live in the given module")
-        self.left.weight()
-        self.right.weight()
-
-
 @dataclass(frozen=True)
 class TheoremInstance:
     """One twisted flag minor: a word, a position k, and the exponents d_j."""
@@ -91,7 +74,6 @@ class Presentation:
     lam: Weight
     uprime: ModuleVector
     coeffs: list[ScalarQ]
-    alternates: list[list[ScalarQ]]
 
 
 class PresentationError(RuntimeError):
@@ -123,25 +105,42 @@ def class_equal(x: TorusElement, y: TorusElement) -> bool:
     return x.terms == y.terms
 
 
-def feigin_matrix_coeff(pres: TorusPresentation, spec: MatrixCoeffSpec) -> TorusElement:
-    """Image of the matrix coefficient under the Feigin map.
+def _content(left: ModuleVector, right: ModuleVector) -> RootVector | None:
+    """Content of the words x with (left, x . right) possibly nonzero: the
+    root vector wt right - wt left, or None when it is not a nonnegative
+    combination of simple roots.
+
+    Both vectors must live in one module and be weight-homogeneous."""
+    if left.mod is not right.mod:
+        raise ValueError("vectors live in different modules")
+    diff = right.weight() - left.weight()
+    try:
+        need = left.mod.datum.weight_to_root(diff)
+    except ValueError:
+        return None
+    if any(c < 0 for c in need.coords):
+        return None
+    return need
+
+
+def feigin_matrix_coeff(
+    pres: TorusPresentation, left: ModuleVector, right: ModuleVector
+) -> TorusElement:
+    """Image of the matrix coefficient x -> (left, x . right) under the
+    Feigin map, for weight-homogeneous vectors of one module.
 
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
     powers are applied rightmost letter first; an empty sum gives zero.
     """
     datum = pres.datum
-    if spec.module.datum is not datum:
+    if left.mod.datum is not datum:
         raise ValueError("module and presentation use different root data")
+    need = _content(left, right)
+    if need is None:
+        return pres.zero()
     letters = pres.letters
     n = len(letters)
-    diff = spec.right.weight() - spec.left.weight()
-    try:
-        need = datum.weight_to_root(diff)
-    except ValueError:
-        return pres.zero()
-    if any(c < 0 for c in need.coords):
-        return pres.zero()
 
     before: list[frozenset[int]] = []
     seen: set[int] = set()
@@ -149,7 +148,6 @@ def feigin_matrix_coeff(pres: TorusPresentation, spec: MatrixCoeffSpec) -> Torus
         before.append(frozenset(seen))
         seen.add(i)
     dis = [datum.di(i) for i in letters]
-    left = spec.left
     terms: dict[tuple[int, ...], ScalarQ] = {}
     rem = list(need.coords)
     acc = [0] * n
@@ -159,15 +157,7 @@ def feigin_matrix_coeff(pres: TorusPresentation, spec: MatrixCoeffSpec) -> Torus
         if not val.num.c:
             return
         tw = sum(dis[k] * (a * (a - 1) // 2) for k, a in enumerate(acc) if a > 1)
-        coeff = val.mul_qpow(tw)
-        key = tuple(acc)
-        prev = terms.get(key)
-        if prev is not None:
-            coeff = prev + coeff
-        if coeff.num.c:
-            terms[key] = coeff
-        elif prev is not None:
-            del terms[key]
+        add_term(terms, tuple(acc), val.mul_qpow(tw))
 
     def feasible(k: int) -> bool:
         allowed = before[k]
@@ -188,7 +178,7 @@ def feigin_matrix_coeff(pres: TorusPresentation, spec: MatrixCoeffSpec) -> Torus
         rem[i - 1] = cap
         acc[k] = 0
 
-    descend(n - 1, spec.right)
+    descend(n - 1, right)
     return TorusElement._raw(pres, terms)
 
 
@@ -227,8 +217,7 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     closed = pres.monomial(a, ScalarQ.q_power(tw))
 
     mod = get_module(datum, lam)
-    spec = MatrixCoeffSpec(mod, extremal_vector(mod, word), mod.highest())
-    paired = feigin_matrix_coeff(pres, spec)
+    paired = feigin_matrix_coeff(pres, extremal_vector(mod, word), mod.highest())
     if not class_equal(closed, paired):
         raise MinorRoutesDisagree(closed, paired)
     datum._minor_cache[key] = closed
@@ -299,9 +288,7 @@ def find_presentation(
     ik = word[k - 1]
     mod_k = get_module(datum, datum.fundamental(ik))
     target_left = extremal_vector(mod_k, word[:k])
-    target = feigin_matrix_coeff(
-        pres, MatrixCoeffSpec(mod_k, target_left, mod_k.highest())
-    )
+    target = feigin_matrix_coeff(pres, target_left, mod_k.highest())
     shift = weyl_act(datum, word[:k], datum.fundamental(ik)) - datum.fundamental(ik)
 
     tried: list[tuple[int, ...]] = []
@@ -317,10 +304,7 @@ def find_presentation(
             continue
         uw = extremal_vector(modp, word)
         cols = [
-            feigin_matrix_coeff(
-                pres, MatrixCoeffSpec(modp, uw, modp.basis_vector(mup, s))
-            )
-            for s in range(r)
+            feigin_matrix_coeff(pres, uw, modp.basis_vector(mup, s)) for s in range(r)
         ]
         support: set[tuple[int, ...]] = set(target.terms)
         for col in cols:
@@ -328,15 +312,14 @@ def find_presentation(
         keys = sorted(support)
         rows = [[col.terms.get(e, S_ZERO) for col in cols] for e in keys]
         rhs = [target.terms.get(e, S_ZERO) for e in keys]
-        sol = solve_linear(rows, rhs)
-        if sol is None:
+        coeffs = solve_linear(rows, rhs)
+        if coeffs is None:
             continue
-        coeffs, null = sol
         uprime = modp.zero()
         for s, c in enumerate(coeffs):
             if c.num.c:
                 uprime = uprime + modp.basis_vector(mup, s).scaled(c)
-        return Presentation(lamp, uprime, coeffs, null)
+        return Presentation(lamp, uprime, coeffs)
     raise PresentationError(tried)
 
 
@@ -356,7 +339,7 @@ def twist_inverse_image(
     nu = datum.weight_to_root(uprime.weight() - wlamp)
     qpow = datum.sym_pair(lamp, nu)
     minor_inv = feigin_minor(pres, lamp).invert_monomial()
-    part = feigin_matrix_coeff(pres, MatrixCoeffSpec(modp, uprime, modp.highest()))
+    part = feigin_matrix_coeff(pres, uprime, modp.highest())
     return (minor_inv * part).scaled(ScalarQ.q_power(qpow))
 
 
@@ -474,30 +457,27 @@ def _act_word(word: tuple[int, ...], vec: ModuleVector) -> ModuleVector:
     return vec
 
 
-def minor_representative(spec: MatrixCoeffSpec) -> FreeNegElement:
-    """A free element y with (y, x) = (left, x . right) for every word x.
+def minor_representative(left: ModuleVector, right: ModuleVector) -> FreeNegElement:
+    """A free element y with (y, x) = (left, x . right) for every word x, for
+    weight-homogeneous vectors of one module.
 
     Solves the (possibly singular) Gram system on the words of the right
     content; the functional factors through the form's radical, so a
     solution always exists.
     """
-    datum = spec.module.datum
-    diff = spec.right.weight() - spec.left.weight()
-    try:
-        need = datum.weight_to_root(diff)
-    except ValueError:
-        return FreeNegElement.zero(datum)
-    if any(c < 0 for c in need.coords):
+    datum = left.mod.datum
+    need = _content(left, right)
+    if need is None:
         return FreeNegElement.zero(datum)
     zs = words_of_weight(datum, -need)
     elems = [FreeNegElement.word(datum, z) for z in zs]
     gram = [[lusztig_form(x, y) for y in elems] for x in elems]
-    rhs = [contravariant_form(spec.left, _act_word(z, spec.right)) for z in zs]
+    rhs = [contravariant_form(left, _act_word(z, right)) for z in zs]
     sol = solve_linear(gram, rhs)
     if sol is None:
         raise AssertionError("matrix-coefficient functional not realized by the form")
     out = FreeNegElement.zero(datum)
-    for c, el in zip(sol[0], elems):
+    for c, el in zip(sol, elems):
         if c.num.c:
             out = out + el.scaled(c)
     return out

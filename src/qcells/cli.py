@@ -10,7 +10,8 @@ selftest       run a small fixed battery of known values
 
 Exit codes: 0 all checks pass, 1 some identity failed (a failed chamber
 ansatz recovery included), 2 bad usage or environment, 3 the presentation
-search cap was exhausted.
+search cap was exhausted and no identity failed.  In verify, sweep and
+selftest a failed identity outranks a capped search.
 
 Defaults for --search-cap and --format can be overridden with the
 environment variables QCELLS_SEARCH_CAP and QCELLS_FORMAT.
@@ -54,6 +55,7 @@ class UsageError(Exception):
 
 
 _FORMATS = ("text", "json")
+_DEFAULT_SEARCH_CAP = 3
 
 
 def _nonneg_int(text: str) -> int:
@@ -243,6 +245,13 @@ def _emit_records(
     return total, passed, capped
 
 
+def _exit_code(mismatched: int, capped: int) -> int:
+    """1 if any identity failed, else 3 if any search was capped, else 0."""
+    if mismatched:
+        return EXIT_MISMATCH
+    return EXIT_CAP if capped else EXIT_OK
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     datum = _datum(args.cartan)
     word = _parse_reduced_word(args.word, datum)
@@ -252,9 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total, passed, capped = _emit_records(
         instances, datum.name, args.search_cap, args.format
     )
-    if capped:
-        return EXIT_CAP
-    return EXIT_OK if passed == total else EXIT_MISMATCH
+    return _exit_code(total - passed - capped, capped)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -286,9 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{datum.name}: {total} instances, {passed} equal, "
             f"{mismatched} mismatched, {capped} capped"
         )
-    if capped:
-        return EXIT_CAP
-    return EXIT_OK if mismatched == 0 else EXIT_MISMATCH
+    return _exit_code(mismatched, capped)
 
 
 def cmd_feigin_minor(args: argparse.Namespace) -> int:
@@ -363,27 +368,34 @@ _SELFTEST = (
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = 0
+    failures = capped = 0
     for cartan, word, k, expect in _SELFTEST:
-        datum = _datum(cartan)
-        pres = TorusPresentation(datum, word)
-        rep = verify_theorem(pres, k)
-        chamber = chamber_ansatz(pres, k)
-        ok = rep.equal and bool(chamber.exponent_match)
-        if expect is not None:
-            ok = ok and torus_str(rep.lhs) == expect
-        shown = torus_str(rep.lhs)
+        pres = TorusPresentation(_datum(cartan), word)
+        rec = _run_instance(cartan, pres, k, _DEFAULT_SEARCH_CAP)
+        if "error" in rec:
+            capped += 1
+            ok, shown = False, rec["error"]
+        elif "minor_mismatch" in rec:
+            ok, shown = False, f"minor routes disagree: {rec['minor_mismatch']}"
+        else:
+            shown = rec["lhs"]
+            ok = _passed(rec) and (expect is None or shown == expect)
         status = "ok" if ok else "FAIL"
         print(f"{cartan} word {','.join(map(str, word))} k={k}: {status}  {shown}")
         if not ok:
             failures += 1
-    minor = feigin_minor(TorusPresentation(_datum("A2"), (1, 2, 1)), Weight((1, 0)))
-    ok = torus_str(minor) == "t2 t3"
-    print(f"A2 word 1,2,1 minor lambda=1,0: {'ok' if ok else 'FAIL'}  {torus_str(minor)}")
+    try:
+        minor = feigin_minor(TorusPresentation(_datum("A2"), (1, 2, 1)), Weight((1, 0)))
+    except MinorRoutesDisagree as exc:
+        ok, shown = False, str(exc)
+    else:
+        shown = torus_str(minor)
+        ok = shown == "t2 t3"
+    print(f"A2 word 1,2,1 minor lambda=1,0: {'ok' if ok else 'FAIL'}  {shown}")
     if not ok:
         failures += 1
     print(f"selftest: {'all passed' if failures == 0 else f'{failures} failed'}")
-    return EXIT_OK if failures == 0 else EXIT_MISMATCH
+    return _exit_code(failures - capped, capped)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -392,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify quantum torus images of flag minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    search_cap = _env_default("QCELLS_SEARCH_CAP", _nonneg_int, 3)
+    search_cap = _env_default("QCELLS_SEARCH_CAP", _nonneg_int, _DEFAULT_SEARCH_CAP)
     fmt = _env_default("QCELLS_FORMAT", _format_name, "text")
 
     def common(p: argparse.ArgumentParser, word_required: bool = True) -> None:
@@ -448,9 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 
 from .cartan import RootDatum, RootVector
-from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, qbinom, qfact
+from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, add_term, qbinom, qfact
 
 
 __all__ = [
     "FreeNegElement",
     "word_weight",
-    "eprime",
     "lusztig_form",
     "divided_monomial",
     "serre_element",
@@ -82,15 +81,7 @@ class FreeNegElement:
     def __add__(self, other: "FreeNegElement") -> "FreeNegElement":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            got = out.get(w)
-            if got is None:
-                out[w] = c
-            else:
-                s = got + c
-                if s.num.c:
-                    out[w] = s
-                else:
-                    del out[w]
+            add_term(out, w, c)
         return FreeNegElement._raw(self.datum, out)
 
     def __sub__(self, other: "FreeNegElement") -> "FreeNegElement":
@@ -109,18 +100,7 @@ class FreeNegElement:
         out: dict[tuple[int, ...], ScalarQ] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                w = wa + wb
-                c = ca * cb
-                got = out.get(w)
-                if got is None:
-                    if c.num.c:
-                        out[w] = c
-                else:
-                    s = got + c
-                    if s.num.c:
-                        out[w] = s
-                    else:
-                        del out[w]
+                add_term(out, wa + wb, ca * cb)
         return FreeNegElement._raw(self.datum, out)
 
     def homogeneous_parts(self) -> dict[RootVector, "FreeNegElement"]:
@@ -167,24 +147,6 @@ def _eprime_word(datum: RootDatum, i: int, word: tuple[int, ...]):
             out.append((di * acc, word[:m] + word[m + 1 :]))
         acc -= arow[j - 1]
     return out
-
-
-def eprime(datum: RootDatum, i: int, x: FreeNegElement) -> FreeNegElement:
-    """The left twisted derivation with e'_i(f_j) = delta_ij."""
-    out: dict[tuple[int, ...], ScalarQ] = {}
-    for w, c in x.terms.items():
-        for e, sub in _eprime_word(datum, i, w):
-            add = c.mul_qpow(e)
-            got = out.get(sub)
-            if got is None:
-                out[sub] = add
-            else:
-                s = got + add
-                if s.num.c:
-                    out[sub] = s
-                else:
-                    del out[sub]
-    return FreeNegElement._raw(x.datum, out)
 
 
 def _form_factor(datum: RootDatum, i: int) -> ScalarQ:
@@ -349,11 +311,5 @@ def feigin_on_element(pres, x: FreeNegElement):
             if not val.num.c:
                 continue
             tw = sum(datum.di(i) * (e * (e - 1) // 2) for i, e in zip(letters, a))
-            coeff = val.mul_qpow(tw)
-            prev = terms.get(a)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.num.c:
-                terms[a] = coeff
-            elif prev is not None:
-                del terms[a]
+            add_term(terms, a, val.mul_qpow(tw))
     return TorusElement._raw(pres, terms)

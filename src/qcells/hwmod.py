@@ -262,16 +262,20 @@ def _multiplicity(mod: HWModule, mu: Weight) -> int:
 
 
 class ModuleTooLarge(ValueError):
-    """The Weyl dimension of the requested module exceeds the build cap."""
+    """The Weyl dimension of the requested module exceeds DIM_CAP."""
 
 
-def build_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule:
+# The largest Weyl dimension build_module constructs.
+DIM_CAP = 5000
+
+
+def build_module(datum: RootDatum, lam: Weight) -> HWModule:
     """Construct V(lam) for dominant lam, all weight spaces at once."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
-    if total > dim_cap:
-        raise ModuleTooLarge(f"module dimension {total} exceeds cap {dim_cap}")
+    if total > DIM_CAP:
+        raise ModuleTooLarge(f"module dimension {total} exceeds cap {DIM_CAP}")
 
     mod = HWModule(datum, lam)
     alpha_w = {i: datum.alpha_weight(i) for i in datum.index_set}
@@ -387,11 +391,11 @@ def build_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule
     return mod
 
 
-def get_module(datum: RootDatum, lam: Weight, dim_cap: int = 5000) -> HWModule:
+def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     """V(lam) from the datum's module cache, built on the first request."""
     mod = datum._module_cache.get(lam.coords)
     if mod is None:
-        mod = build_module(datum, lam, dim_cap)
+        mod = build_module(datum, lam)
         datum._module_cache[lam.coords] = mod
     return mod
 
@@ -420,6 +424,8 @@ def act_e(i: int, vec: ModuleVector) -> ModuleVector:
     return _act(vec.mod.emat, vec.mod.datum.alpha_weight(i), i, vec)
 
 
+# A pure function of two small ints, the same for every root datum, so one
+# module-level cache serves all data and no datum needs to own it.
 @lru_cache(maxsize=None)
 def _inv_qint(a: int, d: int) -> ScalarQ:
     return qint(a).subst(d).to_scalar().inverse()

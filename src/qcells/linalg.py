@@ -3,7 +3,8 @@
 Rows are cleared of denominators and eliminated fraction-free (two-term
 Bareiss updates with exact Laurent division by the previous pivot), with
 pivots chosen among the lowest-degree candidates.  Back substitution
-returns ScalarQ coordinates.  Everything is deterministic.
+returns ScalarQ coordinates: one solution per system, the one whose free
+coordinates are zero.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "invert_matrix",
     "solve_square_multi",
     "mat_vec",
-    "mat_mul",
 ]
 
 
@@ -111,23 +111,14 @@ def column_rank_profile(rows: list[list[ScalarQ]]) -> list[int]:
 
 
 def _back_substitute(
-    aug: list[list[LaurentQ]],
-    pivots: list[tuple[int, int]],
-    nc: int,
-    rhs: int | None,
-    free: int | None = None,
+    aug: list[list[LaurentQ]], pivots: list[tuple[int, int]], nc: int, rhs: int
 ) -> list[ScalarQ]:
-    """Solve the echelon system in the first nc columns of aug.
-
-    The right-hand side is column rhs of aug, or zero when rhs is None.
-    Free columns are zero, except x[free] = 1.
-    """
+    """Solve the echelon system in the first nc columns of aug, with
+    right-hand side column rhs of aug and every free coordinate zero."""
     x = [S_ZERO] * nc
-    if free is not None:
-        x[free] = S_ONE
     for (r, c) in reversed(pivots):
         row = aug[r]
-        acc = row[rhs].to_scalar() if rhs is not None else S_ZERO
+        acc = row[rhs].to_scalar()
         for k in range(c + 1, nc):
             if row[k].c and x[k].num.c:
                 acc = acc - row[k].to_scalar() * x[k]
@@ -135,13 +126,12 @@ def _back_substitute(
     return x
 
 
-def solve_linear(
-    rows: list[list[ScalarQ]], rhs: list[ScalarQ]
-) -> tuple[list[ScalarQ], list[list[ScalarQ]]] | None:
+def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ] | None:
     """Solve A x = b exactly.
 
-    Returns (particular solution, nullspace basis) or None when inconsistent.
-    The nullspace basis has one vector per free column, in column order.
+    Returns the solution whose free coordinates (the columns outside the
+    column rank profile of A) are zero, or None when the system is
+    inconsistent.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -149,15 +139,11 @@ def solve_linear(
         raise ValueError("rhs length mismatch")
     aug = _clear_rows([row + [b] for row, b in zip(rows, rhs)])
     if not aug:
-        return [], []
+        return []
     pivots = _echelon(aug)
     if any(c == nc for _, c in pivots):
         return None
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(nc) if c not in pivot_cols]
-    particular = _back_substitute(aug, pivots, nc, nc)
-    nullspace = [_back_substitute(aug, pivots, nc, None, f) for f in free_cols]
-    return particular, nullspace
+    return _back_substitute(aug, pivots, nc, nc)
 
 
 def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
@@ -194,21 +180,4 @@ def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:
             if a.num.c and b.num.c:
                 acc = acc + a * b
         out.append(acc)
-    return out
-
-
-def mat_mul(a: list[list[ScalarQ]], b: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
-    if not a or not b:
-        return []
-    nc = len(b[0])
-    out = []
-    for row in a:
-        new = []
-        for j in range(nc):
-            acc = S_ZERO
-            for k, x in enumerate(row):
-                if x.num.c and b[k][j].num.c:
-                    acc = acc + x * b[k][j]
-            new.append(acc)
-        out.append(new)
     return out

@@ -9,7 +9,7 @@ t_1^{e_1} ... t_l^{e_l}.
 from __future__ import annotations
 
 from .cartan import RootDatum
-from .scalars import ScalarQ, S_ONE, scalar_str
+from .scalars import ScalarQ, S_ONE, add_term, scalar_str
 
 
 __all__ = ["TorusPresentation", "TorusElement", "torus_str"]
@@ -128,15 +128,7 @@ class TorusElement:
         self._require_same(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            got = out.get(e)
-            if got is None:
-                out[e] = c
-            else:
-                s = got + c
-                if s.num.c:
-                    out[e] = s
-                else:
-                    del out[e]
+            add_term(out, e, c)
         return TorusElement._raw(self.pres, out)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
@@ -157,17 +149,7 @@ class TorusElement:
         for e, ce in self.terms.items():
             for f, cf in other.terms.items():
                 g = tuple(x + y for x, y in zip(e, f))
-                c = (ce * cf).mul_qpow(pres.reorder_power(e, f))
-                got = out.get(g)
-                if got is None:
-                    if c.num.c:
-                        out[g] = c
-                else:
-                    s = got + c
-                    if s.num.c:
-                        out[g] = s
-                    else:
-                        del out[g]
+                add_term(out, g, (ce * cf).mul_qpow(pres.reorder_power(e, f)))
         return TorusElement._raw(pres, out)
 
     def invert_monomial(self) -> "TorusElement":

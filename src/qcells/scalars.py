@@ -17,6 +17,7 @@ from math import gcd
 __all__ = [
     "LaurentQ",
     "ScalarQ",
+    "add_term",
     "qint",
     "qfact",
     "qbinom",
@@ -534,6 +535,17 @@ class ScalarQ:
 
 S_ZERO = ScalarQ._raw(_L_ZERO, _L_ONE)
 S_ONE = ScalarQ._raw(_L_ONE, _L_ONE)
+
+
+def add_term(terms: dict, key, c: ScalarQ) -> None:
+    """terms[key] += c in a term dict, which never stores a zero: the key is
+    dropped when the sum is zero, and a zero c is not stored."""
+    got = terms.get(key)
+    s = c if got is None else got + c
+    if s.num.c:
+        terms[key] = s
+    elif got is not None:
+        del terms[key]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import time
 
 from qcells.cartan import Weight, build_root_datum, reduced_words, weyl_elements
 from qcells.cells import (
-    MatrixCoeffSpec,
     PresentationError,
     chamber_ansatz,
     class_equal,
@@ -38,7 +37,7 @@ from qcells.freeuq import (
     words_of_weight,
 )
 from qcells.hwmod import act_f, contravariant_form, extremal_vector, get_module
-from qcells.linalg import mat_vec, solve_linear
+from qcells.linalg import column_rank_profile, mat_vec, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import ScalarQ, gauss_product
 
@@ -184,8 +183,7 @@ def test_05_minor_closed_form_vs_pairing(capsys):
                     closed = feigin_minor(pres, lam)
                     mod = get_module(datum, lam)
                     pairing = feigin_matrix_coeff(
-                        pres,
-                        MatrixCoeffSpec(mod, extremal_vector(mod, word), mod.highest()),
+                        pres, extremal_vector(mod, word), mod.highest()
                     )
                     count += 1
                     if not class_equal(closed, pairing):
@@ -215,6 +213,19 @@ def test_06_image_is_algebra_map(capsys):
     report(capsys, "06", "torus image multiplicative", ok, f"{count} pairs")
 
 
+def kernel_basis(rows):
+    """One kernel vector per non-pivot column c of a nonempty matrix: e_c
+    plus the solution, with free coordinates zero, of A x = -(column c)."""
+    pivots = column_rank_profile(rows)
+    out = []
+    for c in range(len(rows[0])):
+        if c not in pivots:
+            vec = solve_linear(rows, [-row[c] for row in rows])
+            vec[c] = S_ONE
+            out.append(vec)
+    return out
+
+
 def test_07_kernel_is_form_radical(capsys):
     datum = build_root_datum("A2")
     pres = TorusPresentation(datum, (1, 2, 1))
@@ -232,11 +243,9 @@ def test_07_kernel_is_form_radical(capsys):
             img_rows = [
                 [img.terms.get(e, S_ZERO) for img in images] for e in support
             ]
-            sol = solve_linear(img_rows, [S_ZERO] * len(img_rows))
-            kernel = sol[1] if sol else []
+            kernel = kernel_basis(img_rows)
             gram = [[lusztig_form(x, y) for y in elems] for x in elems]
-            sol = solve_linear(gram, [S_ZERO] * len(gram))
-            radical = sol[1] if sol else []
+            radical = kernel_basis(gram)
             if len(kernel) != len(radical):
                 ok = False
             # mutual containment: kernel vectors annihilate the form, and
@@ -290,8 +299,7 @@ def test_08_matrix_coefficients_realized(capsys):
                 continue
             specs.append((mod, left, right, need))
         for mod, left, right, need in specs:
-            spec = MatrixCoeffSpec(mod, left, right)
-            rep = minor_representative(spec)
+            rep = minor_representative(left, right)
             for z in words_of_weight(datum, -need):
                 lhs = lusztig_form(rep, FreeNegElement.word(datum, z))
                 rhs = contravariant_form(left, act_word(z, right))

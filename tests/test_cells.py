@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qcells import cells
+from qcells import cells, hwmod
 from qcells.cartan import (
     Weight,
     build_root_datum,
@@ -19,7 +19,6 @@ from qcells.cartan import (
     weyl_elements,
 )
 from qcells.cells import (
-    MatrixCoeffSpec,
     PresentationError,
     chamber_ansatz,
     class_equal,
@@ -41,7 +40,9 @@ from qcells.hwmod import (
     extremal_vector,
     get_module,
 )
+from qcells.linalg import column_rank_profile
 from qcells.qtorus import TorusPresentation, torus_str
+from qcells.scalars import S_ZERO
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -90,15 +91,22 @@ def test_minor_image_multiplicative_in_lambda():
 
 def test_matrix_coeff_highest_is_unit():
     mod = get_module(A2, Weight((1, 0)))
-    spec = MatrixCoeffSpec(mod, mod.highest(), mod.highest())
-    assert torus_str(feigin_matrix_coeff(P121, spec)) == "1"
+    assert torus_str(feigin_matrix_coeff(P121, mod.highest(), mod.highest())) == "1"
 
 
-def test_matrix_coeff_spec_validation():
+def test_matrix_coeff_vectors_from_two_modules_rejected():
     mod = get_module(A2, Weight((1, 0)))
     other = get_module(A2, Weight((0, 1)))
-    with pytest.raises(ValueError):
-        MatrixCoeffSpec(mod, other.highest(), mod.highest())
+    mixed = mod.highest() + act_f(1, mod.highest())
+    for fn in (lambda l, r: feigin_matrix_coeff(P121, l, r), minor_representative):
+        with pytest.raises(ValueError, match="different modules"):
+            fn(other.highest(), mod.highest())
+        with pytest.raises(ValueError, match="different modules"):
+            fn(mod.highest(), other.highest())
+        with pytest.raises(ValueError, match="homogeneous"):
+            fn(mixed, mod.highest())
+        with pytest.raises(ValueError, match="homogeneous"):
+            fn(mod.highest(), mixed)
 
 
 # ------------------------------------------------------- predicted monomials
@@ -170,13 +178,23 @@ def test_theorem_monomial_strings():
 # ------------------------------------------------------------- presentations
 
 def test_presentations_found_and_unique():
-    # the presenting vector is unique on these ranges: no nullspace
+    # the presenting vector is unique on these ranges: the minors of the
+    # basis of its weight space have independent images
     expect = {1: (0, 1), 2: (0, 2), 3: (0, 1), 4: (1, 0)}
     for k, coords in expect.items():
         p = find_presentation(PB, k)
         assert p.lam.coords == coords
-        assert p.alternates == []
         assert not p.uprime.is_zero()
+        mod = p.uprime.mod
+        mup = p.uprime.weight()
+        uw = extremal_vector(mod, PB.letters)
+        cols = [
+            feigin_matrix_coeff(PB, uw, mod.basis_vector(mup, s))
+            for s in range(mod.dim_of(mup))
+        ]
+        support = sorted({e for col in cols for e in col.terms})
+        rows = [[col.terms.get(e, S_ZERO) for col in cols] for e in support]
+        assert column_rank_profile(rows) == list(range(len(cols)))
 
 
 def test_presentation_error_reports_candidates():
@@ -187,9 +205,8 @@ def test_presentation_error_reports_candidates():
 
 def test_capped_candidate_is_tried_and_skipped(monkeypatch):
     # V(0,2) (dim 10) presents k = 2; over a cap of 5 it is listed and skipped
-    monkeypatch.setattr(
-        cells, "get_module", lambda datum, lam: build_module(datum, lam, dim_cap=5)
-    )
+    monkeypatch.setattr(hwmod, "DIM_CAP", 5)
+    monkeypatch.setattr(cells, "get_module", build_module)
     with pytest.raises(PresentationError) as err:
         find_presentation(PB, 2)
     assert err.value.tried == [
@@ -289,8 +306,7 @@ def test_minor_representative_realizes_functional():
         lam = Weight(coords)
         mod = get_module(datum, lam)
         left = extremal_vector(mod, pres.letters)
-        spec = MatrixCoeffSpec(mod, left, mod.highest())
-        rep = minor_representative(spec)
+        rep = minor_representative(left, mod.highest())
         from qcells.freeuq import words_of_weight
 
         diff = datum.weight_to_root(mod.highest().weight() - left.weight())
@@ -303,7 +319,6 @@ def test_minor_representative_realizes_functional():
 def test_minor_representative_zero_off_lattice():
     mod = get_module(A2, Weight((1, 0)))
     # left weight above right weight: no word can connect them
-    spec = MatrixCoeffSpec(mod, extremal_vector(mod, (1, 2)), mod.highest())
-    rep = minor_representative(MatrixCoeffSpec(mod, mod.highest(), extremal_vector(mod, (1, 2))))
-    assert rep.is_zero()
-    assert not minor_representative(spec).is_zero()
+    low = extremal_vector(mod, (1, 2))
+    assert minor_representative(mod.highest(), low).is_zero()
+    assert not minor_representative(low, mod.highest()).is_zero()

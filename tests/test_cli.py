@@ -3,6 +3,7 @@ env defaults, and deterministic sweeps."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -176,10 +177,111 @@ def test_selftest_passes(capsys):
     assert out.strip().splitlines()[-1] == "selftest: all passed"
 
 
+def test_selftest_reports_disagreeing_minor_routes(capsys, monkeypatch):
+    def broken(pres, lam):
+        raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
+
+    monkeypatch.setattr(cells, "feigin_minor", broken)
+    monkeypatch.setattr(cli, "feigin_minor", broken)
+    code, out, err = run(capsys, "selftest")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert lines[0] == "A1 word 1 k=1: FAIL  minor routes disagree: t1 vs 1"
+    assert all(": FAIL  minor routes disagree: t1 vs 1" in line for line in lines[:7])
+    assert lines[-1] == "selftest: 7 failed"
+
+
+def test_selftest_reports_exhausted_search(capsys, monkeypatch):
+    real = cells.find_presentation
+
+    def capped(pres, k, search_cap=3):
+        if pres.datum.name == "B2":
+            raise cells.PresentationError([(1, 0)])
+        return real(pres, k, search_cap)
+
+    monkeypatch.setattr(cells, "find_presentation", capped)
+    code, out, err = run(capsys, "selftest")
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert lines[4] == (
+        "B2 word 2,1,2,1 k=2: FAIL  no presentation found; candidates tried: (1, 0)"
+    )
+    assert all(": ok  " in line for i, line in enumerate(lines[:7]) if i != 4)
+    assert lines[-1] == "selftest: 1 failed"
+
+
+def test_failed_identity_outranks_capped_search(capsys, monkeypatch):
+    # every k=1 search is capped, every k=2 chamber ansatz fails
+    real_find, real_chamber = cells.find_presentation, cli.chamber_ansatz
+
+    def find(pres, k, search_cap=3):
+        if k == 1:
+            raise cells.PresentationError([(1, 0)])
+        return real_find(pres, k, search_cap)
+
+    def chamber(pres, k):
+        rep = real_chamber(pres, k)
+        rep.exponent_match = False
+        return rep
+
+    monkeypatch.setattr(cells, "find_presentation", find)
+    monkeypatch.setattr(cli, "chamber_ansatz", chamber)
+    code, out, err = run(capsys, "verify", "--cartan", "A2", "--word", "1,2", "--k", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert ": CAP  " in lines[0] and ": MISMATCH  " in lines[1]
+    code, out, err = run(capsys, "sweep", "--cartan", "A2", "--max-length", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "A2: 6 instances, 0 equal, 2 mismatched, 4 capped"
+    # with the chamber ansatz intact the capped searches alone give 3
+    monkeypatch.setattr(cli, "chamber_ansatz", real_chamber)
+    code, out, err = run(capsys, "verify", "--cartan", "A2", "--word", "1,2", "--k", "all")
+    assert code == 3
+
+
+# stdout sha256 of passing runs of every instance-checking command, text and
+# JSON; a passing output must stay byte-identical
+PINNED_OUTPUTS = [
+    (
+        ("sweep", "--cartan", "A3", "--format", "json"),
+        "ded777dc31c33d2e0d356745f7ab698a5cc722d3a835ab92fe68d2905b0e736b",
+    ),
+    (
+        ("sweep", "--cartan", "B2"),
+        "5ec6b678b2ea6aabcb119b8eb031d12739be916da79158d11978aecd7f57ff24",
+    ),
+    (
+        ("verify", "--cartan", "B3", "--word", "3,2,3,2", "--format", "json"),
+        "dd1d59c53221c9ed7bd25537f8ac24e6f317b2e7d8b7317ff7c468700cc1161b",
+    ),
+    (
+        ("feigin-minor", "--cartan", "G2", "--word", "1,2,1", "--lambda", "1,1"),
+        "bd6e92355904f66fa86817f55abd02836ce4f03c1a5880984eb8ee96fd8fbf11",
+    ),
+    (
+        ("selftest",),
+        "0ba5d55b5429590de0e3134c384041fa0055f94abfc9dad05e432ff2ce67550d",
+    ),
+]
+
+
+def test_pinned_outputs(capsys, monkeypatch):
+    monkeypatch.delenv("QCELLS_FORMAT", raising=False)
+    monkeypatch.delenv("QCELLS_SEARCH_CAP", raising=False)
+    for argv, digest in PINNED_OUTPUTS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_feigin_minor_reports_disagreeing_routes(capsys, monkeypatch):
     # a fresh minor cache, so the closed form is checked against the broken route
     monkeypatch.setattr(build_root_datum("A2"), "_minor_cache", {})
-    monkeypatch.setattr(cells, "feigin_matrix_coeff", lambda pres, spec: pres.unit())
+    monkeypatch.setattr(
+        cells, "feigin_matrix_coeff", lambda pres, left, right: pres.unit()
+    )
     argv = ("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0")
     code, out, err = run(capsys, *argv)
     assert code == 1

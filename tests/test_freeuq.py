@@ -9,7 +9,6 @@ from qcells.cartan import build_root_datum
 from qcells.freeuq import (
     FreeNegElement,
     divided_monomial,
-    eprime,
     feigin_on_element,
     lusztig_form,
     serre_element,
@@ -57,19 +56,15 @@ def test_words_of_positive_weight_empty():
     assert words_of_weight(A2, -nu) == []
 
 
-# ------------------------------------------------------------------ eprime
+# ------------------------------------------------------------------ arithmetic
 
-def test_eprime_on_generators():
-    assert eprime(A2, 1, gen(A2, 1)) == FreeNegElement.one(A2)
-    assert eprime(A2, 1, gen(A2, 2)).is_zero()
-    assert eprime(A2, 2, FreeNegElement.one(A2)).is_zero()
-
-
-def test_eprime_leibniz_on_word():
-    # e'_1 (f_1 f_2) = f_2 + q^{(alpha_1, -alpha_2)} f_1 e'_1(f_2)
-    x = word_elt(A2, 1, 2)
-    got = eprime(A2, 1, x)
-    assert got == gen(A2, 2)
+def test_cancellation_leaves_no_terms():
+    x = gen(A2, 1) + word_elt(A2, 1, 2).scaled(ScalarQ.q_power(2))
+    assert (x - x).terms == {}
+    # (f1 + f1 f1)(f1 - f1 f1): the two f1 f1 f1 terms cancel
+    y = gen(A2, 1) + word_elt(A2, 1, 1)
+    z = gen(A2, 1) - word_elt(A2, 1, 1)
+    assert (y * z).terms == {(1, 1): ONE, (1, 1, 1, 1): -ONE}
 
 
 # ------------------------------------------------------------------ the form

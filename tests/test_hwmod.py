@@ -233,9 +233,10 @@ def test_weight_multiplicities_are_weyl_invariant():
         assert get_module(datum, theta).dim_of(Weight((0,) * datum.rank)) == datum.rank
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(hwmod, "DIM_CAP", 10)
     with pytest.raises(ValueError):
-        build_module(A2, Weight((3, 3)), dim_cap=10)
+        build_module(A2, Weight((3, 3)))
 
 
 def test_get_module_caches():

@@ -9,7 +9,6 @@ import pytest
 from qcells.linalg import (
     column_rank_profile,
     invert_matrix,
-    mat_mul,
     mat_vec,
     solve_linear,
     solve_square_multi,
@@ -23,6 +22,24 @@ Q = ScalarQ.q_power(1)
 
 def sc(n: int) -> ScalarQ:
     return ScalarQ.from_int(n)
+
+
+def mat_mul(a: list[list[ScalarQ]], b: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
+    """Reference matrix product."""
+    if not a or not b:
+        return []
+    nc = len(b[0])
+    out = []
+    for row in a:
+        new = []
+        for j in range(nc):
+            acc = ZERO
+            for k, x in enumerate(row):
+                if x.num.c and b[k][j].num.c:
+                    acc = acc + x * b[k][j]
+            new.append(acc)
+        out.append(new)
+    return out
 
 
 def rand_scalar(rng: random.Random) -> ScalarQ:
@@ -50,10 +67,8 @@ def test_solve_linear_unique():
     rhs = [Q, sc(3)]
     sol = solve_linear(rows, rhs)
     assert sol is not None
-    part, null = sol
-    assert null == []
-    assert part[0] + Q * part[1] == Q
-    assert part[1] == sc(3)
+    assert sol[0] + Q * sol[1] == Q
+    assert sol[1] == sc(3)
 
 
 def test_solve_linear_inconsistent():
@@ -65,21 +80,21 @@ def test_solve_linear_inconsistent():
 def test_solve_linear_underdetermined_nullspace():
     rows = [[ONE, Q, ZERO]]
     rhs = [ONE]
-    sol = solve_linear(rows, rhs)
-    assert sol is not None
-    part, null = sol
-    assert len(null) == 2
+    # the free coordinates 1 and 2 of the returned solution are zero
+    part = solve_linear(rows, rhs)
+    assert part == [ONE, ZERO, ZERO]
+    # one nullspace vector per free column c: e_c plus the solution of A x = -A e_c
+    null = []
+    for c in (1, 2):
+        vec = solve_linear(rows, [-row[c] for row in rows])
+        assert vec is not None and vec[c].is_zero()
+        vec[c] = ONE
+        null.append(vec)
+    assert null == [[-Q, ONE, ZERO], [ZERO, ZERO, ONE]]
     for vec in null:
-        acc = ZERO
-        for a, b in zip(rows[0], vec):
-            acc = acc + a * b
-        assert acc.is_zero()
-    # particular + any nullspace member still solves
-    shifted = [p + n for p, n in zip(part, null[0])]
-    acc = ZERO
-    for a, b in zip(rows[0], shifted):
-        acc = acc + a * b
-    assert acc == ONE
+        assert mat_vec(rows, vec) == [ZERO]
+        # the solution plus any nullspace member still solves
+        assert mat_vec(rows, [p + n for p, n in zip(part, vec)]) == rhs
 
 
 def test_invert_matrix_small():
@@ -137,8 +152,6 @@ def test_random_solve_roundtrip():
         rhs = mat_vec(rows, x)
         sol = solve_linear(rows, rhs)
         assert sol is not None
-        part, null = sol
-        residual = mat_vec(rows, part)
-        assert residual == rhs
-        if not null:
-            assert part == x
+        assert mat_vec(rows, sol) == rhs
+        if column_rank_profile(rows) == list(range(n)):
+            assert sol == x

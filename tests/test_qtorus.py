@@ -72,6 +72,18 @@ def test_arithmetic_and_zero():
     assert len((t1 + t2).terms) == 2
 
 
+def test_cancellation_leaves_no_terms():
+    t1, t2, t3 = P121.generator(1), P121.generator(2), P121.generator(3)
+    q = ScalarQ.q_power(1)
+    x = t1 + t2.scaled(q) + t3.scaled(ScalarQ(1, LaurentQ({0: 1, 1: 1})))
+    assert (x - x).terms == {}
+    # t2 t1 = q t1 t2, so the t1 t2 terms of this product cancel
+    prod = (t1 + t2) * (t2 - t1.scaled(q.inverse()))
+    assert prod == t2 * t2 - (t1 * t1).scaled(q.inverse())
+    assert (1, 1, 0) not in prod.terms
+    assert all(c.num.c for c in prod.terms.values())
+
+
 def test_presentation_equality():
     assert P121 == TorusPresentation(A2, (1, 2, 1))
     assert P121 != TorusPresentation(A2, (2, 1, 2))

@@ -11,6 +11,7 @@ from qcells.scalars import (
     LaurentQ,
     ScalarQ,
     _dgcd,
+    add_term,
     gauss_product,
     laurent_str,
     parse_scalar,
@@ -234,6 +235,24 @@ def test_text_form_round_trip_examples():
 @settings(max_examples=80)
 def test_text_form_round_trips(x):
     assert parse_scalar(scalar_str(x)) == x
+
+
+def test_add_term_never_stores_zero():
+    q = ScalarQ.q_power(1)
+    terms = {}
+    add_term(terms, "a", ScalarQ(0))
+    assert terms == {}
+    add_term(terms, "a", q)
+    add_term(terms, "b", ScalarQ(2))
+    add_term(terms, "a", q)
+    assert terms == {"a": q + q, "b": ScalarQ(2)}
+    add_term(terms, "b", ScalarQ(0))
+    assert terms == {"a": q + q, "b": ScalarQ(2)}
+    # a sum that cancels removes its key
+    add_term(terms, "a", -(q + q))
+    assert terms == {"b": ScalarQ(2)}
+    add_term(terms, "b", ScalarQ(-2))
+    assert terms == {}
 
 
 def test_parse_rejects_junk():
