@@ -131,12 +131,14 @@ class RootDatum:
             tuple(int(x * self._inv_den) for x in row) for row in inv
         )
         # the one owner of per-datum caches, filled lazily: reduced words by
-        # w.rho (cartan), Lusztig form values (freeuq), modules by highest
-        # weight (hwmod) and flag minor images by (word, lambda) (cells)
+        # w.rho (cartan), Lusztig form values (freeuq), exact modules and
+        # their GF(p) shadows by highest weight (hwmod) and flag minor images
+        # by (word, lambda) (cells)
         self._pos_roots: tuple[RootVector, ...] | None = None
         self._rw_memo: dict = {}
         self._form_memo: dict = {}
         self._module_cache: dict = {}
+        self._shadow_cache: dict = {}
         self._minor_cache: dict = {}
 
     def _validate(self) -> None:

@@ -5,9 +5,11 @@ reduced letter sequence: quantum minors become explicit monomials in a
 quantum torus, the twist automorphism becomes a q-power times a ratio of
 such images, and each twisted flag minor is checked against its predicted
 monomial.  A matrix coefficient x -> (left, x . right) is passed as its two
-vectors, which must live in one module.  The localized algebra itself is
-never materialized; all identities are verified between normal-ordered
-torus elements.
+vectors, which must live in one module.  The search for a presentation
+D_{u_{w lam'}, u'} screens a candidate lam' by the GF(p) shadow of V(lam')
+and skips it only on a rank certificate that no exact u' exists.  The
+localized algebra itself is never materialized; all identities are
+verified between normal-ordered torus elements.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
     ModuleTooLarge,
     ModuleVector,
+    _eval_mod,
+    _mod_rank_profile,
     act_f,
     contravariant_form,
     divided_powers,
     extremal_vector,
     get_module,
+    shadow_module,
 )
 from .linalg import solve_linear
 from .qtorus import TorusElement, TorusPresentation, torus_str
-from .scalars import ScalarQ, S_ZERO, add_term
+from .scalars import ScalarQ, S_ZERO
 
 __all__ = [
     "TheoremInstance",
@@ -127,18 +132,25 @@ def feigin_matrix_coeff(
     pres: TorusPresentation, left: ModuleVector, right: ModuleVector
 ) -> TorusElement:
     """Image of the matrix coefficient x -> (left, x . right) under the
-    Feigin map, for weight-homogeneous vectors of one module.
+    Feigin map, for weight-homogeneous vectors of one exact module.
 
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
     powers are applied rightmost letter first; an empty sum gives zero.
     """
+    return TorusElement._raw(pres, _coeff_terms(pres, left, right))
+
+
+def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVector) -> dict:
+    """The terms {a: coefficient} of feigin_matrix_coeff, in the field of the
+    vectors' module: Q(q), or GF(p) at q0 for a shadow."""
     datum = pres.datum
     if left.mod.datum is not datum:
         raise ValueError("module and presentation use different root data")
     need = _content(left, right)
     if need is None:
-        return pres.zero()
+        return {}
+    field = left.mod.field
     letters = pres.letters
     n = len(letters)
 
@@ -148,16 +160,16 @@ def feigin_matrix_coeff(
         before.append(frozenset(seen))
         seen.add(i)
     dis = [datum.di(i) for i in letters]
-    terms: dict[tuple[int, ...], ScalarQ] = {}
+    terms: dict[tuple[int, ...], object] = {}
     rem = list(need.coords)
     acc = [0] * n
 
     def sink(vec: ModuleVector) -> None:
         val = contravariant_form(left, vec)
-        if not val.num.c:
+        if field.is_zero(val):
             return
         tw = sum(dis[k] * (a * (a - 1) // 2) for k, a in enumerate(acc) if a > 1)
-        add_term(terms, tuple(acc), val.mul_qpow(tw))
+        field.add_term(terms, tuple(acc), field.mul_qpow(val, tw))
 
     def feasible(k: int) -> bool:
         allowed = before[k]
@@ -179,7 +191,7 @@ def feigin_matrix_coeff(
         acc[k] = 0
 
     descend(n - 1, right)
-    return TorusElement._raw(pres, terms)
+    return terms
 
 
 class MinorRoutesDisagree(AssertionError):
@@ -267,6 +279,50 @@ def _candidate_weights(datum: RootDatum, ik: int, cap: int) -> list[Weight]:
     return final
 
 
+def _certified_inconsistent(cols: list[dict], rhs: dict) -> bool:
+    """True when rank A(q0) = r and rank [A|b](q0) = r + 1, for the r
+    columns of A and the target b given as GF(p) term dicts at q0.
+
+    Rows are the union of the supports; a row outside it is zero."""
+    r = len(cols)
+    keys = sorted(set(rhs).union(*cols))
+    aug = [[col.get(e, 0) for col in cols] + [rhs.get(e, 0)] for e in keys]
+    piv = _mod_rank_profile(aug)
+    rank_a = sum(1 for c in piv if c < r)
+    return rank_a == r and len(piv) == r + 1
+
+
+def _screened_out(
+    pres: TorusPresentation, lamp: Weight, mup: Weight, target: TorusElement
+) -> bool:
+    """True only when the GF(p) shadow of V(lam') proves that no u' in
+    V(lam')_{mu'} has the target image: the weight space is empty, or the
+    system of find_presentation has a certificate of inconsistency at q0.
+
+    The proof: every pick of a built shadow has m(mu) vectors, so the exact
+    build takes the same pick, and the shadow is the specialization at q0 of
+    every exact entry (see hwmod); its extremal vector and columns are then
+    the specializations of the exact ones.  If A(q0) has full column rank r, some r x r minor of
+    A is nonzero at q0, so an exact solution x of A x = b would be defined
+    there by Cramer's rule and give A(q0) x(q0) = b(q0), which rank
+    [A|b](q0) = r + 1 rules out.  Every other outcome (no shadow, a division
+    by zero at q0, rank A(q0) < r, a consistent system) proves nothing and
+    returns False, leaving the candidate to the exact search."""
+    shadow = shadow_module(pres.datum, lamp)
+    if shadow is None:
+        return False
+    r = shadow.dim_of(mup)
+    if r == 0:
+        return True
+    try:
+        uw = extremal_vector(shadow, pres.letters)
+        cols = [_coeff_terms(pres, uw, shadow.basis_vector(mup, s)) for s in range(r)]
+        rhs = {e: _eval_mod(c, shadow.field.powers) for e, c in target.terms.items()}
+    except ZeroDivisionError:
+        return False
+    return _certified_inconsistent(cols, rhs)
+
+
 def find_presentation(
     pres: TorusPresentation, k: int, search_cap: int = 3
 ) -> Presentation:
@@ -276,8 +332,11 @@ def find_presentation(
     at position k first, then its sums with one fundamental weight, then all
     dominant weights of coordinate sum up to search_cap).  For each candidate
     the matching weight space of V(lam') is scanned linearly for a vector u'
-    whose minor has the required torus image.  Raises PresentationError when
-    the cap is exhausted.
+    whose minor has the required torus image.  A candidate whose exact
+    module is not built yet is screened first by its GF(p) shadow, and
+    skipped without an exact build only when the screen proves it cannot
+    present the class (see _screened_out), so the result is the one of the
+    exact search.  Raises PresentationError when the cap is exhausted.
     """
     datum = pres.datum
     word = pres.letters
@@ -296,6 +355,10 @@ def find_presentation(
         tried.append(lamp.coords)
         mup = weyl_act(datum, word, lamp) - shift
         try:
+            if lamp.coords not in datum._module_cache and _screened_out(
+                pres, lamp, mup, target
+            ):
+                continue
             modp = get_module(datum, lamp)
         except ModuleTooLarge:
             continue

@@ -17,6 +17,18 @@ independent.
 Stored per module: basis tags, Gram matrices, and the matrices of the
 Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
 keys mean the zero map.
+
+One layer walk builds a module over either of two fields: Q(q) with ScalarQ
+entries (build_module, get_module), or its GF(p) shadow at q = q0
+(shadow_module), with int entries.  The shadow takes the modular pick as it
+is and gives up, returning no module, when a pick is short or a division
+by zero occurs.  A shadow that is built is the specialization of the exact
+module at q0: every shadow pick has m(mu) vectors, so the exact build takes
+the same pick; each picked Gram block is nonsingular at q0, so by Cramer's
+rule every exact entry is defined there; and the shadow computes those
+entries by the same ring operations mod p.  Actions, divided powers, the
+form and extremal vectors work over both fields; the braid operators are
+exact only.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
 from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_square_multi
-from .scalars import ScalarQ, S_ONE, S_ZERO, qint
+from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
 
 __all__ = [
@@ -36,6 +48,7 @@ __all__ = [
     "ModuleVector",
     "build_module",
     "get_module",
+    "shadow_module",
     "act_f",
     "act_e",
     "act_f_divided",
@@ -50,11 +63,13 @@ __all__ = [
 
 
 class HWModule:
-    """Simple module of dominant highest weight, with exact linear data."""
+    """Simple module of dominant highest weight, with its linear data over
+    field: Q(q) for an exact module, GF(p) for a shadow."""
 
     __slots__ = (
         "datum",
         "lam",
+        "field",
         "weights",
         "basis",
         "gram",
@@ -65,14 +80,16 @@ class HWModule:
         "_tinv_memo",
     )
 
-    def __init__(self, datum: RootDatum, lam: Weight):
+    def __init__(self, datum: RootDatum, lam: Weight, field: "_Exact | _Shadow"):
         self.datum = datum
         self.lam = lam
+        self.field = field
         self.weights: tuple[Weight, ...] = ()
         self.basis: dict[Weight, tuple[tuple[int, ...], ...]] = {}
-        self.gram: dict[Weight, list[list[ScalarQ]]] = {}
-        self.fmat: dict[tuple[int, Weight], list[tuple[ScalarQ, ...]]] = {}
-        self.emat: dict[tuple[int, Weight], list[tuple[ScalarQ, ...]]] = {}
+        # entries are ScalarQ in an exact module, ints mod p in a shadow
+        self.gram: dict[Weight, list[list]] = {}
+        self.fmat: dict[tuple[int, Weight], list[tuple]] = {}
+        self.emat: dict[tuple[int, Weight], list[tuple]] = {}
         self.dim = 0
         self._extremal_memo: dict[tuple[int, ...], "ModuleVector"] = {}
         self._tinv_memo: dict = {}
@@ -85,8 +102,8 @@ class HWModule:
         n = self.dim_of(mu)
         if not 0 <= idx < n:
             raise ValueError("basis index out of range")
-        coeffs = [S_ZERO] * n
-        coeffs[idx] = S_ONE
+        coeffs = [self.field.zero] * n
+        coeffs[idx] = self.field.one
         return ModuleVector(self, {mu: coeffs})
 
     def highest(self) -> "ModuleVector":
@@ -104,11 +121,10 @@ class ModuleVector:
 
     __slots__ = ("mod", "parts")
 
-    def __init__(self, mod: HWModule, parts: dict[Weight, list[ScalarQ]]):
+    def __init__(self, mod: HWModule, parts: dict[Weight, list]):
         self.mod = mod
-        self.parts = {
-            mu: coeffs for mu, coeffs in parts.items() if any(c.num.c for c in coeffs)
-        }
+        nonzero = mod.field.nonzero
+        self.parts = {mu: coeffs for mu, coeffs in parts.items() if nonzero(coeffs)}
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -122,24 +138,22 @@ class ModuleVector:
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if self.mod is not other.mod:
             raise ValueError("vectors live in different modules")
-        out = {mu: list(c) for mu, c in self.parts.items()}
+        add = self.mod.field.add
+        out = dict(self.parts)
         for mu, coeffs in other.parts.items():
             acc = out.get(mu)
-            if acc is None:
-                out[mu] = list(coeffs)
-            else:
-                for k, c in enumerate(coeffs):
-                    acc[k] = acc[k] + c
+            out[mu] = coeffs if acc is None else add(acc, coeffs)
         return ModuleVector(self.mod, out)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scaled(_S_MINUS_ONE)
+        return self + other.scaled(self.mod.field.minus_one)
 
-    def scaled(self, c: ScalarQ) -> "ModuleVector":
-        if not c.num.c:
+    def scaled(self, c) -> "ModuleVector":
+        field = self.mod.field
+        if field.is_zero(c):
             return ModuleVector(self.mod, {})
         return ModuleVector(
-            self.mod, {mu: [x * c for x in coeffs] for mu, coeffs in self.parts.items()}
+            self.mod, {mu: field.scale(coeffs, c) for mu, coeffs in self.parts.items()}
         )
 
     def __eq__(self, other) -> bool:
@@ -162,7 +176,7 @@ _S_MINUS_ONE = ScalarQ.from_int(-1)
 
 
 # ---------------------------------------------------------------------------
-# construction
+# the two fields of a build
 
 
 def _apply_cols(
@@ -179,10 +193,11 @@ def _apply_cols(
     return out
 
 
-# The prime field and evaluation point of the modular pick.  They only pick
-# bases: a pick is kept when it has m(mu) columns, and then its Gram block is
-# nonsingular mod p, hence exactly.  A shorter pick, or a denominator that
-# vanishes at the point, gives way to the exact rank profile.
+# The prime field and evaluation point of the modular pick and of the shadow.
+# In an exact build they only pick bases: a pick is kept when it has m(mu)
+# columns, and then its Gram block is nonsingular mod p, hence exactly.  A
+# shorter pick, or a denominator that vanishes at the point, gives way to
+# the exact rank profile.
 _PROFILE_P = (1 << 61) - 1
 _PROFILE_Q0 = 1220703125
 
@@ -207,10 +222,12 @@ def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
     return num * pow(den, p - 2, p) % p
 
 
-def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
+def _mod_echelon(m: list[list[int]], ncols: int) -> list[int]:
+    """Row echelon form mod p of m, in place, with unit pivots taken in the
+    first ncols columns (later columns ride along); returns the pivot
+    columns, i.e. the column rank profile of those ncols columns."""
     p = _PROFILE_P
-    m = [r[:] for r in rows]
-    ncols = len(m[0]) if m else 0
+    width = len(m[0]) if m else 0
     piv: list[int] = []
     top = 0
     for c in range(ncols):
@@ -219,17 +236,221 @@ def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
             continue
         m[top], m[hit] = m[hit], m[top]
         inv = pow(m[top][c], p - 2, p)
-        prow = m[top]
+        prow = m[top] = [x * inv % p for x in m[top]]
         for r in range(top + 1, len(m)):
             f = m[r][c]
             if f:
-                f = f * inv % p
                 row = m[r]
-                for cc in range(c, ncols):
+                for cc in range(c, width):
                     row[cc] = (row[cc] - f * prow[cc]) % p
         piv.append(c)
         top += 1
     return piv
+
+
+def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
+    m = [r[:] for r in rows]
+    return _mod_echelon(m, len(m[0]) if m else 0)
+
+
+def _mod_solve_square(rows: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
+    """Solve A X = B mod p for square A, with B given as columns; raises
+    ZeroDivisionError when A is singular mod p."""
+    p = _PROFILE_P
+    n = len(rows)
+    m = [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
+    if _mod_echelon(m, n) != list(range(n)):
+        raise ZeroDivisionError("singular block mod p")
+    width = n + len(rhs_cols)
+    for k in range(n - 1, 0, -1):
+        krow = m[k]
+        for r in range(k):
+            f = m[r][k]
+            if f:
+                row = m[r]
+                for cc in range(n, width):
+                    row[cc] = (row[cc] - f * krow[cc]) % p
+    return [[m[r][n + j] for r in range(n)] for j in range(len(rhs_cols))]
+
+
+# A pure function of two small ints, the same for every root datum, so one
+# module-level cache serves all data and no datum needs to own it.
+@lru_cache(maxsize=None)
+def _inv_qint(a: int, d: int) -> ScalarQ:
+    return qint(a).subst(d).to_scalar().inverse()
+
+
+class _Exact:
+    """Q(q), with ScalarQ entries: the exact build and its vectors.
+
+    The build walk calls it per vector or per weight space, never per
+    scalar inside a loop."""
+
+    zero = S_ZERO
+    one = S_ONE
+    minus_one = _S_MINUS_ONE
+
+    def __init__(self) -> None:
+        # q0^e mod p for the modular pick of this build
+        self.powers: dict[int, int] = {}
+
+    is_zero = staticmethod(ScalarQ.is_zero)
+    mul_qpow = staticmethod(ScalarQ.mul_qpow)
+    add_term = staticmethod(add_term)
+    apply_cols = staticmethod(_apply_cols)
+    gram_row = staticmethod(mat_vec)
+    inv_qint = staticmethod(_inv_qint)
+
+    @staticmethod
+    def nonzero(coeffs: list[ScalarQ]) -> bool:
+        return any(c.num.c for c in coeffs)
+
+    @staticmethod
+    def add(u: list[ScalarQ], v: list[ScalarQ]) -> list[ScalarQ]:
+        return [a + b for a, b in zip(u, v)]
+
+    @staticmethod
+    def scale(u: list[ScalarQ], c: ScalarQ) -> list[ScalarQ]:
+        return [x * c for x in u]
+
+    @staticmethod
+    def add_qint(x: ScalarQ, n: int, d: int) -> ScalarQ:
+        """x + [n]_{q^d}."""
+        return x + qint(n).subst(d).to_scalar()
+
+    @staticmethod
+    def form(gram: dict, vparts: dict, wparts: dict) -> ScalarQ:
+        acc = S_ZERO
+        for mu, vc in vparts.items():
+            wc = wparts.get(mu)
+            if wc is None:
+                continue
+            g = gram[mu]
+            for r, a in enumerate(vc):
+                if not a.num.c:
+                    continue
+                row = g[r]
+                for s, b in enumerate(wc):
+                    if b.num.c and row[s].num.c:
+                        acc = acc + a * row[s] * b
+        return acc
+
+    def pick(self, cands, zvecs, gram, row, mult):
+        """The rank profile of the Gram matrix at the modular point, or the
+        exact one for this weight space when that is short or undefined
+        there; returns it with its exact Gram rows."""
+        powers = self.powers
+        try:
+            zmod = {
+                i: [[_eval_mod(zc, powers) for zc in col] for col in per_col]
+                for i, per_col in zvecs.items()
+            }
+            rows_mod = []
+            for i, parent_i, vidx, _tag in cands:
+                grow = [_eval_mod(x, powers) for x in gram[parent_i][vidx]]
+                rows_mod.append(_Shadow.gram_row(zmod[i], grow))
+            sel = _mod_rank_profile(rows_mod)
+        except ZeroDivisionError:
+            sel = []
+        if len(sel) < mult:
+            full = [row(r) for r in range(len(cands))]
+            sel = column_rank_profile(full)
+            return sel, [full[r] for r in sel]
+        return sel, [row(r) for r in sel]
+
+    @staticmethod
+    def solve(g: list[list[ScalarQ]], rhs_cols: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
+        return solve_square_multi(g, rhs_cols)
+
+
+class _Shadow:
+    """GF(p) at q = q0, with int entries in [0, p): the shadow build and its
+    vectors.  Its constants are _eval_mod of the exact ones."""
+
+    zero = 0
+    one = 1
+    minus_one = _PROFILE_P - 1
+    nonzero = any
+
+    def __init__(self) -> None:
+        self.powers: dict[int, int] = {}
+
+    @staticmethod
+    def is_zero(c: int) -> bool:
+        return not c
+
+    @staticmethod
+    def add(u: list[int], v: list[int]) -> list[int]:
+        p = _PROFILE_P
+        return [(a + b) % p for a, b in zip(u, v)]
+
+    @staticmethod
+    def scale(u: list[int], c: int) -> list[int]:
+        p = _PROFILE_P
+        return [x * c % p for x in u]
+
+    @staticmethod
+    def apply_cols(cols: list[tuple[int, ...]], vec: list[int], target_dim: int) -> list[int]:
+        out = [0] * target_dim
+        for c, col in zip(vec, cols):
+            if c:
+                for r, a in enumerate(col):
+                    if a:
+                        out[r] += a * c
+        p = _PROFILE_P
+        return [x % p for x in out]
+
+    @staticmethod
+    def gram_row(zcols: list[list[int]], grow: list[int]) -> list[int]:
+        p = _PROFILE_P
+        return [sum(g * z for g, z in zip(grow, col)) % p for col in zcols]
+
+    @staticmethod
+    def add_term(terms: dict, key, c: int) -> None:
+        s = (terms.get(key, 0) + c) % _PROFILE_P
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+
+    def add_qint(self, x: int, n: int, d: int) -> int:
+        return (x + _eval_mod(qint(n).subst(d).to_scalar(), self.powers)) % _PROFILE_P
+
+    def inv_qint(self, a: int, d: int) -> int:
+        """1/[a]_{q^d} at q0; ZeroDivisionError when [a]_{q^d} vanishes there."""
+        return _eval_mod(_inv_qint(a, d), self.powers)
+
+    def mul_qpow(self, c: int, k: int) -> int:
+        return c * _eval_mod(ScalarQ.q_power(k), self.powers) % _PROFILE_P
+
+    @staticmethod
+    def form(gram: dict, vparts: dict, wparts: dict) -> int:
+        p = _PROFILE_P
+        acc = 0
+        for mu, vc in vparts.items():
+            wc = wparts.get(mu)
+            if wc is not None:
+                for a, row in zip(vc, gram[mu]):
+                    if a:
+                        acc += a * (sum(x * b for x, b in zip(row, wc)) % p)
+        return acc % p
+
+    @staticmethod
+    def pick(cands, zvecs, gram, row, mult):
+        """The modular rank profile with its rows, or None when it is short."""
+        full = [row(r) for r in range(len(cands))]
+        sel = _mod_rank_profile(full)
+        if len(sel) < mult:
+            return None
+        return sel, [full[r] for r in sel]
+
+    @staticmethod
+    def solve(g: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
+        return _mod_solve_square(g, rhs_cols)
+
+
+# ---------------------------------------------------------------------------
+# construction
 
 
 def _multiplicity(mod: HWModule, mu: Weight) -> int:
@@ -269,20 +490,20 @@ class ModuleTooLarge(ValueError):
 DIM_CAP = 5000
 
 
-def build_module(datum: RootDatum, lam: Weight) -> HWModule:
-    """Construct V(lam) for dominant lam, all weight spaces at once."""
+def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule | None:
+    """The layer walk: V(lam) for dominant lam over field, all weight spaces
+    at once, or None when field gives up on a pick."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
     if total > DIM_CAP:
         raise ModuleTooLarge(f"module dimension {total} exceeds cap {DIM_CAP}")
 
-    mod = HWModule(datum, lam)
+    mod = HWModule(datum, lam, field)
     alpha_w = {i: datum.alpha_weight(i) for i in datum.index_set}
-    powers: dict[int, int] = {}
 
     mod.basis[lam] = ((),)
-    mod.gram[lam] = [[S_ONE]]
+    mod.gram[lam] = [[field.one]]
     prev_layer = [lam]
 
     while prev_layer:
@@ -305,54 +526,35 @@ def build_module(datum: RootDatum, lam: Weight) -> HWModule:
 
             # z[i][c] = coefficients of f_{j_c} e_i b_{w_c} over basis(mu + alpha_i),
             # plus the commutator delta-term when i = j_c
-            zvecs: dict[int, list[list[ScalarQ]]] = {}
+            zvecs: dict[int, list[list]] = {}
             for i in sorted({t[0] for t in cands}):
                 parent_i = mu + alpha_w[i]
                 tdim = len(mod.basis[parent_i])
                 per_col = []
                 for (j, parent_j, widx, _tag) in cands:
-                    z = [S_ZERO] * tdim
+                    z = [field.zero] * tdim
                     inter = parent_j + alpha_w[i]
                     ecols = mod.emat.get((i, parent_j))
                     if ecols is not None and inter in mod.basis:
                         evec = list(ecols[widx])
                         fcols = mod.fmat.get((j, inter))
                         if fcols is not None:
-                            z = _apply_cols(fcols, evec, tdim)
+                            z = field.apply_cols(fcols, evec, tdim)
                     if i == j:
                         hval = datum.h_weight(i, parent_j)
                         if hval:
-                            bump = qint(hval).subst(datum.di(i)).to_scalar()
-                            z[widx] = z[widx] + bump
+                            z[widx] = field.add_qint(z[widx], hval, datum.di(i))
                     per_col.append(z)
                 zvecs[i] = per_col
 
-            def exact_row(ridx: int) -> list[ScalarQ]:
+            def gram_row(ridx: int) -> list:
                 i, parent_i, vidx, _t = cands[ridx]
-                return mat_vec(zvecs[i], mod.gram[parent_i][vidx])
+                return field.gram_row(zvecs[i], mod.gram[parent_i][vidx])
 
-            # the pick: the rank profile at the modular point, or the exact
-            # one for this weight space when that is short or undefined
-            try:
-                zmod = {
-                    i: [[_eval_mod(zc, powers) for zc in col] for col in per_col]
-                    for i, per_col in zvecs.items()
-                }
-                rows_mod = []
-                for i, parent_i, vidx, _tag in cands:
-                    grow = [_eval_mod(x, powers) for x in mod.gram[parent_i][vidx]]
-                    rows_mod.append(
-                        [sum(g * z for g, z in zip(grow, col)) % _PROFILE_P for col in zmod[i]]
-                    )
-                sel = _mod_rank_profile(rows_mod)
-            except ZeroDivisionError:
-                sel = []
-            if len(sel) < mult:
-                gram_full = [exact_row(r) for r in range(n)]
-                sel = column_rank_profile(gram_full)
-                sel_rows = [gram_full[r] for r in sel]
-            else:
-                sel_rows = [exact_row(r) for r in sel]
+            picked = field.pick(cands, zvecs, mod.gram, gram_row, mult)
+            if picked is None:
+                return None
+            sel, sel_rows = picked
             if len(sel) != mult:
                 raise AssertionError(
                     f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
@@ -361,7 +563,7 @@ def build_module(datum: RootDatum, lam: Weight) -> HWModule:
             # columns of its rank profile is nonsingular, mod p as exactly
             unsel = [c for c in range(n) if c not in sel]
             g = [[row[c] for c in sel] for row in sel_rows]
-            sol_cols = solve_square_multi(g, [[row[c] for row in sel_rows] for c in unsel])
+            sol_cols = field.solve(g, [[row[c] for row in sel_rows] for c in unsel])
 
             mod.basis[mu] = tuple(cands[c][3] for c in sel)
             mod.gram[mu] = g
@@ -377,7 +579,7 @@ def build_module(datum: RootDatum, lam: Weight) -> HWModule:
             # exactly one candidate, so every column gets filled
             coords = dict(zip(unsel, sol_cols))
             for k, c in enumerate(sel):
-                coords[c] = [S_ONE if r == k else S_ZERO for r in range(mult)]
+                coords[c] = [field.one if r == k else field.zero for r in range(mult)]
             for cidx, (j, parent_j, widx, _tag) in enumerate(cands):
                 store = mod.fmat.setdefault((j, parent_j), [None] * len(mod.basis[parent_j]))
                 store[widx] = tuple(coords[cidx])
@@ -391,6 +593,11 @@ def build_module(datum: RootDatum, lam: Weight) -> HWModule:
     return mod
 
 
+def build_module(datum: RootDatum, lam: Weight) -> HWModule:
+    """Construct V(lam) over Q(q) for dominant lam, all weight spaces at once."""
+    return _build(datum, lam, _Exact())
+
+
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     """V(lam) from the datum's module cache, built on the first request."""
     mod = datum._module_cache.get(lam.coords)
@@ -400,6 +607,20 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     return mod
 
 
+def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
+    """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
+    built on the first request: the specialization of every exact entry,
+    or None when the shadow gave up (a short pick or a division by zero).
+    Raises ModuleTooLarge as build_module does."""
+    cache = datum._shadow_cache
+    if lam.coords not in cache:
+        try:
+            cache[lam.coords] = _build(datum, lam, _Shadow())
+        except ZeroDivisionError:
+            cache[lam.coords] = None
+    return cache[lam.coords]
+
+
 # ---------------------------------------------------------------------------
 # Chevalley actions
 
@@ -407,12 +628,12 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
 def _act(mats: dict, step: Weight, i: int, vec: ModuleVector) -> ModuleVector:
     """Apply the action stored in mats, which moves weight mu to mu + step."""
     mod = vec.mod
-    out: dict[Weight, list[ScalarQ]] = {}
+    out: dict[Weight, list] = {}
     for mu, coeffs in vec.parts.items():
         cols = mats.get((i, mu))
         if cols is not None:
             target = mu + step
-            out[target] = _apply_cols(cols, coeffs, len(mod.basis[target]))
+            out[target] = mod.field.apply_cols(cols, coeffs, len(mod.basis[target]))
     return ModuleVector(mod, out)
 
 
@@ -424,25 +645,19 @@ def act_e(i: int, vec: ModuleVector) -> ModuleVector:
     return _act(vec.mod.emat, vec.mod.datum.alpha_weight(i), i, vec)
 
 
-# A pure function of two small ints, the same for every root datum, so one
-# module-level cache serves all data and no datum needs to own it.
-@lru_cache(maxsize=None)
-def _inv_qint(a: int, d: int) -> ScalarQ:
-    return qint(a).subst(d).to_scalar().inverse()
-
-
 def divided_powers(act, i: int, vec: ModuleVector) -> Iterator[ModuleVector]:
     """The ladder act^{(a)} vec = act^a vec / [a]_{q_i}! for a = 0, 1, ...
     while it is nonzero, for act one of act_f, act_e: each term is act(i, .)
     of the one before, divided by [a]_{q_i}."""
     di = vec.mod.datum.di(i)
+    inv_qint = vec.mod.field.inv_qint
     a = 0
     while not vec.is_zero():
         yield vec
         a += 1
         vec = act(i, vec)
         if a > 1:
-            vec = vec.scaled(_inv_qint(a, di))
+            vec = vec.scaled(inv_qint(a, di))
 
 
 def _act_divided(act, i: int, a: int, vec: ModuleVector) -> ModuleVector:
@@ -462,25 +677,13 @@ def act_e_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
     return _act_divided(act_e, i, a, vec)
 
 
-def contravariant_form(v: ModuleVector, w: ModuleVector) -> ScalarQ:
-    """The symmetric form with (u_lam, u_lam) = 1 and (f_i x, y) = (x, e_i y)."""
+def contravariant_form(v: ModuleVector, w: ModuleVector):
+    """The symmetric form with (u_lam, u_lam) = 1 and (f_i x, y) = (x, e_i y),
+    valued in the field of the module."""
     if v.mod is not w.mod:
         raise ValueError("vectors live in different modules")
     mod = v.mod
-    acc = S_ZERO
-    for mu, vc in v.parts.items():
-        wc = w.parts.get(mu)
-        if wc is None:
-            continue
-        g = mod.gram[mu]
-        for r, a in enumerate(vc):
-            if not a.num.c:
-                continue
-            row = g[r]
-            for s, b in enumerate(wc):
-                if b.num.c and row[s].num.c:
-                    acc = acc + a * row[s] * b
-    return acc
+    return mod.field.form(mod.gram, v.parts, w.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +712,8 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
 
 
 def braid_T(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
-    """Lusztig symmetry T_i, weight component by weight component:
+    """Lusztig symmetry T_i on an exact module, weight component by weight
+    component:
 
     T_i(u) = sum over a, b, c >= 0 with -a + b - c = <h_i, mu> of
              (-1)^b q_i^{-ac+b} e_i^{(a)} f_i^{(b)} e_i^{(c)} . u.

@@ -128,8 +128,9 @@ def test_03_monomial_sweep_g2_short(capsys):
 
 
 def test_03_monomial_sweep_g2_full(capsys):
-    # the long words need presenting weights up to coordinate sum 3 and two
-    # module builds near dimension 300; guard the search cap explicitly
+    # the long words need presenting weights up to coordinate sum 3; the
+    # GF(p) screen rejects V(0,3) and V(1,2) (dimension near 300) without
+    # building them exactly; guard the search cap explicitly
     t0 = time.perf_counter()
     datum = build_root_datum("G2")
     count = 0
@@ -147,7 +148,7 @@ def test_03_monomial_sweep_g2_full(capsys):
             ok = False
     dt = time.perf_counter() - t0
     detail = capped if capped else f"{count} instances, {dt:.1f}s"
-    report(capsys, "03", "predicted monomials, G2 all lengths", ok, detail)
+    report(capsys, "03", "predicted monomials, G2 all lengths", ok and dt < 60.0, detail)
 
 
 def test_04_generator_recovery(capsys):

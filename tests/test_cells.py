@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qcells import cells, hwmod
+from qcells import cells, cli, hwmod
 from qcells.cartan import (
     Weight,
     build_root_datum,
@@ -223,6 +223,101 @@ def test_build_failure_propagates_from_search(monkeypatch):
     monkeypatch.setattr(cells, "get_module", broken)
     with pytest.raises(ValueError, match="singular"):
         find_presentation(PB, 2)
+
+
+# ---------------------------------------------------------- the GF(p) screen
+def fresh_caches(monkeypatch, datum):
+    for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+        monkeypatch.setattr(datum, cache, {})
+
+
+def search_all(datum, max_length):
+    found = []
+    for w in weyl_elements(datum, max_length):
+        for word in reduced_words(datum, w) if w else ():
+            pres = TorusPresentation(datum, word)
+            for k in range(1, len(word) + 1):
+                p = find_presentation(pres, k)
+                found.append((word, k, p.lam.coords, [str(c) for c in p.coeffs]))
+    return found
+
+
+def test_screen_matches_exact_search(monkeypatch, capsys):
+    """With the screen on and off, the A3 and G2 (length <= 4) searches find
+    the same lam' and coefficients and the sweeps print the same stdout; the
+    screen rejects candidates, but never an exact winner."""
+    real = cells._screened_out
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    for name, max_length in (("A3", None), ("G2", 4)):
+        datum = build_root_datum(name)
+        argv = ["sweep", "--cartan", name, "--format", "json"]
+        if max_length:
+            argv += ["--max-length", str(max_length)]
+        runs = []
+        for screen in (spy, lambda *args: False):
+            monkeypatch.setattr(cells, "_screened_out", screen)
+            fresh_caches(monkeypatch, datum)
+            found = search_all(datum, max_length)
+            fresh_caches(monkeypatch, datum)
+            code = cli.main(argv)
+            runs.append((found, code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == 0
+
+        for word, k, coords, _coeffs in runs[0][0]:
+            pres = TorusPresentation(datum, word)
+            varpi = datum.fundamental(word[k - 1])
+            mod_k = get_module(datum, varpi)
+            target = feigin_matrix_coeff(
+                pres, extremal_vector(mod_k, word[:k]), mod_k.highest()
+            )
+            lamp = Weight(coords)
+            mup = weyl_act(datum, word, lamp) - weyl_act(datum, word[:k], varpi) + varpi
+            assert not real(pres, lamp, mup, target), (name, word, k)
+    # G2 up to length 4 needs no second candidate; A3 rejects some
+    assert True in verdicts
+
+
+def test_certificate_needs_full_column_rank():
+    cert = cells._certified_inconsistent
+    e1, e2 = (1, 0), (0, 1)
+    assert cert([{e1: 1}], {e2: 1})
+    assert cert([{e1: 1}, {e2: 3}], {e1: 1, e2: 3, (1, 1): 1})
+    # consistent at q0
+    assert not cert([{e1: 1}], {e1: 5})
+    assert not cert([{e1: 1}, {e2: 1}], {e1: 3, e2: 4})
+    # rank A(q0) < r: the target is outside the columns, but an exact
+    # solution may still exist, so nothing is proved
+    assert not cert([{e1: 1}, {e1: 2}], {e2: 1})
+    assert not cert([{}], {e1: 1})
+
+
+def test_screen_without_certificate_keeps_exact_search(monkeypatch):
+    """Shadow columns that lose rank at q0, or a target undefined there,
+    prove nothing: every candidate goes to the exact search, which ends
+    where it does without the screen."""
+    real_terms = cells._coeff_terms
+
+    def collapsed(pres, left, right):
+        if isinstance(left.mod.field, hwmod._Shadow):
+            return {}
+        return real_terms(pres, left, right)
+
+    def undefined(c, powers):
+        raise ZeroDivisionError
+
+    expect = [(P121, 1, (1, 1)), (PB, 1, (0, 1)), (PB, 2, (0, 2)), (PB, 4, (1, 0))]
+    for name, patch in (("_coeff_terms", collapsed), ("_eval_mod", undefined)):
+        with monkeypatch.context() as m:
+            m.setattr(cells, name, patch)
+            for pres, k, coords in expect:
+                fresh_caches(m, pres.datum)
+                assert find_presentation(pres, k).lam.coords == coords
 
 
 # ------------------------------------------------------------------- twist

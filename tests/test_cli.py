@@ -264,6 +264,15 @@ PINNED_OUTPUTS = [
         ("selftest",),
         "0ba5d55b5429590de0e3134c384041fa0055f94abfc9dad05e432ff2ce67550d",
     ),
+    # the two hard instances, whose lam' searches reject large candidates
+    (
+        ("verify", "--cartan", "G2", "--word", "1,2,1,2,1,2", "--k", "2"),
+        "a08c535cd8fd44e3837b79b6d2287d9a5a6c4394cb204ecf52f719551c97ad8f",
+    ),
+    (
+        ("verify", "--cartan", "B3", "--word", "1,2,3,2,1,3,2,3,2", "--k", "7"),
+        "800b6da9c01d69ebd114179e954af72bd254dd508be2e4301b6d09b69ab57f34",
+    ),
 ]
 
 

@@ -22,8 +22,11 @@ from qcells.hwmod import (
     extremal_by_braid,
     extremal_vector,
     get_module,
+    shadow_module,
 )
+from qcells.cells import find_presentation
 from qcells.linalg import invert_matrix
+from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
 A1 = build_root_datum("A1")
@@ -180,7 +183,9 @@ def test_braid_route_matches_divided_power_route():
 
 def test_short_modular_pick_falls_back_per_weight(monkeypatch):
     """An empty or short modular pick gives way to the exact rank profile of
-    that weight space, and the module comes out as the default build."""
+    that weight space, and the module comes out as the default build.  The
+    shadow gives up on it instead, and the presentation search then takes
+    the exact path to the same lam' and coefficients."""
     real_profile = hwmod._mod_rank_profile
     real_exact = hwmod.column_rank_profile
     exact_calls = []
@@ -190,20 +195,64 @@ def test_short_modular_pick_falls_back_per_weight(monkeypatch):
         return real_exact(rows)
 
     monkeypatch.setattr(hwmod, "column_rank_profile", counted)
+    forces = (lambda rows: [], lambda rows: real_profile(rows)[:-1])
     for datum, coords in ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 1))):
         lam = Weight(coords)
         default = build_module(datum, lam)
         assert exact_calls == []
-        for force in (lambda rows: [], lambda rows: real_profile(rows)[:-1]):
+        for force in forces:
             monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
             forced = build_module(datum, lam)
+            shadow = hwmod._build(datum, lam, hwmod._Shadow())
             monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
+            assert shadow is None
             assert len(exact_calls) == len(forced.weights) - 1
             exact_calls.clear()
             assert forced.basis == default.basis
             assert forced.gram == default.gram
             assert forced.fmat == default.fmat
             assert forced.emat == default.emat
+
+    # A2 word 1,2,1 at k = 1: the screen rejects V(2,0) before the winner
+    # V(1,1); with every shadow given up both are built exactly
+    pres = TorusPresentation(A2, (1, 2, 1))
+    results = []
+    for force in (real_profile, *forces):
+        for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+            monkeypatch.setattr(A2, cache, {})
+        monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
+        p = find_presentation(pres, 1)
+        results.append((p.lam.coords, p.coeffs))
+        built = set(A2._module_cache)
+        shadows = dict(A2._shadow_cache)
+        if force is real_profile:
+            assert shadows[(2, 0)] is not None and (2, 0) not in built
+        else:
+            assert shadows == {(2, 0): None, (1, 1): None}
+            assert {(2, 0), (1, 1)} <= built
+    monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
+    assert results[0][0] == (1, 1)
+    assert results == [results[0]] * 3
+
+
+def test_shadow_specializes_exact_module():
+    """The shadow has the exact basis tags, and each of its Gram and action
+    entries is the exact entry at the modular point."""
+    B3 = build_root_datum("B3")
+    for datum, coords in ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 1)), (B3, (0, 2, 0))):
+        lam = Weight(coords)
+        exact = get_module(datum, lam)
+        shadow = shadow_module(datum, lam)
+        assert shadow is not None and shadow.dim == exact.dim
+        assert shadow.basis == exact.basis
+        assert shadow.weights == exact.weights
+        powers = {}
+        for name in ("gram", "fmat", "emat"):
+            want, got = getattr(exact, name), getattr(shadow, name)
+            assert want.keys() == got.keys(), name
+            for key, block in want.items():
+                spec = [[hwmod._eval_mod(x, powers) for x in line] for line in block]
+                assert [list(line) for line in got[key]] == spec, (name, key)
 
 
 def test_wrong_multiplicity_fails_loudly(monkeypatch):
