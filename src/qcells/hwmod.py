@@ -604,14 +604,18 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     if mod is None:
         mod = build_module(datum, lam)
         datum._module_cache[lam.coords] = mod
+        # a shadow only screens a module that is not built, so this one's
+        # shadow is no longer read
+        datum._shadow_cache.pop(lam.coords, None)
     return mod
 
 
 def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
     """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
-    built on the first request: the specialization of every exact entry,
-    or None when the shadow gave up (a short pick or a division by zero).
-    Raises ModuleTooLarge as build_module does."""
+    built on the first request and dropped once get_module builds V(lam):
+    the specialization of every exact entry, or None when the shadow gave
+    up (a short pick or a division by zero).  Raises ModuleTooLarge as
+    build_module does."""
     cache = datum._shadow_cache
     if lam.coords not in cache:
         try:

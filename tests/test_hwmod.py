@@ -223,13 +223,13 @@ def test_short_modular_pick_falls_back_per_weight(monkeypatch):
         monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
         p = find_presentation(pres, 1)
         results.append((p.lam.coords, p.coeffs))
-        built = set(A2._module_cache)
-        shadows = dict(A2._shadow_cache)
         if force is real_profile:
-            assert shadows[(2, 0)] is not None and (2, 0) not in built
+            assert A2._shadow_cache[(2, 0)] is not None
+            assert (2, 0) not in A2._module_cache
         else:
-            assert shadows == {(2, 0): None, (1, 1): None}
-            assert {(2, 0), (1, 1)} <= built
+            assert {(2, 0), (1, 1)} <= set(A2._module_cache)
+        # a built module drops its shadow
+        assert not set(A2._shadow_cache) & set(A2._module_cache)
     monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
     assert results[0][0] == (1, 1)
     assert results == [results[0]] * 3
