@@ -27,10 +27,9 @@ from .cartan import (
 )
 from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
+    HWModule,
     ModuleTooLarge,
     ModuleVector,
-    _eval_mod,
-    _mod_rank_profile,
     act_f,
     contravariant_form,
     divided_powers,
@@ -40,7 +39,7 @@ from .hwmod import (
 )
 from .linalg import solve_linear
 from .qtorus import TorusElement, TorusPresentation, torus_str
-from .scalars import ScalarQ, S_ZERO
+from .scalars import ScalarQ
 
 __all__ = [
     "TheoremInstance",
@@ -279,17 +278,20 @@ def _candidate_weights(datum: RootDatum, ik: int, cap: int) -> list[Weight]:
     return final
 
 
-def _certified_inconsistent(cols: list[dict], rhs: dict) -> bool:
-    """True when rank A(q0) = r and rank [A|b](q0) = r + 1, for the r
-    columns of A and the target b given as GF(p) term dicts at q0.
-
-    Rows are the union of the supports; a row outside it is zero."""
-    r = len(cols)
-    keys = sorted(set(rhs).union(*cols))
-    aug = [[col.get(e, 0) for col in cols] + [rhs.get(e, 0)] for e in keys]
-    piv = _mod_rank_profile(aug)
-    rank_a = sum(1 for c in piv if c < r)
-    return rank_a == r and len(piv) == r + 1
+def _system(
+    pres: TorusPresentation, mod: HWModule, mup: Weight, target_terms: dict
+) -> tuple[list[list], list]:
+    """Rows A and right-hand side b of A x = b, for the coordinates x of a u'
+    in mod's weight space mup whose D_{u_{w lam'}, u'} image has target_terms,
+    over the field of mod: one row per exponent vector in the supports."""
+    uw = extremal_vector(mod, pres.letters)
+    cols = [
+        _coeff_terms(pres, uw, mod.basis_vector(mup, s)) for s in range(mod.dim_of(mup))
+    ]
+    zero = mod.field.zero
+    keys = sorted(set(target_terms).union(*cols))
+    rows = [[col.get(e, zero) for col in cols] for e in keys]
+    return rows, [target_terms.get(e, zero) for e in keys]
 
 
 def _screened_out(
@@ -299,10 +301,10 @@ def _screened_out(
     V(lam')_{mu'} has the target image: the weight space is empty, or the
     system of find_presentation has a certificate of inconsistency at q0.
 
-    The proof: every pick of a built shadow has m(mu) vectors, so the exact
-    build takes the same pick, and the shadow is the specialization at q0 of
-    every exact entry (see hwmod); its extremal vector and columns are then
-    the specializations of the exact ones.  If A(q0) has full column rank r, some r x r minor of
+    The proof: the exact build of V(lam') takes the picks of this shadow,
+    which have m(mu) vectors each, and the shadow is the specialization at
+    q0 of every exact entry (see hwmod); its system is then the
+    specialization of the exact one.  If A(q0) has full column rank r, some r x r minor of
     A is nonzero at q0, so an exact solution x of A x = b would be defined
     there by Cramer's rule and give A(q0) x(q0) = b(q0), which rank
     [A|b](q0) = r + 1 rules out.  Every other outcome (no shadow, a division
@@ -311,16 +313,14 @@ def _screened_out(
     shadow = shadow_module(pres.datum, lamp)
     if shadow is None:
         return False
-    r = shadow.dim_of(mup)
-    if r == 0:
+    if shadow.dim_of(mup) == 0:
         return True
+    field = shadow.field
     try:
-        uw = extremal_vector(shadow, pres.letters)
-        cols = [_coeff_terms(pres, uw, shadow.basis_vector(mup, s)) for s in range(r)]
-        rhs = {e: _eval_mod(c, shadow.field.powers) for e, c in target.terms.items()}
+        rows, rhs = _system(pres, shadow, mup, field.specialize(target.terms))
     except ZeroDivisionError:
         return False
-    return _certified_inconsistent(cols, rhs)
+    return field.certified_inconsistent(rows, rhs)
 
 
 def find_presentation(
@@ -362,20 +362,9 @@ def find_presentation(
             modp = get_module(datum, lamp)
         except ModuleTooLarge:
             continue
-        r = modp.dim_of(mup)
-        if r == 0:
+        if modp.dim_of(mup) == 0:
             continue
-        uw = extremal_vector(modp, word)
-        cols = [
-            feigin_matrix_coeff(pres, uw, modp.basis_vector(mup, s)) for s in range(r)
-        ]
-        support: set[tuple[int, ...]] = set(target.terms)
-        for col in cols:
-            support.update(col.terms)
-        keys = sorted(support)
-        rows = [[col.terms.get(e, S_ZERO) for col in cols] for e in keys]
-        rhs = [target.terms.get(e, S_ZERO) for e in keys]
-        coeffs = solve_linear(rows, rhs)
+        coeffs = solve_linear(*_system(pres, modp, mup, target.terms))
         if coeffs is None:
             continue
         uprime = modp.zero()

@@ -13,8 +13,9 @@ ansatz recovery included), 2 bad usage or environment, 3 the presentation
 search cap was exhausted and no identity failed.  In verify, sweep and
 selftest a failed identity outranks a capped search.
 
-Defaults for --search-cap and --format can be overridden with the
-environment variables QCELLS_SEARCH_CAP and QCELLS_FORMAT.
+Defaults for --search-cap (verify and sweep) and --format can be
+overridden with the environment variables QCELLS_SEARCH_CAP and
+QCELLS_FORMAT.
 """
 
 from __future__ import annotations
@@ -411,21 +412,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cartan", required=True, help="Cartan type, e.g. A2, B2, G2")
         if word_required:
             p.add_argument("--word", required=True, help="comma-separated letters, 1-based")
+        p.add_argument("--format", choices=_FORMATS, default=fmt)
+
+    def searching(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--search-cap",
             type=_nonneg_int,
             default=search_cap,
             help="largest coordinate sum tried for the presenting highest weight",
         )
-        p.add_argument("--format", choices=_FORMATS, default=fmt)
 
     p = sub.add_parser("verify", help="check predicted monomials for one word")
     common(p)
+    searching(p)
     p.add_argument("--k", default="all", help="position (1-based) or 'all'")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a whole Weyl group")
     common(p, word_required=False)
+    searching(p)
     p.add_argument(
         "--max-length", type=_nonneg_int, default=None, help="bound on Weyl element length"
     )

@@ -8,11 +8,11 @@ contravariant form, computed by the commutation recursion
     (f_i x, f_j y) = (x, f_j e_i y) + delta_ij [<h_i, wt y>]_{q_i} (x, y).
 
 The multiplicity m(mu) comes first, exactly, from the weight spaces above
-mu, and mu is skipped when it is 0.  The pick is the column rank profile
-of the Gram matrix at a fixed modular point, or the exact profile for that
-weight space alone when the modular one is short.  Exact facts certify it:
-it has m(mu) vectors, and the exact solve on their Gram block proves them
-independent.
+mu, and mu is skipped when it is 0.  An exact build takes the pick of each
+weight space from the basis tags of the module's GF(p) shadow (below), or,
+when the shadow gave up, the exact column rank profile of the Gram matrix.
+Exact facts certify the pick: it has m(mu) vectors, and the exact solve on
+their Gram block proves them independent.
 
 Stored per module: basis tags, Gram matrices, and the matrices of the
 Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
@@ -20,15 +20,15 @@ keys mean the zero map.
 
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
-(shadow_module), with int entries.  The shadow takes the modular pick as it
-is and gives up, returning no module, when a pick is short or a division
-by zero occurs.  A shadow that is built is the specialization of the exact
-module at q0: every shadow pick has m(mu) vectors, so the exact build takes
-the same pick; each picked Gram block is nonsingular at q0, so by Cramer's
-rule every exact entry is defined there; and the shadow computes those
-entries by the same ring operations mod p.  Actions, divided powers, the
-form and extremal vectors work over both fields; the braid operators are
-exact only.
+(shadow_module), with int entries.  The shadow picks the modular rank
+profile and gives up, raising ZeroDivisionError, when a pick is short or a
+division by zero occurs.  A shadow that is built is the specialization of
+the exact module at q0: every shadow pick has m(mu) vectors, so the exact
+build takes the same pick; each picked Gram block is nonsingular at q0,
+so by Cramer's rule every exact entry is defined there; and the shadow
+computes those entries by the same ring operations mod p.  Actions, divided
+powers, the form and extremal vectors work over both fields; the braid
+operators are exact only.
 """
 
 from __future__ import annotations
@@ -145,9 +145,6 @@ class ModuleVector:
             out[mu] = coeffs if acc is None else add(acc, coeffs)
         return ModuleVector(self.mod, out)
 
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scaled(self.mod.field.minus_one)
-
     def scaled(self, c) -> "ModuleVector":
         field = self.mod.field
         if field.is_zero(c):
@@ -172,9 +169,6 @@ class ModuleVector:
         return "ModuleVector({" + "; ".join(bits) + "})"
 
 
-_S_MINUS_ONE = ScalarQ.from_int(-1)
-
-
 # ---------------------------------------------------------------------------
 # the two fields of a build
 
@@ -193,11 +187,11 @@ def _apply_cols(
     return out
 
 
-# The prime field and evaluation point of the modular pick and of the shadow.
-# In an exact build they only pick bases: a pick is kept when it has m(mu)
-# columns, and then its Gram block is nonsingular mod p, hence exactly.  A
-# shorter pick, or a denominator that vanishes at the point, gives way to
-# the exact rank profile.
+# The prime field and evaluation point of the shadow.  In an exact build they
+# only pick bases: a built shadow's pick has m(mu) columns, so its Gram block
+# is nonsingular mod p, hence exactly.  A shorter pick, or a denominator that
+# vanishes at the point, makes the shadow give up, and the exact build then
+# takes the exact rank profile at every weight.
 _PROFILE_P = (1 << 61) - 1
 _PROFILE_Q0 = 1220703125
 
@@ -288,11 +282,6 @@ class _Exact:
 
     zero = S_ZERO
     one = S_ONE
-    minus_one = _S_MINUS_ONE
-
-    def __init__(self) -> None:
-        # q0^e mod p for the modular pick of this build
-        self.powers: dict[int, int] = {}
 
     is_zero = staticmethod(ScalarQ.is_zero)
     mul_qpow = staticmethod(ScalarQ.mul_qpow)
@@ -335,28 +324,10 @@ class _Exact:
                         acc = acc + a * row[s] * b
         return acc
 
-    def pick(self, cands, zvecs, gram, row, mult):
-        """The rank profile of the Gram matrix at the modular point, or the
-        exact one for this weight space when that is short or undefined
-        there; returns it with its exact Gram rows."""
-        powers = self.powers
-        try:
-            zmod = {
-                i: [[_eval_mod(zc, powers) for zc in col] for col in per_col]
-                for i, per_col in zvecs.items()
-            }
-            rows_mod = []
-            for i, parent_i, vidx, _tag in cands:
-                grow = [_eval_mod(x, powers) for x in gram[parent_i][vidx]]
-                rows_mod.append(_Shadow.gram_row(zmod[i], grow))
-            sel = _mod_rank_profile(rows_mod)
-        except ZeroDivisionError:
-            sel = []
-        if len(sel) < mult:
-            full = [row(r) for r in range(len(cands))]
-            sel = column_rank_profile(full)
-            return sel, [full[r] for r in sel]
-        return sel, [row(r) for r in sel]
+    @staticmethod
+    def rank_profile(rows: list[list[ScalarQ]], mult: int) -> list[int]:
+        """The exact column rank profile, for a build without a shadow."""
+        return column_rank_profile(rows)
 
     @staticmethod
     def solve(g: list[list[ScalarQ]], rhs_cols: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
@@ -369,7 +340,6 @@ class _Shadow:
 
     zero = 0
     one = 1
-    minus_one = _PROFILE_P - 1
     nonzero = any
 
     def __init__(self) -> None:
@@ -436,17 +406,30 @@ class _Shadow:
         return acc % p
 
     @staticmethod
-    def pick(cands, zvecs, gram, row, mult):
-        """The modular rank profile with its rows, or None when it is short."""
-        full = [row(r) for r in range(len(cands))]
-        sel = _mod_rank_profile(full)
+    def rank_profile(rows: list[list[int]], mult: int) -> list[int]:
+        """The modular column rank profile; the shadow gives up on a short one."""
+        sel = _mod_rank_profile(rows)
         if len(sel) < mult:
-            return None
-        return sel, [full[r] for r in sel]
+            raise ZeroDivisionError("short pick mod p")
+        return sel
 
     @staticmethod
     def solve(g: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
         return _mod_solve_square(g, rhs_cols)
+
+    def specialize(self, terms: dict) -> dict:
+        """A term dict over Q(q) at q0; ZeroDivisionError when a denominator
+        vanishes there."""
+        return {key: _eval_mod(c, self.powers) for key, c in terms.items()}
+
+    @staticmethod
+    def certified_inconsistent(rows: list[list[int]], rhs: list[int]) -> bool:
+        """True when the system A x = b mod p, with r columns and at least
+        one row, has rank A = r and rank [A|b] = r + 1: the column rank
+        profile of [A|b] is all of its columns."""
+        r = len(rows[0])
+        piv = _mod_rank_profile([row + [b] for row, b in zip(rows, rhs)])
+        return piv == list(range(r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +473,16 @@ class ModuleTooLarge(ValueError):
 DIM_CAP = 5000
 
 
-def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule | None:
+def _build(
+    datum: RootDatum,
+    lam: Weight,
+    field: "_Exact | _Shadow",
+    picks: dict[Weight, tuple[tuple[int, ...], ...]] | None = None,
+) -> HWModule:
     """The layer walk: V(lam) for dominant lam over field, all weight spaces
-    at once, or None when field gives up on a pick."""
+    at once.  Each weight space takes its basis tags from picks, a shadow's
+    basis, when given, and otherwise the rank profile of its Gram matrix
+    over field."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
@@ -551,10 +541,14 @@ def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule
                 i, parent_i, vidx, _t = cands[ridx]
                 return field.gram_row(zvecs[i], mod.gram[parent_i][vidx])
 
-            picked = field.pick(cands, zvecs, mod.gram, gram_row, mult)
-            if picked is None:
-                return None
-            sel, sel_rows = picked
+            if picks is None:
+                rows = [gram_row(r) for r in range(n)]
+                sel = field.rank_profile(rows, mult)
+                sel_rows = [rows[r] for r in sel]
+            else:
+                at = {cand[3]: r for r, cand in enumerate(cands)}
+                sel = [at[tag] for tag in picks[mu]]
+                sel_rows = [gram_row(r) for r in sel]
             if len(sel) != mult:
                 raise AssertionError(
                     f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
@@ -593,9 +587,20 @@ def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule
     return mod
 
 
+def _shadow_basis(datum: RootDatum, lam: Weight) -> dict | None:
+    """The basis tags of the shadow of V(lam), or None when it gave up.  A
+    shadow only screens a module that is not built, so it leaves the cache
+    here, and only its tags outlive this call."""
+    shadow = shadow_module(datum, lam)
+    del datum._shadow_cache[lam.coords]
+    return None if shadow is None else shadow.basis
+
+
 def build_module(datum: RootDatum, lam: Weight) -> HWModule:
-    """Construct V(lam) over Q(q) for dominant lam, all weight spaces at once."""
-    return _build(datum, lam, _Exact())
+    """Construct V(lam) over Q(q) for dominant lam, all weight spaces at once,
+    with the picks of its GF(p) shadow: the cached one, which is dropped, or
+    a new one."""
+    return _build(datum, lam, _Exact(), _shadow_basis(datum, lam))
 
 
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
@@ -604,15 +609,12 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     if mod is None:
         mod = build_module(datum, lam)
         datum._module_cache[lam.coords] = mod
-        # a shadow only screens a module that is not built, so this one's
-        # shadow is no longer read
-        datum._shadow_cache.pop(lam.coords, None)
     return mod
 
 
 def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
     """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
-    built on the first request and dropped once get_module builds V(lam):
+    built on the first request and dropped once build_module builds V(lam):
     the specialization of every exact entry, or None when the shadow gave
     up (a short pick or a division by zero).  Raises ModuleTooLarge as
     build_module does."""

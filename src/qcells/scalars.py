@@ -265,27 +265,11 @@ class LaurentQ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentQ":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use ScalarQ")
-        out = _L_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, k: int) -> "LaurentQ":
         """Multiply by q^k."""
         if k == 0:
             return self
         return LaurentQ._raw({e + k: c for e, c in self.c.items()})
-
-    def bar(self) -> "LaurentQ":
-        """The involution q -> q^{-1}."""
-        return LaurentQ._raw({-e: c for e, c in self.c.items()})
 
     def subst(self, d: int) -> "LaurentQ":
         """Substitute q -> q^d (d >= 1)."""
@@ -474,18 +458,6 @@ class ScalarQ:
     def __truediv__(self, other: "ScalarQ") -> "ScalarQ":
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "ScalarQ":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = S_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def mul_qpow(self, k: int) -> "ScalarQ":
         """Multiply by q^k (stays canonical, no gcd work)."""
         if k == 0:
@@ -498,25 +470,6 @@ class ScalarQ:
         if n == 1:
             return self
         return ScalarQ._make((self.num * n).c, self.den.c)
-
-    def bar(self) -> "ScalarQ":
-        """The involution q -> q^{-1}."""
-        if not self.num.c:
-            return S_ZERO
-        num = self.num.bar()
-        den = self.den.bar()
-        lo = den.min_exp()
-        den = den.shift(-lo)
-        num = num.shift(-lo)
-        if den.c[den.max_exp()] < 0:
-            num, den = -num, -den
-        return ScalarQ._raw(num, den)
-
-    def subst(self, d: int) -> "ScalarQ":
-        """Substitute q -> q^d (d >= 1); canonical form is preserved."""
-        if d == 1:
-            return self
-        return ScalarQ._raw(self.num.subst(d), self.den.subst(d))
 
     def as_q_power(self) -> "int | None":
         """Exponent k when the value is exactly q^k, else None."""

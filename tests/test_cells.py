@@ -284,17 +284,16 @@ def test_screen_matches_exact_search(monkeypatch, capsys):
 
 
 def test_certificate_needs_full_column_rank():
-    cert = cells._certified_inconsistent
-    e1, e2 = (1, 0), (0, 1)
-    assert cert([{e1: 1}], {e2: 1})
-    assert cert([{e1: 1}, {e2: 3}], {e1: 1, e2: 3, (1, 1): 1})
+    cert = hwmod._Shadow.certified_inconsistent
+    assert cert([[1], [0]], [0, 1])
+    assert cert([[1, 0], [0, 3], [0, 0]], [1, 3, 1])
     # consistent at q0
-    assert not cert([{e1: 1}], {e1: 5})
-    assert not cert([{e1: 1}, {e2: 1}], {e1: 3, e2: 4})
+    assert not cert([[1]], [5])
+    assert not cert([[1, 0], [0, 1]], [3, 4])
     # rank A(q0) < r: the target is outside the columns, but an exact
     # solution may still exist, so nothing is proved
-    assert not cert([{e1: 1}, {e1: 2}], {e2: 1})
-    assert not cert([{}], {e1: 1})
+    assert not cert([[1, 2], [0, 0]], [0, 1])
+    assert not cert([[0]], [1])
 
 
 def test_screen_without_certificate_keeps_exact_search(monkeypatch):
@@ -308,13 +307,16 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
             return {}
         return real_terms(pres, left, right)
 
-    def undefined(c, powers):
+    def undefined(field, terms):
         raise ZeroDivisionError
 
     expect = [(P121, 1, (1, 1)), (PB, 1, (0, 1)), (PB, 2, (0, 2)), (PB, 4, (1, 0))]
-    for name, patch in (("_coeff_terms", collapsed), ("_eval_mod", undefined)):
+    for owner, name, patch in (
+        (cells, "_coeff_terms", collapsed),
+        (hwmod._Shadow, "specialize", undefined),
+    ):
         with monkeypatch.context() as m:
-            m.setattr(cells, name, patch)
+            m.setattr(owner, name, patch)
             for pres, k, coords in expect:
                 fresh_caches(m, pres.datum)
                 assert find_presentation(pres, k).lam.coords == coords

@@ -94,6 +94,17 @@ def test_feigin_minor_rejects_non_dominant(capsys):
     assert "dominant" in err
 
 
+def test_feigin_minor_has_no_search_cap(capsys):
+    # feigin-minor runs no presentation search, so it takes no search cap
+    code, out, err = run(
+        capsys,
+        "feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0",
+        "--search-cap", "3",
+    )
+    assert code == 2
+    assert "--search-cap" in err and not out
+
+
 def test_feigin_minor_json(capsys):
     code, out, err = run(
         capsys,

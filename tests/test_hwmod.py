@@ -181,11 +181,11 @@ def test_braid_route_matches_divided_power_route():
         assert extremal_by_braid(mod, w) == extremal_vector(mod, w)
 
 
-def test_short_modular_pick_falls_back_per_weight(monkeypatch):
-    """An empty or short modular pick gives way to the exact rank profile of
-    that weight space, and the module comes out as the default build.  The
-    shadow gives up on it instead, and the presentation search then takes
-    the exact path to the same lam' and coefficients."""
+def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
+    """An empty or short modular pick makes the shadow give up, and the exact
+    build then takes the exact rank profile at every weight below the top;
+    the module comes out as the default build, and the presentation search
+    takes the exact path to the same lam' and coefficients."""
     real_profile = hwmod._mod_rank_profile
     real_exact = hwmod.column_rank_profile
     exact_calls = []
@@ -203,9 +203,9 @@ def test_short_modular_pick_falls_back_per_weight(monkeypatch):
         for force in forces:
             monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
             forced = build_module(datum, lam)
-            shadow = hwmod._build(datum, lam, hwmod._Shadow())
+            with pytest.raises(ZeroDivisionError, match="short pick"):
+                hwmod._build(datum, lam, hwmod._Shadow())
             monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
-            assert shadow is None
             assert len(exact_calls) == len(forced.weights) - 1
             exact_calls.clear()
             assert forced.basis == default.basis
@@ -233,6 +233,37 @@ def test_short_modular_pick_falls_back_per_weight(monkeypatch):
     monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
     assert results[0][0] == (1, 1)
     assert results == [results[0]] * 3
+
+
+def test_screened_winner_reuses_its_shadow(monkeypatch):
+    """The exact build of a screened candidate takes the picks of the shadow
+    the screen built and drops it from the cache; no second shadow is
+    built, and no exact rank profile is taken."""
+    real_build = hwmod._build
+    builds = []
+
+    def counted(datum, lam, field, picks=None):
+        builds.append((lam.coords, type(field).__name__, picks is not None))
+        return real_build(datum, lam, field, picks)
+
+    def no_profile(rows):
+        raise AssertionError("exact rank profile taken")
+
+    for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+        monkeypatch.setattr(A2, cache, {})
+    monkeypatch.setattr(hwmod, "_build", counted)
+    monkeypatch.setattr(hwmod, "column_rank_profile", no_profile)
+    # A2 word 1,2,1 at k = 1: the target V(1,0) is not screened, V(2,0) is
+    # screened out and V(1,1) is screened and wins
+    assert find_presentation(TorusPresentation(A2, (1, 2, 1)), 1).lam.coords == (1, 1)
+    assert builds == [
+        ((1, 0), "_Shadow", False),
+        ((1, 0), "_Exact", True),
+        ((2, 0), "_Shadow", False),
+        ((1, 1), "_Shadow", False),
+        ((1, 1), "_Exact", True),
+    ]
+    assert set(A2._shadow_cache) == {(2, 0)}
 
 
 def test_shadow_specializes_exact_module():

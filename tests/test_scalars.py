@@ -69,8 +69,8 @@ def test_qbinom_nonnegative_cases():
         for k in range(0, n + 1):
             assert qbinom(n, k) * qfact(k) * qfact(n - k) == qfact(n)
             assert qbinom(n, k) == qbinom(n, n - k)
-            # bar symmetry of balanced q-binomials
-            assert qbinom(n, k).bar() == qbinom(n, k)
+            # bar symmetry q -> q^{-1} of balanced q-binomials
+            assert {-e: c for e, c in qbinom(n, k).c.items()} == qbinom(n, k).c
 
 
 def test_qbinom_negative_upper_argument():
@@ -101,9 +101,7 @@ def test_laurent_basics():
     x = lau({2: 3, -1: -1})
     assert x + (-x) == lau({})
     assert x * LaurentQ.q_power(5) == x.shift(5)
-    assert (x ** 2) == x * x
     assert x.subst(3) == lau({6: 3, -3: -1})
-    assert x.bar() == lau({-2: 3, 1: -1})
 
 
 def test_laurent_exact_division():
@@ -120,8 +118,6 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert (a * b).bar() == a.bar() * b.bar()
-    assert (a + b).subst(2) == a.subst(2) + b.subst(2)
 
 
 # ------------------------------------------------------------------ the field
@@ -168,29 +164,15 @@ def test_division_cancels(a, b):
     _assert_canonical(a / b)
 
 
-@given(scalars, scalars)
-@settings(max_examples=60)
-def test_bar_is_a_field_involution(a, b):
-    assert a.bar().bar() == a
-    assert (a + b).bar() == a.bar() + b.bar()
-    assert (a * b).bar() == a.bar() * b.bar()
-    _assert_canonical(a.bar())
-
-
-@given(scalars, scalars)
+@given(laurents, laurents)
 @settings(max_examples=40)
 def test_subst_is_a_homomorphism(a, b):
     for d in (2, 3):
         assert (a + b).subst(d) == a.subst(d) + b.subst(d)
         assert (a * b).subst(d) == a.subst(d) * b.subst(d)
-        _assert_canonical(a.subst(d))
 
 
 def test_powers():
-    x = ScalarQ(qint(2), qint(3))
-    assert x ** 0 == ScalarQ(1)
-    assert x ** 3 == x * x * x
-    assert x ** -2 == (x.inverse()) ** 2
     assert ScalarQ.q_power(-4) == ScalarQ(1) / ScalarQ.q_power(4)
 
 
@@ -204,9 +186,9 @@ def test_q_power_detection():
 
 
 def test_subst_qi_dispatch():
-    # q -> q_i = q^d on both scalar classes
+    # q -> q_i = q^d, as the module actions and the Serre elements use it
     assert qint(2).subst(2) == lau({2: 1, -2: 1})
-    assert ScalarQ(qint(2)).subst(3) == ScalarQ(lau({3: 1, -3: 1}))
+    assert qint(2).subst(3).to_scalar() == ScalarQ(lau({3: 1, -3: 1}))
 
 
 # ------------------------------------------------------------------ text form
