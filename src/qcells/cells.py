@@ -189,7 +189,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
         rem[i - 1] = cap
         acc[k] = 0
 
-    descend(n - 1, right)
+    try:
+        descend(n - 1, right)
+    finally:
+        # descend reaches itself through its closure; dropping the name ends
+        # that cycle, so refcounting frees the vectors its closure holds
+        del descend
     return terms
 
 

@@ -15,7 +15,8 @@ selftest a failed identity outranks a capped search.
 
 Defaults for --search-cap (verify and sweep) and --format can be
 overridden with the environment variables QCELLS_SEARCH_CAP and
-QCELLS_FORMAT.
+QCELLS_FORMAT; each is read, and checked, only by the subcommands that
+take its option.
 """
 
 from __future__ import annotations
@@ -405,20 +406,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify quantum torus images of flag minors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    search_cap = _env_default("QCELLS_SEARCH_CAP", _nonneg_int, _DEFAULT_SEARCH_CAP)
-    fmt = _env_default("QCELLS_FORMAT", _format_name, "text")
 
     def common(p: argparse.ArgumentParser, word_required: bool = True) -> None:
         p.add_argument("--cartan", required=True, help="Cartan type, e.g. A2, B2, G2")
         if word_required:
             p.add_argument("--word", required=True, help="comma-separated letters, 1-based")
-        p.add_argument("--format", choices=_FORMATS, default=fmt)
+        p.add_argument("--format", choices=_FORMATS)
 
     def searching(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--search-cap",
             type=_nonneg_int,
-            default=search_cap,
             help="largest coordinate sum tried for the presenting highest weight",
         )
 
@@ -449,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cartan", required=True)
     p.add_argument("--word", default=None, help="element given by any word over the letters")
     p.add_argument("--max-length", type=_nonneg_int, default=None)
-    p.add_argument("--format", choices=_FORMATS, default=fmt)
+    p.add_argument("--format", choices=_FORMATS)
     p.set_defaults(func=cmd_reduced_words)
 
     p = sub.add_parser("selftest", help="run a fixed battery of known values")
@@ -458,9 +456,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (option dest, environment variable, parse, fallback): defaults of options
+# that only some subcommands take, read and checked only for those
+_ENV_DEFAULTS = (
+    ("search_cap", "QCELLS_SEARCH_CAP", _nonneg_int, _DEFAULT_SEARCH_CAP),
+    ("format", "QCELLS_FORMAT", _format_name, "text"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for dest, name, parse, fallback in _ENV_DEFAULTS:
+            if hasattr(args, dest):
+                default = _env_default(name, parse, fallback)
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,13 @@ The multiplicity m(mu) comes first, exactly, from the weight spaces above
 mu, and mu is skipped when it is 0.  An exact build takes the pick of each
 weight space from the basis tags of the module's GF(p) shadow (below), or,
 when the shadow gave up, the exact column rank profile of the Gram matrix.
-Exact facts certify the pick: it has m(mu) vectors, and the exact solve on
-their Gram block proves them independent.
+The f_i action comes from the e-images: as mu is below lam, a vector of
+weight mu is fixed by its images e_i v, which the recursion above already
+computes, so each candidate has unique coordinates X over the pick with
+Phi_sel X = Phi_c, where column c of Phi stacks the e-images of candidate
+c.  Exact facts certify the pick: it has m(mu) vectors, and the exact
+solve, which checks that Phi_sel has full column rank, proves them
+independent.
 
 Stored per module: basis tags, Gram matrices, and the matrices of the
 Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
@@ -24,21 +29,24 @@ entries (build_module, get_module), or its GF(p) shadow at q = q0
 profile and gives up, raising ZeroDivisionError, when a pick is short or a
 division by zero occurs.  A shadow that is built is the specialization of
 the exact module at q0: every shadow pick has m(mu) vectors, so the exact
-build takes the same pick; each picked Gram block is nonsingular at q0,
-so by Cramer's rule every exact entry is defined there; and the shadow
-computes those entries by the same ring operations mod p.  Actions, divided
-powers, the form and extremal vectors work over both fields; the braid
-operators are exact only.
+build takes the same pick; each picked Gram block G_sel is nonsingular at
+q0, and G_sel = S^T D Phi_sel, with S selecting the picked rows and D block
+diagonal of the Gram matrices above, so Phi_sel has full column rank at q0
+and X also solves G_sel X = S^T D Phi_c, whence by Cramer's rule every
+exact entry is defined there; and the shadow computes those entries by the
+same ring operations mod p, its solve on Phi_sel included.  Actions,
+divided powers, the form and extremal vectors work over both fields; the
+braid operators are exact only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
-from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_square_multi
+from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_unique
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
 
@@ -188,10 +196,11 @@ def _apply_cols(
 
 
 # The prime field and evaluation point of the shadow.  In an exact build they
-# only pick bases: a built shadow's pick has m(mu) columns, so its Gram block
-# is nonsingular mod p, hence exactly.  A shorter pick, or a denominator that
-# vanishes at the point, makes the shadow give up, and the exact build then
-# takes the exact rank profile at every weight.
+# only pick bases: a built shadow's pick has m(mu) columns and its Gram block
+# is nonsingular mod p, so the picked e-images Phi_sel have full column rank
+# mod p, hence exactly, which the exact solve checks.  A shorter pick, or a
+# denominator that vanishes at the point, makes the shadow give up, and the
+# exact build then takes the exact rank profile at every weight.
 _PROFILE_P = (1 << 61) - 1
 _PROFILE_Q0 = 1220703125
 
@@ -247,14 +256,17 @@ def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
     return _mod_echelon(m, len(m[0]) if m else 0)
 
 
-def _mod_solve_square(rows: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
-    """Solve A X = B mod p for square A, with B given as columns; raises
-    ZeroDivisionError when A is singular mod p."""
+def _mod_solve(rows: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
+    """Solve A X = B mod p for A of full column rank, square or tall, with B
+    given as columns; raises ZeroDivisionError when A has a rank deficit
+    mod p or a column of B is not in its column space."""
     p = _PROFILE_P
-    n = len(rows)
+    n = len(rows[0]) if rows else 0
     m = [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
     if _mod_echelon(m, n) != list(range(n)):
-        raise ZeroDivisionError("singular block mod p")
+        raise ZeroDivisionError("rank deficit mod p")
+    if any(any(row[n:]) for row in m[n:]):
+        raise ZeroDivisionError("inconsistent right-hand side mod p")
     width = n + len(rhs_cols)
     for k in range(n - 1, 0, -1):
         krow = m[k]
@@ -289,6 +301,7 @@ class _Exact:
     apply_cols = staticmethod(_apply_cols)
     gram_row = staticmethod(mat_vec)
     inv_qint = staticmethod(_inv_qint)
+    solve = staticmethod(solve_unique)
 
     @staticmethod
     def nonzero(coeffs: list[ScalarQ]) -> bool:
@@ -329,10 +342,6 @@ class _Exact:
         """The exact column rank profile, for a build without a shadow."""
         return column_rank_profile(rows)
 
-    @staticmethod
-    def solve(g: list[list[ScalarQ]], rhs_cols: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
-        return solve_square_multi(g, rhs_cols)
-
 
 class _Shadow:
     """GF(p) at q = q0, with int entries in [0, p): the shadow build and its
@@ -341,6 +350,7 @@ class _Shadow:
     zero = 0
     one = 1
     nonzero = any
+    solve = staticmethod(_mod_solve)
 
     def __init__(self) -> None:
         self.powers: dict[int, int] = {}
@@ -413,10 +423,6 @@ class _Shadow:
             raise ZeroDivisionError("short pick mod p")
         return sel
 
-    @staticmethod
-    def solve(g: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
-        return _mod_solve_square(g, rhs_cols)
-
     def specialize(self, terms: dict) -> dict:
         """A term dict over Q(q) at q0; ZeroDivisionError when a denominator
         vanishes there."""
@@ -482,7 +488,8 @@ def _build(
     """The layer walk: V(lam) for dominant lam over field, all weight spaces
     at once.  Each weight space takes its basis tags from picks, a shadow's
     basis, when given, and otherwise the rank profile of its Gram matrix
-    over field."""
+    over field; its candidates' coordinates over the pick come from their
+    e-images."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
@@ -537,27 +544,42 @@ def _build(
                     per_col.append(z)
                 zvecs[i] = per_col
 
-            def gram_row(ridx: int) -> list:
-                i, parent_i, vidx, _t = cands[ridx]
-                return field.gram_row(zvecs[i], mod.gram[parent_i][vidx])
+            def gram_rows(rows: Sequence[int], cols: Sequence[int]) -> list[list]:
+                """The Gram block on candidates rows x cols, by adjointness:
+                (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c])."""
+                out = []
+                for r in rows:
+                    i, parent_i, vidx, _t = cands[r]
+                    zcols = [zvecs[i][c] for c in cols]
+                    out.append(field.gram_row(zcols, mod.gram[parent_i][vidx]))
+                return out
 
+            # a rank profile needs whole Gram rows; given picks, only their
+            # block is computed
             if picks is None:
-                rows = [gram_row(r) for r in range(n)]
+                rows = gram_rows(range(n), range(n))
                 sel = field.rank_profile(rows, mult)
-                sel_rows = [rows[r] for r in sel]
+                g = [[rows[r][c] for c in sel] for r in sel]
             else:
                 at = {cand[3]: r for r, cand in enumerate(cands)}
                 sel = [at[tag] for tag in picks[mu]]
-                sel_rows = [gram_row(r) for r in sel]
+                g = gram_rows(sel, sel)
             if len(sel) != mult:
                 raise AssertionError(
                     f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
                 )
-            # the Gram matrix is symmetric, so its block on the rows and
-            # columns of its rank profile is nonsingular, mod p as exactly
+            # mu is below lam, so a vector of weight mu is fixed by its
+            # e-images: column c of phi stacks z[i][c] over the sorted i, and
+            # candidate c has the unique coordinates X over the pick with
+            # phi_sel X = phi_c.  As g = S^T D phi_sel, with S selecting the
+            # picked rows and D block diagonal of the Gram matrices above, a
+            # g nonsingular at q0 or exactly gives phi_sel full column rank;
+            # the solve checks that rank, so it certifies the pick
+            # independent, mod p as exactly
+            phi = [[x for per_col in zvecs.values() for x in per_col[c]] for c in range(n)]
             unsel = [c for c in range(n) if c not in sel]
-            g = [[row[c] for c in sel] for row in sel_rows]
-            sol_cols = field.solve(g, [[row[c] for row in sel_rows] for c in unsel])
+            phi_sel = [list(row) for row in zip(*(phi[c] for c in sel))]
+            sol_cols = field.solve(phi_sel, [phi[c] for c in unsel])
 
             mod.basis[mu] = tuple(cands[c][3] for c in sel)
             mod.gram[mu] = g
@@ -590,10 +612,15 @@ def _build(
 def _shadow_basis(datum: RootDatum, lam: Weight) -> dict | None:
     """The basis tags of the shadow of V(lam), or None when it gave up.  A
     shadow only screens a module that is not built, so it leaves the cache
-    here, and only its tags outlive this call."""
+    here, and only its tags outlive this call.  Its memos hold vectors that
+    point back at it, so they are cleared to let refcounting free it."""
     shadow = shadow_module(datum, lam)
     del datum._shadow_cache[lam.coords]
-    return None if shadow is None else shadow.basis
+    if shadow is None:
+        return None
+    shadow._extremal_memo.clear()
+    shadow._tinv_memo.clear()
+    return shadow.basis
 
 
 def build_module(datum: RootDatum, lam: Weight) -> HWModule:

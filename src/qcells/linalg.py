@@ -16,7 +16,7 @@ __all__ = [
     "solve_linear",
     "column_rank_profile",
     "invert_matrix",
-    "solve_square_multi",
+    "solve_unique",
     "mat_vec",
 ]
 
@@ -150,26 +150,32 @@ def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
     """Inverse of a square invertible matrix over Q(q)."""
     n = len(rows)
     ident = [[S_ONE if r == c else S_ZERO for r in range(n)] for c in range(n)]
-    cols = solve_square_multi(rows, ident)
+    cols = solve_unique(rows, ident)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def solve_square_multi(
+def solve_unique(
     rows: list[list[ScalarQ]], rhs_cols: list[list[ScalarQ]]
 ) -> list[list[ScalarQ]]:
-    """Solve A X = B for square invertible A, with B given as columns.
+    """Solve A X = B for A of full column rank, square or tall, with B
+    given as columns.
 
-    Returns the solution columns; raises ValueError when A is singular.
+    Returns the solution columns, each unique.  Raises ValueError when A
+    has a rank deficit or some column of B is not in its column space.
     One elimination is shared by all right-hand sides.
     """
-    n = len(rows)
+    nc = len(rows[0]) if rows else 0
     aug = _clear_rows(
         [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
     )
     pivots = _echelon(aug)
-    if len(pivots) != n or any(c >= n for _, c in pivots):
-        raise ValueError("matrix is singular")
-    return [_back_substitute(aug, pivots, n, n + j) for j in range(len(rhs_cols))]
+    if [c for _, c in pivots[:nc]] != list(range(nc)):
+        raise ValueError("matrix has a rank deficit")
+    # past the pivots of A every row is zero on A, so a further pivot is a
+    # row of B that A cannot reach
+    if len(pivots) > nc:
+        raise ValueError("inconsistent right-hand side")
+    return [_back_substitute(aug, pivots, nc, nc + j) for j in range(len(rhs_cols))]
 
 
 def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:

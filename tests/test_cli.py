@@ -284,6 +284,11 @@ PINNED_OUTPUTS = [
         ("verify", "--cartan", "B3", "--word", "1,2,3,2,1,3,2,3,2", "--k", "7"),
         "800b6da9c01d69ebd114179e954af72bd254dd508be2e4301b6d09b69ab57f34",
     ),
+    # one exact build of G2 V(2,1), dimension 189
+    (
+        ("feigin-minor", "--cartan", "G2", "--word", "1,2,1,2,1,2", "--lambda", "2,1"),
+        "604cd5076a8a7484ef8cba2e48d4c76a98cee33394d4f8898d632423ced7b9c3",
+    ),
 ]
 
 
@@ -373,6 +378,37 @@ def test_bad_environment_value_is_usage_error(capsys, monkeypatch, name, value):
     code, out, err = run(capsys, "verify", "--cartan", "A1", "--word", "1")
     assert code == 2
     assert name in err and not out
+
+
+@pytest.mark.parametrize("name, value", [("QCELLS_FORMAT", "xml"), ("QCELLS_SEARCH_CAP", "abc")])
+def test_bad_environment_value_stops_sweep_even_with_option(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    for option in ((), ("--format", "text"), ("--search-cap", "3")):
+        code, out, err = run(capsys, "sweep", "--cartan", "A1", *option)
+        assert code == 2, option
+        assert name in err and not out
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("QCELLS_SEARCH_CAP", "abc", ("reduced-words", "--cartan", "A2")),
+        (
+            "QCELLS_SEARCH_CAP",
+            "-1",
+            ("feigin-minor", "--cartan", "A2", "--word", "1", "--lambda", "1,0"),
+        ),
+        ("QCELLS_SEARCH_CAP", "abc", ("selftest",)),
+        ("QCELLS_FORMAT", "xml", ("selftest",)),
+    ],
+)
+def test_environment_value_is_read_only_where_its_option_is(
+    capsys, monkeypatch, name, value, argv
+):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out and not err
 
 
 @pytest.mark.parametrize(

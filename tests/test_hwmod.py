@@ -3,6 +3,7 @@ contravariant form, divided powers, extremal vectors, and braid operators."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -264,6 +265,87 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
         ((1, 1), "_Exact", True),
     ]
     assert set(A2._shadow_cache) == {(2, 0)}
+
+
+def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
+    """A shadow dropped once its exact module is built is in no reference
+    cycle: with the cycle collector off, no shadow that left the cache is
+    still alive after the search."""
+
+    def live_shadows():
+        return [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, hwmod.HWModule) and isinstance(o.field, hwmod._Shadow)
+        ]
+
+    for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+        monkeypatch.setattr(A2, cache, {})
+    gc.collect()
+    before = {id(o) for o in live_shadows()}
+    gc.disable()
+    try:
+        # the screen builds the shadows of V(1,0), V(2,0) and V(1,1); the
+        # exact builds of V(1,0) and V(1,1) drop theirs
+        assert find_presentation(TorusPresentation(A2, (1, 2, 1)), 1).lam.coords == (1, 1)
+        new = [o for o in live_shadows() if id(o) not in before]
+        kept = set(map(id, A2._shadow_cache.values()))
+        dropped = [o.lam.coords for o in new if id(o) not in kept]
+    finally:
+        gc.enable()
+    assert [o.lam.coords for o in new] == [(2, 0)]
+    assert dropped == []
+
+
+def test_mod_solve_full_column_rank():
+    """The shadow's solve takes square and tall systems of full column rank,
+    and gives up on a rank deficit or an inconsistent column."""
+    p = hwmod._PROFILE_P
+    rows = [[1, 0], [2, 3], [0, 5]]
+    x = [[7, p - 1], [0, 4]]
+    rhs = [[sum(a * b for a, b in zip(row, col)) % p for row in rows] for col in x]
+    assert hwmod._mod_solve(rows, rhs) == x
+    assert hwmod._mod_solve(rows[:2], [col[:2] for col in rhs]) == x
+    with pytest.raises(ZeroDivisionError, match="inconsistent"):
+        hwmod._mod_solve(rows, [rhs[0], [1, 0, 0]])
+    with pytest.raises(ZeroDivisionError, match="rank deficit"):
+        hwmod._mod_solve([[1, 2], [2, 4], [3, 6]], [[1, 2, 3]])
+
+
+def test_f_columns_solve_the_gram_block():
+    """Every stored f-column x of a candidate f_j b_w at weight mu solves the
+    Gram-block system gram[mu] x = R, where R_k = (e_j b_k, b_w) comes from
+    the raising action and the Gram matrix of the parent weight."""
+    A3 = build_root_datum("A3")
+    for datum, coords in ((A3, (1, 1, 1)), (B2, (1, 1)), (G2, (1, 1))):
+        mod = get_module(datum, Weight(coords))
+        unpicked = 0
+        for (j, parent), cols in mod.fmat.items():
+            mu = parent - datum.alpha_weight(j)
+            tags = mod.basis[mu]
+            for widx, x in enumerate(cols):
+                b_w = mod.basis_vector(parent, widx)
+                rhs = [
+                    contravariant_form(act_e(j, mod.basis_vector(mu, k)), b_w)
+                    for k in range(len(tags))
+                ]
+                assert hwmod.mat_vec(mod.gram[mu], list(x)) == rhs
+                unpicked += (j,) + mod.basis[parent][widx] not in tags
+        assert unpicked > 0
+
+
+def test_dependent_pick_is_refused():
+    """A pick whose vectors are dependent fails the solve, which checks the
+    rank of their e-images, over either field."""
+    lam = Weight((1, 1))
+    picks = dict(shadow_module(A2, lam).basis)
+    zero = Weight((0, 0))
+    assert len(picks[zero]) == 2
+    picks[zero] = (picks[zero][0],) * 2
+    with pytest.raises(ValueError, match="rank deficit"):
+        hwmod._build(A2, lam, hwmod._Exact(), picks)
+    with pytest.raises(ZeroDivisionError, match="rank deficit"):
+        hwmod._build(A2, lam, hwmod._Shadow(), picks)
 
 
 def test_shadow_specializes_exact_module():

@@ -7,11 +7,14 @@ import random
 import pytest
 
 from qcells.linalg import (
+    _back_substitute,
+    _clear_rows,
+    _echelon,
     column_rank_profile,
     invert_matrix,
     mat_vec,
     solve_linear,
-    solve_square_multi,
+    solve_unique,
 )
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -112,24 +115,74 @@ def test_invert_matrix_singular():
         invert_matrix(rows)
 
 
-def test_solve_square_multi_matches_inverse():
+def old_solve_square_multi(rows, rhs_cols):
+    """Reference: the square solve solve_unique replaced, for A invertible."""
+    n = len(rows)
+    aug = _clear_rows([row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)])
+    pivots = _echelon(aug)
+    if len(pivots) != n or any(c >= n for _, c in pivots):
+        raise ValueError("matrix is singular")
+    return [_back_substitute(aug, pivots, n, n + j) for j in range(len(rhs_cols))]
+
+
+def test_solve_unique_square_matches_old_solve():
     rng = random.Random(11)
-    for _ in range(6):
+    solved = 0
+    for _ in range(12):
         n = rng.randrange(2, 5)
         rows = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
         cols = [[rand_scalar(rng) for _ in range(n)] for _ in range(2)]
         try:
-            sols = solve_square_multi(rows, cols)
+            want = old_solve_square_multi(rows, cols)
         except ValueError:
+            with pytest.raises(ValueError):
+                solve_unique(rows, cols)
             continue
+        sols = solve_unique(rows, cols)
+        assert sols == want
         for c in range(2):
             assert mat_vec(rows, sols[c]) == cols[c]
+        solved += 1
+    assert solved >= 6
 
 
-def test_solve_square_multi_singular():
-    rows = [[ONE, ONE], [ONE, ONE]]
-    with pytest.raises(ValueError):
-        solve_square_multi(rows, [[ONE, ZERO]])
+def test_solve_unique_tall_consistent():
+    rng = random.Random(17)
+    solved = 0
+    for _ in range(6):
+        n = rng.randrange(1, 4)
+        rows = [[rand_scalar(rng) for _ in range(n)] for _ in range(n + 3)]
+        if column_rank_profile(rows) != list(range(n)):
+            continue
+        xs = [[rand_scalar(rng) for _ in range(n)] for _ in range(3)]
+        assert solve_unique(rows, [mat_vec(rows, x) for x in xs]) == xs
+        solved += 1
+    assert solved >= 4
+    # a tall system whose first rows are singular: the pivots come from below
+    rows = [[ONE, ONE], [Q, Q], [ZERO, Q], [ZERO, ZERO]]
+    assert solve_unique(rows, [[sc(2), Q * sc(2), Q, ZERO]]) == [[ONE, ONE]]
+
+
+def test_solve_unique_inconsistent_raises():
+    rows = [[ONE, ZERO], [ZERO, ONE], [ONE, Q]]
+    good = mat_vec(rows, [Q, sc(3)])
+    bad = [ONE, ONE, ONE]
+    assert solve_unique(rows, [good]) == [[Q, sc(3)]]
+    # one column outside the column space fails the whole solve
+    for cols in ([bad], [good, bad], [bad, good]):
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_unique(rows, cols)
+
+
+def test_solve_unique_rank_deficit():
+    with pytest.raises(ValueError, match="rank deficit"):
+        solve_unique([[ONE, ONE], [ONE, ONE]], [[ONE, ZERO]])
+    # a tall system of rank 1 in two unknowns, consistent right-hand side
+    # included; no right-hand side at all still checks the rank
+    rows = [[ONE, Q], [Q, Q * Q], [ZERO, ZERO]]
+    for cols in ([mat_vec(rows, [ONE, ONE])], []):
+        with pytest.raises(ValueError, match="rank deficit"):
+            solve_unique(rows, cols)
 
 
 def test_mat_vec_and_mul_consistency():

@@ -1,0 +1,72 @@
+"""Pinned fingerprints of exact modules: the sha256 of a canonical text of
+each module's basis tags, Gram blocks and action matrices.  A change to how
+a module is built must leave every exact entry as it was."""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from qcells.cartan import Weight, build_root_datum
+from qcells.hwmod import build_module
+from qcells.scalars import scalar_str
+
+
+def module_text(mod) -> str:
+    """One line per weight space and per action matrix, entries in scalar_str."""
+
+    def block(lines) -> str:
+        return ";".join(",".join(scalar_str(x) for x in line) for line in lines)
+
+    out = []
+    for mu in mod.weights:
+        out.append(f"basis {mu.coords} {mod.basis[mu]}")
+        out.append(f"gram {mu.coords} {block(mod.gram[mu])}")
+    for name in ("fmat", "emat"):
+        mats = getattr(mod, name)
+        for i, mu in sorted(mats, key=lambda key: (key[0], key[1].coords)):
+            out.append(f"{name} {i} {mu.coords} {block(mats[(i, mu)])}")
+    return "\n".join(out) + "\n"
+
+
+# recorded at the commit that solved each weight space's f-action from its
+# Gram block, before it was solved from the e-images
+FINGERPRINTS = [
+    (
+        "A3",
+        (1, 1, 1),
+        "6979271612bc3fc5b0ccda075cfe696cadc8ff243c43806477453f9eeea863b9",
+    ),
+    (
+        "B3",
+        (0, 2, 0),
+        "77fcba5a6a8aadc809bc15daa10009f2c96454f2d900c8127049b931e11c8b56",
+    ),
+    (
+        "B3",
+        (1, 0, 2),
+        "b2b07a40c2a6dfd60d9757afdd328b616ad301e8aa0a14a4188e3d13ff78cb58",
+    ),
+    (
+        "C3",
+        (1, 1, 0),
+        "127e15cf8ea79947e816f302c28183b343df819dc881b671eb2c9d1a29103b63",
+    ),
+    (
+        "D4",
+        (1, 0, 0, 1),
+        "04d27771b32cff613d9e038922dcce31055b8db15837f25301fda4978f8d3180",
+    ),
+    (
+        "G2",
+        (2, 1),
+        "6461d02b31e70695d68601c61bd81fbb0040932ec3c50c57f7e42f125fa95d57",
+    ),
+]
+
+
+@pytest.mark.parametrize("cartan, coords, digest", FINGERPRINTS)
+def test_exact_module_fingerprint(cartan, coords, digest):
+    mod = build_module(build_root_datum(cartan), Weight(coords))
+    assert hashlib.sha256(module_text(mod).encode()).hexdigest() == digest
