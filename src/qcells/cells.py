@@ -306,13 +306,15 @@ def _screened_out(
     V(lam')_{mu'} has the target image: the weight space is empty, or the
     system of find_presentation has a certificate of inconsistency at q0.
 
-    The proof: the exact build of V(lam') takes the picks of this shadow,
-    which have m(mu) vectors each, and the shadow is the specialization at
-    q0 of every exact entry (see hwmod); its system is then the
-    specialization of the exact one.  If A(q0) has full column rank r, some r x r minor of
-    A is nonzero at q0, so an exact solution x of A x = b would be defined
-    there by Cramer's rule and give A(q0) x(q0) = b(q0), which rank
-    [A|b](q0) = r + 1 rules out.  Every other outcome (no shadow, a division
+    The proof: the shadow is the specialization at q0 of V(lam') over the
+    exact basis with the shadow's picks (see hwmod), so its system is the
+    specialization of that basis's exact one.  If A(q0) has full column
+    rank r, some r x r minor of A is nonzero at q0, so an exact solution x
+    of A x = b would be defined there by Cramer's rule and give
+    A(q0) x(q0) = b(q0), which rank [A|b](q0) = r + 1 rules out.  Whether
+    some u' has the target image does not depend on the basis, so neither
+    does the certificate, and the exact search, in the basis of the exact
+    build, finds no u' either.  Every other outcome (no shadow, a division
     by zero at q0, rank A(q0) < r, a consistent system) proves nothing and
     returns False, leaving the candidate to the exact search."""
     shadow = shadow_module(pres.datum, lamp)
@@ -372,11 +374,7 @@ def find_presentation(
         coeffs = solve_linear(*_system(pres, modp, mup, target.terms))
         if coeffs is None:
             continue
-        uprime = modp.zero()
-        for s, c in enumerate(coeffs):
-            if c.num.c:
-                uprime = uprime + modp.basis_vector(mup, s).scaled(c)
-        return Presentation(lamp, uprime, coeffs)
+        return Presentation(lamp, ModuleVector(modp, {mup: coeffs}), coeffs)
     raise PresentationError(tried)
 
 
@@ -533,8 +531,4 @@ def minor_representative(left: ModuleVector, right: ModuleVector) -> FreeNegElem
     sol = solve_linear(gram, rhs)
     if sol is None:
         raise AssertionError("matrix-coefficient functional not realized by the form")
-    out = FreeNegElement.zero(datum)
-    for c, el in zip(sol, elems):
-        if c.num.c:
-            out = out + el.scaled(c)
-    return out
+    return FreeNegElement(datum, dict(zip(zs, sol)))

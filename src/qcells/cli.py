@@ -97,9 +97,17 @@ def _datum(cartan: str) -> RootDatum:
         raise UsageError(str(exc)) from exc
 
 
+def _int_fields(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of text, spaces ignored, and none for an
+    empty text.  Raises ValueError on any other field that is not an
+    integer, an empty one included."""
+    text = text.replace(" ", "")
+    return tuple(int(p) for p in text.split(",")) if text else ()
+
+
 def _parse_word(text: str, datum: RootDatum) -> tuple[int, ...]:
     try:
-        letters = tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+        letters = _int_fields(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse word {text!r}: letters must be integers") from exc
     if not letters:
@@ -121,7 +129,7 @@ def _parse_reduced_word(text: str, datum: RootDatum) -> tuple[int, ...]:
 
 def _parse_lambda(text: str, datum: RootDatum) -> Weight:
     try:
-        coords = tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+        coords = _int_fields(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse weight {text!r}") from exc
     if len(coords) != len(datum.index_set):

@@ -2,22 +2,22 @@
 
 A module V(lam) is built weight space by weight space, descending by
 height.  The basis of the weight space mu is picked from the candidates
-f_i . (basis of V(mu + alpha_i)) through their Gram matrix under the
-contravariant form, computed by the commutation recursion
+f_i . (basis of V(mu + alpha_i)).  The multiplicity m(mu) comes first,
+exactly, from the weight spaces above mu, and mu is skipped when it is 0.
+As mu is below lam, a vector of weight mu is fixed by its images e_i v,
+and the commutation
 
-    (f_i x, f_j y) = (x, f_j e_i y) + delta_ij [<h_i, wt y>]_{q_i} (x, y).
+    e_i f_j b = f_j e_i b + delta_ij [<h_i, wt b>]_{q_i} b
 
-The multiplicity m(mu) comes first, exactly, from the weight spaces above
-mu, and mu is skipped when it is 0.  An exact build takes the pick of each
-weight space from the basis tags of the module's GF(p) shadow (below), or,
-when the shadow gave up, the exact column rank profile of the Gram matrix.
-The f_i action comes from the e-images: as mu is below lam, a vector of
-weight mu is fixed by its images e_i v, which the recursion above already
-computes, so each candidate has unique coordinates X over the pick with
-Phi_sel X = Phi_c, where column c of Phi stacks the e-images of candidate
-c.  Exact facts certify the pick: it has m(mu) vectors, and the exact
-solve, which checks that Phi_sel has full column rank, proves them
-independent.
+gives those of the candidates from the weight spaces above.  Row (i, s) of
+the e-image matrix Phi is coordinate s of e_i of each candidate.  One
+elimination of Phi gives the pick, its column rank profile, and every
+other candidate's coordinates over the pick, which are the f_i action.  By
+adjointness, (f_i x, v) = (x, e_i v), the Gram matrix of the candidates
+under the contravariant form is D Phi, with D block diagonal of the
+nonsingular Gram matrices above; so the pick is the Gram matrix's profile
+and has m(mu) vectors, which the build checks, and only the Gram block on
+the pick is computed.
 
 Stored per module: basis tags, Gram matrices, and the matrices of the
 Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
@@ -25,28 +25,26 @@ keys mean the zero map.
 
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
-(shadow_module), with int entries.  The shadow picks the modular rank
-profile and gives up, raising ZeroDivisionError, when a pick is short or a
-division by zero occurs.  A shadow that is built is the specialization of
-the exact module at q0: every shadow pick has m(mu) vectors, so the exact
-build takes the same pick; each picked Gram block G_sel is nonsingular at
-q0, and G_sel = S^T D Phi_sel, with S selecting the picked rows and D block
-diagonal of the Gram matrices above, so Phi_sel has full column rank at q0
-and X also solves G_sel X = S^T D Phi_c, whence by Cramer's rule every
-exact entry is defined there; and the shadow computes those entries by the
-same ring operations mod p, its solve on Phi_sel included.  Actions,
-divided powers, the form and extremal vectors work over both fields; the
-braid operators are exact only.
+(shadow_module), with int entries.  The shadow only screens; no exact build
+reads it.  It gives up, raising ZeroDivisionError, when a Phi(q0) profile
+is short of m(mu) or a division by zero occurs.  A shadow that is built is
+the specialization at q0 of the exact module with its picks: each of its
+Phi(q0) profiles has m(mu) columns, so some m(mu) x m(mu) minor of the
+picked columns is nonzero at q0, and by Cramer's rule every exact
+coordinate over the pick is defined there; the shadow computes those
+entries by the same ring operations mod p.  Actions, divided powers, the
+form and extremal vectors work over both fields; the braid operators are
+exact only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
-from .linalg import column_rank_profile, invert_matrix, mat_vec, solve_unique
+from .linalg import column_dependencies, invert_matrix, mat_vec
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
 
@@ -78,7 +76,6 @@ class HWModule:
         "datum",
         "lam",
         "field",
-        "weights",
         "basis",
         "gram",
         "fmat",
@@ -92,7 +89,6 @@ class HWModule:
         self.datum = datum
         self.lam = lam
         self.field = field
-        self.weights: tuple[Weight, ...] = ()
         self.basis: dict[Weight, tuple[tuple[int, ...], ...]] = {}
         # entries are ScalarQ in an exact module, ints mod p in a shadow
         self.gram: dict[Weight, list[list]] = {}
@@ -195,12 +191,12 @@ def _apply_cols(
     return out
 
 
-# The prime field and evaluation point of the shadow.  In an exact build they
-# only pick bases: a built shadow's pick has m(mu) columns and its Gram block
-# is nonsingular mod p, so the picked e-images Phi_sel have full column rank
-# mod p, hence exactly, which the exact solve checks.  A shorter pick, or a
-# denominator that vanishes at the point, makes the shadow give up, and the
-# exact build then takes the exact rank profile at every weight.
+# The prime field and evaluation point of the shadow.  They only screen, and
+# no exact build reads a shadow, so no output depends on them.  A built
+# shadow's Phi(q0) profile has m(mu) columns at every weight, so by Cramer's
+# rule the shadow is the specialization of the exact module with those
+# picks.  A shorter profile, or a denominator that vanishes at the point,
+# makes the shadow give up.
 _PROFILE_P = (1 << 61) - 1
 _PROFILE_Q0 = 1220703125
 
@@ -251,32 +247,24 @@ def _mod_echelon(m: list[list[int]], ncols: int) -> list[int]:
     return piv
 
 
-def _mod_rank_profile(rows: list[list[int]]) -> list[int]:
-    m = [r[:] for r in rows]
-    return _mod_echelon(m, len(m[0]) if m else 0)
-
-
-def _mod_solve(rows: list[list[int]], rhs_cols: list[list[int]]) -> list[list[int]]:
-    """Solve A X = B mod p for A of full column rank, square or tall, with B
-    given as columns; raises ZeroDivisionError when A has a rank deficit
-    mod p or a column of B is not in its column space."""
+def _mod_dependencies(rows: list[list[int]]) -> tuple[list[int], dict[int, list[int]]]:
+    """The twin of linalg.column_dependencies mod p: the column rank profile
+    of rows and every other column's coordinates over it."""
     p = _PROFILE_P
-    n = len(rows[0]) if rows else 0
-    m = [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
-    if _mod_echelon(m, n) != list(range(n)):
-        raise ZeroDivisionError("rank deficit mod p")
-    if any(any(row[n:]) for row in m[n:]):
-        raise ZeroDivisionError("inconsistent right-hand side mod p")
-    width = n + len(rhs_cols)
-    for k in range(n - 1, 0, -1):
-        krow = m[k]
+    m = [r[:] for r in rows]
+    nc = len(m[0]) if m else 0
+    piv = _mod_echelon(m, nc)
+    # clear above each unit pivot: the reduced form holds the coordinates
+    for k in range(len(piv) - 1, 0, -1):
+        c, krow = piv[k], m[k]
         for r in range(k):
-            f = m[r][k]
+            f = m[r][c]
             if f:
                 row = m[r]
-                for cc in range(n, width):
+                for cc in range(c, nc):
                     row[cc] = (row[cc] - f * krow[cc]) % p
-    return [[m[r][n + j] for r in range(n)] for j in range(len(rhs_cols))]
+    at = set(piv)
+    return piv, {c: [m[k][c] for k in range(len(piv))] for c in range(nc) if c not in at}
 
 
 # A pure function of two small ints, the same for every root datum, so one
@@ -301,7 +289,6 @@ class _Exact:
     apply_cols = staticmethod(_apply_cols)
     gram_row = staticmethod(mat_vec)
     inv_qint = staticmethod(_inv_qint)
-    solve = staticmethod(solve_unique)
 
     @staticmethod
     def nonzero(coeffs: list[ScalarQ]) -> bool:
@@ -338,9 +325,9 @@ class _Exact:
         return acc
 
     @staticmethod
-    def rank_profile(rows: list[list[ScalarQ]], mult: int) -> list[int]:
-        """The exact column rank profile, for a build without a shadow."""
-        return column_rank_profile(rows)
+    def dependencies(rows: list[list[ScalarQ]], mult: int) -> tuple[list[int], dict]:
+        """The exact column dependencies; _build checks the pick's size."""
+        return column_dependencies(rows)
 
 
 class _Shadow:
@@ -350,7 +337,6 @@ class _Shadow:
     zero = 0
     one = 1
     nonzero = any
-    solve = staticmethod(_mod_solve)
 
     def __init__(self) -> None:
         self.powers: dict[int, int] = {}
@@ -416,12 +402,12 @@ class _Shadow:
         return acc % p
 
     @staticmethod
-    def rank_profile(rows: list[list[int]], mult: int) -> list[int]:
-        """The modular column rank profile; the shadow gives up on a short one."""
-        sel = _mod_rank_profile(rows)
+    def dependencies(rows: list[list[int]], mult: int) -> tuple[list[int], dict]:
+        """The modular column dependencies; the shadow gives up on a short pick."""
+        sel, deps = _mod_dependencies(rows)
         if len(sel) < mult:
             raise ZeroDivisionError("short pick mod p")
-        return sel
+        return sel, deps
 
     def specialize(self, terms: dict) -> dict:
         """A term dict over Q(q) at q0; ZeroDivisionError when a denominator
@@ -434,7 +420,7 @@ class _Shadow:
         one row, has rank A = r and rank [A|b] = r + 1: the column rank
         profile of [A|b] is all of its columns."""
         r = len(rows[0])
-        piv = _mod_rank_profile([row + [b] for row, b in zip(rows, rhs)])
+        piv = _mod_echelon([row + [b] for row, b in zip(rows, rhs)], r + 1)
         return piv == list(range(r + 1))
 
 
@@ -479,17 +465,11 @@ class ModuleTooLarge(ValueError):
 DIM_CAP = 5000
 
 
-def _build(
-    datum: RootDatum,
-    lam: Weight,
-    field: "_Exact | _Shadow",
-    picks: dict[Weight, tuple[tuple[int, ...], ...]] | None = None,
-) -> HWModule:
+def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
     """The layer walk: V(lam) for dominant lam over field, all weight spaces
-    at once.  Each weight space takes its basis tags from picks, a shadow's
-    basis, when given, and otherwise the rank profile of its Gram matrix
-    over field; its candidates' coordinates over the pick come from their
-    e-images."""
+    at once.  One elimination of each weight space's e-images over field
+    gives its pick, their column rank profile, and every candidate's
+    coordinates over it."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
@@ -519,7 +499,6 @@ def _build(
                     for widx, w in enumerate(tags):
                         cands.append((i, parent, widx, (i,) + w))
             cands.sort(key=lambda t: t[3])
-            n = len(cands)
 
             # z[i][c] = coefficients of f_{j_c} e_i b_{w_c} over basis(mu + alpha_i),
             # plus the commutator delta-term when i = j_c
@@ -544,42 +523,24 @@ def _build(
                     per_col.append(z)
                 zvecs[i] = per_col
 
-            def gram_rows(rows: Sequence[int], cols: Sequence[int]) -> list[list]:
-                """The Gram block on candidates rows x cols, by adjointness:
-                (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c])."""
-                out = []
-                for r in rows:
-                    i, parent_i, vidx, _t = cands[r]
-                    zcols = [zvecs[i][c] for c in cols]
-                    out.append(field.gram_row(zcols, mod.gram[parent_i][vidx]))
-                return out
-
-            # a rank profile needs whole Gram rows; given picks, only their
-            # block is computed
-            if picks is None:
-                rows = gram_rows(range(n), range(n))
-                sel = field.rank_profile(rows, mult)
-                g = [[rows[r][c] for c in sel] for r in sel]
-            else:
-                at = {cand[3]: r for r, cand in enumerate(cands)}
-                sel = [at[tag] for tag in picks[mu]]
-                g = gram_rows(sel, sel)
+            # mu is below lam, so a vector of weight mu is fixed by its
+            # e-images: row (i, s) of phi is coordinate s of z[i][c] across
+            # the candidates c.  The Gram matrix is D phi, with D block
+            # diagonal of the nonsingular Gram matrices above, so phi has its
+            # column rank profile, the pick, and the coordinates of the other
+            # candidates over the pick
+            phi = [list(row) for per_col in zvecs.values() for row in zip(*per_col)]
+            sel, coords = field.dependencies(phi, mult)
             if len(sel) != mult:
                 raise AssertionError(
                     f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
                 )
-            # mu is below lam, so a vector of weight mu is fixed by its
-            # e-images: column c of phi stacks z[i][c] over the sorted i, and
-            # candidate c has the unique coordinates X over the pick with
-            # phi_sel X = phi_c.  As g = S^T D phi_sel, with S selecting the
-            # picked rows and D block diagonal of the Gram matrices above, a
-            # g nonsingular at q0 or exactly gives phi_sel full column rank;
-            # the solve checks that rank, so it certifies the pick
-            # independent, mod p as exactly
-            phi = [[x for per_col in zvecs.values() for x in per_col[c]] for c in range(n)]
-            unsel = [c for c in range(n) if c not in sel]
-            phi_sel = [list(row) for row in zip(*(phi[c] for c in sel))]
-            sol_cols = field.solve(phi_sel, [phi[c] for c in unsel])
+            # the Gram block on the pick, by adjointness:
+            # (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c])
+            g = []
+            for r in sel:
+                i, parent_i, vidx, _t = cands[r]
+                g.append(field.gram_row([zvecs[i][c] for c in sel], mod.gram[parent_i][vidx]))
 
             mod.basis[mu] = tuple(cands[c][3] for c in sel)
             mod.gram[mu] = g
@@ -593,7 +554,6 @@ def _build(
             # express every candidate over the picked basis to get the f_i
             # action matrices out of the parents; each parent basis vector is
             # exactly one candidate, so every column gets filled
-            coords = dict(zip(unsel, sol_cols))
             for k, c in enumerate(sel):
                 coords[c] = [field.one if r == k else field.zero for r in range(mult)]
             for cidx, (j, parent_j, widx, _tag) in enumerate(cands):
@@ -602,46 +562,36 @@ def _build(
 
         prev_layer = new_layer
 
-    mod.weights = tuple(mod.basis)
     mod.dim = sum(len(b) for b in mod.basis.values())
     if mod.dim != total:
         raise AssertionError(f"built dimension {mod.dim}, Weyl dimension {total}")
     return mod
 
 
-def _shadow_basis(datum: RootDatum, lam: Weight) -> dict | None:
-    """The basis tags of the shadow of V(lam), or None when it gave up.  A
-    shadow only screens a module that is not built, so it leaves the cache
-    here, and only its tags outlive this call.  Its memos hold vectors that
-    point back at it, so they are cleared to let refcounting free it."""
-    shadow = shadow_module(datum, lam)
-    del datum._shadow_cache[lam.coords]
-    if shadow is None:
-        return None
-    shadow._extremal_memo.clear()
-    shadow._tinv_memo.clear()
-    return shadow.basis
-
-
 def build_module(datum: RootDatum, lam: Weight) -> HWModule:
-    """Construct V(lam) over Q(q) for dominant lam, all weight spaces at once,
-    with the picks of its GF(p) shadow: the cached one, which is dropped, or
-    a new one."""
-    return _build(datum, lam, _Exact(), _shadow_basis(datum, lam))
+    """Construct V(lam) over Q(q) for dominant lam, all weight spaces at once."""
+    return _build(datum, lam, _Exact())
 
 
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
-    """V(lam) from the datum's module cache, built on the first request."""
+    """V(lam) from the datum's module cache, built on the first request.  A
+    built module needs no screen, so its shadow leaves the shadow cache; the
+    shadow's memos hold vectors that point back at it, so they are cleared
+    to let refcounting free it."""
     mod = datum._module_cache.get(lam.coords)
     if mod is None:
         mod = build_module(datum, lam)
         datum._module_cache[lam.coords] = mod
+        shadow = datum._shadow_cache.pop(lam.coords, None)
+        if shadow is not None:
+            shadow._extremal_memo.clear()
+            shadow._tinv_memo.clear()
     return mod
 
 
 def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
     """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
-    built on the first request and dropped once build_module builds V(lam):
+    built on the first request and dropped once get_module builds V(lam):
     the specialization of every exact entry, or None when the shadow gave
     up (a short pick or a division by zero).  Raises ModuleTooLarge as
     build_module does."""

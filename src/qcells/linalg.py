@@ -14,9 +14,8 @@ from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, _L_ONE, _dgcd
 
 __all__ = [
     "solve_linear",
-    "column_rank_profile",
+    "column_dependencies",
     "invert_matrix",
-    "solve_unique",
     "mat_vec",
 ]
 
@@ -102,14 +101,6 @@ def _echelon(rows: list[list[LaurentQ]]) -> list[tuple[int, int]]:
     return pivots
 
 
-def column_rank_profile(rows: list[list[ScalarQ]]) -> list[int]:
-    """Indices of the lexicographically first maximal independent column set."""
-    if not rows or not rows[0]:
-        return []
-    work = _clear_rows(rows)
-    return [c for _, c in _echelon(work)]
-
-
 def _back_substitute(
     aug: list[list[LaurentQ]], pivots: list[tuple[int, int]], nc: int, rhs: int
 ) -> list[ScalarQ]:
@@ -146,36 +137,41 @@ def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ]
     return _back_substitute(aug, pivots, nc, nc)
 
 
-def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
-    """Inverse of a square invertible matrix over Q(q)."""
-    n = len(rows)
-    ident = [[S_ONE if r == c else S_ZERO for r in range(n)] for c in range(n)]
-    cols = solve_unique(rows, ident)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def column_dependencies(
+    rows: list[list[ScalarQ]],
+) -> tuple[list[int], dict[int, list[ScalarQ]]]:
+    """The column rank profile of A, the indices of its lexicographically
+    first maximal independent column set, and every other column's
+    coordinates over the profile columns, keyed by column.
 
-
-def solve_unique(
-    rows: list[list[ScalarQ]], rhs_cols: list[list[ScalarQ]]
-) -> list[list[ScalarQ]]:
-    """Solve A X = B for A of full column rank, square or tall, with B
-    given as columns.
-
-    Returns the solution columns, each unique.  Raises ValueError when A
-    has a rank deficit or some column of B is not in its column space.
-    One elimination is shared by all right-hand sides.
+    Each column outside the profile depends on the profile columns to its
+    left, so its coordinates on the later ones are zero.  One elimination
+    serves every column.
     """
     nc = len(rows[0]) if rows else 0
-    aug = _clear_rows(
-        [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
-    )
-    pivots = _echelon(aug)
-    if [c for _, c in pivots[:nc]] != list(range(nc)):
-        raise ValueError("matrix has a rank deficit")
-    # past the pivots of A every row is zero on A, so a further pivot is a
-    # row of B that A cannot reach
-    if len(pivots) > nc:
-        raise ValueError("inconsistent right-hand side")
-    return [_back_substitute(aug, pivots, nc, nc + j) for j in range(len(rhs_cols))]
+    if not nc:
+        return [], {}
+    work = _clear_rows(rows)
+    pivots = _echelon(work)
+    profile = [c for _, c in pivots]
+    deps = {}
+    for c in sorted(set(range(nc)) - set(profile)):
+        x = _back_substitute(work, pivots, nc, c)
+        deps[c] = [x[p] for p in profile]
+    return profile, deps
+
+
+def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
+    """Inverse of a square matrix over Q(q), from the column dependencies of
+    [A | I]: A is invertible exactly when its columns are the profile, and
+    then column j of I has column j of the inverse as its coordinates.
+    Raises ValueError when A is singular."""
+    n = len(rows)
+    aug = [row + [S_ONE if r == c else S_ZERO for c in range(n)] for r, row in enumerate(rows)]
+    profile, deps = column_dependencies(aug)
+    if profile != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[deps[n + j][i] for j in range(n)] for i in range(n)]
 
 
 def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:

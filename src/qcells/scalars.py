@@ -10,7 +10,6 @@ modular tricks; equality of canonical forms is structural equality.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 
 
@@ -24,7 +23,6 @@ __all__ = [
     "gauss_product",
     "laurent_str",
     "scalar_str",
-    "parse_scalar",
 ]
 
 
@@ -380,14 +378,6 @@ class ScalarQ:
         )
 
     @classmethod
-    def from_int(cls, n: int) -> "ScalarQ":
-        if n == 0:
-            return S_ZERO
-        if n == 1:
-            return S_ONE
-        return cls._raw(LaurentQ._raw({0: n}), _L_ONE)
-
-    @classmethod
     def q_power(cls, e: int) -> "ScalarQ":
         return cls._raw(LaurentQ._raw({e: 1}), _L_ONE)
 
@@ -593,50 +583,3 @@ def scalar_str(x: "ScalarQ | LaurentQ") -> str:
     if x.den.c == {0: 1}:
         return laurent_str(x.num)
     return f"({laurent_str(x.num)})/({laurent_str(x.den)})"
-
-
-_TERM_RE = re.compile(r"([+-]?)((?:\d+\*)?q\^-?\d+|\d+)")
-
-
-def _parse_laurent(s: str) -> LaurentQ:
-    if s == "0":
-        return _L_ZERO
-    out: dict[int, int] = {}
-    pos = 0
-    first = True
-    for m in _TERM_RE.finditer(s):
-        if m.start() != pos:
-            raise ValueError(f"bad scalar text {s!r}")
-        sign, body = m.group(1), m.group(2)
-        if not first and not sign:
-            raise ValueError(f"bad scalar text {s!r}")
-        if "q" in body:
-            head, _, exp = body.partition("q^")
-            c = int(head[:-1]) if head else 1
-            e = int(exp)
-        else:
-            c = int(body)
-            e = 0
-        if sign == "-":
-            c = -c
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-        pos = m.end()
-        first = False
-    if pos != len(s) or first:
-        raise ValueError(f"bad scalar text {s!r}")
-    return LaurentQ._raw(out)
-
-
-def parse_scalar(s: str) -> ScalarQ:
-    """Inverse of scalar_str (on canonical output)."""
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")") and ")/(" in s:
-        i = s.index(")/(")
-        num = _parse_laurent(s[1:i])
-        den = _parse_laurent(s[i + 3 : -1])
-        return ScalarQ._make(num.c, den.c)
-    return _parse_laurent(s).to_scalar()

@@ -37,7 +37,7 @@ from qcells.freeuq import (
     words_of_weight,
 )
 from qcells.hwmod import act_f, contravariant_form, extremal_vector, get_module
-from qcells.linalg import column_rank_profile, mat_vec, solve_linear
+from qcells.linalg import column_dependencies, mat_vec, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import ScalarQ, gauss_product
 
@@ -217,7 +217,7 @@ def test_06_image_is_algebra_map(capsys):
 def kernel_basis(rows):
     """One kernel vector per non-pivot column c of a nonempty matrix: e_c
     plus the solution, with free coordinates zero, of A x = -(column c)."""
-    pivots = column_rank_profile(rows)
+    pivots = column_dependencies(rows)[0]
     out = []
     for c in range(len(rows[0])):
         if c not in pivots:
@@ -339,7 +339,7 @@ def test_09_braid_extremal_vectors(capsys):
     # braid relation on a full basis of the adjoint module
     mod = get_module(datum, Weight((1, 1)))
     basis = [
-        mod.basis_vector(mu, s) for mu in mod.weights for s in range(mod.dim_of(mu))
+        mod.basis_vector(mu, s) for mu in mod.basis for s in range(mod.dim_of(mu))
     ]
     for v in basis:
         lhs = braid_T(mod, 1, braid_T(mod, 2, braid_T(mod, 1, v)))

@@ -40,7 +40,7 @@ from qcells.hwmod import (
     extremal_vector,
     get_module,
 )
-from qcells.linalg import column_rank_profile
+from qcells.linalg import column_dependencies
 from qcells.qtorus import TorusPresentation, torus_str
 from qcells.scalars import S_ZERO
 
@@ -194,7 +194,7 @@ def test_presentations_found_and_unique():
         ]
         support = sorted({e for col in cols for e in col.terms})
         rows = [[col.terms.get(e, S_ZERO) for col in cols] for e in support]
-        assert column_rank_profile(rows) == list(range(len(cols)))
+        assert column_dependencies(rows)[0] == list(range(len(cols)))
 
 
 def test_presentation_error_reports_candidates():
@@ -281,6 +281,27 @@ def test_screen_matches_exact_search(monkeypatch, capsys):
             assert not real(pres, lamp, mup, target), (name, word, k)
     # G2 up to length 4 needs no second candidate; A3 rejects some
     assert True in verdicts
+
+
+def test_modular_point_changes_no_output(monkeypatch, capsys):
+    """The GF(p) point only screens.  With p = 5 and q0 = 2, where many
+    shadows give up or lose rank, the A3 sweep prints the same JSON and the
+    exact modules have the same bases as at the default point."""
+    cases = (("A2", (1, 1)), ("A3", (1, 1, 1)), ("C3", (1, 1, 0)))
+    runs = []
+    for p, q0 in ((hwmod._PROFILE_P, hwmod._PROFILE_Q0), (5, 2)):
+        monkeypatch.setattr(hwmod, "_PROFILE_P", p)
+        monkeypatch.setattr(hwmod, "_PROFILE_Q0", q0)
+        bases = []
+        for name, coords in cases:
+            datum = build_root_datum(name)
+            fresh_caches(monkeypatch, datum)
+            bases.append(get_module(datum, Weight(coords)).basis)
+        fresh_caches(monkeypatch, build_root_datum("A3"))
+        code = cli.main(["sweep", "--cartan", "A3", "--format", "json"])
+        runs.append((bases, code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == 0
 
 
 def test_certificate_needs_full_column_rank():

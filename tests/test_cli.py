@@ -68,6 +68,24 @@ def test_verify_rejects_letters_outside_index_set(capsys):
     assert "index set" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--cartan", "A2", "--word", "1,,2"),
+        ("verify", "--cartan", "A2", "--word", "1,2,"),
+        ("verify", "--cartan", "A2", "--word", ",1,2"),
+        ("reduced-words", "--cartan", "A2", "--word", "1,2,,1"),
+        ("feigin-minor", "--cartan", "A3", "--word", "1,2,3", "--lambda", "1,,0,1"),
+        ("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0,"),
+    ],
+)
+def test_empty_comma_field_is_usage_error(capsys, argv):
+    # an empty field is not dropped: "1,,2" does not run as "1,2"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot parse" in err and not out
+
+
 def test_feigin_minor_golden(capsys):
     code, out, err = run(
         capsys, "feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0"

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from qcells import hwmod
+from qcells import cells, hwmod
 from qcells.cartan import Weight, build_root_datum, weyl_dim, weyl_elements
 from qcells.hwmod import (
     act_e,
@@ -26,7 +26,7 @@ from qcells.hwmod import (
     shadow_module,
 )
 from qcells.cells import find_presentation
-from qcells.linalg import invert_matrix
+from qcells.linalg import column_dependencies, invert_matrix
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -40,7 +40,7 @@ ONE = ScalarQ(1)
 
 def rand_vector(mod, rng):
     out = mod.zero()
-    for mu in list(mod.weights):
+    for mu in list(mod.basis):
         for s in range(mod.dim_of(mu)):
             c = rng.randrange(-2, 3)
             if c:
@@ -64,7 +64,7 @@ def test_dimensions_match_weyl_formula():
         lam = Weight(coords)
         mod = get_module(datum, lam)
         assert mod.dim == dim == weyl_dim(datum, lam)
-        assert sum(mod.dim_of(mu) for mu in mod.weights) == dim
+        assert sum(mod.dim_of(mu) for mu in mod.basis) == dim
 
 
 def test_highest_vector_is_normalized():
@@ -86,7 +86,7 @@ def test_gram_adjoint_zero_weight_space():
 
 def test_gram_inverse_is_exact():
     mod = get_module(B2, Weight((1, 1)))
-    for mu in mod.weights:
+    for mu in mod.basis:
         n = mod.dim_of(mu)
         g = mod.gram[mu]
         ginv = invert_matrix(g)
@@ -132,7 +132,7 @@ def test_divided_powers_rescale_plain_powers():
     binom = ScalarQ(LaurentQ({4: 1, 2: 1, 0: 2, -2: 1, -4: 1}))
     assert back == u.scaled(binom)
     # the ladder yields f^a u / [a]! for a = 0..4 and stops at the first zero
-    fact = ScalarQ.from_int(1)
+    fact = ScalarQ(1)
     plain = u
     ladder = list(divided_powers(act_f, 1, u))
     assert len(ladder) == 5
@@ -183,32 +183,29 @@ def test_braid_route_matches_divided_power_route():
 
 
 def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
-    """An empty or short modular pick makes the shadow give up, and the exact
-    build then takes the exact rank profile at every weight below the top;
-    the module comes out as the default build, and the presentation search
-    takes the exact path to the same lam' and coefficients."""
-    real_profile = hwmod._mod_rank_profile
-    real_exact = hwmod.column_rank_profile
-    exact_calls = []
+    """An empty or short modular profile makes the shadow give up.  The
+    exact build never reads a shadow, so its module is unchanged, and the
+    presentation search takes the exact path to the same lam' and
+    coefficients."""
+    real_deps = hwmod._mod_dependencies
 
-    def counted(rows):
-        exact_calls.append(len(rows))
-        return real_exact(rows)
+    def empty(rows):
+        return [], {}
 
-    monkeypatch.setattr(hwmod, "column_rank_profile", counted)
-    forces = (lambda rows: [], lambda rows: real_profile(rows)[:-1])
+    def short(rows):
+        sel, deps = real_deps(rows)
+        return sel[:-1], deps
+
+    forces = (empty, short)
     for datum, coords in ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 1))):
         lam = Weight(coords)
         default = build_module(datum, lam)
-        assert exact_calls == []
         for force in forces:
-            monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
+            monkeypatch.setattr(hwmod, "_mod_dependencies", force)
             forced = build_module(datum, lam)
             with pytest.raises(ZeroDivisionError, match="short pick"):
                 hwmod._build(datum, lam, hwmod._Shadow())
-            monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
-            assert len(exact_calls) == len(forced.weights) - 1
-            exact_calls.clear()
+            monkeypatch.setattr(hwmod, "_mod_dependencies", real_deps)
             assert forced.basis == default.basis
             assert forced.gram == default.gram
             assert forced.fmat == default.fmat
@@ -218,53 +215,64 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
     # V(1,1); with every shadow given up both are built exactly
     pres = TorusPresentation(A2, (1, 2, 1))
     results = []
-    for force in (real_profile, *forces):
+    for force in (real_deps, *forces):
         for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
             monkeypatch.setattr(A2, cache, {})
-        monkeypatch.setattr(hwmod, "_mod_rank_profile", force)
+        monkeypatch.setattr(hwmod, "_mod_dependencies", force)
         p = find_presentation(pres, 1)
         results.append((p.lam.coords, p.coeffs))
-        if force is real_profile:
+        if force is real_deps:
             assert A2._shadow_cache[(2, 0)] is not None
             assert (2, 0) not in A2._module_cache
         else:
+            # both shadows gave up, and the exact builds dropped their entries
             assert {(2, 0), (1, 1)} <= set(A2._module_cache)
+            assert A2._shadow_cache == {}
         # a built module drops its shadow
         assert not set(A2._shadow_cache) & set(A2._module_cache)
-    monkeypatch.setattr(hwmod, "_mod_rank_profile", real_profile)
+    monkeypatch.setattr(hwmod, "_mod_dependencies", real_deps)
     assert results[0][0] == (1, 1)
     assert results == [results[0]] * 3
 
 
 def test_screened_winner_reuses_its_shadow(monkeypatch):
-    """The exact build of a screened candidate takes the picks of the shadow
-    the screen built and drops it from the cache; no second shadow is
-    built, and no exact rank profile is taken."""
+    """Only the screen builds shadows.  The exact build of a screened winner
+    builds none and reads none, and get_module then drops the screened
+    shadow from the cache with its memos cleared."""
     real_build = hwmod._build
     builds = []
 
-    def counted(datum, lam, field, picks=None):
-        builds.append((lam.coords, type(field).__name__, picks is not None))
-        return real_build(datum, lam, field, picks)
-
-    def no_profile(rows):
-        raise AssertionError("exact rank profile taken")
+    def counted(datum, lam, field):
+        builds.append((lam.coords, type(field).__name__))
+        return real_build(datum, lam, field)
 
     for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
         monkeypatch.setattr(A2, cache, {})
     monkeypatch.setattr(hwmod, "_build", counted)
-    monkeypatch.setattr(hwmod, "column_rank_profile", no_profile)
-    # A2 word 1,2,1 at k = 1: the target V(1,0) is not screened, V(2,0) is
-    # screened out and V(1,1) is screened and wins
+    # A2 word 1,2,1 at k = 1: the target V(1,0) is built without a screen,
+    # V(2,0) is screened out and V(1,1) is screened and wins
+    shadows = []
+    real_shadow = hwmod.shadow_module
+
+    def kept(datum, lam):
+        shadows.append(real_shadow(datum, lam))
+        return shadows[-1]
+
+    monkeypatch.setattr(cells, "shadow_module", kept)
     assert find_presentation(TorusPresentation(A2, (1, 2, 1)), 1).lam.coords == (1, 1)
     assert builds == [
-        ((1, 0), "_Shadow", False),
-        ((1, 0), "_Exact", True),
-        ((2, 0), "_Shadow", False),
-        ((1, 1), "_Shadow", False),
-        ((1, 1), "_Exact", True),
+        ((1, 0), "_Exact"),
+        ((2, 0), "_Shadow"),
+        ((1, 1), "_Shadow"),
+        ((1, 1), "_Exact"),
     ]
     assert set(A2._shadow_cache) == {(2, 0)}
+    winner = shadows[-1]
+    assert winner.lam.coords == (1, 1)
+    assert not winner._extremal_memo and not winner._tinv_memo
+    builds.clear()
+    build_module(A2, Weight((1, 1)))
+    assert builds == [((1, 1), "_Exact")]
 
 
 def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
@@ -285,8 +293,8 @@ def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
     before = {id(o) for o in live_shadows()}
     gc.disable()
     try:
-        # the screen builds the shadows of V(1,0), V(2,0) and V(1,1); the
-        # exact builds of V(1,0) and V(1,1) drop theirs
+        # the screen builds the shadows of V(2,0) and V(1,1); get_module
+        # drops that of V(1,1) once its exact module is built
         assert find_presentation(TorusPresentation(A2, (1, 2, 1)), 1).lam.coords == (1, 1)
         new = [o for o in live_shadows() if id(o) not in before]
         kept = set(map(id, A2._shadow_cache.values()))
@@ -298,18 +306,49 @@ def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
 
 
 def test_mod_solve_full_column_rank():
-    """The shadow's solve takes square and tall systems of full column rank,
-    and gives up on a rank deficit or an inconsistent column."""
+    """The shadow's column dependencies solve square and tall systems of
+    full column rank: the unknowns' columns are the profile and the
+    solutions are the right-hand sides' coordinates; an inconsistent column
+    joins the profile, and a rank deficit shortens it."""
     p = hwmod._PROFILE_P
     rows = [[1, 0], [2, 3], [0, 5]]
     x = [[7, p - 1], [0, 4]]
     rhs = [[sum(a * b for a, b in zip(row, col)) % p for row in rows] for col in x]
-    assert hwmod._mod_solve(rows, rhs) == x
-    assert hwmod._mod_solve(rows[:2], [col[:2] for col in rhs]) == x
-    with pytest.raises(ZeroDivisionError, match="inconsistent"):
-        hwmod._mod_solve(rows, [rhs[0], [1, 0, 0]])
-    with pytest.raises(ZeroDivisionError, match="rank deficit"):
-        hwmod._mod_solve([[1, 2], [2, 4], [3, 6]], [[1, 2, 3]])
+
+    def aug(rows, cols):
+        return [row + [col[r] for col in cols] for r, row in enumerate(rows)]
+
+    assert hwmod._mod_dependencies(aug(rows, rhs)) == ([0, 1], {2: x[0], 3: x[1]})
+    square = aug(rows[:2], [col[:2] for col in rhs])
+    assert hwmod._mod_dependencies(square) == ([0, 1], {2: x[0], 3: x[1]})
+    assert hwmod._mod_dependencies(aug(rows, [rhs[0], [1, 0, 0]])) == ([0, 1, 3], {2: x[0] + [0]})
+    assert hwmod._mod_dependencies([[1, 2], [2, 4], [3, 6]]) == ([0], {1: [2]})
+    assert hwmod._mod_dependencies([[0, 0], [0, 0]]) == ([], {0: [], 1: []})
+    assert hwmod._mod_dependencies([]) == ([], {})
+
+
+def test_mod_dependencies_match_exact_ones():
+    """On integer matrices, square, tall, rank-deficient or zero, the mod-p
+    profile is the exact one and each coordinate is the exact one mod p;
+    every dependent column is the profile columns times its coordinates."""
+    p = hwmod._PROFILE_P
+    rng = random.Random(31)
+    for _ in range(30):
+        nr, nc, r = rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(0, 4)
+        # a product of nr x r and r x nc factors has rank at most r
+        left = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(nr)]
+        right = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(nc)]
+        rows = [[sum(a * b for a, b in zip(lrow, rcol)) for rcol in right] for lrow in left]
+        got = hwmod._mod_dependencies([[x % p for x in row] for row in rows])
+        want = column_dependencies([[ScalarQ(x) for x in row] for row in rows])
+        assert got[0] == want[0]
+        assert got[1].keys() == want[1].keys()
+        for c, xs in want[1].items():
+            specialized = [hwmod._eval_mod(x, {}) for x in xs]
+            assert got[1][c] == specialized
+            for row in rows:
+                picked = sum(row[k] * y for k, y in zip(got[0], specialized))
+                assert (picked - row[c]) % p == 0
 
 
 def test_f_columns_solve_the_gram_block():
@@ -335,17 +374,43 @@ def test_f_columns_solve_the_gram_block():
 
 
 def test_dependent_pick_is_refused():
-    """A pick whose vectors are dependent fails the solve, which checks the
-    rank of their e-images, over either field."""
+    """The pick of each weight space is the column rank profile of its
+    candidates' e-images, over either field: a candidate that depends on
+    earlier ones, a repeat of a picked one included, is refused, and its
+    coordinates over the pick are its stored f-column."""
     lam = Weight((1, 1))
-    picks = dict(shadow_module(A2, lam).basis)
-    zero = Weight((0, 0))
-    assert len(picks[zero]) == 2
-    picks[zero] = (picks[zero][0],) * 2
-    with pytest.raises(ValueError, match="rank deficit"):
-        hwmod._build(A2, lam, hwmod._Exact(), picks)
-    with pytest.raises(ZeroDivisionError, match="rank deficit"):
-        hwmod._build(A2, lam, hwmod._Shadow(), picks)
+    refused = 0
+    for mod, dependencies in (
+        (build_module(B2, lam), column_dependencies),
+        (hwmod._build(B2, lam, hwmod._Shadow()), hwmod._mod_dependencies),
+    ):
+        field = mod.field
+        for mu in list(mod.basis)[1:]:
+            parents = {i: mu + B2.alpha_weight(i) for i in (1, 2)}
+            cands = sorted(
+                ((i,) + tag, i, w)
+                for i, parent in parents.items()
+                for w, tag in enumerate(mod.basis.get(parent, ()))
+            )
+            vecs = [act_f(i, mod.basis_vector(parents[i], w)) for _tag, i, w in cands]
+            # the first candidate, which is picked, comes again at the end
+            vecs.append(vecs[0])
+
+            def e_images(v):
+                out = []
+                for i, parent in parents.items():
+                    out += act_e(i, v).parts.get(parent, [field.zero] * mod.dim_of(parent))
+                return out
+
+            sel, deps = dependencies([list(row) for row in zip(*map(e_images, vecs))])
+            assert [cands[c][0] for c in sel] == list(mod.basis[mu])
+            assert sel[0] == 0
+            assert deps[len(cands)] == [field.one] + [field.zero] * (len(sel) - 1)
+            for c, (_tag, i, w) in enumerate(cands):
+                if c not in sel:
+                    assert deps[c] == list(mod.fmat[(i, parents[i])][w])
+                    refused += 1
+    assert refused > 0
 
 
 def test_shadow_specializes_exact_module():
@@ -358,7 +423,7 @@ def test_shadow_specializes_exact_module():
         shadow = shadow_module(datum, lam)
         assert shadow is not None and shadow.dim == exact.dim
         assert shadow.basis == exact.basis
-        assert shadow.weights == exact.weights
+        assert list(shadow.basis) == list(exact.basis)
         powers = {}
         for name in ("gram", "fmat", "emat"):
             want, got = getattr(exact, name), getattr(shadow, name)
@@ -389,7 +454,7 @@ def test_weight_multiplicities_are_weyl_invariant():
         ends = datum.fundamental(1) + datum.fundamental(datum.rank)
         for lam in (theta, ends):
             mod = get_module(datum, lam)
-            for mu in mod.weights:
+            for mu in mod.basis:
                 for i in datum.index_set:
                     assert mod.dim_of(datum.reflect_weight(i, mu)) == mod.dim_of(mu)
         assert get_module(datum, theta).dim_of(Weight((0,) * datum.rank)) == datum.rank

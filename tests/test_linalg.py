@@ -10,11 +10,10 @@ from qcells.linalg import (
     _back_substitute,
     _clear_rows,
     _echelon,
-    column_rank_profile,
+    column_dependencies,
     invert_matrix,
     mat_vec,
     solve_linear,
-    solve_unique,
 )
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -24,7 +23,7 @@ Q = ScalarQ.q_power(1)
 
 
 def sc(n: int) -> ScalarQ:
-    return ScalarQ.from_int(n)
+    return ScalarQ(n)
 
 
 def mat_mul(a: list[list[ScalarQ]], b: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
@@ -51,18 +50,71 @@ def rand_scalar(rng: random.Random) -> ScalarQ:
     return ScalarQ(num, den)
 
 
+def profile(rows):
+    return column_dependencies(rows)[0]
+
+
 def test_column_rank_profile_picks_leftmost():
     rows = [
         [ONE, Q, ZERO],
         [Q, Q * Q, ONE],
     ]
     # column 1 is q times column 0, so the profile skips it
-    assert column_rank_profile(rows) == [0, 2]
+    assert column_dependencies(rows) == ([0, 2], {1: [Q, ZERO]})
 
 
 def test_column_rank_profile_zero_matrix():
     rows = [[ZERO, ZERO], [ZERO, ZERO]]
-    assert column_rank_profile(rows) == []
+    # every column is the empty combination
+    assert column_dependencies(rows) == ([], {0: [], 1: []})
+    assert column_dependencies([]) == ([], {})
+
+
+def check_dependencies(rows):
+    """The profile columns are independent, each other column equals the
+    profile columns times its coordinates, and those coordinates are zero on
+    the profile columns to its right, so the profile is the
+    lexicographically first maximal independent set."""
+    nc = len(rows[0])
+    prof, deps = column_dependencies(rows)
+    assert sorted(deps) == [c for c in range(nc) if c not in prof]
+    sub = [[row[c] for c in prof] for row in rows]
+    assert profile(sub) == list(range(len(prof)))
+    for c, x in deps.items():
+        assert len(x) == len(prof)
+        assert mat_vec(sub, x) == [row[c] for row in rows]
+        assert all(x[k].is_zero() for k, p in enumerate(prof) if p > c)
+    return prof
+
+
+def test_column_dependencies_reconstruct_every_column():
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(24):
+        nr, nc, r = rng.randrange(1, 5), rng.randrange(1, 6), rng.randrange(0, 4)
+        # a product of nr x r and r x nc factors has rank at most r
+        left = [[rand_scalar(rng) for _ in range(r)] for _ in range(nr)]
+        right = [[rand_scalar(rng) for _ in range(nc)] for _ in range(r)]
+        rows = mat_mul(left, right) if r else [[ZERO] * nc for _ in range(nr)]
+        prof = check_dependencies(rows)
+        assert len(prof) <= min(r, nr, nc)
+        ranks.add(len(prof))
+        # square and tall random matrices too
+        for height in (nc, nc + 2):
+            check_dependencies([[rand_scalar(rng) for _ in range(nc)] for _ in range(height)])
+    assert ranks >= {0, 1, 2, 3}
+
+
+def test_column_dependencies_examples():
+    # square of rank 2: column 2 is column 0 plus q times column 1
+    rows = [[ONE, ZERO, ONE], [ZERO, ONE, Q], [Q, ONE, Q + Q]]
+    assert column_dependencies(rows) == ([0, 1], {2: [ONE, Q]})
+    # tall, first rows singular: the pivots come from below
+    rows = [[ONE, ONE], [Q, Q], [ZERO, Q], [ZERO, ZERO]]
+    assert column_dependencies(rows) == ([0, 1], {})
+    # a zero column depends on nothing; a repeat on its first copy only
+    rows = [[ZERO, ONE, ONE], [ZERO, Q, Q]]
+    assert column_dependencies(rows) == ([1], {0: [ZERO], 2: [ONE]})
 
 
 def test_solve_linear_unique():
@@ -111,12 +163,28 @@ def test_invert_matrix_small():
 
 def test_invert_matrix_singular():
     rows = [[ONE, ONE], [Q, Q]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         invert_matrix(rows)
 
 
+def solve_unique(rows, rhs_cols):
+    """A X = B for A of full column rank, square or tall, with B given as
+    columns, from one column_dependencies of [A | B]: the columns of A must
+    be its first profile columns, and no column of B may join the profile.
+    The unique solution columns are the coordinates of B's columns."""
+    nc = len(rows[0])
+    aug = [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
+    prof, deps = column_dependencies(aug)
+    if prof[:nc] != list(range(nc)):
+        raise ValueError("matrix has a rank deficit")
+    if len(prof) > nc:
+        raise ValueError("inconsistent right-hand side")
+    return [deps[nc + j] for j in range(len(rhs_cols))]
+
+
 def old_solve_square_multi(rows, rhs_cols):
-    """Reference: the square solve solve_unique replaced, for A invertible."""
+    """Reference: the square solve of an earlier module build, for A
+    invertible."""
     n = len(rows)
     aug = _clear_rows([row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)])
     pivots = _echelon(aug)
@@ -152,7 +220,7 @@ def test_solve_unique_tall_consistent():
     for _ in range(6):
         n = rng.randrange(1, 4)
         rows = [[rand_scalar(rng) for _ in range(n)] for _ in range(n + 3)]
-        if column_rank_profile(rows) != list(range(n)):
+        if profile(rows) != list(range(n)):
             continue
         xs = [[rand_scalar(rng) for _ in range(n)] for _ in range(3)]
         assert solve_unique(rows, [mat_vec(rows, x) for x in xs]) == xs
@@ -206,5 +274,5 @@ def test_random_solve_roundtrip():
         sol = solve_linear(rows, rhs)
         assert sol is not None
         assert mat_vec(rows, sol) == rhs
-        if column_rank_profile(rows) == list(range(n)):
+        if profile(rows) == list(range(n)):
             assert sol == x

@@ -20,7 +20,7 @@ def module_text(mod) -> str:
         return ";".join(",".join(scalar_str(x) for x in line) for line in lines)
 
     out = []
-    for mu in mod.weights:
+    for mu in mod.basis:
         out.append(f"basis {mu.coords} {mod.basis[mu]}")
         out.append(f"gram {mu.coords} {block(mod.gram[mu])}")
     for name in ("fmat", "emat"):

@@ -1,0 +1,70 @@
+"""No source file of the package imports a name it does not use, and every
+module-level private function or class is referenced somewhere in the
+package beyond its own definition: code that nothing reaches is deleted,
+not left for its own unit test."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qcells
+
+SOURCES = sorted(Path(qcells.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read in tree, outside the subtree skip: bare names, attributes,
+    quoted annotations and the strings of __all__."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation such as "_Exact | _Shadow", or an __all__ entry
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_unused_import(name):
+    tree = TREES[name]
+    used = _referenced(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append((bound, node.lineno))
+    assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_private_definitions_are_referenced(name):
+    unreached = []
+    for node in TREES[name].body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            continue
+        if not any(
+            node.name in _referenced(tree, node if other == name else None)
+            for other, tree in TREES.items()
+        ):
+            unreached.append((node.name, node.lineno))
+    assert not unreached, f"{name} defines private names nothing references: {unreached}"

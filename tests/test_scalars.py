@@ -14,7 +14,6 @@ from qcells.scalars import (
     add_term,
     gauss_product,
     laurent_str,
-    parse_scalar,
     qbinom,
     qfact,
     qint,
@@ -201,24 +200,6 @@ def test_text_form_examples():
     assert scalar_str(ScalarQ(-2)) == "-2"
 
 
-def test_text_form_round_trip_examples():
-    for x in [
-        ScalarQ(0),
-        ScalarQ(7),
-        ScalarQ(qint(5)),
-        ScalarQ(qfact(4), qint(7)),
-        ScalarQ.q_power(-3),
-        -ScalarQ(qint(3), lau({0: 1, 1: 5, -2: 3})),
-    ]:
-        assert parse_scalar(scalar_str(x)) == x
-
-
-@given(scalars)
-@settings(max_examples=80)
-def test_text_form_round_trips(x):
-    assert parse_scalar(scalar_str(x)) == x
-
-
 def test_add_term_never_stores_zero():
     q = ScalarQ.q_power(1)
     terms = {}
@@ -236,8 +217,3 @@ def test_add_term_never_stores_zero():
     add_term(terms, "b", ScalarQ(-2))
     assert terms == {}
 
-
-def test_parse_rejects_junk():
-    for bad in ["", "q^", "1++1", "(q^1)/(0)", "q**2", "2q^3"]:
-        with pytest.raises((ValueError, ZeroDivisionError)):
-            parse_scalar(bad)
