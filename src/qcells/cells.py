@@ -5,16 +5,19 @@ reduced letter sequence: quantum minors become explicit monomials in a
 quantum torus, the twist automorphism becomes a q-power times a ratio of
 such images, and each twisted flag minor is checked against its predicted
 monomial.  A matrix coefficient x -> (left, x . right) is passed as its two
-vectors, which must live in one module.  The search for a presentation
-D_{u_{w lam'}, u'} screens a candidate lam' by the GF(p) shadow of V(lam')
-and skips it only on a rank certificate that no exact u' exists.  The
-localized algebra itself is never materialized; all identities are
-verified between normal-ordered torus elements.
+vectors, which must live in one module.  Its image pairs left once with
+each distinct divided-power path applied to right, and adds that value
+under every embedding of the path's letters in the word.  The search for
+a presentation D_{u_{w lam'}, u'} screens a candidate lam' by the GF(p)
+shadow of V(lam') and skips it only on a rank certificate that no exact u'
+exists.  The localized algebra itself is never materialized; all
+identities are verified between normal-ordered torus elements.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cartan import (
@@ -136,13 +139,28 @@ def feigin_matrix_coeff(
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
     powers are applied rightmost letter first; an empty sum gives zero.
+
+    f^{(a)} . right and the q-power depend only on a's path, its nonzero
+    (letter, a_k) pairs in the order applied, so each distinct path is
+    walked and paired with left once; a is the path together with the
+    positions of its letters, an embedding of them as strictly decreasing
+    positions of the word.
     """
     return TorusElement._raw(pres, _coeff_terms(pres, left, right))
 
 
 def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVector) -> dict:
     """The terms {a: coefficient} of feigin_matrix_coeff, in the field of the
-    vectors' module: Q(q), or GF(p) at q0 for a shadow."""
+    vectors' module: Q(q), or GF(p) at q0 for a shadow.
+
+    A path is the sequence of (letter, a > 0) pairs in the order they are
+    applied.  The walk visits each path once: it places each next letter at
+    its rightmost occurrence below the previous one, and skips a letter at
+    once unless every other letter the content still needs occurs below it.
+    At a path that uses up the content it pairs left with the path's vector
+    once, and adds the value under every embedding of the path's letters as
+    strictly decreasing positions; each exponent vector a is exactly one
+    (path, embedding) pair."""
     datum = pres.datum
     if left.mod.datum is not datum:
         raise ValueError("module and presentation use different root data")
@@ -152,50 +170,66 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     field = left.mod.field
     letters = pres.letters
     n = len(letters)
-
-    before: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for i in letters:
-        before.append(frozenset(seen))
-        seen.add(i)
-    dis = [datum.di(i) for i in letters]
+    # last[k]: the rightmost position of each letter below position k
+    last: list[dict[int, int]] = [{}]
+    for k, i in enumerate(letters):
+        last.append({**last[k], i: k})
     terms: dict[tuple[int, ...], object] = {}
     rem = list(need.coords)
-    acc = [0] * n
+    path: list[tuple[int, int]] = []
 
-    def sink(vec: ModuleVector) -> None:
+    def leaf(vec: ModuleVector) -> None:
         val = contravariant_form(left, vec)
         if field.is_zero(val):
             return
-        tw = sum(dis[k] * (a * (a - 1) // 2) for k, a in enumerate(acc) if a > 1)
-        field.add_term(terms, tuple(acc), field.mul_qpow(val, tw))
+        tw = sum(datum.di(i) * (a * (a - 1) // 2) for i, a in path)
+        val = field.mul_qpow(val, tw)
+        for key in _embeddings(letters, path, 0, n, [0] * n):
+            field.add_term(terms, key, val)
 
-    def feasible(k: int) -> bool:
-        allowed = before[k]
-        return all(c == 0 or (j + 1) in allowed for j, c in enumerate(rem))
-
-    def descend(k: int, vec: ModuleVector) -> None:
-        if k < 0:
-            sink(vec)
+    def walk(k: int, vec: ModuleVector) -> None:
+        if not any(rem):
+            leaf(vec)
             return
-        i = letters[k]
-        cap = rem[i - 1]
-        # f_i^{(a)} vec for a = 0..cap, up to the first zero
-        for a, w in zip(range(cap + 1), divided_powers(act_f, i, vec)):
-            rem[i - 1] = cap - a
-            acc[k] = a
-            if k == 0 or feasible(k):
-                descend(k - 1, w)
-        rem[i - 1] = cap
-        acc[k] = 0
+        for i, p in last[k].items():
+            cap = rem[i - 1]
+            below = last[p]
+            if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
+                continue
+            # f_i^{(a)} vec for a = 1..cap, up to the first zero
+            ladder = itertools.islice(divided_powers(act_f, i, vec), 1, cap + 1)
+            for a, w in enumerate(ladder, 1):
+                if a == cap or i in below:
+                    rem[i - 1] = cap - a
+                    path.append((i, a))
+                    walk(p, w)
+                    path.pop()
+            rem[i - 1] = cap
 
     try:
-        descend(n - 1, right)
+        walk(n, right)
     finally:
-        # descend reaches itself through its closure; dropping the name ends
+        # walk reaches itself through its closure; dropping the name ends
         # that cycle, so refcounting frees the vectors its closure holds
-        del descend
+        del walk
     return terms
+
+
+def _embeddings(
+    letters: tuple[int, ...], path: list[tuple[int, int]], j: int, hi: int, acc: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every exponent vector that extends acc by the steps path[j:], each
+    step's exponent at a position below the step before it (below hi for
+    the first) that carries the step's letter; acc comes back unchanged."""
+    if j == len(path):
+        yield tuple(acc)
+        return
+    i, a = path[j]
+    for k in range(hi - 1, len(path) - j - 2, -1):
+        if letters[k] == i:
+            acc[k] = a
+            yield from _embeddings(letters, path, j + 1, k, acc)
+            acc[k] = 0
 
 
 class MinorRoutesDisagree(AssertionError):

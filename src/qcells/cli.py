@@ -98,11 +98,16 @@ def _datum(cartan: str) -> RootDatum:
 
 
 def _int_fields(text: str) -> tuple[int, ...]:
-    """The comma-separated integers of text, spaces ignored, and none for an
-    empty text.  Raises ValueError on any other field that is not an
-    integer, an empty one included."""
-    text = text.replace(" ", "")
-    return tuple(int(p) for p in text.split(",")) if text else ()
+    """The comma-separated integers of text, spaces around each field
+    ignored, and none for a blank text.  Raises ValueError on any other
+    field that is not a signed run of digits, an empty one or one with an
+    inner space or underscore included."""
+    if not text.strip(" "):
+        return ()
+    fields = [p.strip(" ") for p in text.split(",")]
+    if not all(f.lstrip("+-").isdigit() for f in fields):
+        raise ValueError(f"not comma-separated integers: {text!r}")
+    return tuple(map(int, fields))
 
 
 def _parse_word(text: str, datum: RootDatum) -> tuple[int, ...]:

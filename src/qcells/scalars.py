@@ -424,8 +424,15 @@ class ScalarQ:
         n2, d2 = other.num, other.den
         if not n1.c or not n2.c:
             return S_ZERO
-        if d1.c == {0: 1} and d2.c == {0: 1}:
-            return ScalarQ._raw(n1 * n2, _L_ONE)
+        if d2.c == {0: 1}:
+            if d1.c == {0: 1}:
+                return ScalarQ._raw(n1 * n2, _L_ONE)
+            # n1 and d1 are coprime, so only n2 and d1 can share a factor
+            y = ScalarQ._make(n2.c, d1.c)
+            return ScalarQ._raw(n1 * y.num, y.den)
+        if d1.c == {0: 1}:
+            x = ScalarQ._make(n1.c, d2.c)
+            return ScalarQ._raw(x.num * n2, x.den)
         # cross-reduce so the final product is already canonical
         x = ScalarQ._make(n1.c, d2.c)
         y = ScalarQ._make(n2.c, d1.c)

@@ -3,6 +3,7 @@ predicted monomials, and generator recovery."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import subprocess
 import sys
@@ -35,10 +36,12 @@ from qcells.cells import (
 from qcells.freeuq import FreeNegElement, lusztig_form
 from qcells.hwmod import (
     act_f,
+    act_f_divided,
     build_module,
     contravariant_form,
     extremal_vector,
     get_module,
+    shadow_module,
 )
 from qcells.linalg import column_dependencies
 from qcells.qtorus import TorusPresentation, torus_str
@@ -107,6 +110,98 @@ def test_matrix_coeff_vectors_from_two_modules_rejected():
             fn(mixed, mod.highest())
         with pytest.raises(ValueError, match="homogeneous"):
             fn(mod.highest(), mixed)
+
+
+# ------------------------------------------------------ the Feigin descent
+
+def brute_descent(pres, left, right):
+    """The terms of feigin_matrix_coeff by a sum over every exponent vector a
+    at most the content, f_{i_k}^{(a_k)} applied rightmost letter first and
+    each term times q^{sum_k d_{i_k} a_k(a_k-1)/2}; also the distinct paths
+    (letter, a_k > 0), in the order applied, whose vector is nonzero and of
+    the weight of left."""
+    datum = pres.datum
+    field = left.mod.field
+    word = pres.letters
+    need = datum.weight_to_root(right.weight() - left.weight()).coords
+    terms, paths = {}, set()
+    for a in itertools.product(*(range(max(need[i - 1], 0) + 1) for i in word)):
+        vec = right
+        for i, x in zip(reversed(word), reversed(a)):
+            vec = act_f_divided(i, x, vec)
+        if vec.is_zero() or vec.weight() != left.weight():
+            continue
+        paths.add(tuple((i, x) for i, x in zip(reversed(word), reversed(a)) if x))
+        val = contravariant_form(left, vec)
+        if not field.is_zero(val):
+            tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
+            terms[a] = field.mul_qpow(val, tw)
+    return terms, paths
+
+
+def descent_pairs(mod, word):
+    """(left, right) pairs: every basis vector, extremal or not, against the
+    highest vector, and the extremal vectors of word's prefixes against every
+    basis vector of the weights they reach down from."""
+    basis = [mod.basis_vector(mu, s) for mu in mod.basis for s in range(mod.dim_of(mu))]
+    pairs = [(v, mod.highest()) for v in basis]
+    for k in range(len(word) + 1):
+        uw = extremal_vector(mod, word[:k])
+        pairs += [(uw, v) for v in basis if cells._content(uw, v) is not None]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "cartan, word, coords",
+    [
+        ("A2", (1, 2, 1), (1, 1)),
+        ("B2", (1, 2, 1, 2), (1, 1)),
+        ("G2", (1, 2, 1, 2, 1, 2), (1, 0)),
+        ("C3", (2, 3, 2, 1, 2, 3), (0, 1, 0)),
+    ],
+)
+def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, coords):
+    datum = build_root_datum(cartan)
+    pres = TorusPresentation(datum, word)
+    mod = get_module(datum, Weight(coords))
+    calls = []
+
+    def counted(left, vec):
+        calls.append(1)
+        return contravariant_form(left, vec)
+
+    monkeypatch.setattr(cells, "contravariant_form", counted)
+    shared = 0
+    for left, right in descent_pairs(mod, word):
+        want, paths = brute_descent(pres, left, right)
+        calls.clear()
+        assert feigin_matrix_coeff(pres, left, right).terms == want
+        # one pairing per distinct path, however many a's embed it
+        assert len(calls) <= len(paths)
+        shared += len(want) > len(paths)
+    assert shared  # some path has several embeddings
+
+
+def test_descent_zero_content_and_empty_word():
+    mod = get_module(A2, Weight((1, 1)))
+    low = extremal_vector(mod, (1, 2, 1))
+    for v in (mod.highest(), low, mod.basis_vector(Weight((0, 0)), 1)):
+        assert feigin_matrix_coeff(P121, v, v).terms == brute_descent(P121, v, v)[0]
+        # content off the cone: no exponent vector fits
+        if v is not low:
+            assert not feigin_matrix_coeff(P121, v, low).terms
+    empty = TorusPresentation(A2, ())
+    assert torus_str(feigin_matrix_coeff(empty, mod.highest(), mod.highest())) == "1"
+    assert not feigin_matrix_coeff(empty, low, mod.highest()).terms
+
+
+def test_descent_over_the_shadow():
+    datum = build_root_datum("B2")
+    pres = TorusPresentation(datum, (1, 2, 1, 2))
+    shadow = shadow_module(datum, Weight((1, 1)))
+    assert shadow is not None and isinstance(shadow.field, hwmod._Shadow)
+    for left, right in descent_pairs(shadow, pres.letters):
+        assert cells._coeff_terms(pres, left, right) == brute_descent(pres, left, right)[0]
 
 
 # ------------------------------------------------------- predicted monomials

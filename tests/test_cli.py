@@ -86,6 +86,29 @@ def test_empty_comma_field_is_usage_error(capsys, argv):
     assert "cannot parse" in err and not out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1 0,1"),
+        ("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1_0,1"),
+        ("verify", "--cartan", "A3", "--word", "1 2,3"),
+        ("verify", "--cartan", "A3", "--word", "1,2_3"),
+    ],
+)
+def test_digits_of_two_fields_are_not_joined(capsys, argv):
+    # "1 0" is not read as 10, nor "1 2" as letter 12
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot parse" in err and not out
+
+
+def test_spaces_around_fields_are_ignored(capsys):
+    minor = ("feigin-minor", "--cartan", "A2", "--word")
+    spaced = run(capsys, *minor, " 1 ,2", "--lambda", "1 , 0")
+    plain = run(capsys, *minor, "1,2", "--lambda", "1,0")
+    assert spaced == plain and plain[0] == 0
+
+
 def test_feigin_minor_golden(capsys):
     code, out, err = run(
         capsys, "feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0"

@@ -163,6 +163,23 @@ def test_division_cancels(a, b):
     _assert_canonical(a / b)
 
 
+# a Laurent polynomial (denominator 1) or a fraction, negated or not and
+# shifted by a power of q
+factors = st.builds(
+    lambda x, neg, k: (-x if neg else x).mul_qpow(k),
+    st.one_of(laurents.map(ScalarQ), scalars),
+    st.booleans(),
+    st.integers(-5, 5),
+)
+
+
+@given(factors, factors)
+@settings(max_examples=200)
+def test_product_is_the_reduced_product_fraction(a, b):
+    assert a * b == ScalarQ(a.num * b.num, a.den * b.den)
+    _assert_canonical(a * b)
+
+
 @given(laurents, laurents)
 @settings(max_examples=40)
 def test_subst_is_a_homomorphism(a, b):
