@@ -60,10 +60,20 @@ _FORMATS = ("text", "json")
 _DEFAULT_SEARCH_CAP = 3
 
 
+def _int_field(text: str) -> int:
+    """The one rule for an integer on the command line: a signed run of
+    digits, spaces around it ignored.  Raises ValueError on anything else,
+    an inner space or underscore included, which int() would accept."""
+    field = text.strip(" ")
+    if not field.lstrip("+-").isdigit():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(field)
+
+
 def _nonneg_int(text: str) -> int:
     """Option type for caps and bounds: an integer >= 0."""
     try:
-        value = int(text)
+        value = _int_field(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
@@ -98,16 +108,12 @@ def _datum(cartan: str) -> RootDatum:
 
 
 def _int_fields(text: str) -> tuple[int, ...]:
-    """The comma-separated integers of text, spaces around each field
-    ignored, and none for a blank text.  Raises ValueError on any other
-    field that is not a signed run of digits, an empty one or one with an
-    inner space or underscore included."""
+    """The comma-separated integers of text, each read by _int_field, and
+    none for a blank text.  Raises ValueError on any field _int_field
+    rejects, an empty one included."""
     if not text.strip(" "):
         return ()
-    fields = [p.strip(" ") for p in text.split(",")]
-    if not all(f.lstrip("+-").isdigit() for f in fields):
-        raise ValueError(f"not comma-separated integers: {text!r}")
-    return tuple(map(int, fields))
+    return tuple(_int_field(f) for f in text.split(","))
 
 
 def _parse_word(text: str, datum: RootDatum) -> tuple[int, ...]:
@@ -151,7 +157,7 @@ def _parse_k(text: str, word: tuple[int, ...]) -> list[int]:
     if text == "all":
         return list(range(1, len(word) + 1))
     try:
-        k = int(text)
+        k = _int_field(text)
     except ValueError as exc:
         raise UsageError(f"--k must be an integer or 'all', got {text!r}") from exc
     if not 1 <= k <= len(word):
@@ -477,9 +483,28 @@ _ENV_DEFAULTS = (
 )
 
 
+# Options whose value may start with "-" and a digit.  argparse reads such a
+# value ("--lambda -1,0") as an unknown option, so it is joined to its option
+# first ("--lambda=-1,0") and meets the option's own check; no qcells option
+# itself starts with "-" and a digit.
+_SIGNED_OPTIONS = ("--word", "--lambda", "--k", "--search-cap", "--max-length")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _join_signed_values(sys.argv[1:] if argv is None else argv)
+        )
         for dest, name, parse, fallback in _ENV_DEFAULTS:
             if hasattr(args, dest):
                 default = _env_default(name, parse, fallback)

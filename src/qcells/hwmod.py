@@ -221,48 +221,29 @@ def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
     return num * pow(den, p - 2, p) % p
 
 
-def _mod_echelon(m: list[list[int]], ncols: int) -> list[int]:
-    """Row echelon form mod p of m, in place, with unit pivots taken in the
-    first ncols columns (later columns ride along); returns the pivot
-    columns, i.e. the column rank profile of those ncols columns."""
+def _mod_dependencies(rows: list[list[int]]) -> tuple[list[int], dict[int, list[int]]]:
+    """The one GF(p) elimination, the twin of linalg.column_dependencies mod
+    p: the column rank profile of rows and every other column's coordinates
+    over it, read off the reduced row echelon form."""
     p = _PROFILE_P
-    width = len(m[0]) if m else 0
+    m = [r[:] for r in rows]
+    nc = len(m[0]) if m else 0
     piv: list[int] = []
-    top = 0
-    for c in range(ncols):
+    for c in range(nc):
+        top = len(piv)
         hit = next((r for r in range(top, len(m)) if m[r][c]), None)
         if hit is None:
             continue
         m[top], m[hit] = m[hit], m[top]
         inv = pow(m[top][c], p - 2, p)
         prow = m[top] = [x * inv % p for x in m[top]]
-        for r in range(top + 1, len(m)):
-            f = m[r][c]
-            if f:
-                row = m[r]
-                for cc in range(c, width):
+        # clear column c in every other row, above the pivot as well as below
+        for r, row in enumerate(m):
+            f = row[c]
+            if f and r != top:
+                for cc in range(c, nc):
                     row[cc] = (row[cc] - f * prow[cc]) % p
         piv.append(c)
-        top += 1
-    return piv
-
-
-def _mod_dependencies(rows: list[list[int]]) -> tuple[list[int], dict[int, list[int]]]:
-    """The twin of linalg.column_dependencies mod p: the column rank profile
-    of rows and every other column's coordinates over it."""
-    p = _PROFILE_P
-    m = [r[:] for r in rows]
-    nc = len(m[0]) if m else 0
-    piv = _mod_echelon(m, nc)
-    # clear above each unit pivot: the reduced form holds the coordinates
-    for k in range(len(piv) - 1, 0, -1):
-        c, krow = piv[k], m[k]
-        for r in range(k):
-            f = m[r][c]
-            if f:
-                row = m[r]
-                for cc in range(c, nc):
-                    row[cc] = (row[cc] - f * krow[cc]) % p
     at = set(piv)
     return piv, {c: [m[k][c] for k in range(len(piv))] for c in range(nc) if c not in at}
 
@@ -417,11 +398,12 @@ class _Shadow:
     @staticmethod
     def certified_inconsistent(rows: list[list[int]], rhs: list[int]) -> bool:
         """True when the system A x = b mod p, with r columns and at least
-        one row, has rank A = r and rank [A|b] = r + 1: the column rank
-        profile of [A|b] is all of its columns."""
+        one row, has rank A = r and b's column in the profile: the column
+        rank profile of [A|b] is all of its columns, the question the exact
+        solve asks of the same augmented system."""
         r = len(rows[0])
-        piv = _mod_echelon([row + [b] for row, b in zip(rows, rhs)], r + 1)
-        return piv == list(range(r + 1))
+        aug = [row + [b] for row, b in zip(rows, rhs)]
+        return _mod_dependencies(aug)[0] == list(range(r + 1))
 
 
 # ---------------------------------------------------------------------------

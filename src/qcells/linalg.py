@@ -2,9 +2,11 @@
 
 Rows are cleared of denominators and eliminated fraction-free (two-term
 Bareiss updates with exact Laurent division by the previous pivot), with
-pivots chosen among the lowest-degree candidates.  Back substitution
-returns ScalarQ coordinates: one solution per system, the one whose free
-coordinates are zero.  Everything is deterministic.
+pivots chosen among the lowest-degree candidates.  That one elimination,
+`column_dependencies`, serves every solve: back substitution gives each
+column outside the column rank profile its ScalarQ coordinates over the
+profile, `solve_linear` reads them for [A | b] and `invert_matrix` for
+[A | I].  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -118,23 +120,26 @@ def _back_substitute(
 
 
 def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ] | None:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly, from the column dependencies of [A | b].
 
-    Returns the solution whose free coordinates (the columns outside the
-    column rank profile of A) are zero, or None when the system is
-    inconsistent.
+    The system is inconsistent, and the result None, exactly when b's
+    column is in the profile.  Otherwise b's coordinates over the profile
+    give the solution whose free coordinates (the columns of A outside its
+    profile) are zero.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if len(rhs) != nr:
         raise ValueError("rhs length mismatch")
-    aug = _clear_rows([row + [b] for row, b in zip(rows, rhs)])
-    if not aug:
+    if not nr:
         return []
-    pivots = _echelon(aug)
-    if any(c == nc for _, c in pivots):
+    profile, deps = column_dependencies([row + [b] for row, b in zip(rows, rhs)])
+    if nc in profile:
         return None
-    return _back_substitute(aug, pivots, nc, nc)
+    x = [S_ZERO] * nc
+    for c, v in zip(profile, deps[nc]):
+        x[c] = v
+    return x
 
 
 def column_dependencies(

@@ -87,33 +87,6 @@ def _dgcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
-    """Dense polynomial product through one big-integer multiplication.
-
-    Signed coefficients are packed into base-2^B digits via an offset of
-    2^{B-1} per digit (so byte-level packing applies), with B wide enough
-    that no convolution coefficient can reach the offset.
-    """
-    bound = max(abs(x) for x in a) * max(abs(x) for x in b) * min(len(a), len(b))
-    nbytes = bound.bit_length() // 8 + 1
-    width = 8 * nbytes
-    half = 1 << (width - 1)
-    halfbytes = half.to_bytes(nbytes, "little")
-
-    def pack(coeffs: list[int]) -> int:
-        buf = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
-        off = int.from_bytes(halfbytes * len(coeffs), "little")
-        return int.from_bytes(buf, "little") - off
-
-    n = len(a) + len(b) - 1
-    prod = pack(a) * pack(b) + int.from_bytes(halfbytes * n, "little")
-    buf = prod.to_bytes(n * nbytes, "little")
-    return [
-        int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "little") - half
-        for k in range(n)
-    ]
-
-
 def _ddiv_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact division in Z[q]; raises if the remainder does not vanish."""
     if not a:
@@ -245,20 +218,17 @@ class LaurentQ:
         for e, c in b.items():
             db[e - blo] = c
         lo = alo + blo
-        if len(da) * len(db) >= 256:
-            dout = _kronecker_mul(da, db)
-        else:
-            dout = [0] * (len(da) + len(db) - 1)
-            for ka, ca in enumerate(da):
-                if ca:
-                    if ca == 1:
-                        for kb, cb in enumerate(db):
-                            if cb:
-                                dout[ka + kb] += cb
-                    else:
-                        for kb, cb in enumerate(db):
-                            if cb:
-                                dout[ka + kb] += ca * cb
+        dout = [0] * (len(da) + len(db) - 1)
+        for ka, ca in enumerate(da):
+            if ca:
+                if ca == 1:
+                    for kb, cb in enumerate(db):
+                        if cb:
+                            dout[ka + kb] += cb
+                else:
+                    for kb, cb in enumerate(db):
+                        if cb:
+                            dout[ka + kb] += ca * cb
         return LaurentQ._raw({lo + k: c for k, c in enumerate(dout) if c})
 
     __rmul__ = __mul__

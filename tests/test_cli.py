@@ -66,6 +66,11 @@ def test_verify_rejects_letters_outside_index_set(capsys):
     code, out, err = run(capsys, "verify", "--cartan", "A2", "--word", "1,3")
     assert code == 2
     assert "index set" in err
+    # a negative letter, given as a separate argument or after "=", is not
+    # mistaken for an unknown option
+    for form in (("--word", "-1,2"), ("--word=-1,2",)):
+        code, out, err = run(capsys, "verify", "--cartan", "A2", *form)
+        assert (code, out, err) == (2, "", "error: letter -1 is outside the index set 1..2\n")
 
 
 @pytest.mark.parametrize(
@@ -102,11 +107,41 @@ def test_digits_of_two_fields_are_not_joined(capsys, argv):
     assert "cannot parse" in err and not out
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("verify", "--cartan", "A2", "--word", "1,2,1", "--k", "0_3"), None),
+        (("sweep", "--cartan", "A2", "--max-length", "0_1"), None),
+        (("sweep", "--cartan", "A2", "--search-cap", "0_3"), None),
+        (("verify", "--cartan", "A2", "--word", "1,2,1", "--search-cap", "0_3"), None),
+        (("verify", "--cartan", "A1", "--word", "1"), "0_3"),
+        (("sweep", "--cartan", "A1"), "0_3"),
+    ],
+    ids=["k", "max-length", "sweep-search-cap", "verify-search-cap", "env-verify", "env-sweep"],
+)
+def test_underscore_in_an_integer_is_usage_error(capsys, monkeypatch, argv, env):
+    # int() reads "0_3" as 3; the command line does not
+    if env is None:
+        monkeypatch.delenv("QCELLS_SEARCH_CAP", raising=False)
+    else:
+        monkeypatch.setenv("QCELLS_SEARCH_CAP", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "0_" in err and not out
+
+
 def test_spaces_around_fields_are_ignored(capsys):
     minor = ("feigin-minor", "--cartan", "A2", "--word")
     spaced = run(capsys, *minor, " 1 ,2", "--lambda", "1 , 0")
     plain = run(capsys, *minor, "1,2", "--lambda", "1,0")
     assert spaced == plain and plain[0] == 0
+    # and around a lone integer
+    verify = ("verify", "--cartan", "A2", "--word", "1,2,1", "--k")
+    spaced = run(capsys, *verify, " 2 ")
+    assert spaced == run(capsys, *verify, "2") and spaced[0] == 0
+    sweep = ("sweep", "--cartan", "A2", "--max-length")
+    spaced = run(capsys, *sweep, " 1 ", "--search-cap", " 3")
+    assert spaced == run(capsys, *sweep, "1") and spaced[0] == 0
 
 
 def test_feigin_minor_golden(capsys):
@@ -133,6 +168,11 @@ def test_feigin_minor_rejects_non_dominant(capsys):
     )
     assert code == 2
     assert "dominant" in err
+    # the separate argument reaches the same check
+    code, out, err = run(
+        capsys, "feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "-1,0"
+    )
+    assert (code, out, err) == (2, "", "error: weight must be dominant (all coordinates >= 0)\n")
 
 
 def test_feigin_minor_has_no_search_cap(capsys):

@@ -152,6 +152,48 @@ def test_solve_linear_underdetermined_nullspace():
         assert mat_vec(rows, [p + n for p, n in zip(part, vec)]) == rhs
 
 
+def test_solve_linear_edge_cases():
+    # an empty system has the empty solution
+    assert solve_linear([], []) == []
+    # tall and of rank 1, column 1 free (q times column 0), b off the span
+    rows = [[ONE, Q], [Q, Q * Q], [ZERO, ZERO]]
+    assert solve_linear(rows, [ONE, ONE, ZERO]) is None
+    # the free column 1 sits between the pivot columns 0 and 2
+    rows = [[ONE, Q, ZERO], [ZERO, ZERO, ONE], [ONE, Q, ONE]]
+    assert solve_linear(rows, [sc(2), Q, sc(2) + Q]) == [sc(2), ZERO, Q]
+    with pytest.raises(ValueError, match="rhs length mismatch"):
+        solve_linear(rows, [ONE])
+
+
+def old_solve_linear(rows, rhs):
+    """Reference: a solve by its own elimination of [A | b], back
+    substituted for b's column alone."""
+    nc = len(rows[0]) if rows else 0
+    aug = _clear_rows([row + [b] for row, b in zip(rows, rhs)])
+    if not aug:
+        return []
+    pivots = _echelon(aug)
+    if any(c == nc for _, c in pivots):
+        return None
+    return _back_substitute(aug, pivots, nc, nc)
+
+
+def test_solve_linear_matches_its_own_elimination():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(30):
+        nr, nc, r = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(0, 4)
+        left = [[rand_scalar(rng) for _ in range(r)] for _ in range(nr)]
+        right = [[rand_scalar(rng) for _ in range(nc)] for _ in range(r)]
+        rows = mat_mul(left, right) if r else [[ZERO] * nc for _ in range(nr)]
+        for rhs in (mat_vec(rows, [rand_scalar(rng) for _ in range(nc)]),
+                    [rand_scalar(rng) for _ in range(nr)]):
+            sol = solve_linear(rows, rhs)
+            assert sol == old_solve_linear(rows, rhs)
+            kinds.add(sol is None)
+    assert kinds == {False, True}
+
+
 def test_invert_matrix_small():
     rows = [[Q, ONE], [ZERO, Q]]
     inv = invert_matrix(rows)

@@ -3,6 +3,8 @@ fractions, balanced q-combinatorics, and the text form."""
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -117,6 +119,46 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def sparse_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Reference: the term-by-term convolution of two exponent dicts."""
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def test_large_products_match_sparse_convolution():
+    rng = random.Random(37)
+
+    def operand(n: int, bits: int) -> dict[int, int]:
+        # n coefficients from a random q-shift on, both ends nonzero, about
+        # one in six inner ones zero, signs mixed, and |c| < 2^bits
+        lo = rng.randrange(-50, 51)
+        c = {lo + k: rng.choice((-1, 1)) * rng.getrandbits(bits) for k in range(n)}
+        for k in range(1, n - 1):
+            if rng.randrange(6) == 0:
+                c[lo + k] = 0
+        c[lo], c[lo + n - 1] = 1, -rng.getrandbits(bits) - 1
+        return c
+
+    # operand lengths on both sides of the size products 256 and 1024
+    sizes = [(16, 16), (15, 17), (16, 18), (31, 33), (32, 32), (16, 64),
+             (33, 32), (20, 60), (47, 53), (100, 100), (16, 100), (100, 17)]
+    for bits in (2, 64, 200):
+        for na, nb in sizes:
+            a, b = operand(na, bits), operand(nb, bits)
+            want = sparse_product(a, b)
+            assert (LaurentQ(a) * LaurentQ(b)).c == want
+            assert (LaurentQ(b) * LaurentQ(a)).c == want
+    # the extreme coefficients +-2^200 and a product that cancels to zero
+    top = {0: 2**200, 17: -(2**200), 40: 3}
+    wide = operand(90, 200)
+    assert (LaurentQ(top) * LaurentQ(wide)).c == sparse_product(top, wide)
+    neg = {e: -c for e, c in wide.items()}
+    assert (LaurentQ(top) * LaurentQ(wide) + LaurentQ(top) * LaurentQ(neg)).c == {}
 
 
 # ------------------------------------------------------------------ the field
