@@ -486,14 +486,20 @@ _ENV_DEFAULTS = (
 # Options whose value may start with "-" and a digit.  argparse reads such a
 # value ("--lambda -1,0") as an unknown option, so it is joined to its option
 # first ("--lambda=-1,0") and meets the option's own check; no qcells option
-# itself starts with "-" and a digit.
+# itself starts with "-" and a digit.  argparse also takes an option by a
+# prefix that names it alone, so a prefix of exactly one of these options
+# ("--lam -1,0") is joined too.
 _SIGNED_OPTIONS = ("--word", "--lambda", "--k", "--search-cap", "--max-length")
+
+
+def _signed_option(arg: str) -> bool:
+    return arg.startswith("--") and sum(opt.startswith(arg) for opt in _SIGNED_OPTIONS) == 1
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and _signed_option(out[-1]) and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -11,8 +11,9 @@ and the commutation
 
 gives those of the candidates from the weight spaces above.  Row (i, s) of
 the e-image matrix Phi is coordinate s of e_i of each candidate.  One
-elimination of Phi gives the pick, its column rank profile, and every
-other candidate's coordinates over the pick, which are the f_i action.  By
+elimination of Phi, linalg.column_dependencies over the build's field,
+gives the pick, its column rank profile, and every other candidate's
+coordinates over the pick, which are the f_i action.  By
 adjointness, (f_i x, v) = (x, e_i v), the Gram matrix of the candidates
 under the contravariant form is D Phi, with D block diagonal of the
 nonsingular Gram matrices above; so the pick is the Gram matrix's profile
@@ -25,7 +26,10 @@ keys mean the zero map.
 
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
-(shadow_module), with int entries.  The shadow only screens; no exact build
+(shadow_module), with int entries.  Each field supplies the row operations
+of the one Gauss–Jordan elimination, linalg.column_dependencies: _Exact
+takes linalg's Q(q) ones, and _Shadow has the mod-p ones, so every GF(p)
+name stays in this file.  The shadow only screens; no exact build
 reads it.  It gives up, raising ZeroDivisionError, when a Phi(q0) profile
 is short of m(mu) or a division by zero occurs.  A shadow that is built is
 the specialization at q0 of the exact module with its picks: each of its
@@ -44,7 +48,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
-from .linalg import column_dependencies, invert_matrix, mat_vec
+from .linalg import RationalFunctions, column_dependencies, invert_matrix, mat_vec
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
 
@@ -221,33 +225,6 @@ def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
     return num * pow(den, p - 2, p) % p
 
 
-def _mod_dependencies(rows: list[list[int]]) -> tuple[list[int], dict[int, list[int]]]:
-    """The one GF(p) elimination, the twin of linalg.column_dependencies mod
-    p: the column rank profile of rows and every other column's coordinates
-    over it, read off the reduced row echelon form."""
-    p = _PROFILE_P
-    m = [r[:] for r in rows]
-    nc = len(m[0]) if m else 0
-    piv: list[int] = []
-    for c in range(nc):
-        top = len(piv)
-        hit = next((r for r in range(top, len(m)) if m[r][c]), None)
-        if hit is None:
-            continue
-        m[top], m[hit] = m[hit], m[top]
-        inv = pow(m[top][c], p - 2, p)
-        prow = m[top] = [x * inv % p for x in m[top]]
-        # clear column c in every other row, above the pivot as well as below
-        for r, row in enumerate(m):
-            f = row[c]
-            if f and r != top:
-                for cc in range(c, nc):
-                    row[cc] = (row[cc] - f * prow[cc]) % p
-        piv.append(c)
-    at = set(piv)
-    return piv, {c: [m[k][c] for k in range(len(piv))] for c in range(nc) if c not in at}
-
-
 # A pure function of two small ints, the same for every root datum, so one
 # module-level cache serves all data and no datum needs to own it.
 @lru_cache(maxsize=None)
@@ -255,8 +232,9 @@ def _inv_qint(a: int, d: int) -> ScalarQ:
     return qint(a).subst(d).to_scalar().inverse()
 
 
-class _Exact:
-    """Q(q), with ScalarQ entries: the exact build and its vectors.
+class _Exact(RationalFunctions):
+    """Q(q), with ScalarQ entries: the exact build and its vectors, on the
+    row operations of linalg's elimination.
 
     The build walk calls it per vector or per weight space, never per
     scalar inside a loop."""
@@ -264,7 +242,6 @@ class _Exact:
     zero = S_ZERO
     one = S_ONE
 
-    is_zero = staticmethod(ScalarQ.is_zero)
     mul_qpow = staticmethod(ScalarQ.mul_qpow)
     add_term = staticmethod(add_term)
     apply_cols = staticmethod(_apply_cols)
@@ -278,10 +255,6 @@ class _Exact:
     @staticmethod
     def add(u: list[ScalarQ], v: list[ScalarQ]) -> list[ScalarQ]:
         return [a + b for a, b in zip(u, v)]
-
-    @staticmethod
-    def scale(u: list[ScalarQ], c: ScalarQ) -> list[ScalarQ]:
-        return [x * c for x in u]
 
     @staticmethod
     def add_qint(x: ScalarQ, n: int, d: int) -> ScalarQ:
@@ -306,14 +279,16 @@ class _Exact:
         return acc
 
     @staticmethod
-    def dependencies(rows: list[list[ScalarQ]], mult: int) -> tuple[list[int], dict]:
-        """The exact column dependencies; _build checks the pick's size."""
-        return column_dependencies(rows)
+    def check_pick(n: int, mult: int, mu: Weight) -> None:
+        """The pick is the Gram matrix's profile, so it has m(mu) vectors."""
+        if n != mult:
+            raise AssertionError(f"picked {n} vectors at {mu.coords}, multiplicity {mult}")
 
 
 class _Shadow:
-    """GF(p) at q = q0, with int entries in [0, p): the shadow build and its
-    vectors.  Its constants are _eval_mod of the exact ones."""
+    """GF(p) at q = q0, with int entries in [0, p): the shadow build, its
+    vectors, and the mod-p row operations of linalg's elimination.  Its
+    constants are _eval_mod of the exact ones."""
 
     zero = 0
     one = 1
@@ -335,6 +310,21 @@ class _Shadow:
     def scale(u: list[int], c: int) -> list[int]:
         p = _PROFILE_P
         return [x * c % p for x in u]
+
+    @staticmethod
+    def inverse(c: int) -> int:
+        return pow(c, _PROFILE_P - 2, _PROFILE_P)
+
+    @staticmethod
+    def sub_multiple(row: list[int], f: int, prow: list[int]) -> list[int]:
+        """row - f * prow."""
+        p = _PROFILE_P
+        return [(a - f * b) % p if b else a for a, b in zip(row, prow)]
+
+    @staticmethod
+    def pivot_size(c: int) -> int:
+        """Every live entry is the same size, so the first one is the pivot."""
+        return 0
 
     @staticmethod
     def apply_cols(cols: list[tuple[int, ...]], vec: list[int], target_dim: int) -> list[int]:
@@ -383,12 +373,12 @@ class _Shadow:
         return acc % p
 
     @staticmethod
-    def dependencies(rows: list[list[int]], mult: int) -> tuple[list[int], dict]:
-        """The modular column dependencies; the shadow gives up on a short pick."""
-        sel, deps = _mod_dependencies(rows)
-        if len(sel) < mult:
-            raise ZeroDivisionError("short pick mod p")
-        return sel, deps
+    def check_pick(n: int, mult: int, mu: Weight) -> None:
+        """A Phi(q0) profile short of m(mu) makes the shadow give up.  None
+        is longer: a minor of Phi(q0) is a minor of Phi at q0, and Phi has
+        rank m(mu)."""
+        if n < mult:
+            raise ZeroDivisionError(f"short pick mod p at {mu.coords}")
 
     def specialize(self, terms: dict) -> dict:
         """A term dict over Q(q) at q0; ZeroDivisionError when a denominator
@@ -403,7 +393,7 @@ class _Shadow:
         solve asks of the same augmented system."""
         r = len(rows[0])
         aug = [row + [b] for row, b in zip(rows, rhs)]
-        return _mod_dependencies(aug)[0] == list(range(r + 1))
+        return column_dependencies(aug, _Shadow)[0] == list(range(r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +502,8 @@ def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule
             # column rank profile, the pick, and the coordinates of the other
             # candidates over the pick
             phi = [list(row) for per_col in zvecs.values() for row in zip(*per_col)]
-            sel, coords = field.dependencies(phi, mult)
-            if len(sel) != mult:
-                raise AssertionError(
-                    f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
-                )
+            sel, coords = column_dependencies(phi, field)
+            field.check_pick(len(sel), mult, mu)
             # the Gram block on the pick, by adjointness:
             # (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c])
             g = []
@@ -695,7 +682,7 @@ def braid_T(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
                     if not term.is_zero():
                         coeff = ScalarQ.q_power(di * (b - a * c))
                         if b % 2:
-                            coeff = coeff.mul_int(-1)
+                            coeff = -coeff
                         out = out + term.scaled(coeff)
     return out
 

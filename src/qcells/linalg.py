@@ -1,20 +1,22 @@
-"""Exact linear algebra over Q(q).
+"""Exact linear algebra by one Gauss–Jordan elimination over a field.
 
-Rows are cleared of denominators and eliminated fraction-free (two-term
-Bareiss updates with exact Laurent division by the previous pivot), with
-pivots chosen among the lowest-degree candidates.  That one elimination,
-`column_dependencies`, serves every solve: back substitution gives each
-column outside the column rank profile its ScalarQ coordinates over the
-profile, `solve_linear` reads them for [A | b] and `invert_matrix` for
-[A | I].  Everything is deterministic.
+`column_dependencies` reduces a matrix to its reduced row echelon form, over
+a field given as a few row-level operations: is-zero, inverse, scale a
+row, subtract a multiple of a row, and a pivot size.  The profile and the
+coordinates read off that form are unique, so they do not depend on the
+pivot rows chosen.  `RationalFunctions` is the field Q(q) with ScalarQ
+entries; `solve_linear` reads the dependencies of [A | b] and
+`invert_matrix` those of [A | I].  The GF(p) field of the module shadow is
+hwmod's.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from .scalars import LaurentQ, ScalarQ, S_ONE, S_ZERO, _L_ONE, _dgcd
+from .scalars import ScalarQ, S_ONE, S_ZERO
 
 
 __all__ = [
+    "RationalFunctions",
     "solve_linear",
     "column_dependencies",
     "invert_matrix",
@@ -22,101 +24,57 @@ __all__ = [
 ]
 
 
-def _laurent_lcm(a: LaurentQ, b: LaurentQ) -> LaurentQ:
-    if a.is_one():
-        return b
-    if b.is_one():
-        return a
-    prod = a * b
-    da, _ = a._dense()
-    db, _ = b._dense()
-    g = LaurentQ._from_dense(_dgcd(da, db))
-    return prod.exact_div(g)
+class RationalFunctions:
+    """Q(q), with ScalarQ entries, as the row operations of the elimination.
+
+    The pivot of a column is its smallest live entry, by the number of terms
+    of its numerator and denominator, which keeps the fractions of the
+    eliminated rows small."""
+
+    is_zero = staticmethod(ScalarQ.is_zero)
+    inverse = staticmethod(ScalarQ.inverse)
+
+    @staticmethod
+    def scale(row: list[ScalarQ], c: ScalarQ) -> list[ScalarQ]:
+        return [x * c for x in row]
+
+    @staticmethod
+    def sub_multiple(row: list[ScalarQ], f: ScalarQ, prow: list[ScalarQ]) -> list[ScalarQ]:
+        """row - f * prow."""
+        return [a - f * b if b.num.c else a for a, b in zip(row, prow)]
+
+    @staticmethod
+    def pivot_size(x: ScalarQ) -> int:
+        return len(x.num.c) + len(x.den.c)
 
 
-def _clear_rows(rows: list[list[ScalarQ]]) -> list[list[LaurentQ]]:
-    out = []
-    for row in rows:
-        den = _L_ONE
-        for x in row:
-            if x.num.c and not x.den.is_one():
-                den = _laurent_lcm(den, x.den)
-        if den.is_one():
-            out.append([x.num for x in row])
-        else:
-            cleared = []
-            for x in row:
-                if not x.num.c:
-                    cleared.append(x.num)
-                elif x.den.is_one():
-                    cleared.append(x.num * den)
-                else:
-                    cleared.append(x.num * den.exact_div(x.den))
-            out.append(cleared)
-    return out
+def column_dependencies(rows: list[list], field) -> tuple[list[int], dict[int, list]]:
+    """The column rank profile of A over field, the indices of its
+    lexicographically first maximal independent column set, and every other
+    column's coordinates over the profile columns, keyed by column.
 
-
-def _span(x: LaurentQ) -> tuple[int, int]:
-    return (x.max_exp() - x.min_exp(), len(x.c))
-
-
-def _echelon(rows: list[list[LaurentQ]]) -> list[tuple[int, int]]:
-    """Fraction-free row echelon, in place; returns the pivot positions."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots: list[tuple[int, int]] = []
-    prev = _L_ONE
-    pr = 0
+    Each column outside the profile depends on the profile columns to its
+    left, so its coordinates on the later ones are zero.  They are the
+    column's entries in the pivot rows of the reduced row echelon form."""
+    m = [list(row) for row in rows]
+    nc = len(m[0]) if m else 0
+    is_zero, size = field.is_zero, field.pivot_size
+    piv: list[int] = []
     for c in range(nc):
-        if pr >= nr:
-            break
-        best = None
-        for r in range(pr, nr):
-            e = rows[r][c]
-            if e.c:
-                s = _span(e)
-                if best is None or s < best[0]:
-                    best = (s, r)
-        if best is None:
+        top = len(piv)
+        live = [r for r in range(top, len(m)) if not is_zero(m[r][c])]
+        if not live:
             continue
-        r0 = best[1]
-        if r0 != pr:
-            rows[pr], rows[r0] = rows[r0], rows[pr]
-        piv = rows[pr][c]
-        prow = rows[pr]
-        one_prev = prev.is_one()
-        for r in range(pr + 1, nr):
-            row = rows[r]
-            m = row[c]
-            if m.c:
-                for k in range(c, nc):
-                    val = piv * row[k] - m * prow[k]
-                    row[k] = val.exact_div(prev) if not one_prev and val.c else val
-            else:
-                for k in range(c + 1, nc):
-                    if row[k].c:
-                        val = piv * row[k]
-                        row[k] = val.exact_div(prev) if not one_prev else val
-        pivots.append((pr, c))
-        prev = piv
-        pr += 1
-    return pivots
-
-
-def _back_substitute(
-    aug: list[list[LaurentQ]], pivots: list[tuple[int, int]], nc: int, rhs: int
-) -> list[ScalarQ]:
-    """Solve the echelon system in the first nc columns of aug, with
-    right-hand side column rhs of aug and every free coordinate zero."""
-    x = [S_ZERO] * nc
-    for (r, c) in reversed(pivots):
-        row = aug[r]
-        acc = row[rhs].to_scalar()
-        for k in range(c + 1, nc):
-            if row[k].c and x[k].num.c:
-                acc = acc - row[k].to_scalar() * x[k]
-        x[c] = acc / row[c].to_scalar()
-    return x
+        hit = min(live, key=lambda r: size(m[r][c]))
+        m[top], m[hit] = m[hit], m[top]
+        prow = m[top] = field.scale(m[top], field.inverse(m[top][c]))
+        # clear column c in every other row, above the pivot as well as below
+        for r, row in enumerate(m):
+            if r != top and not is_zero(row[c]):
+                m[r] = field.sub_multiple(row, row[c], prow)
+        piv.append(c)
+    at = set(piv)
+    return piv, {c: [m[k][c] for k in range(len(piv))] for c in range(nc) if c not in at}
 
 
 def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ] | None:
@@ -133,37 +91,15 @@ def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ]
         raise ValueError("rhs length mismatch")
     if not nr:
         return []
-    profile, deps = column_dependencies([row + [b] for row, b in zip(rows, rhs)])
+    profile, deps = column_dependencies(
+        [row + [b] for row, b in zip(rows, rhs)], RationalFunctions
+    )
     if nc in profile:
         return None
     x = [S_ZERO] * nc
     for c, v in zip(profile, deps[nc]):
         x[c] = v
     return x
-
-
-def column_dependencies(
-    rows: list[list[ScalarQ]],
-) -> tuple[list[int], dict[int, list[ScalarQ]]]:
-    """The column rank profile of A, the indices of its lexicographically
-    first maximal independent column set, and every other column's
-    coordinates over the profile columns, keyed by column.
-
-    Each column outside the profile depends on the profile columns to its
-    left, so its coordinates on the later ones are zero.  One elimination
-    serves every column.
-    """
-    nc = len(rows[0]) if rows else 0
-    if not nc:
-        return [], {}
-    work = _clear_rows(rows)
-    pivots = _echelon(work)
-    profile = [c for _, c in pivots]
-    deps = {}
-    for c in sorted(set(range(nc)) - set(profile)):
-        x = _back_substitute(work, pivots, nc, c)
-        deps[c] = [x[p] for p in profile]
-    return profile, deps
 
 
 def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
@@ -173,7 +109,7 @@ def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
     Raises ValueError when A is singular."""
     n = len(rows)
     aug = [row + [S_ONE if r == c else S_ZERO for c in range(n)] for r, row in enumerate(rows)]
-    profile, deps = column_dependencies(aug)
+    profile, deps = column_dependencies(aug, RationalFunctions)
     if profile != list(range(n)):
         raise ValueError("matrix is singular")
     return [[deps[n + j][i] for j in range(n)] for i in range(n)]

@@ -245,12 +245,6 @@ class LaurentQ:
             return self
         return LaurentQ._raw({e * d: c for e, c in self.c.items()})
 
-    def min_exp(self) -> int:
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        return max(self.c)
-
     def _dense(self) -> tuple[list[int], int]:
         """Return (coefficient list, shift) with value = q^shift * poly."""
         if not self.c:
@@ -430,13 +424,6 @@ class ScalarQ:
         if k == 0:
             return self
         return ScalarQ._raw(self.num.shift(k), self.den)
-
-    def mul_int(self, n: int) -> "ScalarQ":
-        if n == 0:
-            return S_ZERO
-        if n == 1:
-            return self
-        return ScalarQ._make((self.num * n).c, self.den.c)
 
     def as_q_power(self) -> "int | None":
         """Exponent k when the value is exactly q^k, else None."""

@@ -37,7 +37,7 @@ from qcells.freeuq import (
     words_of_weight,
 )
 from qcells.hwmod import act_f, contravariant_form, extremal_vector, get_module
-from qcells.linalg import column_dependencies, mat_vec, solve_linear
+from qcells.linalg import RationalFunctions, column_dependencies, mat_vec, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import ScalarQ, gauss_product
 
@@ -217,7 +217,7 @@ def test_06_image_is_algebra_map(capsys):
 def kernel_basis(rows):
     """One kernel vector per non-pivot column c of a nonempty matrix: e_c
     plus the solution, with free coordinates zero, of A x = -(column c)."""
-    pivots = column_dependencies(rows)[0]
+    pivots = column_dependencies(rows, RationalFunctions)[0]
     out = []
     for c in range(len(rows[0])):
         if c not in pivots:

@@ -43,7 +43,7 @@ from qcells.hwmod import (
     get_module,
     shadow_module,
 )
-from qcells.linalg import column_dependencies
+from qcells.linalg import RationalFunctions, column_dependencies
 from qcells.qtorus import TorusPresentation, torus_str
 from qcells.scalars import S_ZERO
 
@@ -289,7 +289,7 @@ def test_presentations_found_and_unique():
         ]
         support = sorted({e for col in cols for e in col.terms})
         rows = [[col.terms.get(e, S_ZERO) for col in cols] for e in support]
-        assert column_dependencies(rows)[0] == list(range(len(cols)))
+        assert column_dependencies(rows, RationalFunctions)[0] == list(range(len(cols)))
 
 
 def test_presentation_error_reports_candidates():

@@ -175,6 +175,30 @@ def test_feigin_minor_rejects_non_dominant(capsys):
     assert (code, out, err) == (2, "", "error: weight must be dominant (all coordinates >= 0)\n")
 
 
+def test_abbreviated_option_takes_a_signed_value(capsys):
+    # argparse takes "--lam" for "--lambda" and "--w" for "--word"; their
+    # negative values reach the CLI's own checks too
+    code, out, err = run(
+        capsys, "feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lam", "-1,0"
+    )
+    assert (code, out, err) == (2, "", "error: weight must be dominant (all coordinates >= 0)\n")
+    code, out, err = run(
+        capsys, "feigin-minor", "--cartan", "A2", "--w", "-1,2", "--lambda", "1,0"
+    )
+    assert (code, out, err) == (2, "", "error: letter -1 is outside the index set 1..2\n")
+
+
+def test_only_a_prefix_of_one_signed_option_is_joined():
+    join = cli._join_signed_values
+    assert join(["--lam", "-1,0"]) == ["--lam=-1,0"]
+    assert join(["--max", "-1"]) == ["--max=-1"]
+    # "--" is a prefix of every option, "--format" takes no signed value,
+    # and a value that is not a negative number is left apart
+    assert join(["--", "-1"]) == ["--", "-1"]
+    assert join(["--format", "-1"]) == ["--format", "-1"]
+    assert join(["--w", "-x"]) == ["--w", "-x"]
+
+
 def test_feigin_minor_has_no_search_cap(capsys):
     # feigin-minor runs no presentation search, so it takes no search cap
     code, out, err = run(

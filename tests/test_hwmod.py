@@ -26,7 +26,7 @@ from qcells.hwmod import (
     shadow_module,
 )
 from qcells.cells import find_presentation
-from qcells.linalg import column_dependencies, invert_matrix
+from qcells.linalg import RationalFunctions, column_dependencies, invert_matrix
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -36,6 +36,16 @@ B2 = build_root_datum("B2")
 G2 = build_root_datum("G2")
 
 ONE = ScalarQ(1)
+
+
+def exact_dependencies(rows):
+    """The elimination over Q(q)."""
+    return column_dependencies(rows, RationalFunctions)
+
+
+def shadow_dependencies(rows):
+    """The elimination over the shadow's field GF(p)."""
+    return column_dependencies(rows, hwmod._Shadow())
 
 
 def rand_vector(mod, rng):
@@ -187,13 +197,18 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
     exact build never reads a shadow, so its module is unchanged, and the
     presentation search takes the exact path to the same lam' and
     coefficients."""
-    real_deps = hwmod._mod_dependencies
+    real_deps = hwmod.column_dependencies
 
-    def empty(rows):
+    # each force changes the shadow build's elimination only
+    def empty(rows, field):
+        if not isinstance(field, hwmod._Shadow):
+            return real_deps(rows, field)
         return [], {}
 
-    def short(rows):
-        sel, deps = real_deps(rows)
+    def short(rows, field):
+        sel, deps = real_deps(rows, field)
+        if not isinstance(field, hwmod._Shadow):
+            return sel, deps
         return sel[:-1], deps
 
     forces = (empty, short)
@@ -201,11 +216,11 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
         lam = Weight(coords)
         default = build_module(datum, lam)
         for force in forces:
-            monkeypatch.setattr(hwmod, "_mod_dependencies", force)
+            monkeypatch.setattr(hwmod, "column_dependencies", force)
             forced = build_module(datum, lam)
             with pytest.raises(ZeroDivisionError, match="short pick"):
                 hwmod._build(datum, lam, hwmod._Shadow())
-            monkeypatch.setattr(hwmod, "_mod_dependencies", real_deps)
+            monkeypatch.setattr(hwmod, "column_dependencies", real_deps)
             assert forced.basis == default.basis
             assert forced.gram == default.gram
             assert forced.fmat == default.fmat
@@ -218,7 +233,7 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
     for force in (real_deps, *forces):
         for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
             monkeypatch.setattr(A2, cache, {})
-        monkeypatch.setattr(hwmod, "_mod_dependencies", force)
+        monkeypatch.setattr(hwmod, "column_dependencies", force)
         p = find_presentation(pres, 1)
         results.append((p.lam.coords, p.coeffs))
         if force is real_deps:
@@ -230,7 +245,7 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
             assert A2._shadow_cache == {}
         # a built module drops its shadow
         assert not set(A2._shadow_cache) & set(A2._module_cache)
-    monkeypatch.setattr(hwmod, "_mod_dependencies", real_deps)
+    monkeypatch.setattr(hwmod, "column_dependencies", real_deps)
     assert results[0][0] == (1, 1)
     assert results == [results[0]] * 3
 
@@ -318,13 +333,13 @@ def test_mod_solve_full_column_rank():
     def aug(rows, cols):
         return [row + [col[r] for col in cols] for r, row in enumerate(rows)]
 
-    assert hwmod._mod_dependencies(aug(rows, rhs)) == ([0, 1], {2: x[0], 3: x[1]})
+    assert shadow_dependencies(aug(rows, rhs)) == ([0, 1], {2: x[0], 3: x[1]})
     square = aug(rows[:2], [col[:2] for col in rhs])
-    assert hwmod._mod_dependencies(square) == ([0, 1], {2: x[0], 3: x[1]})
-    assert hwmod._mod_dependencies(aug(rows, [rhs[0], [1, 0, 0]])) == ([0, 1, 3], {2: x[0] + [0]})
-    assert hwmod._mod_dependencies([[1, 2], [2, 4], [3, 6]]) == ([0], {1: [2]})
-    assert hwmod._mod_dependencies([[0, 0], [0, 0]]) == ([], {0: [], 1: []})
-    assert hwmod._mod_dependencies([]) == ([], {})
+    assert shadow_dependencies(square) == ([0, 1], {2: x[0], 3: x[1]})
+    assert shadow_dependencies(aug(rows, [rhs[0], [1, 0, 0]])) == ([0, 1, 3], {2: x[0] + [0]})
+    assert shadow_dependencies([[1, 2], [2, 4], [3, 6]]) == ([0], {1: [2]})
+    assert shadow_dependencies([[0, 0], [0, 0]]) == ([], {0: [], 1: []})
+    assert shadow_dependencies([]) == ([], {})
 
 
 def test_mod_dependencies_match_exact_ones():
@@ -339,8 +354,8 @@ def test_mod_dependencies_match_exact_ones():
         left = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(nr)]
         right = [[rng.randrange(-3, 4) for _ in range(r)] for _ in range(nc)]
         rows = [[sum(a * b for a, b in zip(lrow, rcol)) for rcol in right] for lrow in left]
-        got = hwmod._mod_dependencies([[x % p for x in row] for row in rows])
-        want = column_dependencies([[ScalarQ(x) for x in row] for row in rows])
+        got = shadow_dependencies([[x % p for x in row] for row in rows])
+        want = exact_dependencies([[ScalarQ(x) for x in row] for row in rows])
         assert got[0] == want[0]
         assert got[1].keys() == want[1].keys()
         for c, xs in want[1].items():
@@ -381,8 +396,8 @@ def test_dependent_pick_is_refused():
     lam = Weight((1, 1))
     refused = 0
     for mod, dependencies in (
-        (build_module(B2, lam), column_dependencies),
-        (hwmod._build(B2, lam, hwmod._Shadow()), hwmod._mod_dependencies),
+        (build_module(B2, lam), exact_dependencies),
+        (hwmod._build(B2, lam, hwmod._Shadow()), shadow_dependencies),
     ):
         field = mod.field
         for mu in list(mod.basis)[1:]:

@@ -1,4 +1,5 @@
-"""Tests for exact linear algebra over Q(q)."""
+"""Tests for exact linear algebra over Q(q): the Gauss–Jordan elimination
+against a fraction-free reference elimination kept here."""
 
 from __future__ import annotations
 
@@ -7,19 +8,19 @@ import random
 import pytest
 
 from qcells.linalg import (
-    _back_substitute,
-    _clear_rows,
-    _echelon,
+    RationalFunctions,
     column_dependencies,
     invert_matrix,
     mat_vec,
     solve_linear,
 )
-from qcells.scalars import LaurentQ, ScalarQ
+from qcells.scalars import LaurentQ, ScalarQ, _dgcd
 
+QQ = RationalFunctions
 ONE = ScalarQ(1)
 ZERO = ScalarQ(0)
 Q = ScalarQ.q_power(1)
+L_ONE = LaurentQ(1)
 
 
 def sc(n: int) -> ScalarQ:
@@ -44,6 +45,94 @@ def mat_mul(a: list[list[ScalarQ]], b: list[list[ScalarQ]]) -> list[list[ScalarQ
     return out
 
 
+# The reference: a fraction-free Bareiss elimination, an earlier
+# implementation of the package.  Rows are cleared of denominators, two-term
+# updates are divided exactly by the previous pivot, and each dependency is
+# back substituted.
+
+
+def _laurent_lcm(a: LaurentQ, b: LaurentQ) -> LaurentQ:
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
+    da, _ = a._dense()
+    db, _ = b._dense()
+    return (a * b).exact_div(LaurentQ._from_dense(_dgcd(da, db)))
+
+
+def _clear_rows(rows: list[list[ScalarQ]]) -> list[list[LaurentQ]]:
+    out = []
+    for row in rows:
+        den = L_ONE
+        for x in row:
+            if x.num.c:
+                den = _laurent_lcm(den, x.den)
+        out.append([x.num * den.exact_div(x.den) if x.num.c else x.num for x in row])
+    return out
+
+
+def _span(x: LaurentQ) -> tuple[int, int]:
+    return (max(x.c) - min(x.c), len(x.c))
+
+
+def _echelon(rows: list[list[LaurentQ]]) -> list[tuple[int, int]]:
+    """Fraction-free row echelon, in place; returns the pivot positions."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots: list[tuple[int, int]] = []
+    prev = L_ONE
+    for c in range(nc):
+        pr = len(pivots)
+        if pr >= nr:
+            break
+        live = [r for r in range(pr, nr) if rows[r][c].c]
+        if not live:
+            continue
+        r0 = min(live, key=lambda r: _span(rows[r][c]))
+        rows[pr], rows[r0] = rows[r0], rows[pr]
+        piv, prow = rows[pr][c], rows[pr]
+        for row in rows[pr + 1:]:
+            m = row[c]
+            for k in range(c, nc):
+                val = piv * row[k] - m * prow[k]
+                row[k] = val.exact_div(prev) if val.c else val
+        pivots.append((pr, c))
+        prev = piv
+    return pivots
+
+
+def _back_substitute(
+    aug: list[list[LaurentQ]], pivots: list[tuple[int, int]], nc: int, rhs: int
+) -> list[ScalarQ]:
+    """Solve the echelon system in the first nc columns of aug, with
+    right-hand side column rhs of aug and every free coordinate zero."""
+    x = [ZERO] * nc
+    for (r, c) in reversed(pivots):
+        row = aug[r]
+        acc = row[rhs].to_scalar()
+        for k in range(c + 1, nc):
+            if row[k].c and x[k].num.c:
+                acc = acc - row[k].to_scalar() * x[k]
+        x[c] = acc / row[c].to_scalar()
+    return x
+
+
+def ref_column_dependencies(rows):
+    """The profile and dependencies of column_dependencies, by the
+    reference elimination."""
+    nc = len(rows[0]) if rows else 0
+    work = _clear_rows(rows)
+    pivots = _echelon(work)
+    prof = [c for _, c in pivots]
+    deps = {}
+    for c in range(nc):
+        if c not in prof:
+            x = _back_substitute(work, pivots, nc, c)
+            deps[c] = [x[p] for p in prof]
+    return prof, deps
+
+
 def rand_scalar(rng: random.Random) -> ScalarQ:
     num = LaurentQ({rng.randrange(-3, 4): rng.randrange(-5, 6) for _ in range(rng.randrange(3))})
     den = LaurentQ({0: 1, rng.randrange(1, 3): rng.randrange(3)})
@@ -51,7 +140,7 @@ def rand_scalar(rng: random.Random) -> ScalarQ:
 
 
 def profile(rows):
-    return column_dependencies(rows)[0]
+    return column_dependencies(rows, QQ)[0]
 
 
 def test_column_rank_profile_picks_leftmost():
@@ -60,14 +149,14 @@ def test_column_rank_profile_picks_leftmost():
         [Q, Q * Q, ONE],
     ]
     # column 1 is q times column 0, so the profile skips it
-    assert column_dependencies(rows) == ([0, 2], {1: [Q, ZERO]})
+    assert column_dependencies(rows, QQ) == ([0, 2], {1: [Q, ZERO]})
 
 
 def test_column_rank_profile_zero_matrix():
     rows = [[ZERO, ZERO], [ZERO, ZERO]]
     # every column is the empty combination
-    assert column_dependencies(rows) == ([], {0: [], 1: []})
-    assert column_dependencies([]) == ([], {})
+    assert column_dependencies(rows, QQ) == ([], {0: [], 1: []})
+    assert column_dependencies([], QQ) == ([], {})
 
 
 def check_dependencies(rows):
@@ -76,7 +165,7 @@ def check_dependencies(rows):
     the profile columns to its right, so the profile is the
     lexicographically first maximal independent set."""
     nc = len(rows[0])
-    prof, deps = column_dependencies(rows)
+    prof, deps = column_dependencies(rows, QQ)
     assert sorted(deps) == [c for c in range(nc) if c not in prof]
     sub = [[row[c] for c in prof] for row in rows]
     assert profile(sub) == list(range(len(prof)))
@@ -108,13 +197,59 @@ def test_column_dependencies_reconstruct_every_column():
 def test_column_dependencies_examples():
     # square of rank 2: column 2 is column 0 plus q times column 1
     rows = [[ONE, ZERO, ONE], [ZERO, ONE, Q], [Q, ONE, Q + Q]]
-    assert column_dependencies(rows) == ([0, 1], {2: [ONE, Q]})
+    assert column_dependencies(rows, QQ) == ([0, 1], {2: [ONE, Q]})
     # tall, first rows singular: the pivots come from below
     rows = [[ONE, ONE], [Q, Q], [ZERO, Q], [ZERO, ZERO]]
-    assert column_dependencies(rows) == ([0, 1], {})
+    assert column_dependencies(rows, QQ) == ([0, 1], {})
     # a zero column depends on nothing; a repeat on its first copy only
     rows = [[ZERO, ONE, ONE], [ZERO, Q, Q]]
-    assert column_dependencies(rows) == ([1], {0: [ZERO], 2: [ONE]})
+    assert column_dependencies(rows, QQ) == ([1], {0: [ZERO], 2: [ONE]})
+
+
+def ref_invert_matrix(rows):
+    """The inverse by the reference elimination of [A | I], or None when A
+    is singular."""
+    n = len(rows)
+    aug = [row + [ONE if r == c else ZERO for c in range(n)] for r, row in enumerate(rows)]
+    prof, deps = ref_column_dependencies(aug)
+    if prof != list(range(n)):
+        return None
+    return [[deps[n + j][i] for j in range(n)] for i in range(n)]
+
+
+def test_column_dependencies_match_reference_elimination():
+    """On seeded matrices with denominators, square, tall, wide,
+    rank-deficient or zero, the Gauss–Jordan profile and every dependency
+    equal the reference's, and so does the inverse of each square one."""
+    rng = random.Random(37)
+    kinds = set()
+    fractions = 0
+    for _ in range(40):
+        nr, nc, r = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(0, 5)
+        if rng.randrange(3):
+            # a product of nr x r and r x nc factors has rank at most r
+            left = [[rand_scalar(rng) for _ in range(r)] for _ in range(nr)]
+            right = [[rand_scalar(rng) for _ in range(nc)] for _ in range(r)]
+            rows = mat_mul(left, right) if r else [[ZERO] * nc for _ in range(nr)]
+        else:
+            rows = [[rand_scalar(rng) for _ in range(nc)] for _ in range(nr)]
+        got = column_dependencies(rows, QQ)
+        assert got == ref_column_dependencies(rows)
+        fractions += any(not x.den.is_one() for row in rows for x in row)
+        rank = len(got[0])
+        kinds.add(("zero" if not rank else "deficient" if rank < min(nr, nc) else "full",
+                   "square" if nr == nc else "tall" if nr > nc else "wide"))
+        if nr == nc:
+            want = ref_invert_matrix(rows)
+            if want is None:
+                with pytest.raises(ValueError, match="singular"):
+                    invert_matrix(rows)
+            else:
+                assert invert_matrix(rows) == want
+    assert fractions >= 10
+    for rank in ("zero", "deficient", "full"):
+        for shape in ("square", "tall", "wide"):
+            assert (rank, shape) in kinds
 
 
 def test_solve_linear_unique():
@@ -216,7 +351,7 @@ def solve_unique(rows, rhs_cols):
     The unique solution columns are the coordinates of B's columns."""
     nc = len(rows[0])
     aug = [row + [col[r] for col in rhs_cols] for r, row in enumerate(rows)]
-    prof, deps = column_dependencies(aug)
+    prof, deps = column_dependencies(aug, QQ)
     if prof[:nc] != list(range(nc)):
         raise ValueError("matrix has a rank deficit")
     if len(prof) > nc:
