@@ -67,9 +67,6 @@ class Weight:
     def scaled(self, n: int) -> "Weight":
         return Weight(tuple(n * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def is_dominant(self) -> bool:
         return all(a >= 0 for a in self.coords)
 
@@ -89,14 +86,8 @@ class RootVector:
     def __neg__(self) -> "RootVector":
         return RootVector(tuple(-a for a in self.coords))
 
-    def scaled(self, n: int) -> "RootVector":
-        return RootVector(tuple(n * a for a in self.coords))
-
     def height(self) -> int:
         return sum(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def is_positive(self) -> bool:
         """Nonzero with all coordinates >= 0."""

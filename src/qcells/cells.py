@@ -5,9 +5,12 @@ reduced letter sequence: quantum minors become explicit monomials in a
 quantum torus, the twist automorphism becomes a q-power times a ratio of
 such images, and each twisted flag minor is checked against its predicted
 monomial.  A matrix coefficient x -> (left, x . right) is passed as its two
-vectors, which must live in one module.  Its image pairs left once with
-each distinct divided-power path applied to right, and adds that value
-under every embedding of the path's letters in the word.  The search for
+vectors, which must live in one module.  Its image climbs plain f-powers
+from right: as f_i^{(a)} = f_i^a / [a]_{q_i}!, each distinct path's term is
+its plain-power pairing times one factor of its (d_i, a) steps.  Every
+path ends at the weight of left, so each pairing is one covector of left
+times the path's vector, and its value is added under every embedding of
+the path's letters in the word.  The search for
 a presentation D_{u_{w lam'}, u'} screens a candidate lam' by the GF(p)
 shadow of V(lam') and skips it only on a rank certificate that no exact u'
 exists.  The localized algebra itself is never materialized; all
@@ -35,7 +38,6 @@ from .hwmod import (
     ModuleVector,
     act_f,
     contravariant_form,
-    divided_powers,
     extremal_vector,
     get_module,
     shadow_module,
@@ -144,7 +146,10 @@ def feigin_matrix_coeff(
     (letter, a_k) pairs in the order applied, so each distinct path is
     walked and paired with left once; a is the path together with the
     positions of its letters, an embedding of them as strictly decreasing
-    positions of the word.
+    positions of the word.  The walk applies plain powers f_i^a and no
+    divided ones: the path's term is (left, f^a . right) times the path
+    factor q^{sum d_i a(a-1)/2} / prod [a]_{q^{d_i}}!, and the pairing is
+    one covector of left, computed once, times the path's vector.
     """
     return TorusElement._raw(pres, _coeff_terms(pres, left, right))
 
@@ -157,10 +162,19 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     applied.  The walk visits each path once: it places each next letter at
     its rightmost occurrence below the previous one, and skips a letter at
     once unless every other letter the content still needs occurs below it.
-    At a path that uses up the content it pairs left with the path's vector
-    once, and adds the value under every embedding of the path's letters as
-    strictly decreasing positions; each exponent vector a is exactly one
-    (path, embedding) pair."""
+    The ladders climb plain powers f_i^a, and no vector is divided.  At a
+    path that uses up the content the walk pairs left with the path's
+    vector once, as cov . vec with the covector cov = left^T G of the Gram
+    matrix G at the weight of left, multiplies the value by the path factor
+    hwmod._path_factor of its (d_i, a) steps, and adds it under every
+    embedding of the path's letters as strictly decreasing positions; each
+    exponent vector a is exactly one (path, embedding) pair.
+
+    Over GF(p), f_i^a = [a]_{q_i}! f_i^{(a)} vanishes with f_i^{(a)} only
+    where [a]_{q_i}! is invertible at q0.  So a shadow first checks every
+    [a]_{q_i} with 2 <= a <= need_i and gives up (ZeroDivisionError) at one
+    that is not, as its divided ladders would: the screen then certifies
+    nothing from it."""
     datum = pres.datum
     if left.mod.datum is not datum:
         raise ValueError("module and presentation use different root data")
@@ -168,6 +182,14 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     if need is None:
         return {}
     field = left.mod.field
+    # a shadow gives up at an [a]_{q_i}, 2 <= a <= need_i, that is not
+    # invertible at q0, as a divided ladder reaching it would
+    for i, c in enumerate(need.coords, 1):
+        for a in range(2, c + 1):
+            field.inv_qint(a, datum.di(i))
+    mu = left.weight()
+    # (left, v) = cov . v for every v of weight mu
+    cov = field.gram_row(list(zip(*left.mod.gram[mu])), left.parts[mu])
     letters = pres.letters
     n = len(letters)
     # last[k]: the rightmost position of each letter below position k
@@ -179,11 +201,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     path: list[tuple[int, int]] = []
 
     def leaf(vec: ModuleVector) -> None:
-        val = contravariant_form(left, vec)
+        val = field.dot(cov, vec.parts[mu])
         if field.is_zero(val):
             return
-        tw = sum(datum.di(i) * (a * (a - 1) // 2) for i, a in path)
-        val = field.mul_qpow(val, tw)
+        steps = tuple((datum.di(i), a) for i, a in path if a > 1)
+        if steps:
+            val = field.mul(val, field.path_factor(steps))
         for key in _embeddings(letters, path, 0, n, [0] * n):
             field.add_term(terms, key, val)
 
@@ -196,9 +219,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
             below = last[p]
             if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
                 continue
-            # f_i^{(a)} vec for a = 1..cap, up to the first zero
-            ladder = itertools.islice(divided_powers(act_f, i, vec), 1, cap + 1)
-            for a, w in enumerate(ladder, 1):
+            # f_i^a vec for a = 1..cap, up to the first zero
+            w = vec
+            for a in range(1, cap + 1):
+                w = act_f(i, w)
+                if w.is_zero():
+                    break
                 if a == cap or i in below:
                     rem[i - 1] = cap - a
                     path.append((i, a))

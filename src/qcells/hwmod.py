@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
-from .linalg import RationalFunctions, column_dependencies, invert_matrix, mat_vec
+from .linalg import RationalFunctions, column_dependencies, dot, invert_matrix, mat_vec
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
 
@@ -232,6 +232,19 @@ def _inv_qint(a: int, d: int) -> ScalarQ:
     return qint(a).subst(d).to_scalar().inverse()
 
 
+# Like _inv_qint, a pure function of small ints.
+@lru_cache(maxsize=None)
+def _path_factor(steps: tuple[tuple[int, int], ...]) -> ScalarQ:
+    """q^{sum d a(a-1)/2} / prod [a]_{q^d}! over the (d, a) steps of a path:
+    as f_i^{(a)} = f_i^a / [a]_{q_i}!, it turns the pairing of a path's plain
+    f-powers into its term of the Feigin image."""
+    out = ScalarQ.q_power(sum(d * (a * (a - 1) // 2) for d, a in steps))
+    for d, a in steps:
+        for k in range(2, a + 1):
+            out = out * _inv_qint(k, d)
+    return out
+
+
 class _Exact(RationalFunctions):
     """Q(q), with ScalarQ entries: the exact build and its vectors, on the
     row operations of linalg's elimination.
@@ -242,11 +255,13 @@ class _Exact(RationalFunctions):
     zero = S_ZERO
     one = S_ONE
 
-    mul_qpow = staticmethod(ScalarQ.mul_qpow)
+    mul = staticmethod(ScalarQ.__mul__)
+    dot = staticmethod(dot)
     add_term = staticmethod(add_term)
     apply_cols = staticmethod(_apply_cols)
     gram_row = staticmethod(mat_vec)
     inv_qint = staticmethod(_inv_qint)
+    path_factor = staticmethod(_path_factor)
 
     @staticmethod
     def nonzero(coeffs: list[ScalarQ]) -> bool:
@@ -338,9 +353,16 @@ class _Shadow:
         return [x % p for x in out]
 
     @staticmethod
+    def mul(a: int, b: int) -> int:
+        return a * b % _PROFILE_P
+
+    @staticmethod
+    def dot(u: list[int], v: list[int]) -> int:
+        return sum(a * b for a, b in zip(u, v)) % _PROFILE_P
+
+    @staticmethod
     def gram_row(zcols: list[list[int]], grow: list[int]) -> list[int]:
-        p = _PROFILE_P
-        return [sum(g * z for g, z in zip(grow, col)) % p for col in zcols]
+        return [_Shadow.dot(grow, col) for col in zcols]
 
     @staticmethod
     def add_term(terms: dict, key, c: int) -> None:
@@ -357,8 +379,10 @@ class _Shadow:
         """1/[a]_{q^d} at q0; ZeroDivisionError when [a]_{q^d} vanishes there."""
         return _eval_mod(_inv_qint(a, d), self.powers)
 
-    def mul_qpow(self, c: int, k: int) -> int:
-        return c * _eval_mod(ScalarQ.q_power(k), self.powers) % _PROFILE_P
+    def path_factor(self, steps: tuple[tuple[int, int], ...]) -> int:
+        """_path_factor at q0; the descent checks first that each [a]_{q^d}
+        it divides by is invertible there (see inv_qint)."""
+        return _eval_mod(_path_factor(steps), self.powers)
 
     @staticmethod
     def form(gram: dict, vparts: dict, wparts: dict) -> int:

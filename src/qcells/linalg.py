@@ -20,6 +20,7 @@ __all__ = [
     "solve_linear",
     "column_dependencies",
     "invert_matrix",
+    "dot",
     "mat_vec",
 ]
 
@@ -115,12 +116,13 @@ def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
     return [[deps[n + j][i] for j in range(n)] for i in range(n)]
 
 
+def dot(u: list[ScalarQ], v: list[ScalarQ]) -> ScalarQ:
+    acc = S_ZERO
+    for a, b in zip(u, v):
+        if a.num.c and b.num.c:
+            acc = acc + a * b
+    return acc
+
+
 def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:
-    out = []
-    for row in m:
-        acc = S_ZERO
-        for a, b in zip(row, v):
-            if a.num.c and b.num.c:
-                acc = acc + a * b
-        out.append(acc)
-    return out
+    return [dot(row, v) for row in m]

@@ -18,6 +18,7 @@ from qcells.cartan import (
     weyl_act,
     weyl_act_root,
     weyl_elements,
+    word_exponents,
 )
 from qcells.cells import (
     PresentationError,
@@ -45,7 +46,7 @@ from qcells.hwmod import (
 )
 from qcells.linalg import RationalFunctions, column_dependencies
 from qcells.qtorus import TorusPresentation, torus_str
-from qcells.scalars import S_ZERO
+from qcells.scalars import S_ZERO, ScalarQ
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -135,8 +136,13 @@ def brute_descent(pres, left, right):
         val = contravariant_form(left, vec)
         if not field.is_zero(val):
             tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
-            terms[a] = field.mul_qpow(val, tw)
+            terms[a] = field.mul(val, in_field(field, ScalarQ.q_power(tw)))
     return terms, paths
+
+
+def in_field(field, c):
+    """A scalar of Q(q) in field: c itself, or its value at q0 in a shadow."""
+    return hwmod._eval_mod(c, {}) if isinstance(field, hwmod._Shadow) else c
 
 
 def descent_pairs(mod, word):
@@ -165,13 +171,15 @@ def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, co
     pres = TorusPresentation(datum, word)
     mod = get_module(datum, Weight(coords))
     calls = []
+    real_dot = hwmod._Exact.dot
 
-    def counted(left, vec):
+    def counted(cov, coeffs):
         calls.append(1)
-        return contravariant_form(left, vec)
+        return real_dot(cov, coeffs)
 
-    monkeypatch.setattr(cells, "contravariant_form", counted)
-    shared = 0
+    # the descent's leaf pairing; brute_descent pairs through the Gram matrix
+    monkeypatch.setattr(hwmod._Exact, "dot", staticmethod(counted))
+    shared = paired = 0
     for left, right in descent_pairs(mod, word):
         want, paths = brute_descent(pres, left, right)
         calls.clear()
@@ -179,7 +187,27 @@ def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, co
         # one pairing per distinct path, however many a's embed it
         assert len(calls) <= len(paths)
         shared += len(want) > len(paths)
+        paired += len(calls)
     assert shared  # some path has several embeddings
+    assert paired  # the counter sees the descent's pairings
+
+
+def test_descent_climbs_plain_powers(monkeypatch):
+    """The descent divides no vector: it walks plain f-powers and puts the
+    1/[a]_{q_i}! of its divided powers into one factor per path."""
+    datum = build_root_datum("G2")
+    pres = TorusPresentation(datum, (1, 2, 1, 2, 1, 2))
+    mod = get_module(datum, Weight((1, 0)))
+    pairs = [(extremal_vector(mod, pres.letters[:k]), mod.highest()) for k in range(7)]
+    want = [brute_descent(pres, left, right)[0] for left, right in pairs]
+    assert any(max(key) > 1 for terms in want for key in terms)
+
+    def forbidden(*args):
+        raise AssertionError("the descent divides a vector")
+
+    monkeypatch.setattr(hwmod.ModuleVector, "scaled", forbidden)
+    monkeypatch.setattr(hwmod, "divided_powers", forbidden)
+    assert [feigin_matrix_coeff(pres, left, right).terms for left, right in pairs] == want
 
 
 def test_descent_zero_content_and_empty_word():
@@ -436,6 +464,38 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
             for pres, k, coords in expect:
                 fresh_caches(m, pres.datum)
                 assert find_presentation(pres, k).lam.coords == coords
+
+
+def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
+    """A shadow whose [2]_{q_i} is not invertible at q0 certifies nothing for
+    a column of content 2 in letter i, although its plain f-powers are
+    defined there: the screen keeps the candidate, and the search ends where
+    it does by default."""
+    datum = B2
+    pres = TorusPresentation(datum, (2, 1, 2))
+    k, lamp, mup = 2, Weight((0, 1)), Weight((0, 1))
+    mod_k = get_module(datum, datum.fundamental(pres.letters[k - 1]))
+    target = feigin_matrix_coeff(pres, extremal_vector(mod_k, pres.letters[:k]), mod_k.highest())
+    # the extremal vector needs no f^{(2)}, while the columns' content does
+    assert max(word_exponents(datum, pres.letters, lamp)) == 1
+    assert datum.weight_to_root(mup - weyl_act(datum, pres.letters, lamp)).coords == (1, 2)
+    fresh_caches(monkeypatch, datum)
+    assert cells._screened_out(pres, lamp, mup, target)
+    default = find_presentation(pres, k)
+
+    real = hwmod._Shadow.inv_qint
+
+    def vanishing(self, a, d):
+        if a == 2:
+            raise ZeroDivisionError("[2] vanishes at q0")
+        return real(self, a, d)
+
+    monkeypatch.setattr(hwmod._Shadow, "inv_qint", vanishing)
+    fresh_caches(monkeypatch, datum)
+    assert not cells._screened_out(pres, lamp, mup, target)
+    fresh_caches(monkeypatch, datum)
+    got = find_presentation(pres, k)
+    assert (got.lam, got.coeffs) == (default.lam, default.coeffs)
 
 
 # ------------------------------------------------------------------- twist
