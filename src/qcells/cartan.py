@@ -293,9 +293,10 @@ def build_root_datum(family: str, rank: int | None = None) -> RootDatum:
     """
     if rank is None:
         name = family.strip().upper()
-        if len(name) < 2 or not name[1:].isdigit():
+        digits = name[1:]
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Cartan type {family!r}")
-        family, rank = name[0], int(name[1:])
+        family, rank = name[0], int(digits)
     return _build_root_datum(family.upper(), rank)
 
 

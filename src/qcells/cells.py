@@ -40,9 +40,11 @@ from .hwmod import (
     contravariant_form,
     extremal_vector,
     get_module,
+    inv_qint,
+    path_factor,
     shadow_module,
 )
-from .linalg import solve_linear
+from .linalg import column_dependencies, solve_linear
 from .qtorus import TorusElement, TorusPresentation, torus_str
 from .scalars import ScalarQ
 
@@ -166,7 +168,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     path that uses up the content the walk pairs left with the path's
     vector once, as cov . vec with the covector cov = left^T G of the Gram
     matrix G at the weight of left, multiplies the value by the path factor
-    hwmod._path_factor of its (d_i, a) steps, and adds it under every
+    hwmod.path_factor of its (d_i, a) steps, and adds it under every
     embedding of the path's letters as strictly decreasing positions; each
     exponent vector a is exactly one (path, embedding) pair.
 
@@ -186,10 +188,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     # invertible at q0, as a divided ladder reaching it would
     for i, c in enumerate(need.coords, 1):
         for a in range(2, c + 1):
-            field.inv_qint(a, datum.di(i))
+            field.of(inv_qint(a, datum.di(i)))
     mu = left.weight()
-    # (left, v) = cov . v for every v of weight mu
-    cov = field.gram_row(list(zip(*left.mod.gram[mu])), left.parts[mu])
+    # (left, v) = cov . v for every v of weight mu; G is symmetric, so cov
+    # is G left
+    lc = left.parts[mu]
+    cov = [field.dot(row, lc) for row in left.mod.gram[mu]]
     letters = pres.letters
     n = len(letters)
     # last[k]: the rightmost position of each letter below position k
@@ -206,7 +210,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
             return
         steps = tuple((datum.di(i), a) for i, a in path if a > 1)
         if steps:
-            val = field.mul(val, field.path_factor(steps))
+            val = field.mul(val, field.of(path_factor(steps)))
         for key in _embeddings(letters, path, 0, n, [0] * n):
             field.add_term(terms, key, val)
 
@@ -384,10 +388,21 @@ def _screened_out(
         return True
     field = shadow.field
     try:
-        rows, rhs = _system(pres, shadow, mup, field.specialize(target.terms))
+        target_terms = {a: field.of(c) for a, c in target.terms.items()}
+        rows, rhs = _system(pres, shadow, mup, target_terms)
     except ZeroDivisionError:
         return False
-    return field.certified_inconsistent(rows, rhs)
+    return _certified_inconsistent(rows, rhs, field)
+
+
+def _certified_inconsistent(rows: list[list], rhs: list, field) -> bool:
+    """True when the system A x = b over field, with r columns and at least
+    one row, has rank A = r and b's column in the profile: the column rank
+    profile of [A|b] is all of its columns, the question solve_linear asks
+    of the same augmented system over Q(q)."""
+    r = len(rows[0])
+    aug = [row + [b] for row, b in zip(rows, rhs)]
+    return column_dependencies(aug, field)[0] == list(range(r + 1))
 
 
 def find_presentation(

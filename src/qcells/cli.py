@@ -62,10 +62,12 @@ _DEFAULT_SEARCH_CAP = 3
 
 def _int_field(text: str) -> int:
     """The one rule for an integer on the command line: a signed run of
-    digits, spaces around it ignored.  Raises ValueError on anything else,
-    an inner space or underscore included, which int() would accept."""
+    ASCII digits 0-9, spaces around it ignored.  Raises ValueError on
+    anything else: an inner space, or an underscore or a digit of another
+    script, such as "١" or "２", which int() would accept."""
     field = text.strip(" ")
-    if not field.lstrip("+-").isdigit():
+    digits = field.lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(field)
 

@@ -20,25 +20,37 @@ nonsingular Gram matrices above; so the pick is the Gram matrix's profile
 and has m(mu) vectors, which the build checks, and only the Gram block on
 the pick is computed.
 
-Stored per module: basis tags, Gram matrices, and the matrices of the
-Chevalley actions f_i, e_i between adjacent weight spaces.  Missing action
-keys mean the zero map.
+Stored per module: basis tags, Gram matrices, which are symmetric, and the
+matrices of the Chevalley actions f_i, e_i between adjacent weight spaces.
+Missing action keys mean the zero map.
 
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
-(shadow_module), with int entries.  Each field supplies the row operations
-of the one Gauss–Jordan elimination, linalg.column_dependencies: _Exact
-takes linalg's Q(q) ones, and _Shadow has the mod-p ones, so every GF(p)
-name stays in this file.  The shadow only screens; no exact build
-reads it.  It gives up, raising ZeroDivisionError, when a Phi(q0) profile
-is short of m(mu) or a division by zero occurs.  A shadow that is built is
-the specialization at q0 of the exact module with its picks: each of its
-Phi(q0) profiles has m(mu) columns, so some m(mu) x m(mu) minor of the
-picked columns is nonzero at q0, and by Cramer's rule every exact
-coordinate over the pick is defined there; the shadow computes those
-entries by the same ring operations mod p.  Actions, divided powers, the
-form and extremal vectors work over both fields; the braid operators are
-exact only.
+(shadow_module), with int entries.  The field interface, the same on both:
+
+    zero, one                     the constants 0 and 1
+    of(c)                         the field's value of a constant c of Q(q)
+    is_zero, inverse, scale,      the row operations of the one Gauss–Jordan
+      sub_multiple, pivot_size      elimination, linalg.column_dependencies
+    plus, mul                     scalar sum and product
+    dot, add, nonzero, apply_cols coefficient lists: pairing, sum, a nonzero
+                                    test, a column-major action matrix
+    add_term                      add to a term dict, dropping zeros
+    give_up                       the exception of a build that gives up
+
+A field reads every constant c of Q(q) it uses as of(c): _Exact.of is the
+identity and _Shadow.of is _eval_mod at q0, so every GF(p) name stays in
+this file.  _Exact takes linalg's row operations of Q(q), and a build over
+it that gives up is a bug (AssertionError).  The shadow only screens; no
+exact build reads it.  It gives up, raising ZeroDivisionError, when a
+Phi(q0) profile is short of m(mu) or a constant is undefined at q0.  A
+shadow that is built is the specialization at q0 of the exact module with
+its picks: each of its Phi(q0) profiles has m(mu) columns, so some
+m(mu) x m(mu) minor of the picked columns is nonzero at q0, and by Cramer's
+rule every exact coordinate over the pick is defined there; the shadow
+computes those entries by the same ring operations mod p.  Actions, divided
+powers, the form and extremal vectors work over both fields; the braid
+operators are exact only.
 """
 
 from __future__ import annotations
@@ -64,6 +76,8 @@ __all__ = [
     "act_f_divided",
     "act_e_divided",
     "divided_powers",
+    "inv_qint",
+    "path_factor",
     "contravariant_form",
     "extremal_vector",
     "braid_T",
@@ -181,20 +195,6 @@ class ModuleVector:
 # the two fields of a build
 
 
-def _apply_cols(
-    cols: list[tuple[ScalarQ, ...]], vec: list[ScalarQ], target_dim: int
-) -> list[ScalarQ]:
-    """Matrix-vector product for a column-major action matrix."""
-    out = [S_ZERO] * target_dim
-    for cidx, c in enumerate(vec):
-        if c.num.c:
-            col = cols[cidx]
-            for r, a in enumerate(col):
-                if a.num.c:
-                    out[r] = out[r] + a * c
-    return out
-
-
 # The prime field and evaluation point of the shadow.  They only screen, and
 # no exact build reads a shadow, so no output depends on them.  A built
 # shadow's Phi(q0) profile has m(mu) columns at every weight, so by Cramer's
@@ -228,40 +228,44 @@ def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
 # A pure function of two small ints, the same for every root datum, so one
 # module-level cache serves all data and no datum needs to own it.
 @lru_cache(maxsize=None)
-def _inv_qint(a: int, d: int) -> ScalarQ:
+def inv_qint(a: int, d: int) -> ScalarQ:
+    """1/[a]_{q^d} over Q(q)."""
     return qint(a).subst(d).to_scalar().inverse()
 
 
-# Like _inv_qint, a pure function of small ints.
+# Like inv_qint, a pure function of small ints.
 @lru_cache(maxsize=None)
-def _path_factor(steps: tuple[tuple[int, int], ...]) -> ScalarQ:
+def path_factor(steps: tuple[tuple[int, int], ...]) -> ScalarQ:
     """q^{sum d a(a-1)/2} / prod [a]_{q^d}! over the (d, a) steps of a path:
     as f_i^{(a)} = f_i^a / [a]_{q_i}!, it turns the pairing of a path's plain
     f-powers into its term of the Feigin image."""
     out = ScalarQ.q_power(sum(d * (a * (a - 1) // 2) for d, a in steps))
     for d, a in steps:
         for k in range(2, a + 1):
-            out = out * _inv_qint(k, d)
+            out = out * inv_qint(k, d)
     return out
 
 
 class _Exact(RationalFunctions):
     """Q(q), with ScalarQ entries: the exact build and its vectors, on the
-    row operations of linalg's elimination.
+    row operations of linalg's elimination.  Its constants are the exact
+    ones, so of is the identity, and a build that gives up is a bug.
 
     The build walk calls it per vector or per weight space, never per
     scalar inside a loop."""
 
     zero = S_ZERO
     one = S_ONE
+    give_up = AssertionError
 
+    plus = staticmethod(ScalarQ.__add__)
     mul = staticmethod(ScalarQ.__mul__)
     dot = staticmethod(dot)
     add_term = staticmethod(add_term)
-    apply_cols = staticmethod(_apply_cols)
-    gram_row = staticmethod(mat_vec)
-    inv_qint = staticmethod(_inv_qint)
-    path_factor = staticmethod(_path_factor)
+
+    @staticmethod
+    def of(c: ScalarQ) -> ScalarQ:
+        return c
 
     @staticmethod
     def nonzero(coeffs: list[ScalarQ]) -> bool:
@@ -272,49 +276,49 @@ class _Exact(RationalFunctions):
         return [a + b for a, b in zip(u, v)]
 
     @staticmethod
-    def add_qint(x: ScalarQ, n: int, d: int) -> ScalarQ:
-        """x + [n]_{q^d}."""
-        return x + qint(n).subst(d).to_scalar()
-
-    @staticmethod
-    def form(gram: dict, vparts: dict, wparts: dict) -> ScalarQ:
-        acc = S_ZERO
-        for mu, vc in vparts.items():
-            wc = wparts.get(mu)
-            if wc is None:
-                continue
-            g = gram[mu]
-            for r, a in enumerate(vc):
-                if not a.num.c:
-                    continue
-                row = g[r]
-                for s, b in enumerate(wc):
-                    if b.num.c and row[s].num.c:
-                        acc = acc + a * row[s] * b
-        return acc
-
-    @staticmethod
-    def check_pick(n: int, mult: int, mu: Weight) -> None:
-        """The pick is the Gram matrix's profile, so it has m(mu) vectors."""
-        if n != mult:
-            raise AssertionError(f"picked {n} vectors at {mu.coords}, multiplicity {mult}")
+    def apply_cols(
+        cols: list[tuple[ScalarQ, ...]], vec: list[ScalarQ], target_dim: int
+    ) -> list[ScalarQ]:
+        """Matrix-vector product for a column-major action matrix."""
+        out = [S_ZERO] * target_dim
+        for cidx, c in enumerate(vec):
+            if c.num.c:
+                col = cols[cidx]
+                for r, a in enumerate(col):
+                    if a.num.c:
+                        out[r] = out[r] + a * c
+        return out
 
 
 class _Shadow:
     """GF(p) at q = q0, with int entries in [0, p): the shadow build, its
     vectors, and the mod-p row operations of linalg's elimination.  Its
-    constants are _eval_mod of the exact ones."""
+    constants are of(c) of the exact ones c: _eval_mod at q0, which raises
+    ZeroDivisionError where c is undefined there, the exception a shadow
+    build that gives up raises too."""
 
     zero = 0
     one = 1
+    give_up = ZeroDivisionError
     nonzero = any
 
     def __init__(self) -> None:
         self.powers: dict[int, int] = {}
 
+    def of(self, c: ScalarQ) -> int:
+        return _eval_mod(c, self.powers)
+
     @staticmethod
     def is_zero(c: int) -> bool:
         return not c
+
+    @staticmethod
+    def plus(a: int, b: int) -> int:
+        return (a + b) % _PROFILE_P
+
+    @staticmethod
+    def mul(a: int, b: int) -> int:
+        return a * b % _PROFILE_P
 
     @staticmethod
     def add(u: list[int], v: list[int]) -> list[int]:
@@ -353,16 +357,8 @@ class _Shadow:
         return [x % p for x in out]
 
     @staticmethod
-    def mul(a: int, b: int) -> int:
-        return a * b % _PROFILE_P
-
-    @staticmethod
     def dot(u: list[int], v: list[int]) -> int:
         return sum(a * b for a, b in zip(u, v)) % _PROFILE_P
-
-    @staticmethod
-    def gram_row(zcols: list[list[int]], grow: list[int]) -> list[int]:
-        return [_Shadow.dot(grow, col) for col in zcols]
 
     @staticmethod
     def add_term(terms: dict, key, c: int) -> None:
@@ -371,53 +367,6 @@ class _Shadow:
             terms[key] = s
         else:
             terms.pop(key, None)
-
-    def add_qint(self, x: int, n: int, d: int) -> int:
-        return (x + _eval_mod(qint(n).subst(d).to_scalar(), self.powers)) % _PROFILE_P
-
-    def inv_qint(self, a: int, d: int) -> int:
-        """1/[a]_{q^d} at q0; ZeroDivisionError when [a]_{q^d} vanishes there."""
-        return _eval_mod(_inv_qint(a, d), self.powers)
-
-    def path_factor(self, steps: tuple[tuple[int, int], ...]) -> int:
-        """_path_factor at q0; the descent checks first that each [a]_{q^d}
-        it divides by is invertible there (see inv_qint)."""
-        return _eval_mod(_path_factor(steps), self.powers)
-
-    @staticmethod
-    def form(gram: dict, vparts: dict, wparts: dict) -> int:
-        p = _PROFILE_P
-        acc = 0
-        for mu, vc in vparts.items():
-            wc = wparts.get(mu)
-            if wc is not None:
-                for a, row in zip(vc, gram[mu]):
-                    if a:
-                        acc += a * (sum(x * b for x, b in zip(row, wc)) % p)
-        return acc % p
-
-    @staticmethod
-    def check_pick(n: int, mult: int, mu: Weight) -> None:
-        """A Phi(q0) profile short of m(mu) makes the shadow give up.  None
-        is longer: a minor of Phi(q0) is a minor of Phi at q0, and Phi has
-        rank m(mu)."""
-        if n < mult:
-            raise ZeroDivisionError(f"short pick mod p at {mu.coords}")
-
-    def specialize(self, terms: dict) -> dict:
-        """A term dict over Q(q) at q0; ZeroDivisionError when a denominator
-        vanishes there."""
-        return {key: _eval_mod(c, self.powers) for key, c in terms.items()}
-
-    @staticmethod
-    def certified_inconsistent(rows: list[list[int]], rhs: list[int]) -> bool:
-        """True when the system A x = b mod p, with r columns and at least
-        one row, has rank A = r and b's column in the profile: the column
-        rank profile of [A|b] is all of its columns, the question the exact
-        solve asks of the same augmented system."""
-        r = len(rows[0])
-        aug = [row + [b] for row, b in zip(rows, rhs)]
-        return column_dependencies(aug, _Shadow)[0] == list(range(r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +464,8 @@ def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule
                     if i == j:
                         hval = datum.h_weight(i, parent_j)
                         if hval:
-                            z[widx] = field.add_qint(z[widx], hval, datum.di(i))
+                            qn = qint(hval).subst(datum.di(i)).to_scalar()
+                            z[widx] = field.plus(z[widx], field.of(qn))
                     per_col.append(z)
                 zvecs[i] = per_col
 
@@ -527,13 +477,21 @@ def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule
             # candidates over the pick
             phi = [list(row) for per_col in zvecs.values() for row in zip(*per_col)]
             sel, coords = column_dependencies(phi, field)
-            field.check_pick(len(sel), mult, mu)
+            # the pick is the Gram matrix's profile, so it has m(mu) vectors
+            # over Q(q); a Phi(q0) profile is never longer, as a minor of
+            # Phi(q0) is a minor of Phi at q0, and a shorter one makes the
+            # shadow give up
+            if len(sel) != mult:
+                raise field.give_up(
+                    f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
+                )
             # the Gram block on the pick, by adjointness:
             # (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c])
             g = []
             for r in sel:
                 i, parent_i, vidx, _t = cands[r]
-                g.append(field.gram_row([zvecs[i][c] for c in sel], mod.gram[parent_i][vidx]))
+                grow = mod.gram[parent_i][vidx]
+                g.append([field.dot(grow, zvecs[i][c]) for c in sel])
 
             mod.basis[mu] = tuple(cands[c][3] for c in sel)
             mod.gram[mu] = g
@@ -569,8 +527,8 @@ def build_module(datum: RootDatum, lam: Weight) -> HWModule:
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     """V(lam) from the datum's module cache, built on the first request.  A
     built module needs no screen, so its shadow leaves the shadow cache; the
-    shadow's memos hold vectors that point back at it, so they are cleared
-    to let refcounting free it."""
+    shadow's extremal vectors point back at it, so their memo is cleared to
+    let refcounting free it."""
     mod = datum._module_cache.get(lam.coords)
     if mod is None:
         mod = build_module(datum, lam)
@@ -578,7 +536,6 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
         shadow = datum._shadow_cache.pop(lam.coords, None)
         if shadow is not None:
             shadow._extremal_memo.clear()
-            shadow._tinv_memo.clear()
     return mod
 
 
@@ -586,8 +543,8 @@ def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
     """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
     built on the first request and dropped once get_module builds V(lam):
     the specialization of every exact entry, or None when the shadow gave
-    up (a short pick or a division by zero).  Raises ModuleTooLarge as
-    build_module does."""
+    up (a short pick or a constant undefined at q0).  Raises ModuleTooLarge
+    as build_module does."""
     cache = datum._shadow_cache
     if lam.coords not in cache:
         try:
@@ -626,14 +583,14 @@ def divided_powers(act, i: int, vec: ModuleVector) -> Iterator[ModuleVector]:
     while it is nonzero, for act one of act_f, act_e: each term is act(i, .)
     of the one before, divided by [a]_{q_i}."""
     di = vec.mod.datum.di(i)
-    inv_qint = vec.mod.field.inv_qint
+    of = vec.mod.field.of
     a = 0
     while not vec.is_zero():
         yield vec
         a += 1
         vec = act(i, vec)
         if a > 1:
-            vec = vec.scaled(inv_qint(a, di))
+            vec = vec.scaled(of(inv_qint(a, di)))
 
 
 def _act_divided(act, i: int, a: int, vec: ModuleVector) -> ModuleVector:
@@ -659,7 +616,13 @@ def contravariant_form(v: ModuleVector, w: ModuleVector):
     if v.mod is not w.mod:
         raise ValueError("vectors live in different modules")
     mod = v.mod
-    return mod.field.form(mod.gram, v.parts, w.parts)
+    field = mod.field
+    acc = field.zero
+    for mu, vc in v.parts.items():
+        wc = w.parts.get(mu)
+        if wc is not None:
+            acc = field.plus(acc, field.dot(vc, [field.dot(row, wc) for row in mod.gram[mu]]))
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -136,13 +136,8 @@ def brute_descent(pres, left, right):
         val = contravariant_form(left, vec)
         if not field.is_zero(val):
             tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
-            terms[a] = field.mul(val, in_field(field, ScalarQ.q_power(tw)))
+            terms[a] = field.mul(val, field.of(ScalarQ.q_power(tw)))
     return terms, paths
-
-
-def in_field(field, c):
-    """A scalar of Q(q) in field: c itself, or its value at q0 in a shadow."""
-    return hwmod._eval_mod(c, {}) if isinstance(field, hwmod._Shadow) else c
 
 
 def descent_pairs(mod, word):
@@ -170,18 +165,21 @@ def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, co
     datum = build_root_datum(cartan)
     pres = TorusPresentation(datum, word)
     mod = get_module(datum, Weight(coords))
-    calls = []
+    calls, own = [], [None]
     real_dot = hwmod._Exact.dot
 
-    def counted(cov, coeffs):
-        calls.append(1)
-        return real_dot(cov, coeffs)
+    def counted(u, coeffs):
+        # the covector pairs Gram rows with left's own coefficient list
+        if coeffs is not own[0]:
+            calls.append(1)
+        return real_dot(u, coeffs)
 
     # the descent's leaf pairing; brute_descent pairs through the Gram matrix
     monkeypatch.setattr(hwmod._Exact, "dot", staticmethod(counted))
     shared = paired = 0
     for left, right in descent_pairs(mod, word):
         want, paths = brute_descent(pres, left, right)
+        own[0] = left.parts[left.weight()]
         calls.clear()
         assert feigin_matrix_coeff(pres, left, right).terms == want
         # one pairing per distinct path, however many a's embed it
@@ -428,7 +426,9 @@ def test_modular_point_changes_no_output(monkeypatch, capsys):
 
 
 def test_certificate_needs_full_column_rank():
-    cert = hwmod._Shadow.certified_inconsistent
+    def cert(rows, rhs):
+        return cells._certified_inconsistent(rows, rhs, hwmod._Shadow())
+
     assert cert([[1], [0]], [0, 1])
     assert cert([[1, 0], [0, 3], [0, 0]], [1, 3, 1])
     # consistent at q0
@@ -451,19 +451,34 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
             return {}
         return real_terms(pres, left, right)
 
-    def undefined(field, terms):
-        raise ZeroDivisionError
+    # the search computes its target through feigin_matrix_coeff; the shadow
+    # fails to take exactly those coefficients
+    targets, raised = [], []
+    real_coeff = cells.feigin_matrix_coeff
+    real_of = hwmod._Shadow.of
+
+    def recorded(pres, left, right):
+        targets.append(real_coeff(pres, left, right))
+        return targets[-1]
+
+    def undefined(field, c):
+        if any(c is x for t in targets for x in t.terms.values()):
+            raised.append(c)
+            raise ZeroDivisionError("target coefficient undefined at q0")
+        return real_of(field, c)
 
     expect = [(P121, 1, (1, 1)), (PB, 1, (0, 1)), (PB, 2, (0, 2)), (PB, 4, (1, 0))]
-    for owner, name, patch in (
-        (cells, "_coeff_terms", collapsed),
-        (hwmod._Shadow, "specialize", undefined),
+    for patches in (
+        [(cells, "_coeff_terms", collapsed)],
+        [(cells, "feigin_matrix_coeff", recorded), (hwmod._Shadow, "of", undefined)],
     ):
         with monkeypatch.context() as m:
-            m.setattr(owner, name, patch)
+            for owner, name, patch in patches:
+                m.setattr(owner, name, patch)
             for pres, k, coords in expect:
                 fresh_caches(m, pres.datum)
                 assert find_presentation(pres, k).lam.coords == coords
+    assert raised
 
 
 def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
@@ -483,14 +498,15 @@ def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
     assert cells._screened_out(pres, lamp, mup, target)
     default = find_presentation(pres, k)
 
-    real = hwmod._Shadow.inv_qint
+    real = hwmod._Shadow.of
+    inv2 = [hwmod.inv_qint(2, datum.di(i)) for i in datum.index_set]
 
-    def vanishing(self, a, d):
-        if a == 2:
+    def vanishing(self, c):
+        if any(c is x for x in inv2):
             raise ZeroDivisionError("[2] vanishes at q0")
-        return real(self, a, d)
+        return real(self, c)
 
-    monkeypatch.setattr(hwmod._Shadow, "inv_qint", vanishing)
+    monkeypatch.setattr(hwmod._Shadow, "of", vanishing)
     fresh_caches(monkeypatch, datum)
     assert not cells._screened_out(pres, lamp, mup, target)
     fresh_caches(monkeypatch, datum)

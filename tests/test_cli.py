@@ -116,18 +116,41 @@ def test_digits_of_two_fields_are_not_joined(capsys, argv):
         (("verify", "--cartan", "A2", "--word", "1,2,1", "--search-cap", "0_3"), None),
         (("verify", "--cartan", "A1", "--word", "1"), "0_3"),
         (("sweep", "--cartan", "A1"), "0_3"),
+        (("verify", "--cartan", "A2", "--word", "1,2,1", "--k", "١"), None),
+        (("verify", "--cartan", "A2", "--word", "١,2,1"), None),
+        (("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "１,0"), None),
+        (("sweep", "--cartan", "A2", "--max-length", "２"), None),
+        (("sweep", "--cartan", "A2", "--search-cap", "３"), None),
+        (("verify", "--cartan", "A1", "--word", "1"), "٣"),
+        (("verify", "--cartan", "A٢", "--word", "1"), None),
     ],
-    ids=["k", "max-length", "sweep-search-cap", "verify-search-cap", "env-verify", "env-sweep"],
+    ids=[
+        "k",
+        "max-length",
+        "sweep-search-cap",
+        "verify-search-cap",
+        "env-verify",
+        "env-sweep",
+        "k-non-ascii",
+        "word-non-ascii",
+        "lambda-non-ascii",
+        "max-length-non-ascii",
+        "search-cap-non-ascii",
+        "env-non-ascii",
+        "cartan-non-ascii",
+    ],
 )
 def test_underscore_in_an_integer_is_usage_error(capsys, monkeypatch, argv, env):
-    # int() reads "0_3" as 3; the command line does not
+    # int() reads "0_3" and the Arabic-Indic or fullwidth digit 3 as 3; the
+    # command line reads neither, as it accepts ASCII digits only
     if env is None:
         monkeypatch.delenv("QCELLS_SEARCH_CAP", raising=False)
     else:
         monkeypatch.setenv("QCELLS_SEARCH_CAP", env)
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "0_" in err and not out
+    bad = env or next(a for a in argv if "_" in a or not a.isascii())
+    assert bad in err and not out
 
 
 def test_spaces_around_fields_are_ignored(capsys):

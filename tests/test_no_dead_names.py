@@ -1,7 +1,8 @@
 """No source file of the package imports a name it does not use, and every
-module-level private function or class, and every non-dunder method of a
-class, is referenced somewhere in the package beyond its own definition:
-code that nothing reaches is deleted, not left for its own unit test."""
+module-level private function or class, and every non-dunder method or
+assigned class member, is referenced somewhere in the package beyond its own
+definition: code that nothing reaches is deleted, not left for its own unit
+test."""
 
 from __future__ import annotations
 
@@ -72,20 +73,27 @@ def test_private_definitions_are_referenced(name):
 
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_methods_are_referenced(name):
-    """Every non-dunder method of a class in the package is referenced by
-    name somewhere in the package beyond its own definition."""
+    """Every non-dunder method of a class in the package, and every member a
+    class body assigns, such as dot = staticmethod(dot) or nonzero = any, is
+    referenced by name somewhere in the package beyond its own definition.
+    Dataclass fields, which are annotated, are left out."""
     unreached = []
     for cls in TREES[name].body:
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members = [node.name]
+            elif isinstance(node, ast.Assign):
+                members = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
                 continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            if not any(
-                node.name in _referenced(tree, node if other == name else None)
-                for other, tree in TREES.items()
-            ):
-                unreached.append((f"{cls.name}.{node.name}", node.lineno))
-    assert not unreached, f"{name} defines methods nothing references: {unreached}"
+            for member in members:
+                if member.startswith("__") and member.endswith("__"):
+                    continue
+                if not any(
+                    member in _referenced(tree, node if other == name else None)
+                    for other, tree in TREES.items()
+                ):
+                    unreached.append((f"{cls.name}.{member}", node.lineno))
+    assert not unreached, f"{name} defines members nothing references: {unreached}"
