@@ -455,14 +455,12 @@ def test_shadow_specializes_exact_module():
         def pairs(mod):
             """Every pair of basis vectors of one weight, and the sum of all
             basis vectors with itself."""
-            out = []
+            out, total = [], mod.zero()
             for mu in mod.basis:
                 vecs = [mod.basis_vector(mu, s) for s in range(mod.dim_of(mu))]
                 out += [(v, w) for v in vecs for w in vecs]
-            total = mod.zero()
-            for mu in mod.basis:
-                for s in range(mod.dim_of(mu)):
-                    total = total + mod.basis_vector(mu, s)
+                for v in vecs:
+                    total = total + v
             return out + [(total, total)]
 
         want = [hwmod._eval_mod(contravariant_form(v, w), powers) for v, w in pairs(exact)]
