@@ -122,15 +122,16 @@ class RootDatum:
             tuple(int(x * self._inv_den) for x in row) for row in inv
         )
         # the one owner of per-datum caches, filled lazily: reduced words by
-        # w.rho (cartan), Lusztig form values (freeuq), exact modules and
-        # their GF(p) shadows by highest weight (hwmod) and flag minor images
-        # by (word, lambda) (cells)
+        # w.rho (cartan), Lusztig form values (freeuq), and exact modules and
+        # their GF(p) shadows by highest weight (hwmod).  Each module owns
+        # its own memos, of extremal vectors by weight and of the Feigin
+        # descent's path values (hwmod.HWModule), and they live as long as
+        # it does
         self._pos_roots: tuple[RootVector, ...] | None = None
         self._rw_memo: dict = {}
         self._form_memo: dict = {}
         self._module_cache: dict = {}
         self._shadow_cache: dict = {}
-        self._minor_cache: dict = {}
 
     def _validate(self) -> None:
         n = self.rank
@@ -333,8 +334,18 @@ def _build_root_datum(family: str, rank: int) -> RootDatum:
 # Weyl group machinery on words
 # ---------------------------------------------------------------------------
 
+def _check_letters(datum: RootDatum, word: tuple[int, ...]) -> None:
+    """Raise ValueError on a letter outside the index set 1..rank, which
+    reflect_weight, reading coords[i - 1], would wrap to another letter."""
+    bad = next((i for i in word if not 1 <= i <= datum.rank), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} outside the index set of {datum.name}")
+
+
 def weyl_act(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> Weight:
-    """Apply s_{i_1} ... s_{i_m} to a weight (rightmost letter acts first)."""
+    """Apply s_{i_1} ... s_{i_m} to a weight (rightmost letter acts first).
+    Raises ValueError on a letter outside the index set."""
+    _check_letters(datum, word)
     for i in reversed(word):
         lam = datum.reflect_weight(i, lam)
     return lam
@@ -348,7 +359,9 @@ def weyl_act_root(datum: RootDatum, word: tuple[int, ...], nu: RootVector) -> Ro
 
 def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tuple[int, ...]:
     """The exponents c_m = <h_{i_m}, s_{i_{m+1}} ... s_{i_l} lam> for m = 1..l,
-    read off while lam walks through the word rightmost letter first."""
+    read off while lam walks through the word rightmost letter first.
+    Raises ValueError on a letter outside the index set."""
+    _check_letters(datum, word)
     out = []
     for i in reversed(word):
         out.append(lam.coords[i - 1])
@@ -361,9 +374,7 @@ def is_reduced(datum: RootDatum, word: tuple[int, ...]) -> bool:
     """True when the word is reduced: walking mu = rho forward, every letter
     i has <h_i, mu> > 0 before mu becomes s_i mu.  Raises ValueError on a
     letter outside the index set."""
-    bad = next((i for i in word if not 1 <= i <= datum.rank), None)
-    if bad is not None:
-        raise ValueError(f"letter {bad} outside the index set of {datum.name}")
+    _check_letters(datum, word)
     mu = datum.rho()
     for i in word:
         if mu.coords[i - 1] <= 0:

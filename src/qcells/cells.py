@@ -10,7 +10,11 @@ from right: as f_i^{(a)} = f_i^a / [a]_{q_i}!, each distinct path's term is
 its plain-power pairing times one factor of its (d_i, a) steps.  Every
 path ends at the weight of left, so each pairing is one covector of left
 times the path's vector, and its value is added under every embedding of
-the path's letters in the word.  The search for
+the path's letters in the word.  Only those embeddings depend on the word:
+whether a path's vector is nonzero and, for an extremal left vector, the
+path's term are memoized on the module, keyed by right's basis index and
+the path (see hwmod), so the reduced words of one element, and the
+elements sharing a module, climb each vector once.  The search for
 a presentation D_{u_{w lam'}, u'} screens a candidate lam' by the GF(p)
 shadow of V(lam') and skips it only on a rank certificate that no exact u'
 exists.  The localized algebra itself is never materialized; all
@@ -172,28 +176,44 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     embedding of the path's letters as strictly decreasing positions; each
     exponent vector a is exactly one (path, embedding) pair.
 
+    Neither whether f^path right is nonzero nor a path's term depends on
+    the word, so both are memoized on the module (see hwmod) when right is
+    a basis vector: the first in _node_memo, which keeps the walk's zero
+    pruning, and the second in _leaf_memo when left is also the module's
+    extremal vector of its weight, the very object extremal_vector returns.
+    Any other pair walks with fresh memos that go with the call.  Vectors
+    are climbed only where a memo misses, from the deepest vector already
+    computed on the current path, continuing its ladder.
+
     Over GF(p), f_i^a = [a]_{q_i}! f_i^{(a)} vanishes with f_i^{(a)} only
     where [a]_{q_i}! is invertible at q0.  So a shadow first checks every
     [a]_{q_i} with 2 <= a <= need_i and gives up (ZeroDivisionError) at one
     that is not, as its divided ladders would: the screen then certifies
     nothing from it."""
     datum = pres.datum
-    if left.mod.datum is not datum:
+    mod = left.mod
+    if mod.datum is not datum:
         raise ValueError("module and presentation use different root data")
     need = _content(left, right)
     if need is None:
         return {}
-    field = left.mod.field
+    field = mod.field
     # a shadow gives up at an [a]_{q_i}, 2 <= a <= need_i, that is not
     # invertible at q0, as a divided ladder reaching it would
     for i, c in enumerate(need.coords, 1):
         for a in range(2, c + 1):
             field.of(inv_qint(a, datum.di(i)))
     mu = left.weight()
-    # (left, v) = cov . v for every v of weight mu; G is symmetric, so cov
-    # is G left
-    lc = left.parts[mu]
-    cov = [field.dot(row, lc) for row in left.mod.gram[mu]]
+    rkey = _basis_key(right)
+    if rkey is None:
+        node: dict[int, bool] = {}
+        leaf: dict[int, object] = {}
+    else:
+        node = mod._node_memo.setdefault(rkey, {})
+        if left is mod._extremal_memo.get(mu):
+            leaf = mod._leaf_memo.setdefault(rkey, {})
+        else:
+            leaf = {}
     letters = pres.letters
     n = len(letters)
     # last[k]: the rightmost position of each letter below position k
@@ -203,46 +223,98 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     terms: dict[tuple[int, ...], object] = {}
     rem = list(need.coords)
     path: list[tuple[int, int]] = []
+    # a path's code: each step (i, a) is one digit a * r1 + i in base
+    # r1 * (number of weights + 1).  The walk asks for f_i^a only where
+    # f_i^{a-1} is nonzero, so the i-string has a weights and every digit is
+    # below the base; no digit is 0, so distinct paths get distinct codes
+    r1 = datum.rank + 1
+    base = r1 * (len(mod.basis) + 1)
+    # vecs[d]: f^{path[:d]} right, or None until a miss needs it;
+    # ladder[d]: (b, f_i^b vecs[d]) for the letter i walked at depth d
+    depth = sum(rem) + 1
+    vecs: list[ModuleVector | None] = [right] + [None] * depth
+    ladder: list[tuple[int, ModuleVector | None]] = [(0, None)] * depth
+    cov: list = []
 
-    def leaf(vec: ModuleVector) -> None:
-        val = field.dot(cov, vec.parts[mu])
-        if field.is_zero(val):
-            return
-        steps = tuple((datum.di(i), a) for i, a in path if a > 1)
-        if steps:
-            val = field.mul(val, field.of(path_factor(steps)))
-        for key in _embeddings(letters, path, 0, n, [0] * n):
-            field.add_term(terms, key, val)
+    def vector(d: int) -> ModuleVector:
+        v = vecs[d]
+        if v is None:
+            i, a = path[d - 1]
+            v = vecs[d] = climb(d - 1, i, a)
+        return v
 
-    def walk(k: int, vec: ModuleVector) -> None:
+    def climb(d: int, i: int, a: int) -> ModuleVector:
+        """f_i^a vecs[d], continuing the ladder of depth d."""
+        b, w = ladder[d]
+        if w is None:
+            w = vector(d)
+        for _ in range(b, a):
+            w = act_f(i, w)
+        ladder[d] = (a, w)
+        return w
+
+    def walk(d: int, k: int, code: int) -> None:
         if not any(rem):
-            leaf(vec)
+            val = leaf.get(code)
+            if val is None:
+                if not cov:
+                    # (left, v) = cov . v for every v of weight mu; G is
+                    # symmetric, so cov is G left
+                    lc = left.parts[mu]
+                    cov.extend(field.dot(row, lc) for row in mod.gram[mu])
+                val = field.dot(cov, vector(d).parts[mu])
+                steps = tuple((datum.di(i), a) for i, a in path if a > 1)
+                if field.is_zero(val):
+                    val = field.zero
+                elif steps:
+                    val = field.mul(val, field.of(path_factor(steps)))
+                leaf[code] = val
+            if not field.is_zero(val):
+                for key in _embeddings(letters, path, 0, n, [0] * n):
+                    field.add_term(terms, key, val)
             return
         for i, p in last[k].items():
             cap = rem[i - 1]
             below = last[p]
             if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
                 continue
-            # f_i^a vec for a = 1..cap, up to the first zero
-            w = vec
+            # f_i^a for a = 1..cap, up to the first zero
+            ladder[d] = (0, None)
             for a in range(1, cap + 1):
-                w = act_f(i, w)
-                if w.is_zero():
+                child = code * base + a * r1 + i
+                nonzero = node.get(child)
+                if nonzero is None:
+                    nonzero = node[child] = not climb(d, i, a).is_zero()
+                if not nonzero:
                     break
                 if a == cap or i in below:
                     rem[i - 1] = cap - a
                     path.append((i, a))
-                    walk(p, w)
+                    b, w = ladder[d]
+                    vecs[d + 1] = w if b == a else None
+                    walk(d + 1, p, child)
                     path.pop()
             rem[i - 1] = cap
 
     try:
-        walk(n, right)
+        walk(0, n, 0)
     finally:
-        # walk reaches itself through its closure; dropping the name ends
-        # that cycle, so refcounting frees the vectors its closure holds
-        del walk
+        # the three functions reach each other through their closures;
+        # dropping the names ends those cycles, so refcounting frees the
+        # vectors the closures hold
+        del walk, vector, climb
     return terms
+
+
+def _basis_key(vec: ModuleVector) -> tuple[Weight, int] | None:
+    """(weight, index) of a basis vector of its module, or None for any
+    other weight-homogeneous vector."""
+    ((mu, coeffs),) = vec.parts.items()
+    field = vec.mod.field
+    live = [s for s, c in enumerate(coeffs) if not field.is_zero(c)]
+    if len(live) == 1 and coeffs[live[0]] == field.one:
+        return mu, live[0]
+    return None
 
 
 def _embeddings(
@@ -279,14 +351,10 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     Computed in closed form: exponent a_k is the divided-power exponent
     <h_{i_k}, s_{i_{k+1}} ... s_{i_l} lam> of the extremal vector u_{w lam},
     and the coefficient is the matching q-power.  The result is always
-    cross-checked against the module pairing route before being cached on
-    the datum; a disagreement raises MinorRoutesDisagree.
+    cross-checked against the module pairing route, whose path values the
+    module memoizes; a disagreement raises MinorRoutesDisagree.
     """
     datum = pres.datum
-    key = (pres.letters, lam.coords)
-    hit = datum._minor_cache.get(key)
-    if hit is not None:
-        return hit
     if not lam.is_dominant():
         raise ValueError("minor weight must be dominant")
     word = pres.letters
@@ -300,7 +368,6 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     paired = feigin_matrix_coeff(pres, extremal_vector(mod, word), mod.highest())
     if not class_equal(closed, paired):
         raise MinorRoutesDisagree(closed, paired)
-    datum._minor_cache[key] = closed
     return closed
 
 

@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from typing import Any, Callable
 
 from .cartan import (
@@ -244,7 +245,7 @@ def _run_instance(
 
 
 def _emit_records(
-    instances: list[tuple[TorusPresentation, int]],
+    instances: Iterable[tuple[TorusPresentation, int]],
     cartan: str,
     search_cap: int,
     fmt: str,
@@ -287,17 +288,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _exit_code(total - passed - capped, capped)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    datum = _datum(args.cartan)
-    instances: list[tuple[TorusPresentation, int]] = []
-    for w in weyl_elements(datum, args.max_length):
+def _sweep_instances(
+    datum: RootDatum, max_length: int | None
+) -> Iterator[tuple[TorusPresentation, int]]:
+    """Every (word, k) of a sweep in its order, each word's presentation made
+    only when the sweep reaches it."""
+    for w in weyl_elements(datum, max_length):
         if not w:
             continue
         for word in reduced_words(datum, w):
             pres = TorusPresentation(datum, word)
-            instances.extend((pres, k) for k in range(1, len(word) + 1))
+            for k in range(1, len(word) + 1):
+                yield pres, k
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    datum = _datum(args.cartan)
     total, passed, capped = _emit_records(
-        instances, datum.name, args.search_cap, args.format
+        _sweep_instances(datum, args.max_length), datum.name, args.search_cap, args.format
     )
     mismatched = total - passed - capped
     if args.format == "json":

@@ -24,6 +24,23 @@ Stored per module: basis tags, Gram matrices, which are symmetric, and the
 matrices of the Chevalley actions f_i, e_i between adjacent weight spaces.
 Missing action keys mean the zero map.
 
+Each module also owns memos that live as long as it does and are filled
+lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
+bounded by the Weyl orbit of lam; the Lusztig inverse braid matrices; and
+the two memos of the Feigin descent (cells._coeff_terms), which hold no
+vector, so no memo but the extremal one points back at the module.  Both
+descent memos map a right key, the (weight, basis index) of a basis vector
+r, to a dict keyed by one int path code:
+
+    _node_memo[r][code]    whether f^path r is nonzero
+    _leaf_memo[r][code]    the path's term, path factor applied, for the
+                             extremal vector of the weight of f^path r on
+                             the left; a zero term is the field's zero
+
+A path's end weight is wt r minus its content, so the right key and the
+code fix the leaf's left vector too.  None of these values depends on a
+reduced word; only the positions of a path's letters in a word do.
+
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
 (shadow_module), with int entries.  The field interface, the same on both:
@@ -59,7 +76,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 
-from .cartan import RootDatum, Weight, dominant_conjugate, weyl_dim, word_exponents
+from .cartan import RootDatum, Weight, dominant_conjugate, weyl_act, weyl_dim, word_exponents
 from .linalg import RationalFunctions, column_dependencies, dot, invert_matrix, mat_vec
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
@@ -101,6 +118,8 @@ class HWModule:
         "dim",
         "_extremal_memo",
         "_tinv_memo",
+        "_node_memo",
+        "_leaf_memo",
     )
 
     def __init__(self, datum: RootDatum, lam: Weight, field: "_Exact | _Shadow"):
@@ -113,8 +132,10 @@ class HWModule:
         self.fmat: dict[tuple[int, Weight], list[tuple]] = {}
         self.emat: dict[tuple[int, Weight], list[tuple]] = {}
         self.dim = 0
-        self._extremal_memo: dict[tuple[int, ...], "ModuleVector"] = {}
+        self._extremal_memo: dict[Weight, "ModuleVector"] = {}
         self._tinv_memo: dict = {}
+        self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
+        self._leaf_memo: dict[tuple[Weight, int], dict[int, object]] = {}
 
     def dim_of(self, mu: Weight) -> int:
         b = self.basis.get(mu)
@@ -528,7 +549,8 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     """V(lam) from the datum's module cache, built on the first request.  A
     built module needs no screen, so its shadow leaves the shadow cache; the
     shadow's extremal vectors point back at it, so their memo is cleared to
-    let refcounting free it."""
+    let refcounting free it, and its descent memos, which hold no vector,
+    go with it."""
     mod = datum._module_cache.get(lam.coords)
     if mod is None:
         mod = build_module(datum, lam)
@@ -635,18 +657,23 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     f_{i_1}^{(c_1)} ... f_{i_l}^{(c_l)} . u_lam,
     c_m = <h_{i_m}, s_{i_{m+1}} ... s_{i_l} lam>,
 
-    applied rightmost factor first.  Memoized per word."""
+    applied rightmost factor first.  The vector depends on w lam only, not
+    on the word, so it is memoized on the module by its weight w lam; the
+    exponents are checked first, so a word that is not reduced for lam, or
+    has a letter outside the index set, raises ValueError and never reads
+    the memo."""
     word = tuple(word)
-    got = mod._extremal_memo.get(word)
-    if got is not None:
-        return got
     exps = word_exponents(mod.datum, word, mod.lam)
     if any(c < 0 for c in exps):
         raise ValueError(f"word {word} is not reduced for weight {mod.lam.coords}")
+    key = weyl_act(mod.datum, word, mod.lam)
+    got = mod._extremal_memo.get(key)
+    if got is not None:
+        return got
     vec = mod.highest()
     for i, c in zip(reversed(word), reversed(exps)):
         vec = act_f_divided(i, c, vec)
-    mod._extremal_memo[word] = vec
+    mod._extremal_memo[key] = vec
     return vec
 
 

@@ -18,6 +18,7 @@ from qcells.cartan import (
     weyl_act_root,
     weyl_dim,
     weyl_elements,
+    word_exponents,
 )
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"]
@@ -175,6 +176,12 @@ def test_letters_outside_index_set_rejected():
                     is_reduced(dat, word)
                 with pytest.raises(ValueError):
                     reduced_words(dat, word)
+                # reflect_weight reads coords[i - 1], so the Weyl walks check
+                # their letters first
+                with pytest.raises(ValueError, match="outside the index set"):
+                    weyl_act(dat, word, dat.rho())
+                with pytest.raises(ValueError, match="outside the index set"):
+                    word_exponents(dat, word, dat.rho())
 
 
 def test_descent_word_of_non_reduced_words():

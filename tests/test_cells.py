@@ -230,6 +230,110 @@ def test_descent_over_the_shadow():
         assert cells._coeff_terms(pres, left, right) == brute_descent(pres, left, right)[0]
 
 
+# ------------------------------------------------ the descent's memos
+
+
+def call_shapes(pres, mod):
+    """Every call shape of the search and the twist on one word, each as a
+    thunk of a term dict (or of a system's rows and right-hand side): the
+    _system of every weight space the extremal vector reaches down from,
+    the target of every prefix, and the twist's pairing of a vector that is
+    not extremal with the highest vector."""
+    word = pres.letters
+    uw = extremal_vector(mod, word)
+    top = mod.highest()
+    shapes = []
+    for mup in mod.basis:
+        if cells._content(uw, mod.basis_vector(mup, 0)) is not None:
+            shapes.append(lambda mup=mup: cells._system(pres, mod, mup, {}))
+    for k in range(len(word) + 1):
+        shapes.append(lambda k=k: cells._coeff_terms(pres, extremal_vector(mod, word[:k]), top))
+    for mu in mod.basis:
+        # the sum of a weight space's basis vectors is a fresh vector, never
+        # the extremal one, even where it equals it
+        coeffs = [mod.field.one] * mod.dim_of(mu)
+        left = hwmod.ModuleVector(mod, {mu: coeffs})
+        shapes.append(lambda left=left: cells._coeff_terms(pres, left, top))
+    return shapes
+
+
+MEMO_CASES = [
+    ("B2", (1, 1), 4),
+    ("C3", (0, 1, 0), 5),
+    ("G2", (1, 0), 6),
+]
+
+
+@pytest.mark.parametrize("cartan, coords, max_length", MEMO_CASES)
+@pytest.mark.parametrize("field", ["exact", "shadow"])
+def test_memoized_terms_equal_fresh_ones(monkeypatch, cartan, coords, max_length, field):
+    """On every reduced word of every element of the longest lengths, each
+    call shape gives the same terms on a module whose memos every earlier
+    word filled as on a twin module whose descent memos are emptied before
+    each call; and a second pass over the words climbs no vector but the
+    twist's."""
+    datum = build_root_datum(cartan)
+    lam = Weight(coords)
+
+    def build():
+        return hwmod._build(datum, lam, hwmod._Exact() if field == "exact" else hwmod._Shadow())
+
+    warm, fresh = build(), build()
+    elements = [w for w in weyl_elements(datum, max_length) if len(w) >= max_length - 1]
+    words = [word for w in elements for word in reduced_words(datum, w)]
+    assert len(words) > len(elements)
+    for word in words:
+        pres = TorusPresentation(datum, word)
+        for got, want in zip(call_shapes(pres, warm), call_shapes(pres, fresh)):
+            fresh._node_memo.clear()
+            fresh._leaf_memo.clear()
+            assert got() == want()
+    assert warm._leaf_memo and warm._node_memo
+
+    climbs = []
+    real_act_f = cells.act_f
+    monkeypatch.setattr(cells, "act_f", lambda i, v: climbs.append(i) or real_act_f(i, v))
+    twist_climbs = 0
+    for word in words:
+        pres = TorusPresentation(datum, word)
+        shapes = call_shapes(pres, warm)
+        twist = len(warm.basis)
+        climbs.clear()
+        for shape in shapes[:-twist]:
+            shape()
+        assert not climbs
+        for shape in shapes[-twist:]:
+            shape()
+        twist_climbs += len(climbs)
+    assert twist_climbs
+
+
+def test_descent_memos_hold_no_vectors(monkeypatch, capsys):
+    """After a short sweep every module's descent memos map right keys to
+    dicts of int path codes, with bools in the node memo and field scalars
+    in the leaf memo; no ModuleVector, so no memo points back at a module."""
+    datum = build_root_datum("B2")
+    fresh_caches(monkeypatch, datum)
+    assert cli.main(["sweep", "--cartan", "B2"]) == 0
+    capsys.readouterr()
+    mods = list(datum._module_cache.values())
+    # a shadow the screen built stays in the cache, its memos filled
+    shadows = [m for m in datum._shadow_cache.values() if m is not None]
+    assert any(m._node_memo for m in shadows)
+    mods += shadows
+    scalars = (ScalarQ, int)
+    leaves = 0
+    for mod in mods:
+        for memo, kind in ((mod._node_memo, bool), (mod._leaf_memo, scalars)):
+            for rkey, inner in memo.items():
+                mu, s = rkey
+                assert isinstance(mu, Weight) and 0 <= s < mod.dim_of(mu)
+                assert all(type(code) is int for code in inner)
+                assert all(isinstance(v, kind) for v in inner.values())
+        leaves += sum(map(len, mod._leaf_memo.values()))
+    assert leaves
+
+
 # ------------------------------------------------------- predicted monomials
 
 def test_theorem_instance_exponents():
@@ -348,7 +452,7 @@ def test_build_failure_propagates_from_search(monkeypatch):
 
 # ---------------------------------------------------------- the GF(p) screen
 def fresh_caches(monkeypatch, datum):
-    for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+    for cache in ("_module_cache", "_shadow_cache"):
         monkeypatch.setattr(datum, cache, {})
 
 

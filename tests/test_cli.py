@@ -9,7 +9,6 @@ import json
 import pytest
 
 from qcells import cells, cli
-from qcells.cartan import build_root_datum
 
 
 def run(capsys, *argv):
@@ -429,9 +428,34 @@ def test_pinned_outputs(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_sweep_streams_its_instances(capsys, monkeypatch):
+    """The sweep makes a word's presentation only when it reaches the word,
+    so every instance runs before the presentation of the next word."""
+    made = []
+    real_pres = cli.TorusPresentation
+
+    def pres(datum, word):
+        made.append(word)
+        return real_pres(datum, word)
+
+    ran = []
+    real_run = cli._run_instance
+
+    def run_instance(cartan, p, k, search_cap):
+        ran.append((len(made), k))
+        return real_run(cartan, p, k, search_cap)
+
+    monkeypatch.setattr(cli, "TorusPresentation", pres)
+    monkeypatch.setattr(cli, "_run_instance", run_instance)
+    code, out, err = run(capsys, "sweep", "--cartan", "A2")
+    assert code == 0
+    assert len(made) == 6
+    assert ran == [(m, k) for m, word in enumerate(made, 1) for k in range(1, len(word) + 1)]
+
+
 def test_feigin_minor_reports_disagreeing_routes(capsys, monkeypatch):
-    # a fresh minor cache, so the closed form is checked against the broken route
-    monkeypatch.setattr(build_root_datum("A2"), "_minor_cache", {})
+    # feigin_minor checks its closed form against the pairing route on every
+    # call, so the broken route is reached however often the minor was asked
     monkeypatch.setattr(
         cells, "feigin_matrix_coeff", lambda pres, left, right: pres.unit()
     )

@@ -9,7 +9,14 @@ import random
 import pytest
 
 from qcells import cells, hwmod
-from qcells.cartan import Weight, build_root_datum, weyl_dim, weyl_elements
+from qcells.cartan import (
+    Weight,
+    build_root_datum,
+    reduced_words,
+    weyl_dim,
+    weyl_elements,
+    word_exponents,
+)
 from qcells.hwmod import (
     act_e,
     act_e_divided,
@@ -192,6 +199,67 @@ def test_braid_route_matches_divided_power_route():
         assert extremal_by_braid(mod, w) == extremal_vector(mod, w)
 
 
+def divided_monomial(mod, word):
+    """f_{i_1}^{(c_1)} ... f_{i_l}^{(c_l)} u_lam with the word's own
+    exponents, climbed afresh with no memo."""
+    vec = mod.highest()
+    exps = word_exponents(mod.datum, word, mod.lam)
+    for i, c in zip(reversed(word), reversed(exps)):
+        vec = act_f_divided(i, c, vec)
+    return vec
+
+
+def weyl_orbit(datum, lam):
+    orbit, frontier = {lam}, [lam]
+    while frontier:
+        frontier = [
+            nu
+            for mu in frontier
+            for nu in {datum.reflect_weight(i, mu) for i in datum.index_set}
+            if nu not in orbit
+        ]
+        orbit.update(frontier)
+    return orbit
+
+
+@pytest.mark.parametrize(
+    "cartan, coords", [("B3", (1, 0, 1)), ("C3", (0, 1, 1)), ("G2", (1, 1))]
+)
+def test_extremal_vectors_agree_across_reduced_words(cartan, coords):
+    """u_{w lam} does not depend on the reduced word of w, so the memo keyed
+    by the weight w lam returns every word's own divided monomial, and it
+    holds at most one vector per weight of the Weyl orbit of lam."""
+    datum = build_root_datum(cartan)
+    lam = Weight(coords)
+    mod = build_module(datum, lam)
+    words = 0
+    for w in weyl_elements(datum, 6):
+        first = divided_monomial(mod, w)
+        for word in reduced_words(datum, w) if w else ((),):
+            assert divided_monomial(mod, word) == first
+            assert extremal_vector(mod, word) == first
+            words += 1
+    for w in weyl_elements(datum, 3):
+        assert extremal_by_braid(mod, w) == extremal_vector(mod, w)
+    orbit = weyl_orbit(datum, lam)
+    assert words > len(mod._extremal_memo)
+    assert set(mod._extremal_memo) <= orbit
+    assert all(u.weight() == mu for mu, u in mod._extremal_memo.items())
+
+
+def test_extremal_vector_rejects_letters_outside_index_set():
+    """Letter 0 would read the last coordinate of a weight, and -1 would give
+    the weight of the word (1,): neither may reach the weight-keyed memo."""
+    mod = build_module(A2, Weight((1, 0)))
+    for bad in (0, -1, 3):
+        for word in [(bad,), (1, bad), (bad, 1)]:
+            with pytest.raises(ValueError, match="outside the index set"):
+                extremal_vector(mod, word)
+    assert not mod._extremal_memo
+    assert extremal_vector(mod, (1,)) == act_f(1, mod.highest())
+    assert set(mod._extremal_memo) == {Weight((-1, 1))}
+
+
 def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
     """An empty or short modular profile makes the shadow give up.  The
     exact build never reads a shadow, so its module is unchanged, and the
@@ -231,7 +299,7 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
     pres = TorusPresentation(A2, (1, 2, 1))
     results = []
     for force in (real_deps, *forces):
-        for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+        for cache in ("_module_cache", "_shadow_cache"):
             monkeypatch.setattr(A2, cache, {})
         monkeypatch.setattr(hwmod, "column_dependencies", force)
         p = find_presentation(pres, 1)
@@ -261,7 +329,7 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
         builds.append((lam.coords, type(field).__name__))
         return real_build(datum, lam, field)
 
-    for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+    for cache in ("_module_cache", "_shadow_cache"):
         monkeypatch.setattr(A2, cache, {})
     monkeypatch.setattr(hwmod, "_build", counted)
     # A2 word 1,2,1 at k = 1: the target V(1,0) is built without a screen,
@@ -302,7 +370,7 @@ def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
             if isinstance(o, hwmod.HWModule) and isinstance(o.field, hwmod._Shadow)
         ]
 
-    for cache in ("_module_cache", "_shadow_cache", "_minor_cache"):
+    for cache in ("_module_cache", "_shadow_cache"):
         monkeypatch.setattr(A2, cache, {})
     gc.collect()
     before = {id(o) for o in live_shadows()}
