@@ -411,8 +411,8 @@ def reduced_words(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, .
     not itself be reduced), sorted lexicographically.
 
     They are (i,) + tail for each left descent i of w, i.e. <h_i, w.rho> < 0,
-    in increasing order, and tail a reduced word of s_i w; memoized by w.rho."""
-    is_reduced(datum, word)  # rejects letters outside the index set
+    in increasing order, and tail a reduced word of s_i w; memoized by w.rho.
+    Raises ValueError on a letter outside the index set, as weyl_act does."""
     memo = datum._rw_memo
     rho = datum.rho()
 

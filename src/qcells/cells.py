@@ -53,7 +53,6 @@ from .qtorus import TorusElement, TorusPresentation, torus_str
 from .scalars import ScalarQ
 
 __all__ = [
-    "TheoremInstance",
     "Presentation",
     "PresentationError",
     "VerificationReport",
@@ -70,16 +69,6 @@ __all__ = [
     "ore_commutation_check",
     "minor_representative",
 ]
-
-
-@dataclass(frozen=True)
-class TheoremInstance:
-    """One twisted flag minor: a word, a position k, and the exponents d_j."""
-
-    datum: RootDatum
-    word: tuple[int, ...]
-    k: int
-    d: tuple[int, ...]
 
 
 @dataclass(eq=False)
@@ -182,8 +171,10 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     pruning, and the second in _leaf_memo when left is also the module's
     extremal vector of its weight, the very object extremal_vector returns.
     Any other pair walks with fresh memos that go with the call.  Vectors
-    are climbed only where a memo misses, from the deepest vector already
-    computed on the current path, continuing its ladder.
+    are climbed only where a memo misses: a path's int code fixes its
+    vector, which is f_i of its parent's or, for a > 1, of the same ladder's
+    one power lower, and the call keeps the vectors of the current path's
+    ladders by code, so none is climbed twice.
 
     Over GF(p), f_i^a = [a]_{q_i}! f_i^{(a)} vanishes with f_i^{(a)} only
     where [a]_{q_i}! is invertible at q0.  So a shadow first checks every
@@ -229,31 +220,20 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     # below the base; no digit is 0, so distinct paths get distinct codes
     r1 = datum.rank + 1
     base = r1 * (len(mod.basis) + 1)
-    # vecs[d]: f^{path[:d]} right, or None until a miss needs it;
-    # ladder[d]: (b, f_i^b vecs[d]) for the letter i walked at depth d
-    depth = sum(rem) + 1
-    vecs: list[ModuleVector | None] = [right] + [None] * depth
-    ladder: list[tuple[int, ModuleVector | None]] = [(0, None)] * depth
+    # vecs: f^path right by path code, for the current path's ladders only;
+    # code - r1 is the same ladder one power lower, code // base the parent
+    vecs: dict[int, ModuleVector] = {0: right}
     cov: list = []
 
-    def vector(d: int) -> ModuleVector:
-        v = vecs[d]
+    def vector(code: int) -> ModuleVector:
+        v = vecs.get(code)
         if v is None:
-            i, a = path[d - 1]
-            v = vecs[d] = climb(d - 1, i, a)
+            parent, digit = divmod(code, base)
+            a, i = divmod(digit, r1)
+            v = vecs[code] = act_f(i, vector(code - r1 if a > 1 else parent))
         return v
 
-    def climb(d: int, i: int, a: int) -> ModuleVector:
-        """f_i^a vecs[d], continuing the ladder of depth d."""
-        b, w = ladder[d]
-        if w is None:
-            w = vector(d)
-        for _ in range(b, a):
-            w = act_f(i, w)
-        ladder[d] = (a, w)
-        return w
-
-    def walk(d: int, k: int, code: int) -> None:
+    def walk(k: int, code: int) -> None:
         if not any(rem):
             val = leaf.get(code)
             if val is None:
@@ -262,7 +242,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
                     # symmetric, so cov is G left
                     lc = left.parts[mu]
                     cov.extend(field.dot(row, lc) for row in mod.gram[mu])
-                val = field.dot(cov, vector(d).parts[mu])
+                val = field.dot(cov, vector(code).parts[mu])
                 steps = tuple((datum.di(i), a) for i, a in path if a > 1)
                 if field.is_zero(val):
                     val = field.zero
@@ -279,30 +259,29 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
             if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
                 continue
             # f_i^a for a = 1..cap, up to the first zero
-            ladder[d] = (0, None)
             for a in range(1, cap + 1):
                 child = code * base + a * r1 + i
                 nonzero = node.get(child)
                 if nonzero is None:
-                    nonzero = node[child] = not climb(d, i, a).is_zero()
+                    nonzero = node[child] = not vector(child).is_zero()
                 if not nonzero:
                     break
                 if a == cap or i in below:
                     rem[i - 1] = cap - a
                     path.append((i, a))
-                    b, w = ladder[d]
-                    vecs[d + 1] = w if b == a else None
-                    walk(d + 1, p, child)
+                    walk(p, child)
                     path.pop()
             rem[i - 1] = cap
+            # the ladder is done: vecs keeps the current path's ladders only
+            for b in range(1, a + 1):
+                vecs.pop(code * base + b * r1 + i, None)
 
     try:
-        walk(0, n, 0)
+        walk(n, 0)
     finally:
-        # the three functions reach each other through their closures;
-        # dropping the names ends those cycles, so refcounting frees the
-        # vectors the closures hold
-        del walk, vector, climb
+        # each function reaches itself through its closure; dropping the
+        # names ends those cycles, so refcounting frees the vectors they hold
+        del walk, vector
     return terms
 
 
@@ -371,27 +350,32 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     return closed
 
 
-def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> TheoremInstance:
-    """Exponent data d_j = <w_{<=j} h_{i_j}, w_{<=k} varpi_{i_k}> for j <= k,
-    which equals <h_{i_j}, s_{i_{j+1}} ... s_{i_k} varpi_{i_k}>."""
-    word = tuple(word)
+def _check_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> None:
+    """Raise ValueError unless word is reduced and 1 <= k <= len(word)."""
     if not 1 <= k <= len(word):
         raise ValueError("position k out of range")
     if not is_reduced(datum, word):
         raise ValueError("letter sequence must be reduced")
+
+
+def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Exponent data d_j = <w_{<=j} h_{i_j}, w_{<=k} varpi_{i_k}> for j <= k,
+    which equals <h_{i_j}, s_{i_{j+1}} ... s_{i_k} varpi_{i_k}>."""
+    word = tuple(word)
+    _check_instance(datum, word, k)
     d = word_exponents(datum, word[:k], datum.fundamental(word[k - 1]))
     if d[-1] != 1:
         raise AssertionError(f"exponent d_k = {d[-1]}, expected 1")
-    return TheoremInstance(datum, word, k, d)
+    return d
 
 
 def theorem_monomial(pres: TorusPresentation, k: int) -> TorusElement:
     """Predicted image of the k-th twisted flag minor:
     q^{sum_j d_{i_j} d_j(d_j+1)/2} t_1^{-d_1} ... t_k^{-d_k}."""
-    inst = theorem_instance(pres.datum, pres.letters, k)
+    d = theorem_instance(pres.datum, pres.letters, k)
     exps = [0] * pres.nvars
     tw = 0
-    for j, dj in enumerate(inst.d):
+    for j, dj in enumerate(d):
         exps[j] = -dj
         tw += pres.datum.di(pres.letters[j]) * (dj * (dj + 1) // 2)
     return pres.monomial(tuple(exps), ScalarQ.q_power(tw))
@@ -405,13 +389,7 @@ def _candidate_weights(datum: RootDatum, ik: int, cap: int) -> list[Weight]:
         for coords in itertools.product(range(total + 1), repeat=datum.rank):
             if sum(coords) == total:
                 out.append(Weight(coords))
-    final: list[Weight] = []
-    seen: set[tuple[int, ...]] = set()
-    for lam in out:
-        if lam.coords not in seen:
-            seen.add(lam.coords)
-            final.append(lam)
-    return final
+    return list(dict.fromkeys(out))
 
 
 def _system(
@@ -489,10 +467,7 @@ def find_presentation(
     """
     datum = pres.datum
     word = pres.letters
-    if not 1 <= k <= len(word):
-        raise ValueError("position k out of range")
-    if not is_reduced(datum, word):
-        raise ValueError("letter sequence must be reduced")
+    _check_instance(datum, word, k)
     ik = word[k - 1]
     mod_k = get_module(datum, datum.fundamental(ik))
     target_left = extremal_vector(mod_k, word[:k])
@@ -567,10 +542,7 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
     """
     datum = pres.datum
     word = pres.letters
-    if not 1 <= k <= len(word):
-        raise ValueError("position k out of range")
-    if not is_reduced(datum, word):
-        raise ValueError("letter sequence must be reduced")
+    _check_instance(datum, word, k)
     ik = word[k - 1]
 
     def dprime(upto: int, j: int) -> TorusElement:
