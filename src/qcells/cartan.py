@@ -371,16 +371,11 @@ def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tupl
 
 
 def is_reduced(datum: RootDatum, word: tuple[int, ...]) -> bool:
-    """True when the word is reduced: walking mu = rho forward, every letter
-    i has <h_i, mu> > 0 before mu becomes s_i mu.  Raises ValueError on a
-    letter outside the index set."""
-    _check_letters(datum, word)
-    mu = datum.rho()
-    for i in word:
-        if mu.coords[i - 1] <= 0:
-            return False
-        mu = datum.reflect_weight(i, mu)
-    return True
+    """True when the word is reduced: every letter i_m lengthens the element
+    s_{i_{m+1}} ... s_{i_l}, i.e. rho's exponent <h_{i_m}, s_{i_{m+1}} ...
+    s_{i_l} rho> along the word is positive.  Raises ValueError on a letter
+    outside the index set."""
+    return all(c > 0 for c in word_exponents(datum, word, datum.rho()))
 
 
 def length(datum: RootDatum, word: tuple[int, ...]) -> int:

@@ -131,11 +131,13 @@ def feigin_matrix_coeff(
     pres: TorusPresentation, left: ModuleVector, right: ModuleVector
 ) -> TorusElement:
     """Image of the matrix coefficient x -> (left, x . right) under the
-    Feigin map, for weight-homogeneous vectors of one exact module.
+    Feigin map, for weight-homogeneous vectors of one module.
 
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
-    powers are applied rightmost letter first; an empty sum gives zero.
+    powers are applied rightmost letter first; an empty sum gives zero.  It
+    is linear in right: the sum of c_s times the image of basis vector s
+    over the live coordinates c_s of right.
 
     f^{(a)} . right and the q-power depend only on a's path, its nonzero
     (letter, a_k) pairs in the order applied, so each distinct path is
@@ -146,12 +148,22 @@ def feigin_matrix_coeff(
     factor q^{sum d_i a(a-1)/2} / prod [a]_{q^{d_i}}!, and the pairing is
     one covector of left, computed once, times the path's vector.
     """
-    return TorusElement._raw(pres, _coeff_terms(pres, left, right))
+    if left.mod is not right.mod:
+        raise ValueError("vectors live in different modules")
+    nu = right.weight()
+    field = right.mod.field
+    terms: dict = {}
+    for s, c in enumerate(right.parts[nu]):
+        if not field.is_zero(c):
+            for a, v in _coeff_terms(pres, left, nu, s).items():
+                field.add_term(terms, a, v if c == field.one else field.mul(c, v))
+    return TorusElement._raw(pres, terms)
 
 
-def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVector) -> dict:
-    """The terms {a: coefficient} of feigin_matrix_coeff, in the field of the
-    vectors' module: Q(q), or GF(p) at q0 for a shadow.
+def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int) -> dict:
+    """The terms {a: coefficient} of feigin_matrix_coeff for the right vector
+    b, basis vector s of the weight space nu, in the field of left's module:
+    Q(q), or GF(p) at q0 for a shadow.
 
     A path is the sequence of (letter, a > 0) pairs in the order they are
     applied.  The walk visits each path once: it places each next letter at
@@ -165,46 +177,30 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
     embedding of the path's letters as strictly decreasing positions; each
     exponent vector a is exactly one (path, embedding) pair.
 
-    Neither whether f^path right is nonzero nor a path's term depends on
-    the word, so both are memoized on the module (see hwmod) when right is
-    a basis vector: the first in _node_memo, which keeps the walk's zero
-    pruning, and the second in _leaf_memo when left is also the module's
-    extremal vector of its weight, the very object extremal_vector returns.
-    Any other pair walks with fresh memos that go with the call.  Vectors
-    are climbed only where a memo misses: a path's int code fixes its
-    vector, which is f_i of its parent's or, for a > 1, of the same ladder's
-    one power lower, and the call keeps the vectors of the current path's
-    ladders by code, so none is climbed twice.
-
-    Over GF(p), f_i^a = [a]_{q_i}! f_i^{(a)} vanishes with f_i^{(a)} only
-    where [a]_{q_i}! is invertible at q0.  So a shadow first checks every
-    [a]_{q_i} with 2 <= a <= need_i and gives up (ZeroDivisionError) at one
-    that is not, as its divided ladders would: the screen then certifies
-    nothing from it."""
+    Neither whether f^path b is nonzero nor a path's term depends on the
+    word, so both are memoized on the module (see hwmod) under the key
+    (nu, s): the first in _node_memo, which keeps the walk's zero pruning,
+    and the second in _leaf_memo when left is the module's extremal vector
+    of its weight, the very object extremal_vector returns; any other left
+    vector keeps its path terms for the call only.  Vectors are climbed
+    only where a memo misses: a path's int code fixes its vector, which is
+    f_i of its parent's or, for a > 1, of the same ladder's one power lower,
+    and the call keeps the vectors of the current path's ladders by code,
+    so none is climbed twice."""
     datum = pres.datum
     mod = left.mod
     if mod.datum is not datum:
         raise ValueError("module and presentation use different root data")
+    right = mod.basis_vector(nu, s)
     need = _content(left, right)
     if need is None:
         return {}
     field = mod.field
-    # a shadow gives up at an [a]_{q_i}, 2 <= a <= need_i, that is not
-    # invertible at q0, as a divided ladder reaching it would
-    for i, c in enumerate(need.coords, 1):
-        for a in range(2, c + 1):
-            field.of(inv_qint(a, datum.di(i)))
     mu = left.weight()
-    rkey = _basis_key(right)
-    if rkey is None:
-        node: dict[int, bool] = {}
-        leaf: dict[int, object] = {}
-    else:
-        node = mod._node_memo.setdefault(rkey, {})
-        if left is mod._extremal_memo.get(mu):
-            leaf = mod._leaf_memo.setdefault(rkey, {})
-        else:
-            leaf = {}
+    node = mod._node_memo.setdefault((nu, s), {})
+    leaf: dict[int, object] = {}
+    if left is mod._extremal_memo.get(mu):
+        leaf = mod._leaf_memo.setdefault((nu, s), {})
     letters = pres.letters
     n = len(letters)
     # last[k]: the rightmost position of each letter below position k
@@ -283,17 +279,6 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, right: ModuleVecto
         # names ends those cycles, so refcounting frees the vectors they hold
         del walk, vector
     return terms
-
-
-def _basis_key(vec: ModuleVector) -> tuple[Weight, int] | None:
-    """(weight, index) of a basis vector of its module, or None for any
-    other weight-homogeneous vector."""
-    ((mu, coeffs),) = vec.parts.items()
-    field = vec.mod.field
-    live = [s for s, c in enumerate(coeffs) if not field.is_zero(c)]
-    if len(live) == 1 and coeffs[live[0]] == field.one:
-        return mu, live[0]
-    return None
 
 
 def _embeddings(
@@ -399,9 +384,7 @@ def _system(
     in mod's weight space mup whose D_{u_{w lam'}, u'} image has target_terms,
     over the field of mod: one row per exponent vector in the supports."""
     uw = extremal_vector(mod, pres.letters)
-    cols = [
-        _coeff_terms(pres, uw, mod.basis_vector(mup, s)) for s in range(mod.dim_of(mup))
-    ]
+    cols = [_coeff_terms(pres, uw, mup, s) for s in range(mod.dim_of(mup))]
     zero = mod.field.zero
     keys = sorted(set(target_terms).union(*cols))
     rows = [[col.get(e, zero) for col in cols] for e in keys]
@@ -415,6 +398,12 @@ def _screened_out(
     V(lam')_{mu'} has the target image: the weight space is empty, or the
     system of find_presentation has a certificate of inconsistency at q0.
 
+    The columns climb plain powers f_i^a = [a]_{q_i}! f_i^{(a)}, which over
+    GF(p) vanish with f_i^{(a)} only where [a]_{q_i}! is invertible at q0.
+    So the screen first checks every [a]_{q_i} with 2 <= a <= need_i, for
+    the columns' content need = mu' - w lam', and gives up at one that is
+    not invertible, as a divided ladder reaching it would.
+
     The proof: the shadow is the specialization at q0 of V(lam') over the
     exact basis with the shadow's picks (see hwmod), so its system is the
     specialization of that basis's exact one.  If A(q0) has full column
@@ -426,13 +415,18 @@ def _screened_out(
     build, finds no u' either.  Every other outcome (no shadow, a division
     by zero at q0, rank A(q0) < r, a consistent system) proves nothing and
     returns False, leaving the candidate to the exact search."""
-    shadow = shadow_module(pres.datum, lamp)
+    datum = pres.datum
+    shadow = shadow_module(datum, lamp)
     if shadow is None:
         return False
     if shadow.dim_of(mup) == 0:
         return True
     field = shadow.field
     try:
+        need = datum.weight_to_root(mup - weyl_act(datum, pres.letters, lamp))
+        for i, c in enumerate(need.coords, 1):
+            for a in range(2, c + 1):
+                field.of(inv_qint(a, datum.di(i)))
         target_terms = {a: field.of(c) for a, c in target.terms.items()}
         rows, rhs = _system(pres, shadow, mup, target_terms)
     except ZeroDivisionError:
@@ -553,11 +547,10 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
 
     prod = dprime(k - 1, ik).invert_monomial() * dprime(k, ik).invert_monomial()
     for j in datum.index_set:
-        if j == ik:
-            continue
-        base = dprime(k, j)
-        for _ in range(-datum.aij(j, ik)):
-            prod = prod * base
+        if j != ik and datum.aij(j, ik) < 0:
+            base = dprime(k, j)
+            for _ in range(-datum.aij(j, ik)):
+                prod = prod * base
     exps, coeff = prod.monomial()
     unit = tuple(1 if m == k - 1 else 0 for m in range(pres.nvars))
     residual = coeff.as_q_power()

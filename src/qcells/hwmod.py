@@ -26,11 +26,11 @@ Missing action keys mean the zero map.
 
 Each module also owns memos that live as long as it does and are filled
 lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
-bounded by the Weyl orbit of lam; the Lusztig inverse braid matrices; and
-the two memos of the Feigin descent (cells._coeff_terms), which hold no
-vector, so no memo but the extremal one points back at the module.  Both
-descent memos map a right key, the (weight, basis index) of a basis vector
-r, to a dict keyed by one int path code:
+bounded by the Weyl orbit of lam, and the two memos of the Feigin descent
+(cells._coeff_terms), which hold no vector, so no memo but the extremal one
+points back at the module.  Both descent memos map the right key the
+descent is given, the (weight, basis index) of a basis vector r, to a dict
+keyed by one int path code:
 
     _node_memo[r][code]    whether f^path r is nonzero
     _leaf_memo[r][code]    the path's term, path factor applied, for the
@@ -77,7 +77,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, weyl_act, weyl_dim, word_exponents
-from .linalg import RationalFunctions, column_dependencies, dot, invert_matrix, mat_vec
+from .linalg import RationalFunctions, column_dependencies, dot
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
 
@@ -117,7 +117,6 @@ class HWModule:
         "emat",
         "dim",
         "_extremal_memo",
-        "_tinv_memo",
         "_node_memo",
         "_leaf_memo",
     )
@@ -133,7 +132,6 @@ class HWModule:
         self.emat: dict[tuple[int, Weight], list[tuple]] = {}
         self.dim = 0
         self._extremal_memo: dict[Weight, "ModuleVector"] = {}
-        self._tinv_memo: dict = {}
         self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
         self._leaf_memo: dict[tuple[Weight, int], dict[int, object]] = {}
 
@@ -677,50 +675,42 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     return vec
 
 
-def braid_T(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
-    """Lusztig symmetry T_i on an exact module, weight component by weight
-    component:
-
-    T_i(u) = sum over a, b, c >= 0 with -a + b - c = <h_i, mu> of
-             (-1)^b q_i^{-ac+b} e_i^{(a)} f_i^{(b)} e_i^{(c)} . u.
-    """
+def _braid(mod: HWModule, i: int, vec: ModuleVector, x, y, sign: int) -> ModuleVector:
+    """Weight component by weight component, the sum over a, b, c >= 0 with
+    a = b - c - sign <h_i, mu> of (-1)^b q_i^{sign (b - ac)} x^{(a)} y^{(b)}
+    x^{(c)} . u: T_i for (x, y, sign) = (act_e, act_f, 1), T_i^{-1} for
+    (act_f, act_e, -1)."""
     di = mod.datum.di(i)
     out = mod.zero()
     for mu, coeffs in vec.parts.items():
         h = mod.datum.h_weight(i, mu)
-        for c, ec in enumerate(divided_powers(act_e, i, ModuleVector(mod, {mu: coeffs}))):
-            for b, fb in enumerate(divided_powers(act_f, i, ec)):
-                a = b - c - h
+        for c, xc in enumerate(divided_powers(x, i, ModuleVector(mod, {mu: coeffs}))):
+            for b, yb in enumerate(divided_powers(y, i, xc)):
+                a = b - c - sign * h
                 if a >= 0:
-                    term = act_e_divided(i, a, fb)
+                    term = _act_divided(x, i, a, yb)
                     if not term.is_zero():
-                        coeff = ScalarQ.q_power(di * (b - a * c))
+                        coeff = ScalarQ.q_power(sign * di * (b - a * c))
                         if b % 2:
                             coeff = -coeff
                         out = out + term.scaled(coeff)
     return out
 
 
+def braid_T(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
+    """Lusztig symmetry T_i = T''_{i,1} on an exact module:
+
+    T_i(u) = sum over a, b, c >= 0 with -a + b - c = <h_i, mu> of
+             (-1)^b q_i^{-ac+b} e_i^{(a)} f_i^{(b)} e_i^{(c)} . u.
+    """
+    return _braid(mod, i, vec, act_e, act_f, 1)
+
+
 def braid_T_inv(mod: HWModule, i: int, vec: ModuleVector) -> ModuleVector:
-    """Inverse of T_i, by inverting its matrix between weight spaces."""
-    out = mod.zero()
-    for nu, coeffs in vec.parts.items():
-        key = (i, nu)
-        minv = mod._tinv_memo.get(key)
-        src = mod.datum.reflect_weight(i, nu)
-        sdim = len(mod.basis[src])
-        if minv is None:
-            rows = [[S_ZERO] * sdim for _ in range(len(mod.basis[nu]))]
-            for k in range(sdim):
-                img = braid_T(mod, i, mod.basis_vector(src, k))
-                part = img.parts.get(nu)
-                if part is not None:
-                    for r, c in enumerate(part):
-                        rows[r][k] = c
-            minv = invert_matrix(rows)
-            mod._tinv_memo[key] = minv
-        out = out + ModuleVector(mod, {src: mat_vec(minv, list(coeffs))})
-    return out
+    """Inverse of T_i in Lusztig's closed form T'_{i,-1} = (T''_{i,1})^{-1}
+    (Lusztig 1993, 5.2.3): the sum of braid_T with e_i and f_i swapped and
+    q_i inverted."""
+    return _braid(mod, i, vec, act_f, act_e, -1)
 
 
 def extremal_by_braid(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:

@@ -227,7 +227,37 @@ def test_descent_over_the_shadow():
     shadow = shadow_module(datum, Weight((1, 1)))
     assert shadow is not None and isinstance(shadow.field, hwmod._Shadow)
     for left, right in descent_pairs(shadow, pres.letters):
-        assert cells._coeff_terms(pres, left, right) == brute_descent(pres, left, right)[0]
+        want = brute_descent(pres, left, right)[0]
+        assert feigin_matrix_coeff(pres, left, right).terms == want
+
+
+@pytest.mark.parametrize(
+    "cartan, word, coords, images",
+    [("B2", (1, 2, 1, 2), (1, 1), 9), ("C3", (2, 3, 2, 1, 2, 3), (0, 1, 0), 2)],
+)
+@pytest.mark.parametrize("field", ["exact", "shadow"])
+def test_descent_sums_over_right_coordinates(cartan, word, coords, images, field):
+    """A right vector that is no basis vector, sum_s q^s b_s over a weight
+    space of dimension >= 2, has the image of the sum over exponent vectors
+    against every prefix's extremal vector, over either field."""
+    datum = build_root_datum(cartan)
+    pres = TorusPresentation(datum, word)
+    lam = Weight(coords)
+    mod = get_module(datum, lam) if field == "exact" else shadow_module(datum, lam)
+    of = mod.field.of
+    nonzero = 0
+    for mu in mod.basis:
+        if mod.dim_of(mu) < 2:
+            continue
+        right = hwmod.ModuleVector(
+            mod, {mu: [of(ScalarQ.q_power(s)) for s in range(mod.dim_of(mu))]}
+        )
+        for k in range(len(word) + 1):
+            left = extremal_vector(mod, word[:k])
+            got = feigin_matrix_coeff(pres, left, right).terms
+            assert got == brute_descent(pres, left, right)[0]
+            nonzero += bool(got)
+    assert nonzero == images
 
 
 # ------------------------------------------------ the descent's memos
@@ -241,19 +271,20 @@ def call_shapes(pres, mod):
     not extremal with the highest vector."""
     word = pres.letters
     uw = extremal_vector(mod, word)
-    top = mod.highest()
     shapes = []
     for mup in mod.basis:
         if cells._content(uw, mod.basis_vector(mup, 0)) is not None:
             shapes.append(lambda mup=mup: cells._system(pres, mod, mup, {}))
     for k in range(len(word) + 1):
-        shapes.append(lambda k=k: cells._coeff_terms(pres, extremal_vector(mod, word[:k]), top))
+        shapes.append(
+            lambda k=k: cells._coeff_terms(pres, extremal_vector(mod, word[:k]), mod.lam, 0)
+        )
     for mu in mod.basis:
         # the sum of a weight space's basis vectors is a fresh vector, never
         # the extremal one, even where it equals it
         coeffs = [mod.field.one] * mod.dim_of(mu)
         left = hwmod.ModuleVector(mod, {mu: coeffs})
-        shapes.append(lambda left=left: cells._coeff_terms(pres, left, top))
+        shapes.append(lambda left=left: cells._coeff_terms(pres, left, mod.lam, 0))
     return shapes
 
 
@@ -326,7 +357,7 @@ def test_cold_descent_climbs_each_vector_once(monkeypatch, cartan, coords, max_l
     for mu in mod.basis:
         for s in range(mod.dim_of(mu)):
             climbs.clear()
-            cells._coeff_terms(pres, left, mod.basis_vector(mu, s))
+            cells._coeff_terms(pres, left, mu, s)
             assert len(climbs) == len(mod._node_memo.get((mu, s), ()))
             total += len(climbs)
     assert total > len(word)
@@ -574,10 +605,10 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
     where it does without the screen."""
     real_terms = cells._coeff_terms
 
-    def collapsed(pres, left, right):
+    def collapsed(pres, left, nu, s):
         if isinstance(left.mod.field, hwmod._Shadow):
             return {}
-        return real_terms(pres, left, right)
+        return real_terms(pres, left, nu, s)
 
     # the search computes its target through feigin_matrix_coeff; the shadow
     # fails to take exactly those coefficients

@@ -33,7 +33,7 @@ from qcells.hwmod import (
     shadow_module,
 )
 from qcells.cells import find_presentation
-from qcells.linalg import RationalFunctions, column_dependencies, invert_matrix
+from qcells.linalg import RationalFunctions, column_dependencies, invert_matrix, mat_vec
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -191,6 +191,15 @@ def test_braid_operators_are_inverse():
     for i in (1, 2):
         assert braid_T_inv(mod, i, braid_T(mod, i, v)) == v
         assert braid_T(mod, i, braid_T_inv(mod, i, v)) == v
+    # d_i > 1 in B2 and G2, where q_i and q differ
+    for datum, coords in ((B2, (1, 1)), (G2, (1, 0))):
+        mod = get_module(datum, Weight(coords))
+        for mu in mod.basis:
+            for s in range(mod.dim_of(mu)):
+                b = mod.basis_vector(mu, s)
+                for i in datum.index_set:
+                    assert braid_T_inv(mod, i, braid_T(mod, i, b)) == b
+                    assert braid_T(mod, i, braid_T_inv(mod, i, b)) == b
 
 
 def test_braid_route_matches_divided_power_route():
@@ -352,7 +361,7 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
     assert set(A2._shadow_cache) == {(2, 0)}
     winner = shadows[-1]
     assert winner.lam.coords == (1, 1)
-    assert not winner._extremal_memo and not winner._tinv_memo
+    assert not winner._extremal_memo
     builds.clear()
     build_module(A2, Weight((1, 1)))
     assert builds == [((1, 1), "_Exact")]
@@ -451,7 +460,7 @@ def test_f_columns_solve_the_gram_block():
                     contravariant_form(act_e(j, mod.basis_vector(mu, k)), b_w)
                     for k in range(len(tags))
                 ]
-                assert hwmod.mat_vec(mod.gram[mu], list(x)) == rhs
+                assert mat_vec(mod.gram[mu], list(x)) == rhs
                 unpicked += (j,) + mod.basis[parent][widx] not in tags
         assert unpicked > 0
 
