@@ -9,14 +9,17 @@ vectors, which must live in one module.  Its image climbs plain f-powers
 from right: as f_i^{(a)} = f_i^a / [a]_{q_i}!, each distinct path's term is
 its plain-power pairing times one factor of its (d_i, a) steps.  Every
 path ends at the weight of left, so each pairing is one covector of left
-times the path's vector, and its value is added under every embedding of
-the path's letters in the word.  Only those embeddings depend on the word:
-whether a path's vector is nonzero and, for an extremal left vector, the
-path's term are memoized on the module, keyed by right's basis index and
-the path (see hwmod), so the reduced words of one element, and the
-elements sharing a module, climb each vector once.  The search for
-a presentation D_{u_{w lam'}, u'} screens a candidate lam' by the GF(p)
-shadow of V(lam') and skips it only on a rank certificate that no exact u'
+times the path's vector.  The descent returns one value per path, and
+feigin_matrix_coeff writes it under every embedding of the path's letters
+in the word.  Only those embeddings depend on the word: whether a path's
+vector is nonzero and, for an extremal left vector, the path's term are
+memoized on the module, keyed by right's basis index and the path (see
+hwmod), so the reduced words of one element, and the elements sharing a
+module, climb each vector once.  The search for a presentation
+D_{u_{w lam'}, u'} never expands the embeddings: its linear system has one
+row per path, where one row per exponent vector would repeat each path's
+row once per embedding.  It screens a candidate lam' by the GF(p) shadow
+of V(lam') and skips it only on a rank certificate that no exact u'
 exists.  The localized algebra itself is never materialized; all
 identities are verified between normal-ordered torus elements.
 """
@@ -135,47 +138,50 @@ def feigin_matrix_coeff(
 
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
-    powers are applied rightmost letter first; an empty sum gives zero.  It
-    is linear in right: the sum of c_s times the image of basis vector s
-    over the live coordinates c_s of right.
+    powers are applied rightmost letter first; an empty sum gives zero.
 
-    f^{(a)} . right and the q-power depend only on a's path, its nonzero
-    (letter, a_k) pairs in the order applied, so each distinct path is
-    walked and paired with left once; a is the path together with the
-    positions of its letters, an embedding of them as strictly decreasing
-    positions of the word.  The walk applies plain powers f_i^a and no
-    divided ones: the path's term is (left, f^a . right) times the path
-    factor q^{sum d_i a(a-1)/2} / prod [a]_{q^{d_i}}!, and the pairing is
-    one covector of left, computed once, times the path's vector.
+    Each a is exactly one (path, embedding) pair: its path is its nonzero
+    (letter, a_k) pairs in the order applied, and the positions of those
+    letters are an embedding of the path as strictly decreasing positions of
+    the word.  f^{(a)} . right and the q-power depend on the path only, so
+    the term of a is its path's value.  The image is linear in right: each
+    path's value is the sum of c_s times its value for basis vector s (see
+    _coeff_terms) over the live coordinates c_s of right, and each nonzero
+    path value is written under every embedding of its path.
     """
     if left.mod is not right.mod:
         raise ValueError("vectors live in different modules")
     nu = right.weight()
     field = right.mod.field
-    terms: dict = {}
+    paths: dict = {}
     for s, c in enumerate(right.parts[nu]):
         if not field.is_zero(c):
-            for a, v in _coeff_terms(pres, left, nu, s).items():
-                field.add_term(terms, a, v if c == field.one else field.mul(c, v))
+            for path, v in _coeff_terms(pres, left, nu, s).items():
+                field.add_term(paths, path, v if c == field.one else field.mul(c, v))
+    letters = pres.letters
+    n = len(letters)
+    terms = {
+        a: v for path, v in paths.items() for a in _embeddings(letters, path, 0, n, [0] * n)
+    }
     return TorusElement._raw(pres, terms)
 
 
 def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int) -> dict:
-    """The terms {a: coefficient} of feigin_matrix_coeff for the right vector
-    b, basis vector s of the weight space nu, in the field of left's module:
-    Q(q), or GF(p) at q0 for a shadow.
+    """The nonzero path values {path: value} of feigin_matrix_coeff for the
+    right vector b, basis vector s of the weight space nu, in the field of
+    left's module: Q(q), or GF(p) at q0 for a shadow.  A path is the tuple
+    of (letter, a > 0) steps in the order they are applied, and its value is
+    the term of every exponent vector that embeds it in the word.
 
-    A path is the sequence of (letter, a > 0) pairs in the order they are
-    applied.  The walk visits each path once: it places each next letter at
-    its rightmost occurrence below the previous one, and skips a letter at
-    once unless every other letter the content still needs occurs below it.
-    The ladders climb plain powers f_i^a, and no vector is divided.  At a
-    path that uses up the content the walk pairs left with the path's
-    vector once, as cov . vec with the covector cov = left^T G of the Gram
-    matrix G at the weight of left, multiplies the value by the path factor
-    hwmod.path_factor of its (d_i, a) steps, and adds it under every
-    embedding of the path's letters as strictly decreasing positions; each
-    exponent vector a is exactly one (path, embedding) pair.
+    The walk visits each path that embeds in the word once: it places each
+    next letter at its rightmost occurrence below the previous one, and
+    skips a letter at once unless every other letter the content still
+    needs occurs below it.  The ladders climb plain powers f_i^a, and no
+    vector is divided.  At a path that uses up the content the walk pairs
+    left with the path's vector once, as cov . vec with the covector
+    cov = left^T G of the Gram matrix G at the weight of left, and
+    multiplies the value by the path factor hwmod.path_factor of its
+    (d_i, a) steps.
 
     Neither whether f^path b is nonzero nor a path's term depends on the
     word, so both are memoized on the module (see hwmod) under the key
@@ -207,7 +213,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     last: list[dict[int, int]] = [{}]
     for k, i in enumerate(letters):
         last.append({**last[k], i: k})
-    terms: dict[tuple[int, ...], object] = {}
+    terms: dict[tuple[tuple[int, int], ...], object] = {}
     rem = list(need.coords)
     path: list[tuple[int, int]] = []
     # a path's code: each step (i, a) is one digit a * r1 + i in base
@@ -246,8 +252,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
                     val = field.mul(val, field.of(path_factor(steps)))
                 leaf[code] = val
             if not field.is_zero(val):
-                for key in _embeddings(letters, path, 0, n, [0] * n):
-                    field.add_term(terms, key, val)
+                terms[tuple(path)] = val
             return
         for i, p in last[k].items():
             cap = rem[i - 1]
@@ -282,7 +287,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
 
 
 def _embeddings(
-    letters: tuple[int, ...], path: list[tuple[int, int]], j: int, hi: int, acc: list[int]
+    letters: tuple[int, ...], path: tuple[tuple[int, int], ...], j: int, hi: int, acc: list[int]
 ) -> Iterator[tuple[int, ...]]:
     """Every exponent vector that extends acc by the steps path[j:], each
     step's exponent at a position below the step before it (below hi for
@@ -348,6 +353,11 @@ def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[i
     which equals <h_{i_j}, s_{i_{j+1}} ... s_{i_k} varpi_{i_k}>."""
     word = tuple(word)
     _check_instance(datum, word, k)
+    return _exponents(datum, word, k)
+
+
+def _exponents(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """theorem_instance for an instance that _check_instance has passed."""
     d = word_exponents(datum, word[:k], datum.fundamental(word[k - 1]))
     if d[-1] != 1:
         raise AssertionError(f"exponent d_k = {d[-1]}, expected 1")
@@ -357,7 +367,13 @@ def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[i
 def theorem_monomial(pres: TorusPresentation, k: int) -> TorusElement:
     """Predicted image of the k-th twisted flag minor:
     q^{sum_j d_{i_j} d_j(d_j+1)/2} t_1^{-d_1} ... t_k^{-d_k}."""
-    d = theorem_instance(pres.datum, pres.letters, k)
+    _check_instance(pres.datum, pres.letters, k)
+    return _monomial(pres, k)
+
+
+def _monomial(pres: TorusPresentation, k: int) -> TorusElement:
+    """theorem_monomial for an instance that _check_instance has passed."""
+    d = _exponents(pres.datum, pres.letters, k)
     exps = [0] * pres.nvars
     tw = 0
     for j, dj in enumerate(d):
@@ -378,25 +394,31 @@ def _candidate_weights(datum: RootDatum, ik: int, cap: int) -> list[Weight]:
 
 
 def _system(
-    pres: TorusPresentation, mod: HWModule, mup: Weight, target_terms: dict
+    pres: TorusPresentation, mod: HWModule, mup: Weight, target_paths: dict
 ) -> tuple[list[list], list]:
     """Rows A and right-hand side b of A x = b, for the coordinates x of a u'
-    in mod's weight space mup whose D_{u_{w lam'}, u'} image has target_terms,
-    over the field of mod: one row per exponent vector in the supports."""
+    in mod's weight space mup whose D_{u_{w lam'}, u'} image has the path
+    values target_paths, over the field of mod: one row per path in the
+    supports of the target and of the columns, the _coeff_terms of mup's
+    basis vectors.
+
+    The system with one row per exponent vector has, for each path, one
+    copy of the path's row per embedding, and every path the walk reaches
+    has one.  So both systems have the same rows up to repetition, the same
+    row space, and the same reduced row echelon form, solution and rank
+    profiles, over either field."""
     uw = extremal_vector(mod, pres.letters)
     cols = [_coeff_terms(pres, uw, mup, s) for s in range(mod.dim_of(mup))]
     zero = mod.field.zero
-    keys = sorted(set(target_terms).union(*cols))
+    keys = sorted(set(target_paths).union(*cols))
     rows = [[col.get(e, zero) for col in cols] for e in keys]
-    return rows, [target_terms.get(e, zero) for e in keys]
+    return rows, [target_paths.get(e, zero) for e in keys]
 
 
-def _screened_out(
-    pres: TorusPresentation, lamp: Weight, mup: Weight, target: TorusElement
-) -> bool:
+def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: dict) -> bool:
     """True only when the GF(p) shadow of V(lam') proves that no u' in
-    V(lam')_{mu'} has the target image: the weight space is empty, or the
-    system of find_presentation has a certificate of inconsistency at q0.
+    V(lam')_{mu'} has the target path values: the weight space is empty, or
+    the system of find_presentation has a certificate of inconsistency at q0.
 
     The columns climb plain powers f_i^a = [a]_{q_i}! f_i^{(a)}, which over
     GF(p) vanish with f_i^{(a)} only where [a]_{q_i}! is invertible at q0.
@@ -427,8 +449,7 @@ def _screened_out(
         for i, c in enumerate(need.coords, 1):
             for a in range(2, c + 1):
                 field.of(inv_qint(a, datum.di(i)))
-        target_terms = {a: field.of(c) for a, c in target.terms.items()}
-        rows, rhs = _system(pres, shadow, mup, target_terms)
+        rows, rhs = _system(pres, shadow, mup, {path: field.of(c) for path, c in target.items()})
     except ZeroDivisionError:
         return False
     return _certified_inconsistent(rows, rhs, field)
@@ -453,11 +474,12 @@ def find_presentation(
     at position k first, then its sums with one fundamental weight, then all
     dominant weights of coordinate sum up to search_cap).  For each candidate
     the matching weight space of V(lam') is scanned linearly for a vector u'
-    whose minor has the required torus image.  A candidate whose exact
-    module is not built yet is screened first by its GF(p) shadow, and
-    skipped without an exact build only when the screen proves it cannot
-    present the class (see _screened_out), so the result is the one of the
-    exact search.  Raises PresentationError when the cap is exhausted.
+    whose minor has the required torus image, compared by path values (see
+    _system).  A candidate whose exact module is not built yet is screened
+    first by its GF(p) shadow, and skipped without an exact build only when
+    the screen proves it cannot present the class (see _screened_out), so
+    the result is the one of the exact search.  Raises PresentationError
+    when the cap is exhausted.
     """
     datum = pres.datum
     word = pres.letters
@@ -465,7 +487,7 @@ def find_presentation(
     ik = word[k - 1]
     mod_k = get_module(datum, datum.fundamental(ik))
     target_left = extremal_vector(mod_k, word[:k])
-    target = feigin_matrix_coeff(pres, target_left, mod_k.highest())
+    target = _coeff_terms(pres, target_left, mod_k.lam, 0)
     shift = weyl_act(datum, word[:k], datum.fundamental(ik)) - datum.fundamental(ik)
 
     tried: list[tuple[int, ...]] = []
@@ -482,7 +504,7 @@ def find_presentation(
             continue
         if modp.dim_of(mup) == 0:
             continue
-        coeffs = solve_linear(*_system(pres, modp, mup, target.terms))
+        coeffs = solve_linear(*_system(pres, modp, mup, target))
         if coeffs is None:
             continue
         return Presentation(lamp, ModuleVector(modp, {mup: coeffs}), coeffs)
@@ -519,7 +541,8 @@ def verify_theorem(
     """
     p = find_presentation(pres, k, search_cap)
     lhs = twist_inverse_image(pres, p.lam, p.uprime)
-    rhs = theorem_monomial(pres, k)
+    # find_presentation has checked the instance
+    rhs = _monomial(pres, k)
     desc = f"{pres.datum.name} word {','.join(map(str, pres.letters))} k={k}"
     return VerificationReport(desc, lhs, rhs, class_equal(lhs, rhs), presentation=p)
 
@@ -542,7 +565,7 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
     def dprime(upto: int, j: int) -> TorusElement:
         for m in range(upto, 0, -1):
             if word[m - 1] == j:
-                return theorem_monomial(pres, m)
+                return _monomial(pres, m)
         return pres.unit()
 
     prod = dprime(k - 1, ik).invert_monomial() * dprime(k, ik).invert_monomial()

@@ -39,7 +39,9 @@ keyed by one int path code:
 
 A path's end weight is wt r minus its content, so the right key and the
 code fix the leaf's left vector too.  None of these values depends on a
-reduced word; only the positions of a path's letters in a word do.
+reduced word; only the positions of a path's letters in a word do, and the
+descent returns its terms keyed by path, (letter, a) steps, so the
+presentation search's linear system, one row per path, never reads them.
 
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0

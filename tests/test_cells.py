@@ -44,7 +44,7 @@ from qcells.hwmod import (
     get_module,
     shadow_module,
 )
-from qcells.linalg import RationalFunctions, column_dependencies
+from qcells.linalg import RationalFunctions, column_dependencies, solve_linear
 from qcells.qtorus import TorusPresentation, torus_str
 from qcells.scalars import S_ZERO, ScalarQ
 
@@ -477,6 +477,69 @@ def test_presentations_found_and_unique():
         assert column_dependencies(rows, RationalFunctions)[0] == list(range(len(cols)))
 
 
+# instances whose exact search rejects candidates before a winner with a
+# weight space of dimension r >= 2
+SYSTEM_CASES = [
+    ("B2", (1, 2, 1, 2), 2),
+    ("G2", (2, 1, 2, 1, 2), 3),
+    ("C3", (2, 3, 2, 1, 3), 2),
+]
+
+
+def path_of(word, a):
+    """The path of an exponent vector: its nonzero (letter, a_k) pairs, the
+    rightmost position first."""
+    return tuple((word[k], a[k]) for k in reversed(range(len(a))) if a[k])
+
+
+def distinct_rows(rows, rhs):
+    return {tuple(str(x) for x in row + [b]) for row, b in zip(rows, rhs)}
+
+
+@pytest.mark.parametrize("cartan, word, k", SYSTEM_CASES)
+def test_path_keyed_system_solves_like_exponent_keyed(cartan, word, k):
+    """On every candidate the exact search solves, the system of _system,
+    one row per distinct path, has the rows of the system with one row per
+    exponent vector built from feigin_matrix_coeff images, and solve_linear
+    gives the same coordinates, or None, on both; None exactly where b's
+    column is in the profile of the exponent-keyed [A | b]."""
+    datum = build_root_datum(cartan)
+    pres = TorusPresentation(datum, word)
+    varpi = datum.fundamental(word[k - 1])
+    mod_k = get_module(datum, varpi)
+    target_left = extremal_vector(mod_k, word[:k])
+    target = feigin_matrix_coeff(pres, target_left, mod_k.highest()).terms
+    target_paths = cells._coeff_terms(pres, target_left, varpi, 0)
+    shift = weyl_act(datum, word[:k], varpi) - varpi
+    outcomes = []
+    for lamp in cells._candidate_weights(datum, word[k - 1], 3):
+        mup = weyl_act(datum, word, lamp) - shift
+        mod = get_module(datum, lamp)
+        r = mod.dim_of(mup)
+        if not r:
+            continue
+        uw = extremal_vector(mod, word)
+        cols = [feigin_matrix_coeff(pres, uw, mod.basis_vector(mup, s)).terms for s in range(r)]
+        keys = sorted(set(target).union(*cols))
+        rows = [[col.get(a, S_ZERO) for col in cols] for a in keys]
+        rhs = [target.get(a, S_ZERO) for a in keys]
+        new_rows, new_rhs = cells._system(pres, mod, mup, target_paths)
+        assert len(new_rows) == len({path_of(word, a) for a in keys})
+        assert distinct_rows(new_rows, new_rhs) == distinct_rows(rows, rhs)
+        got = solve_linear(new_rows, new_rhs)
+        assert got == solve_linear(rows, rhs)
+        aug = [row + [b] for row, b in zip(rows, rhs)]
+        profile = column_dependencies(aug, RationalFunctions)[0]
+        assert (got is None) == (r in profile)
+        outcomes.append((got is not None, r, len(rows) > len(new_rows)))
+        if got is not None:
+            break
+    won, r, _ = outcomes[-1]
+    assert won and r >= 2
+    assert not all(solved for solved, _, _ in outcomes)
+    assert any(fewer for _, _, fewer in outcomes)
+
+
 def test_presentation_error_reports_candidates():
     err = PresentationError([(1, 0), (0, 1)])
     assert err.tried == [(1, 0), (0, 1)]
@@ -553,9 +616,7 @@ def test_screen_matches_exact_search(monkeypatch, capsys):
             pres = TorusPresentation(datum, word)
             varpi = datum.fundamental(word[k - 1])
             mod_k = get_module(datum, varpi)
-            target = feigin_matrix_coeff(
-                pres, extremal_vector(mod_k, word[:k]), mod_k.highest()
-            )
+            target = cells._coeff_terms(pres, extremal_vector(mod_k, word[:k]), varpi, 0)
             lamp = Weight(coords)
             mup = weyl_act(datum, word, lamp) - weyl_act(datum, word[:k], varpi) + varpi
             assert not real(pres, lamp, mup, target), (name, word, k)
@@ -610,18 +671,20 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
             return {}
         return real_terms(pres, left, nu, s)
 
-    # the search computes its target through feigin_matrix_coeff; the shadow
-    # fails to take exactly those coefficients
+    # the search computes its target path values by _coeff_terms from the
+    # highest vector of an exact module; the shadow fails to take exactly
+    # those values
     targets, raised = [], []
-    real_coeff = cells.feigin_matrix_coeff
     real_of = hwmod._Shadow.of
 
-    def recorded(pres, left, right):
-        targets.append(real_coeff(pres, left, right))
-        return targets[-1]
+    def recorded(pres, left, nu, s):
+        terms = real_terms(pres, left, nu, s)
+        if isinstance(left.mod.field, hwmod._Exact) and (nu, s) == (left.mod.lam, 0):
+            targets.append(terms)
+        return terms
 
     def undefined(field, c):
-        if any(c is x for t in targets for x in t.terms.values()):
+        if any(c is x for t in targets for x in t.values()):
             raised.append(c)
             raise ZeroDivisionError("target coefficient undefined at q0")
         return real_of(field, c)
@@ -629,7 +692,7 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
     expect = [(P121, 1, (1, 1)), (PB, 1, (0, 1)), (PB, 2, (0, 2)), (PB, 4, (1, 0))]
     for patches in (
         [(cells, "_coeff_terms", collapsed)],
-        [(cells, "feigin_matrix_coeff", recorded), (hwmod._Shadow, "of", undefined)],
+        [(cells, "_coeff_terms", recorded), (hwmod._Shadow, "of", undefined)],
     ):
         with monkeypatch.context() as m:
             for owner, name, patch in patches:
@@ -649,7 +712,7 @@ def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
     pres = TorusPresentation(datum, (2, 1, 2))
     k, lamp, mup = 2, Weight((0, 1)), Weight((0, 1))
     mod_k = get_module(datum, datum.fundamental(pres.letters[k - 1]))
-    target = feigin_matrix_coeff(pres, extremal_vector(mod_k, pres.letters[:k]), mod_k.highest())
+    target = cells._coeff_terms(pres, extremal_vector(mod_k, pres.letters[:k]), mod_k.lam, 0)
     # the extremal vector needs no f^{(2)}, while the columns' content does
     assert max(word_exponents(datum, pres.letters, lamp)) == 1
     assert datum.weight_to_root(mup - weyl_act(datum, pres.letters, lamp)).coords == (1, 2)
@@ -711,6 +774,26 @@ def test_verify_theorem_b2_all_positions():
 def test_verify_rejects_non_reduced():
     with pytest.raises(ValueError):
         verify_theorem(TorusPresentation(A2, (1, 1)), 1)
+
+
+def test_each_instance_proves_its_word_reduced_once(monkeypatch):
+    """chamber_ansatz proves its word reduced once, however many predicted
+    minors it forms, and verify_theorem once in the search and once in the
+    twist's minor; the public theorem_monomial keeps its own check."""
+    calls = []
+    real = cells.is_reduced
+    monkeypatch.setattr(
+        cells, "is_reduced", lambda datum, word: calls.append(word) or real(datum, word)
+    )
+    for k in (1, 2, 3, 4):
+        calls.clear()
+        assert chamber_ansatz(PB, k).equal
+        assert calls == [PB.letters]
+        calls.clear()
+        assert verify_theorem(PB, k).equal
+        assert calls == [PB.letters] * 2
+    with pytest.raises(ValueError, match="reduced"):
+        theorem_monomial(TorusPresentation(A2, (1, 1)), 1)
 
 
 # --------------------------------------------------------- generator recovery

@@ -6,7 +6,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcells import linalg
 from qcells.linalg import (
     RationalFunctions,
     column_dependencies,
@@ -298,6 +301,50 @@ def test_solve_linear_edge_cases():
     assert solve_linear(rows, [sc(2), Q, sc(2) + Q]) == [sc(2), ZERO, Q]
     with pytest.raises(ValueError, match="rhs length mismatch"):
         solve_linear(rows, [ONE])
+
+
+small_scalars = st.builds(
+    ScalarQ,
+    st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(LaurentQ),
+    st.sampled_from([L_ONE, LaurentQ({0: 1, 1: 1})]),
+)
+
+
+@st.composite
+def systems_with_zero_row(draw):
+    """A x = b over Q(q) with up to 4 rows, one more row of A that is zero
+    at a drawn place, and a drawn b entry for it, zero or not."""
+    nr, nc = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    row = st.lists(small_scalars, min_size=nc, max_size=nc)
+    rows = draw(st.lists(row, min_size=nr, max_size=nr))
+    rhs = draw(st.lists(small_scalars, min_size=nr, max_size=nr))
+    at = draw(st.integers(0, nr))
+    rows.insert(at, [ZERO] * nc)
+    rhs.insert(at, draw(st.one_of(st.just(ZERO), small_scalars)))
+    return rows, rhs
+
+
+@given(systems_with_zero_row())
+@settings(max_examples=80, deadline=None)
+def test_zero_row_rejection_agrees_with_elimination(system):
+    """solve_linear's early None on a zero row of A with a nonzero b agrees
+    with the column dependencies of [A | b]: the result is None exactly when
+    b's column is in the profile, and a solution solves."""
+    rows, rhs = system
+    nc = len(rows[0])
+    profile = column_dependencies([row + [b] for row, b in zip(rows, rhs)], QQ)[0]
+    sol = solve_linear(rows, rhs)
+    assert (sol is None) == (nc in profile)
+    if sol is not None:
+        assert mat_vec(rows, sol) == rhs
+
+
+def test_zero_row_rejection_skips_the_elimination(monkeypatch):
+    def forbidden(rows, field):
+        raise AssertionError("eliminated a system with a zero row of A and nonzero b")
+
+    monkeypatch.setattr(linalg, "column_dependencies", forbidden)
+    assert solve_linear([[ONE, Q], [ZERO, ZERO], [Q, ONE]], [ONE, Q, ZERO]) is None
 
 
 def old_solve_linear(rows, rhs):
