@@ -12,15 +12,19 @@ path ends at the weight of left, so each pairing is one covector of left
 times the path's vector.  The descent returns one value per path, and
 feigin_matrix_coeff writes it under every embedding of the path's letters
 in the word.  Only those embeddings depend on the word: whether a path's
-vector is nonzero and, for an extremal left vector, the path's term are
-memoized on the module, keyed by right's basis index and the path (see
-hwmod), so the reduced words of one element, and the elements sharing a
-module, climb each vector once.  The search for a presentation
-D_{u_{w lam'}, u'} never expands the embeddings: its linear system has one
-row per path, where one row per exponent vector would repeat each path's
-row once per embedding.  It screens a candidate lam' by the GF(p) shadow
-of V(lam') and skips it only on a rank certificate that no exact u'
-exists.  The localized algebra itself is never materialized; all
+vector is nonzero and the path's term, for an extremal left vector or any
+other by its exact value, are memoized on the module, keyed by right's
+basis index and the path (see hwmod), so the reduced words of one element,
+and the elements sharing a module, climb each vector and pair each leaf
+once.  The search for a presentation D_{u_{w lam'}, u'} never expands the
+embeddings: its linear system has one row per path, where one row per
+exponent vector would repeat each path's row once per embedding.  It
+screens a candidate lam' by the GF(p) shadow of V(lam') and skips it only
+on a rank certificate that no exact u' exists.  On the exact module it
+first walks the columns along the target's paths only, and skips the
+candidate where one of them is zero in every column; the system's solution
+is memoized on the module, as its paths, weight space and target module
+fix the system.  The localized algebra itself is never materialized; all
 identities are verified between normal-ordered torus elements.
 """
 
@@ -40,7 +44,6 @@ from .cartan import (
 )
 from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
-    HWModule,
     ModuleTooLarge,
     ModuleVector,
     act_f,
@@ -166,12 +169,16 @@ def feigin_matrix_coeff(
     return TorusElement._raw(pres, terms)
 
 
-def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int) -> dict:
+def _coeff_terms(
+    pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int, only=None
+) -> dict:
     """The nonzero path values {path: value} of feigin_matrix_coeff for the
     right vector b, basis vector s of the weight space nu, in the field of
     left's module: Q(q), or GF(p) at q0 for a shadow.  A path is the tuple
     of (letter, a > 0) steps in the order they are applied, and its value is
-    the term of every exponent vector that embeds it in the word.
+    the term of every exponent vector that embeds it in the word.  Given a
+    collection of paths only, the walk goes down prefixes of those paths
+    only, and returns their values.
 
     The walk visits each path that embeds in the word once: it places each
     next letter at its rightmost occurrence below the previous one, and
@@ -184,11 +191,11 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     (d_i, a) steps.
 
     Neither whether f^path b is nonzero nor a path's term depends on the
-    word, so both are memoized on the module (see hwmod) under the key
-    (nu, s): the first in _node_memo, which keeps the walk's zero pruning,
-    and the second in _leaf_memo when left is the module's extremal vector
-    of its weight, the very object extremal_vector returns; any other left
-    vector keeps its path terms for the call only.  Vectors are climbed
+    word, so both are memoized on the module (see hwmod): the first in
+    _node_memo under the key (nu, s), which keeps the walk's zero pruning,
+    and the second in _leaf_memo, under (nu, s) when left is the module's
+    extremal vector of its weight, the very object extremal_vector returns,
+    and else under (nu, s) and left's exact value.  Vectors are climbed
     only where a memo misses: a path's int code fixes its vector, which is
     f_i of its parent's or, for a > 1, of the same ladder's one power lower,
     and the call keeps the vectors of the current path's ladders by code,
@@ -204,9 +211,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     field = mod.field
     mu = left.weight()
     node = mod._node_memo.setdefault((nu, s), {})
-    leaf: dict[int, object] = {}
     if left is mod._extremal_memo.get(mu):
         leaf = mod._leaf_memo.setdefault((nu, s), {})
+    else:
+        lkey = (nu, s, mu, tuple(map(field.key, left.parts[mu])))
+        leaf = mod._leaf_memo.setdefault(lkey, {})
+    shared = mod._leaf_values
     letters = pres.letters
     n = len(letters)
     # last[k]: the rightmost position of each letter below position k
@@ -222,6 +232,18 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     # below the base; no digit is 0, so distinct paths get distinct codes
     r1 = datum.rank + 1
     base = r1 * (len(mod.basis) + 1)
+    # allowed: the codes of the prefixes of the paths in only.  Past a =
+    # number of weights f_i^a is zero here, and its digit would not fit
+    allowed = None
+    if only is not None:
+        allowed = set()
+        for only_path in only:
+            code = 0
+            for i, a in only_path:
+                if a > len(mod.basis):
+                    break
+                code = code * base + a * r1 + i
+                allowed.add(code)
     # vecs: f^path right by path code, for the current path's ladders only;
     # code - r1 is the same ladder one power lower, code // base the parent
     vecs: dict[int, ModuleVector] = {0: right}
@@ -250,7 +272,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
                     val = field.zero
                 elif steps:
                     val = field.mul(val, field.of(path_factor(steps)))
-                leaf[code] = val
+                leaf[code] = val = shared.setdefault(field.key(val), val)
             if not field.is_zero(val):
                 terms[tuple(path)] = val
             return
@@ -259,15 +281,22 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
             below = last[p]
             if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
                 continue
-            # f_i^a for a = 1..cap, up to the first zero
-            for a in range(1, cap + 1):
+            top = cap
+            if allowed is not None:
+                # the highest power of the ladder on a prefix of only
+                step = code * base + i
+                top = next((a for a in range(cap, 0, -1) if step + a * r1 in allowed), 0)
+                if not top:
+                    continue
+            # f_i^a for a = 1..top, up to the first zero
+            for a in range(1, top + 1):
                 child = code * base + a * r1 + i
                 nonzero = node.get(child)
                 if nonzero is None:
                     nonzero = node[child] = not vector(child).is_zero()
                 if not nonzero:
                     break
-                if a == cap or i in below:
+                if (a == cap or i in below) and (allowed is None or child in allowed):
                     rem[i - 1] = cap - a
                     path.append((i, a))
                     walk(p, child)
@@ -323,12 +352,17 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     cross-checked against the module pairing route, whose path values the
     module memoizes; a disagreement raises MinorRoutesDisagree.
     """
-    datum = pres.datum
     if not lam.is_dominant():
         raise ValueError("minor weight must be dominant")
-    word = pres.letters
-    if not is_reduced(datum, word):
+    if not is_reduced(pres.datum, pres.letters):
         raise ValueError("letter sequence must be reduced")
+    return _minor(pres, lam)
+
+
+def _minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
+    """feigin_minor for a dominant lam and a word proven reduced."""
+    datum = pres.datum
+    word = pres.letters
     a = word_exponents(datum, word, lam)
     tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
     closed = pres.monomial(a, ScalarQ.q_power(tw))
@@ -394,25 +428,58 @@ def _candidate_weights(datum: RootDatum, ik: int, cap: int) -> list[Weight]:
 
 
 def _system(
-    pres: TorusPresentation, mod: HWModule, mup: Weight, target_paths: dict
-) -> tuple[list[list], list]:
-    """Rows A and right-hand side b of A x = b, for the coordinates x of a u'
-    in mod's weight space mup whose D_{u_{w lam'}, u'} image has the path
-    values target_paths, over the field of mod: one row per path in the
-    supports of the target and of the columns, the _coeff_terms of mup's
-    basis vectors.
+    pres: TorusPresentation, uw: ModuleVector, mup: Weight, target_paths: dict
+) -> tuple[tuple, list[list], list]:
+    """The ordered paths, rows A and right-hand side b of A x = b, for the
+    coordinates x of a u' in the weight space mup of uw's module V(lam')
+    whose D_{u_{w lam'}, u'} image has the path values target_paths, over
+    the module's field, for uw = u_{w lam'}: one row per path in the
+    supports of the target and of the columns, the _coeff_terms of uw
+    against mup's basis vectors.
 
     The system with one row per exponent vector has, for each path, one
     copy of the path's row per embedding, and every path the walk reaches
     has one.  So both systems have the same rows up to repetition, the same
     row space, and the same reduced row echelon form, solution and rank
     profiles, over either field."""
-    uw = extremal_vector(mod, pres.letters)
+    mod = uw.mod
     cols = [_coeff_terms(pres, uw, mup, s) for s in range(mod.dim_of(mup))]
     zero = mod.field.zero
-    keys = sorted(set(target_paths).union(*cols))
+    keys = tuple(sorted(set(target_paths).union(*cols)))
     rows = [[col.get(e, zero) for col in cols] for e in keys]
-    return rows, [target_paths.get(e, zero) for e in keys]
+    return keys, rows, [target_paths.get(e, zero) for e in keys]
+
+
+def _target_row_zero(pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict) -> bool:
+    """True when some path of the target, whose values are all nonzero, is
+    zero in every column of _system: a zero row of A with a nonzero b, on
+    which solve_linear returns None.  The columns are walked only along
+    prefixes of the target's paths, and only until every target path is
+    nonzero in one of them."""
+    hit: set = set()
+    for s in range(uw.mod.dim_of(mup)):
+        hit.update(_coeff_terms(pres, uw, mup, s, target))
+        if len(hit) == len(target):
+            return False
+    return True
+
+
+def _solve(
+    pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict, target_lam: Weight
+) -> list | None:
+    """solve_linear of the _system of uw in its exact module, for the target
+    path values of a minor from V(target_lam), memoized on the module under
+    (mup, target_lam, the system's ordered paths).  A column's values depend
+    only on (module, basis key, path) and the target's only on
+    (V(target_lam), path), so that key fixes A and b, and the reduced words
+    that share a system solve it once."""
+    keys, rows, rhs = _system(pres, uw, mup, target)
+    memo = uw.mod._solve_memo
+    key = (mup, target_lam, keys)
+    if key not in memo:
+        memo[key] = solve_linear(rows, rhs)
+    x = memo[key]
+    return None if x is None else list(x)
 
 
 def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: dict) -> bool:
@@ -449,7 +516,8 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
         for i, c in enumerate(need.coords, 1):
             for a in range(2, c + 1):
                 field.of(inv_qint(a, datum.di(i)))
-        rows, rhs = _system(pres, shadow, mup, {path: field.of(c) for path, c in target.items()})
+        uw = extremal_vector(shadow, pres.letters)
+        _, rows, rhs = _system(pres, uw, mup, {path: field.of(c) for path, c in target.items()})
     except ZeroDivisionError:
         return False
     return _certified_inconsistent(rows, rhs, field)
@@ -478,8 +546,12 @@ def find_presentation(
     _system).  A candidate whose exact module is not built yet is screened
     first by its GF(p) shadow, and skipped without an exact build only when
     the screen proves it cannot present the class (see _screened_out), so
-    the result is the one of the exact search.  Raises PresentationError
-    when the cap is exhausted.
+    the result is the one of the exact search.  On the exact module a
+    candidate is skipped before its full system when a target path is zero
+    in every column (_target_row_zero), where solve_linear would return
+    None, and the system is solved once per module, weight space, target
+    module and row paths (_solve).  Raises PresentationError when the cap
+    is exhausted.
     """
     datum = pres.datum
     word = pres.letters
@@ -504,7 +576,10 @@ def find_presentation(
             continue
         if modp.dim_of(mup) == 0:
             continue
-        coeffs = solve_linear(*_system(pres, modp, mup, target))
+        uw = extremal_vector(modp, word)
+        if _target_row_zero(pres, uw, mup, target):
+            continue
+        coeffs = _solve(pres, uw, mup, target, mod_k.lam)
         if coeffs is None:
             continue
         return Presentation(lamp, ModuleVector(modp, {mup: coeffs}), coeffs)
@@ -523,10 +598,22 @@ def twist_inverse_image(
         raise ValueError("vector and presentation use different root data")
     if modp.lam != lamp:
         raise ValueError("vector does not live in V(lam')")
+    if not is_reduced(datum, pres.letters):
+        raise ValueError("letter sequence must be reduced")
+    return _twist(pres, lamp, uprime)
+
+
+def _twist(pres: TorusPresentation, lamp: Weight, uprime: ModuleVector) -> TorusElement:
+    """twist_inverse_image for a u' of V(lam') and a word proven reduced.
+    The pairing of u' with the highest vector reads the module's leaf memo
+    under u''s exact value, so the words whose presentations share u' pair
+    its leaves once."""
+    datum = pres.datum
+    modp = uprime.mod
     wlamp = weyl_act(datum, pres.letters, lamp)
     nu = datum.weight_to_root(uprime.weight() - wlamp)
     qpow = datum.sym_pair(lamp, nu)
-    minor_inv = feigin_minor(pres, lamp).invert_monomial()
+    minor_inv = _minor(pres, lamp).invert_monomial()
     part = feigin_matrix_coeff(pres, uprime, modp.highest())
     return (minor_inv * part).scaled(ScalarQ.q_power(qpow))
 
@@ -540,8 +627,9 @@ def verify_theorem(
     twist, and compares with the closed-form monomial.
     """
     p = find_presentation(pres, k, search_cap)
-    lhs = twist_inverse_image(pres, p.lam, p.uprime)
-    # find_presentation has checked the instance
+    # find_presentation has checked the instance, and p.uprime lives in
+    # V(p.lam) of pres's datum
+    lhs = _twist(pres, p.lam, p.uprime)
     rhs = _monomial(pres, k)
     desc = f"{pres.datum.name} word {','.join(map(str, pres.letters))} k={k}"
     return VerificationReport(desc, lhs, rhs, class_equal(lhs, rhs), presentation=p)

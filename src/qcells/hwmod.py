@@ -26,22 +26,35 @@ Missing action keys mean the zero map.
 
 Each module also owns memos that live as long as it does and are filled
 lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
-bounded by the Weyl orbit of lam, and the two memos of the Feigin descent
-(cells._coeff_terms), which hold no vector, so no memo but the extremal one
-points back at the module.  Both descent memos map the right key the
-descent is given, the (weight, basis index) of a basis vector r, to a dict
-keyed by one int path code:
+bounded by the Weyl orbit of lam, the two memos of the Feigin descent
+(cells._coeff_terms), and on an exact module the solve memo of the
+presentation search (cells._solve).  Only the extremal memo holds vectors,
+so no other memo points back at the module.  Both descent memos map the
+right key the descent is given, the (weight, basis index) r of a basis
+vector, to a dict keyed by one int path code:
 
-    _node_memo[r][code]    whether f^path r is nonzero
-    _leaf_memo[r][code]    the path's term, path factor applied, for the
-                             extremal vector of the weight of f^path r on
-                             the left; a zero term is the field's zero
+    _node_memo[r][code]       whether f^path r is nonzero
+    _leaf_memo[r][code]       the path's term, path factor applied, for the
+                                extremal vector of the weight of f^path r
+                                on the left; a zero term is the field's zero
+    _leaf_memo[r + l][code]   the same term for any other left vector, with
+                                l = (mu, key(c) of each coordinate c at mu)
+                                its weight and exact value
 
 A path's end weight is wt r minus its content, so the right key and the
-code fix the leaf's left vector too.  None of these values depends on a
-reduced word; only the positions of a path's letters in a word do, and the
-descent returns its terms keyed by path, (letter, a) steps, so the
-presentation search's linear system, one row per path, never reads them.
+code fix the extremal left vector too.  Equal terms are stored once: each
+leaf value is the module's _leaf_values[key(value)].  None of these values
+depends on a reduced word; only the positions of a path's letters in a word
+do.  The descent returns its terms keyed by path, (letter, a) steps, and
+the presentation search's linear system has one row per path, so the
+system is fixed by its module, weight space, target module and ordered row
+paths: a column's values depend only on the module, the basis key and the
+path, and the target's only on its module and the path.
+
+    _solve_memo[(mu', lam_k, paths)]   solve_linear of the system of the
+                                         weight space mu' whose rows are the
+                                         ordered paths, for a target minor
+                                         from V(lam_k)
 
 One layer walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
@@ -49,6 +62,7 @@ entries (build_module, get_module), or its GF(p) shadow at q = q0
 
     zero, one                     the constants 0 and 1
     of(c)                         the field's value of a constant c of Q(q)
+    key(c)                        a hashable key of the value c
     is_zero, inverse, scale,      the row operations of the one Gauss–Jordan
       sub_multiple, pivot_size      elimination, linalg.column_dependencies
     plus, mul                     scalar sum and product
@@ -121,6 +135,8 @@ class HWModule:
         "_extremal_memo",
         "_node_memo",
         "_leaf_memo",
+        "_leaf_values",
+        "_solve_memo",
     )
 
     def __init__(self, datum: RootDatum, lam: Weight, field: "_Exact | _Shadow"):
@@ -135,7 +151,9 @@ class HWModule:
         self.dim = 0
         self._extremal_memo: dict[Weight, "ModuleVector"] = {}
         self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
-        self._leaf_memo: dict[tuple[Weight, int], dict[int, object]] = {}
+        self._leaf_memo: dict[tuple, dict[int, object]] = {}
+        self._leaf_values: dict[object, object] = {}
+        self._solve_memo: dict[tuple, list | None] = {}
 
     def dim_of(self, mu: Weight) -> int:
         b = self.basis.get(mu)
@@ -289,6 +307,11 @@ class _Exact(RationalFunctions):
         return c
 
     @staticmethod
+    def key(c: ScalarQ) -> tuple:
+        """c's canonical numerator and denominator, which fix its value."""
+        return tuple(sorted(c.num.c.items())), tuple(sorted(c.den.c.items()))
+
+    @staticmethod
     def nonzero(coeffs: list[ScalarQ]) -> bool:
         return any(c.num.c for c in coeffs)
 
@@ -328,6 +351,10 @@ class _Shadow:
 
     def of(self, c: ScalarQ) -> int:
         return _eval_mod(c, self.powers)
+
+    @staticmethod
+    def key(c: int) -> int:
+        return c
 
     @staticmethod
     def is_zero(c: int) -> bool:

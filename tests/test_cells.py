@@ -274,7 +274,7 @@ def call_shapes(pres, mod):
     shapes = []
     for mup in mod.basis:
         if cells._content(uw, mod.basis_vector(mup, 0)) is not None:
-            shapes.append(lambda mup=mup: cells._system(pres, mod, mup, {}))
+            shapes.append(lambda mup=mup: cells._system(pres, uw, mup, {}))
     for k in range(len(word) + 1):
         shapes.append(
             lambda k=k: cells._coeff_terms(pres, extremal_vector(mod, word[:k]), mod.lam, 0)
@@ -300,9 +300,10 @@ MEMO_CASES = [
 def test_memoized_terms_equal_fresh_ones(monkeypatch, cartan, coords, max_length, field):
     """On every reduced word of every element of the longest lengths, each
     call shape gives the same terms on a module whose memos every earlier
-    word filled as on a twin module whose descent memos are emptied before
-    each call; and a second pass over the words climbs no vector but the
-    twist's."""
+    word filled as on a twin module whose memos are emptied before each
+    call; and a second pass over the words climbs no vector, the twist's
+    pairing included, as its leaf memo is keyed by the left vector's
+    value."""
     datum = build_root_datum(cartan)
     lam = Weight(coords)
 
@@ -316,27 +317,23 @@ def test_memoized_terms_equal_fresh_ones(monkeypatch, cartan, coords, max_length
     for word in words:
         pres = TorusPresentation(datum, word)
         for got, want in zip(call_shapes(pres, warm), call_shapes(pres, fresh)):
+            # _leaf_memo holds the value-keyed leaf entries too
             fresh._node_memo.clear()
             fresh._leaf_memo.clear()
+            fresh._leaf_values.clear()
+            fresh._solve_memo.clear()
             assert got() == want()
     assert warm._leaf_memo and warm._node_memo
+    assert any(len(key) > 2 for key in warm._leaf_memo)
 
     climbs = []
     real_act_f = cells.act_f
     monkeypatch.setattr(cells, "act_f", lambda i, v: climbs.append(i) or real_act_f(i, v))
-    twist_climbs = 0
     for word in words:
         pres = TorusPresentation(datum, word)
-        shapes = call_shapes(pres, warm)
-        twist = len(warm.basis)
-        climbs.clear()
-        for shape in shapes[:-twist]:
+        for shape in call_shapes(pres, warm):
             shape()
-        assert not climbs
-        for shape in shapes[-twist:]:
-            shape()
-        twist_climbs += len(climbs)
-    assert twist_climbs
+    assert not climbs
 
 
 @pytest.mark.parametrize("cartan, coords, max_length", MEMO_CASES)
@@ -381,7 +378,7 @@ def test_descent_memos_hold_no_vectors(monkeypatch, capsys):
     for mod in mods:
         for memo, kind in ((mod._node_memo, bool), (mod._leaf_memo, scalars)):
             for rkey, inner in memo.items():
-                mu, s = rkey
+                mu, s = rkey[:2]
                 assert isinstance(mu, Weight) and 0 <= s < mod.dim_of(mu)
                 assert all(type(code) is int for code in inner)
                 assert all(isinstance(v, kind) for v in inner.values())
@@ -523,7 +520,7 @@ def test_path_keyed_system_solves_like_exponent_keyed(cartan, word, k):
         keys = sorted(set(target).union(*cols))
         rows = [[col.get(a, S_ZERO) for col in cols] for a in keys]
         rhs = [target.get(a, S_ZERO) for a in keys]
-        new_rows, new_rhs = cells._system(pres, mod, mup, target_paths)
+        _, new_rows, new_rhs = cells._system(pres, uw, mup, target_paths)
         assert len(new_rows) == len({path_of(word, a) for a in keys})
         assert distinct_rows(new_rows, new_rhs) == distinct_rows(rows, rhs)
         got = solve_linear(new_rows, new_rhs)
@@ -538,6 +535,78 @@ def test_path_keyed_system_solves_like_exponent_keyed(cartan, word, k):
     assert won and r >= 2
     assert not all(solved for solved, _, _ in outcomes)
     assert any(fewer for _, _, fewer in outcomes)
+
+
+@pytest.mark.parametrize("cartan, max_length", [("B2", 4), ("G2", 6), ("C3", 5)])
+def test_target_row_check_rejects_where_the_solve_does(monkeypatch, cartan, max_length):
+    """On every candidate of every instance that reaches the exact system,
+    the target-row check rejects exactly where solve_linear of the full
+    _system returns None; the searches with and without the check reach the
+    same candidates, in the same order, and find the same winners."""
+    datum = build_root_datum(cartan)
+    real_check, real_solve = cells._target_row_zero, cells._solve
+    reached = [], []
+
+    def checked(pres, uw, mup, target):
+        rejected = real_check(pres, uw, mup, target)
+        _, rows, rhs = cells._system(pres, uw, mup, target)
+        assert rejected == (solve_linear(rows, rhs) is None), (pres.letters, uw.mod.lam)
+        reached[0].append((pres.letters, uw.mod.lam, mup, rejected))
+        return rejected
+
+    def solved(pres, uw, mup, target, target_lam):
+        x = real_solve(pres, uw, mup, target, target_lam)
+        reached[1].append((pres.letters, uw.mod.lam, mup, x is None))
+        return x
+
+    runs = []
+    for check, solve in ((checked, real_solve), (lambda *args: False, solved)):
+        with monkeypatch.context() as m:
+            m.setattr(cells, "_target_row_zero", check)
+            m.setattr(cells, "_solve", solve)
+            fresh_caches(m, datum)
+            runs.append(search_all(datum, max_length))
+    assert runs[0] == runs[1]
+    assert reached[0] == reached[1]
+    assert any(rejected for *_, rejected in reached[0])
+
+
+def test_memoized_solve_equals_a_fresh_one(monkeypatch):
+    """On modules that earlier words warmed, the search solves no system
+    again, and each memoized solve equals solve_linear of the same system;
+    a key that differs only in the target's module misses."""
+    datum = build_root_datum("C3")
+    fresh_caches(monkeypatch, datum)
+    elements = [w for w in weyl_elements(datum, 5) if len(w) == 5]
+    words = [word for w in elements for word in reduced_words(datum, w)]
+    instances = [(word, k) for word in words for k in range(1, len(word) + 1)]
+    for word, k in instances:
+        find_presentation(TorusPresentation(datum, word), k)
+    calls = []
+    monkeypatch.setattr(
+        cells, "solve_linear", lambda rows, rhs: calls.append(1) or solve_linear(rows, rhs)
+    )
+    hits = misses = 0
+    for word, k in instances:
+        pres = TorusPresentation(datum, word)
+        p = find_presentation(pres, k)
+        assert not calls
+        varpi = datum.fundamental(word[k - 1])
+        mod_k, mod = get_module(datum, varpi), p.uprime.mod
+        target = cells._coeff_terms(pres, extremal_vector(mod_k, word[:k]), varpi, 0)
+        uw, mup = extremal_vector(mod, word), p.uprime.weight()
+        keys, rows, rhs = cells._system(pres, uw, mup, target)
+        assert mod._solve_memo[(mup, varpi, keys)] == solve_linear(rows, rhs) == p.coeffs
+        hits += 1
+        # the same system for a target from another module, which no search
+        # has, is another key: it misses once, then hits
+        other = varpi + datum.fundamental(1)
+        miss = (mup, other, keys) not in mod._solve_memo
+        misses += miss
+        assert cells._solve(pres, uw, mup, target, other) == p.coeffs
+        assert len(calls) == miss
+        calls.clear()
+    assert hits == len(instances) > misses > 0
 
 
 def test_presentation_error_reports_candidates():
@@ -666,10 +735,10 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
     where it does without the screen."""
     real_terms = cells._coeff_terms
 
-    def collapsed(pres, left, nu, s):
+    def collapsed(pres, left, nu, s, only=None):
         if isinstance(left.mod.field, hwmod._Shadow):
             return {}
-        return real_terms(pres, left, nu, s)
+        return real_terms(pres, left, nu, s, only)
 
     # the search computes its target path values by _coeff_terms from the
     # highest vector of an exact module; the shadow fails to take exactly
@@ -677,8 +746,8 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
     targets, raised = [], []
     real_of = hwmod._Shadow.of
 
-    def recorded(pres, left, nu, s):
-        terms = real_terms(pres, left, nu, s)
+    def recorded(pres, left, nu, s, only=None):
+        terms = real_terms(pres, left, nu, s, only)
         if isinstance(left.mod.field, hwmod._Exact) and (nu, s) == (left.mod.lam, 0):
             targets.append(terms)
         return terms
@@ -778,8 +847,9 @@ def test_verify_rejects_non_reduced():
 
 def test_each_instance_proves_its_word_reduced_once(monkeypatch):
     """chamber_ansatz proves its word reduced once, however many predicted
-    minors it forms, and verify_theorem once in the search and once in the
-    twist's minor; the public theorem_monomial keeps its own check."""
+    minors it forms, and verify_theorem once, in the search, which its
+    twist and its minor rely on; the public theorem_monomial,
+    twist_inverse_image and feigin_minor keep their own checks."""
     calls = []
     real = cells.is_reduced
     monkeypatch.setattr(
@@ -791,9 +861,15 @@ def test_each_instance_proves_its_word_reduced_once(monkeypatch):
         assert calls == [PB.letters]
         calls.clear()
         assert verify_theorem(PB, k).equal
-        assert calls == [PB.letters] * 2
+        assert calls == [PB.letters]
+    bad = TorusPresentation(A2, (1, 1))
+    mod = get_module(A2, Weight((1, 0)))
     with pytest.raises(ValueError, match="reduced"):
-        theorem_monomial(TorusPresentation(A2, (1, 1)), 1)
+        theorem_monomial(bad, 1)
+    with pytest.raises(ValueError, match="reduced"):
+        twist_inverse_image(bad, mod.lam, mod.highest())
+    with pytest.raises(ValueError, match="reduced"):
+        feigin_minor(bad, mod.lam)
 
 
 # --------------------------------------------------------- generator recovery

@@ -319,7 +319,8 @@ def test_selftest_reports_disagreeing_minor_routes(capsys, monkeypatch):
     def broken(pres, lam):
         raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
 
-    monkeypatch.setattr(cells, "feigin_minor", broken)
+    # feigin_minor and the twist both reach the minor through cells._minor
+    monkeypatch.setattr(cells, "_minor", broken)
     monkeypatch.setattr(cli, "feigin_minor", broken)
     code, out, err = run(capsys, "selftest")
     assert code == 1
@@ -416,6 +417,12 @@ PINNED_OUTPUTS = [
         ("feigin-minor", "--cartan", "G2", "--word", "1,2,1,2,1,2", "--lambda", "2,1"),
         "604cd5076a8a7484ef8cba2e48d4c76a98cee33394d4f8898d632423ced7b9c3",
     ),
+    # reduced words that share path systems and u', so the search and the
+    # twist read their solve and leaf memos
+    (
+        ("sweep", "--cartan", "C3", "--max-length", "6", "--format", "json"),
+        "2ed72ffb415350897867c04fa48ebcaa22c586f4ee6d123dc59f72320cdd7525",
+    ),
 ]
 
 
@@ -498,7 +505,7 @@ def test_disagreeing_minor_routes_are_a_sweep_mismatch(capsys, monkeypatch):
     def broken(pres, lam):
         raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
 
-    monkeypatch.setattr(cells, "feigin_minor", broken)
+    monkeypatch.setattr(cells, "_minor", broken)
     code, out, err = run(capsys, "sweep", "--cartan", "A2")
     assert code == 1
     lines = out.strip().splitlines()
