@@ -40,6 +40,7 @@ __all__ = [
     "weyl_act",
     "weyl_act_root",
     "dominant_conjugate",
+    "walk_word",
     "word_exponents",
     "is_reduced",
     "length",
@@ -357,17 +358,25 @@ def weyl_act_root(datum: RootDatum, word: tuple[int, ...], nu: RootVector) -> Ro
     return nu
 
 
-def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tuple[int, ...]:
+def walk_word(
+    datum: RootDatum, word: tuple[int, ...], lam: Weight
+) -> tuple[tuple[int, ...], Weight]:
     """The exponents c_m = <h_{i_m}, s_{i_{m+1}} ... s_{i_l} lam> for m = 1..l,
-    read off while lam walks through the word rightmost letter first.
-    Raises ValueError on a letter outside the index set."""
+    read off while lam walks through the word rightmost letter first, and
+    the weight w lam where the walk ends.  Raises ValueError on a letter
+    outside the index set."""
     _check_letters(datum, word)
     out = []
     for i in reversed(word):
         out.append(lam.coords[i - 1])
         lam = datum.reflect_weight(i, lam)
     out.reverse()
-    return tuple(out)
+    return tuple(out), lam
+
+
+def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tuple[int, ...]:
+    """The exponents of walk_word alone."""
+    return walk_word(datum, word, lam)[0]
 
 
 def is_reduced(datum: RootDatum, word: tuple[int, ...]) -> bool:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cartan import (
     RootDatum,
@@ -416,15 +417,22 @@ def _monomial(pres: TorusPresentation, k: int) -> TorusElement:
     return pres.monomial(tuple(exps), ScalarQ.q_power(tw))
 
 
-def _candidate_weights(datum: RootDatum, ik: int, cap: int) -> list[Weight]:
-    out = [datum.fundamental(ik)]
-    for j in datum.index_set:
-        out.append(datum.fundamental(ik) + datum.fundamental(j))
+# A pure function of small ints: weights are in fundamental-weight
+# coordinates, so the candidates depend on the rank only, not on the datum.
+@lru_cache(maxsize=None)
+def _candidate_weights(rank: int, ik: int, cap: int) -> tuple[Weight, ...]:
+    """The lam' candidates of find_presentation, in search order and without
+    repeats: varpi_ik, then varpi_ik + varpi_j for each j, then the dominant
+    weights of coordinate sum 1, 2, ..., cap."""
+    varpi = [Weight(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+    out = [varpi[ik - 1]]
+    for j in range(rank):
+        out.append(varpi[ik - 1] + varpi[j])
     for total in range(1, cap + 1):
-        for coords in itertools.product(range(total + 1), repeat=datum.rank):
+        for coords in itertools.product(range(total + 1), repeat=rank):
             if sum(coords) == total:
                 out.append(Weight(coords))
-    return list(dict.fromkeys(out))
+    return tuple(dict.fromkeys(out))
 
 
 def _system(
@@ -563,7 +571,7 @@ def find_presentation(
     shift = weyl_act(datum, word[:k], datum.fundamental(ik)) - datum.fundamental(ik)
 
     tried: list[tuple[int, ...]] = []
-    for lamp in _candidate_weights(datum, ik, search_cap):
+    for lamp in _candidate_weights(datum.rank, ik, search_cap):
         tried.append(lamp.coords)
         mup = weyl_act(datum, word, lamp) - shift
         try:

@@ -92,7 +92,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 
-from .cartan import RootDatum, Weight, dominant_conjugate, weyl_act, weyl_dim, word_exponents
+from .cartan import RootDatum, Weight, dominant_conjugate, walk_word, weyl_dim
 from .linalg import RationalFunctions, column_dependencies, dot
 from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
 
@@ -690,10 +690,9 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     has a letter outside the index set, raises ValueError and never reads
     the memo."""
     word = tuple(word)
-    exps = word_exponents(mod.datum, word, mod.lam)
+    exps, key = walk_word(mod.datum, word, mod.lam)
     if any(c < 0 for c in exps):
         raise ValueError(f"word {word} is not reduced for weight {mod.lam.coords}")
-    key = weyl_act(mod.datum, word, mod.lam)
     got = mod._extremal_memo.get(key)
     if got is not None:
         return got

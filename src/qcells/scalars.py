@@ -4,13 +4,22 @@ Everything downstream (bilinear forms, module matrices, torus coefficients)
 runs on the two classes here, so the representation is chosen for tight
 loops: a Laurent polynomial is a plain ``{exponent: coefficient}`` dict over
 Python ints, and a general scalar is a reduced fraction of those with the
-denominator normalized to an honest polynomial.  No floats anywhere, no
-modular tricks; equality of canonical forms is structural equality.
+denominator normalized to an honest polynomial.  No floats anywhere;
+equality of canonical forms is structural equality.
+
+Reducing a fraction takes a gcd in Z[q].  It is read from one integer gcd
+at an evaluation point xi (Char, Geddes & Gonnet's GCDHEU, J. Symb. Comp.
+7, 1989): the candidate and its cofactors come out of exact divisions, and
+the candidate is accepted only under a bound that proves it is the gcd
+(_heu_gcd).  A candidate that fails is retried at a larger xi a few times,
+then the Euclidean pseudo-remainder gcd (_dgcd) decides.  So the gcd is
+certified, never a specialization.  Sums with unequal denominators run the
+gcd on the denominators only, by Henrici's rule (ScalarQ.__add__).
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 
 __all__ = [
@@ -112,6 +121,102 @@ def _ddiv_exact(a: list[int], b: list[int]) -> list[int]:
     if any(a):
         raise ArithmeticError("inexact polynomial division")
     return _trim(out)
+
+
+def _eval(a: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _digits(v: int, x: int) -> list[int]:
+    """The symmetric x-adic digits of v > 0, lowest first: the polynomial H
+    with coefficients in (-x/2, x/2] and H(x) = v.  Its top digit is
+    positive."""
+    half = x // 2
+    out = []
+    while v:
+        d = v % x
+        if d > half:
+            d -= x
+        out.append(d)
+        v = (v - d) // x
+    return out
+
+
+# Evaluation points tried before the Euclidean gcd decides.
+_HEU_TRIES = 6
+
+
+def _heu_gcd(A: list[int], B: list[int]) -> "tuple[list[int], list[int], list[int]] | None":
+    """(h, A/h, B/h) with h = gcd(A, B), for primitive A and B of positive
+    degree, or None when no evaluation point gives a certified candidate.
+
+    At a point xi, gamma = gcd(A(xi), B(xi)) and H = _digits(gamma, xi), so
+    H(xi) = gamma.  The candidate is h = H / c with c = cont(H) (H's top
+    digit is positive, so h has a positive leading coefficient).  The exact
+    divisions A' = A/h and B' = B/h are the cofactors, and h is accepted
+    when
+
+        xi >= c + 2 + min(|A'|, |B'|)        (|.| the max norm).
+
+    Proof that h is then the gcd.  As gamma = c h(xi) != 0 and
+    A(xi) = h(xi) A'(xi), B(xi) = h(xi) B'(xi), gcd(A'(xi), B'(xi)) = c.
+    A and B are primitive, so their gcd is h C for some C in Z[q] dividing
+    A' and B'; say C is not constant.  Its roots are roots of A' and of B',
+    so by Cauchy's bound they have modulus below R = 1 + min(|A'|, |B'|).
+    Then |C(xi)| >= prod (xi - |root|) > (xi - R)^deg C >= (c + 1)^deg C
+    >= c + 1, yet C(xi) divides gcd(A'(xi), B'(xi)) = c: a contradiction.
+    So C is a unit, and h = gcd(A, B).
+
+    The first point, 2 min(|A|, |B|) + 29, and its growth follow SymPy's
+    dup_zz_heu_gcd.  A zero gamma, an inexact division or a failed bound
+    moves to the next point, raised to the bound when that was what failed.
+    """
+    x = 2 * min(max(map(abs, A)), max(map(abs, B))) + 29
+    for _ in range(_HEU_TRIES):
+        need = 0
+        gamma = gcd(_eval(A, x), _eval(B, x))
+        if gamma:
+            H = _digits(gamma, x)
+            c = _dcontent(H)
+            h = [d // c for d in H]
+            try:
+                qa = _ddiv_exact(A, h) if len(h) > 1 else A
+                qb = _ddiv_exact(B, h) if len(h) > 1 else B
+            except ArithmeticError:
+                pass
+            else:
+                need = c + 2 + min(max(map(abs, qa)), max(map(abs, qb)))
+                if x >= need:
+                    return h, qa, qb
+        x = max(73794 * x * isqrt(isqrt(x)) // 27011, need)
+    return None
+
+
+def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for nonzero a and b, with g = _dgcd(a, b): integer
+    content included and a positive leading coefficient.  The gcd of the
+    primitive parts comes from _heu_gcd, or from _dgcd when that gives up."""
+    ca, cb = _dcontent(a), _dcontent(b)
+    g0 = gcd(ca, cb)
+    A = [x // ca for x in a] if ca != 1 else a
+    B = [x // cb for x in b] if cb != 1 else b
+    if len(A) == 1 or len(B) == 1:
+        h, qa, qb = [1], A, B
+    else:
+        got = _heu_gcd(A, B)
+        if got is None:
+            h = _dgcd(A, B)
+            got = h, _ddiv_exact(A, h), _ddiv_exact(B, h)
+        h, qa, qb = got
+    ka, kb = ca // g0, cb // g0
+    return (
+        [x * g0 for x in h] if g0 != 1 else h,
+        [x * ka for x in qa] if ka != 1 else qa,
+        [x * kb for x in qb] if kb != 1 else qb,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +420,11 @@ class ScalarQ:
 
     @classmethod
     def _make(cls, num: dict[int, int], den: dict[int, int]) -> "ScalarQ":
-        """Canonicalize a raw fraction of Laurent coefficient dicts."""
+        """Canonicalize a raw fraction of Laurent coefficient dicts.
+
+        Both sides are divided by their gcd in Z[q], content included; the
+        quotients are the cofactors _gcd_cofactors returns with the gcd, so
+        no second division runs.  The gcd is certified (see _heu_gcd)."""
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not num:
@@ -329,10 +438,7 @@ class ScalarQ:
         for e, c in den.items():
             b[e - sd] = c
         if b != [1]:
-            g = _dgcd(a, b)
-            if len(g) > 1 or g[0] != 1:
-                a = _ddiv_exact(a, g)
-                b = _ddiv_exact(b, g)
+            _, a, b = _gcd_cofactors(a, b)
             if b[-1] < 0:
                 a = [-x for x in a]
                 b = [-x for x in b]
@@ -367,18 +473,38 @@ class ScalarQ:
         return ScalarQ._raw(-self.num, self.den)
 
     def __add__(self, other: "ScalarQ") -> "ScalarQ":
-        if not self.num.c:
+        """The canonical sum; unequal denominators add by Henrici's rule
+        (Knuth, TAOCP vol. 2, 4.5.1).
+
+        With g = gcd(d1, d2) and its cofactors e1 = d1/g, e2 = d2/g:
+
+        * g = 1: (n1 d2 + n2 d1) / (d1 d2) is canonical as it stands, since
+          a prime dividing d1 and the numerator divides n1 d2, yet it
+          divides neither n1 nor d2.  No further gcd runs.
+        * otherwise t = n1 e2 + n2 e1, and t/g reduces to t'/g'.  The sum is
+          t' / (g' e1 e2), again canonical: a prime dividing e1 and t
+          divides n1 e2, so gcd(t, e1) = gcd(t, e2) = 1, and gcd(t', g') = 1.
+
+        t is not zero, as the canonical forms of the two terms differ in
+        their denominators."""
+        n1, n2 = self.num, other.num
+        if not n1.c:
             return other
-        if not other.num.c:
+        if not n2.c:
             return self
         d1, d2 = self.den, other.den
         if d1.c == d2.c:
-            s = self.num + other.num
+            s = n1 + n2
             if d1.c == {0: 1}:
                 return ScalarQ._raw(s, _L_ONE)
             return ScalarQ._make(s.c, d1.c)
-        n = self.num * d2 + other.num * d1
-        return ScalarQ._make(n.c, (d1 * d2).c)
+        g, c1, c2 = _gcd_cofactors(d1._dense()[0], d2._dense()[0])
+        if g == [1]:
+            return ScalarQ._raw(n1 * d2 + n2 * d1, d1 * d2)
+        e1 = LaurentQ._from_dense(c1)
+        e2 = LaurentQ._from_dense(c2)
+        x = ScalarQ._make((n1 * e2 + n2 * e1).c, LaurentQ._from_dense(g).c)
+        return ScalarQ._raw(x.num, x.den * e1 * e2)
 
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":
         return self + (-other)

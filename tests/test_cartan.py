@@ -18,6 +18,7 @@ from qcells.cartan import (
     weyl_act_root,
     weyl_dim,
     weyl_elements,
+    walk_word,
     word_exponents,
 )
 
@@ -182,6 +183,23 @@ def test_letters_outside_index_set_rejected():
                     weyl_act(dat, word, dat.rho())
                 with pytest.raises(ValueError, match="outside the index set"):
                     word_exponents(dat, word, dat.rho())
+                with pytest.raises(ValueError, match="outside the index set"):
+                    walk_word(dat, word, dat.rho())
+
+
+def test_walk_word_ends_at_the_weyl_image():
+    rng = random.Random(23)
+    for _ in range(200):
+        dat = build_root_datum(rng.choice(ALL_TYPES))
+        lam = Weight(tuple(rng.randrange(-3, 4) for _ in dat.index_set))
+        word = tuple(rng.choice(list(dat.index_set)) for _ in range(rng.randrange(8)))
+        exps, end = walk_word(dat, word, lam)
+        assert exps == word_exponents(dat, word, lam)
+        assert end == weyl_act(dat, word, lam)
+        # w lam = lam - sum_m c_m alpha_{i_m}
+        for i, c in zip(word, exps):
+            lam = lam - dat.alpha_weight(i).scaled(c)
+        assert end == lam
 
 
 def test_descent_word_of_non_reduced_words():

@@ -509,7 +509,7 @@ def test_path_keyed_system_solves_like_exponent_keyed(cartan, word, k):
     target_paths = cells._coeff_terms(pres, target_left, varpi, 0)
     shift = weyl_act(datum, word[:k], varpi) - varpi
     outcomes = []
-    for lamp in cells._candidate_weights(datum, word[k - 1], 3):
+    for lamp in cells._candidate_weights(datum.rank, word[k - 1], 3):
         mup = weyl_act(datum, word, lamp) - shift
         mod = get_module(datum, lamp)
         r = mod.dim_of(mup)

@@ -10,6 +10,7 @@ import pytest
 
 from qcells import cells, hwmod
 from qcells.cartan import (
+    RootDatum,
     Weight,
     build_root_datum,
     reduced_words,
@@ -267,6 +268,27 @@ def test_extremal_vector_rejects_letters_outside_index_set():
     assert not mod._extremal_memo
     assert extremal_vector(mod, (1,)) == act_f(1, mod.highest())
     assert set(mod._extremal_memo) == {Weight((-1, 1))}
+
+
+def test_extremal_vector_walks_its_word_once(monkeypatch):
+    """The exponents and the memo key w lam come from one walk through the
+    word, and a word that is not reduced for lam raises before the memo is
+    read or filled."""
+    mod = build_module(A2, Weight((1, 1)))
+    calls = []
+    reflect = RootDatum.reflect_weight
+    monkeypatch.setattr(
+        RootDatum, "reflect_weight", lambda self, i, lam: calls.append(i) or reflect(self, i, lam)
+    )
+    for word in [(1, 2, 1), (2, 1, 2), (1,), ()]:
+        calls.clear()
+        extremal_vector(mod, word)
+        assert calls == list(reversed(word))
+    memo = dict(mod._extremal_memo)
+    for word in [(1, 1), (2, 1, 2, 1)]:
+        with pytest.raises(ValueError, match="not reduced"):
+            extremal_vector(mod, word)
+    assert mod._extremal_memo == memo
 
 
 def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+import qcells.scalars as qscalars
 from qcells.scalars import (
     LaurentQ,
     ScalarQ,
     _dgcd,
+    _gcd_cofactors,
+    _heu_gcd,
     add_term,
     gauss_product,
     laurent_str,
@@ -174,6 +177,97 @@ def _assert_canonical(x: ScalarQ):
         assert _dgcd(a, b) == [1]
     else:
         assert den.is_one()
+
+
+def _dmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# nonzero dense Z[q] polynomials (index = exponent, top coefficient nonzero),
+# constants among them; the sign of the top coefficient is free
+dense = st.lists(st.integers(-9, 9), min_size=0, max_size=5).flatmap(
+    lambda low: st.integers(1, 9).flatmap(
+        lambda top: st.sampled_from([1, -1]).map(lambda sign: low + [sign * top])
+    )
+)
+
+
+@given(dense, dense, dense, st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=300)
+def test_gcd_with_cofactors_equals_euclidean_gcd(f, g, shared, ka, kb):
+    """Pairs with a shared factor and integer content: the evaluation gcd is
+    the Euclidean one, and its cofactors multiply back to the inputs."""
+    a = [ka * x for x in _dmul(f, shared)]
+    b = [kb * x for x in _dmul(g, shared)]
+    h, qa, qb = _gcd_cofactors(a, b)
+    assert h == _dgcd(a, b)
+    assert _dmul(h, qa) == a and _dmul(h, qb) == b
+
+
+def test_fixed_divisor_pair():
+    """q^2 + q and q^2 + q + 2 are coprime, yet both values at every
+    integer are even, so the integer gcd at the point is c = 2, not 1."""
+    a, b = [0, 1, 1], [2, 1, 1]
+    assert _dgcd(a, b) == [1]
+    assert _heu_gcd(a, b) == ([1], a, b)
+    assert ScalarQ(LaurentQ({2: 1, 1: 1}), LaurentQ({2: 1, 1: 1, 0: 2})).den == LaurentQ(
+        {2: 1, 1: 1, 0: 2}
+    )
+
+
+def test_rejected_candidate_moves_to_the_next_point(monkeypatch):
+    """At the first point, 31, q^2 + 1 and q^2 + q - 30 both take the value
+    962, whose digits read q^2 + 1.  That does not divide q^2 + q - 30, so
+    the next point decides: the gcd is 1."""
+    a, b = [1, 0, 1], [-30, 1, 1]
+    points = []
+    evaluate = qscalars._eval
+    monkeypatch.setattr(qscalars, "_eval", lambda p, x: points.append(x) or evaluate(p, x))
+    assert _heu_gcd(a, b) == ([1], a, b)
+    assert points[:2] == [31, 31] and len(points) == 4 and points[2] > 31
+
+
+@pytest.mark.parametrize(
+    "digits",
+    [lambda v, x: [1] * 12, lambda v, x: [x]],
+    ids=["candidate-never-divides", "content-fails-the-bound"],
+)
+def test_gcd_falls_back_to_euclid_when_no_candidate_passes(monkeypatch, digits):
+    """With candidate digits that never divide, or a constant candidate whose
+    content c = xi breaks the bound xi >= c + 2 + min |cofactor|, every
+    point fails, and the Euclidean gcd decides the same canonical forms."""
+    monkeypatch.setattr(qscalars, "_digits", digits)
+    euclid = []
+    monkeypatch.setattr(qscalars, "_dgcd", lambda a, b: euclid.append(1) or _dgcd(a, b))
+    a = _dmul(_dmul([1, 1], [2, 0, -3]), [5, 1])
+    b = _dmul(_dmul([1, 1], [-1, 4]), [5, 1])
+    assert _heu_gcd(a, b) is None
+    h, qa, qb = _gcd_cofactors(a, b)
+    assert euclid and h == _dgcd(a, b) == [5, 6, 1]
+    assert qa == [2, 0, -3] and qb == [-1, 4]
+    # 2 (1 + q) / (4 q^2 - 4) = 1 / (2 q - 2)
+    euclid.clear()
+    x = ScalarQ(LaurentQ({0: 2, 1: 2}), LaurentQ({0: -4, 2: 4}))
+    assert euclid
+    assert (x.num, x.den) == (LaurentQ({0: 1}), LaurentQ({0: -2, 1: 2}))
+    _assert_canonical(x)
+
+
+@given(scalars, scalars, nonzero_laurents, st.booleans())
+@settings(max_examples=200)
+def test_sum_is_the_reduced_sum_fraction(x, y, shared, cancel):
+    """Henrici's sum equals the fraction (n1 d2 + n2 d1) / (d1 d2) reduced
+    in one step, on denominators with a shared factor and on sums that
+    cancel."""
+    x = x * ScalarQ(1, shared)
+    y = -x if cancel else y * ScalarQ(1, shared)
+    want = ScalarQ._make((x.num * y.den + y.num * x.den).c, (x.den * y.den).c)
+    assert x + y == want
+    _assert_canonical(x + y)
 
 
 def test_canonical_form_examples():
