@@ -210,13 +210,13 @@ def test_gcd_with_cofactors_equals_euclidean_gcd(f, g, shared, ka, kb):
 
 def test_fixed_divisor_pair():
     """q^2 + q and q^2 + q + 2 are coprime, yet both values at every
-    integer are even, so the integer gcd at the point is c = 2, not 1."""
+    integer are even, so the integer gcd at the point is c = 2, not 1.
+    So are q^2 + q + 2 and q^2 + q + 4, a fraction _make leaves as it is."""
     a, b = [0, 1, 1], [2, 1, 1]
     assert _dgcd(a, b) == [1]
     assert _heu_gcd(a, b) == ([1], a, b)
-    assert ScalarQ(LaurentQ({2: 1, 1: 1}), LaurentQ({2: 1, 1: 1, 0: 2})).den == LaurentQ(
-        {2: 1, 1: 1, 0: 2}
-    )
+    x = ScalarQ(lau({2: 1, 1: 1, 0: 2}), lau({2: 1, 1: 1, 0: 4}))
+    assert (x.num, x.den) == (lau({2: 1, 1: 1, 0: 2}), lau({2: 1, 1: 1, 0: 4}))
 
 
 def test_rejected_candidate_moves_to_the_next_point(monkeypatch):
@@ -267,6 +267,18 @@ def test_sum_is_the_reduced_sum_fraction(x, y, shared, cancel):
     y = -x if cancel else y * ScalarQ(1, shared)
     want = ScalarQ._make((x.num * y.den + y.num * x.den).c, (x.den * y.den).c)
     assert x + y == want
+    _assert_canonical(x + y)
+
+
+def test_sum_reduces_over_the_shared_denominator_factor():
+    """Sums whose t = n1 (d2/g) + n2 (d1/g) shares a factor with g: the
+    content 2 in 1/2 + 1/6, and q - 1 in 2/(q^2 - 1) - 3/((q - 1)(q + 2))
+    = -1/((q + 1)(q + 2))."""
+    assert ScalarQ(1, 2) + ScalarQ(1, 6) == ScalarQ(2, 3)
+    x = ScalarQ(2, lau({2: 1, 0: -1}))
+    y = ScalarQ(-3, lau({2: 1, 1: 1, 0: -2}))
+    assert x + y == ScalarQ(-1, lau({2: 1, 1: 3, 0: 2}))
+    assert (x + y).num == lau({0: -1})
     _assert_canonical(x + y)
 
 
