@@ -192,7 +192,8 @@ def _coeff_terms(
     (d_i, a) steps.
 
     Neither whether f^path b is nonzero nor a path's term depends on the
-    word, so both are memoized on the module (see hwmod): the first in
+    word, or on how much of the module is built, so both are memoized on
+    the module (see hwmod): the first in
     _node_memo under the key (nu, s), which keeps the walk's zero pruning,
     and the second in _leaf_memo, under (nu, s) when left is the module's
     extremal vector of its weight, the very object extremal_vector returns,
@@ -228,20 +229,23 @@ def _coeff_terms(
     rem = list(need.coords)
     path: list[tuple[int, int]] = []
     # a path's code: each step (i, a) is one digit a * r1 + i in base
-    # r1 * (number of weights + 1).  The walk asks for f_i^a only where
-    # f_i^{a-1} is nonzero, so the i-string has a weights and every digit is
-    # below the base; no digit is 0, so distinct paths get distinct codes
+    # r1 * (dim V(lam) + 1).  The walk asks for f_i^a only where f_i^{a-1}
+    # is nonzero, so the i-string has a weights, at most dim V(lam), and
+    # every digit is below the base; no digit is 0, so distinct paths get
+    # distinct codes.  The Weyl dimension is fixed when the module is
+    # created, so the codes, and the memo keys, do not depend on how much
+    # of the module is built
     r1 = datum.rank + 1
-    base = r1 * (len(mod.basis) + 1)
+    base = r1 * (mod.dim + 1)
     # allowed: the codes of the prefixes of the paths in only.  Past a =
-    # number of weights f_i^a is zero here, and its digit would not fit
+    # dim V(lam) f_i^a is zero here, and its digit would not fit
     allowed = None
     if only is not None:
         allowed = set()
         for only_path in only:
             code = 0
             for i, a in only_path:
-                if a > len(mod.basis):
+                if a > mod.dim:
                     break
                 code = code * base + a * r1 + i
                 allowed.add(code)
@@ -516,10 +520,11 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
     shadow = shadow_module(datum, lamp)
     if shadow is None:
         return False
-    if shadow.dim_of(mup) == 0:
-        return True
     field = shadow.field
     try:
+        # reading the weight space may extend the shadow, which can give up
+        if shadow.dim_of(mup) == 0:
+            return True
         need = datum.weight_to_root(mup - weyl_act(datum, pres.letters, lamp))
         for i, c in enumerate(need.coords, 1):
             for a in range(2, c + 1):

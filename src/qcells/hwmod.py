@@ -18,11 +18,35 @@ adjointness, (f_i x, v) = (x, e_i v), the Gram matrix of the candidates
 under the contravariant form is D Phi, with D block diagonal of the
 nonsingular Gram matrices above; so the pick is the Gram matrix's profile
 and has m(mu) vectors, which the build checks, and only the Gram block on
-the pick is computed.
+the pick is computed, its upper triangle paired and mirrored.
 
 Stored per module: basis tags, Gram matrices, which are symmetric, and the
 matrices of the Chevalley actions f_i, e_i between adjacent weight spaces.
 Missing action keys mean the zero map.
+
+The weight spaces are built on demand.  A weight space reads only weights
+above it, so a module builds those down to the lowest weight a caller
+reaches, and resumes the same walk when a later caller goes deeper
+(_extend); every entry, pick and basis tag is the one of the all-at-once
+walk.  Each weight mu has its depth lam - mu in root coordinates, and an
+extension to a floor builds every weight of depth at most the floor, so:
+
+  - the built weights are always an up-set: a vector of weight mu has every
+    weight above mu built, and so does any descent below it down to a
+    built weight, as cells._coeff_terms never leaves [left, right];
+  - a weight is decided once some floor is at or below it, and a decided
+    weight that is not built has multiplicity 0.
+
+Extension happens in a few places, each before its walk: extremal_vector
+extends to w lam before it climbs, dim_of and basis_vector extend to a
+weight that is not decided yet, and act_f extends only where its matrix is
+missing and its target is not decided.  Once the lowest weight w0 lam is
+decided the module is complete: its dimension must be the Weyl dimension
+(AssertionError otherwise), its weight spaces are put in the walk's order,
+and the per-access checks stop.  HWModule.dim is the Weyl dimension from
+the start, and DIM_CAP is checked against it when the module is created.
+build_module returns a complete module; get_module and shadow_module
+return modules that extend on demand.
 
 Each module also owns memos that live as long as it does and are filled
 lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
@@ -31,7 +55,8 @@ bounded by the Weyl orbit of lam, the two memos of the Feigin descent
 presentation search (cells._solve).  Only the extremal memo holds vectors,
 so no other memo points back at the module.  Both descent memos map the
 right key the descent is given, the (weight, basis index) r of a basis
-vector, to a dict keyed by one int path code:
+vector, to a dict keyed by one int path code, whose base the Weyl dimension
+fixes, so a code does not depend on how much of the module is built:
 
     _node_memo[r][code]       whether f^path r is nonzero
     _leaf_memo[r][code]       the path's term, path factor applied, for the
@@ -77,11 +102,14 @@ this file.  _Exact takes linalg's row operations of Q(q), and a build over
 it that gives up is a bug (AssertionError).  The shadow only screens; no
 exact build reads it.  It gives up, raising ZeroDivisionError, when a
 Phi(q0) profile is short of m(mu) or a constant is undefined at q0.  A
-shadow that is built is the specialization at q0 of the exact module with
+shadow's built part is the specialization at q0 of the exact module with
 its picks: each of its Phi(q0) profiles has m(mu) columns, so some
 m(mu) x m(mu) minor of the picked columns is nonzero at q0, and by Cramer's
 rule every exact coordinate over the pick is defined there; the shadow
-computes those entries by the same ring operations mod p.  Actions, divided
+computes those entries by the same ring operations mod p.  A shadow that
+gives up during an extension records no floor, so it leaves no weight
+decided and unbuilt, and it leaves the shadow cache: what a screen proved
+on its built part stands, and no later screen reads it.  Actions, divided
 powers, the form and extremal vectors work over both fields; the braid
 operators are exact only.
 """
@@ -132,6 +160,11 @@ class HWModule:
         "fmat",
         "emat",
         "dim",
+        "complete",
+        "_depth",
+        "_floors",
+        "_pending",
+        "_bottom",
         "_extremal_memo",
         "_node_memo",
         "_leaf_memo",
@@ -139,16 +172,26 @@ class HWModule:
         "_solve_memo",
     )
 
-    def __init__(self, datum: RootDatum, lam: Weight, field: "_Exact | _Shadow"):
+    def __init__(self, datum: RootDatum, lam: Weight, field: "_Exact | _Shadow", dim: int):
         self.datum = datum
         self.lam = lam
         self.field = field
+        # the weight spaces built so far, an up-set of the weights
         self.basis: dict[Weight, tuple[tuple[int, ...], ...]] = {}
         # entries are ScalarQ in an exact module, ints mod p in a shadow
         self.gram: dict[Weight, list[list]] = {}
         self.fmat: dict[tuple[int, Weight], list[tuple]] = {}
         self.emat: dict[tuple[int, Weight], list[tuple]] = {}
-        self.dim = 0
+        # the Weyl dimension, whether or not every weight space is built
+        self.dim = dim
+        self.complete = False
+        # lam - mu in root coordinates for each built mu, the depths of the
+        # floors extended to, the children of built weights that no floor
+        # reaches yet with their depths, and the depth of the lowest weight
+        self._depth: dict[Weight, tuple[int, ...]] = {}
+        self._floors: list[tuple[int, ...]] = []
+        self._pending: dict[Weight, tuple[int, ...]] = {}
+        self._bottom: tuple[int, ...] = ()
         self._extremal_memo: dict[Weight, "ModuleVector"] = {}
         self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
         self._leaf_memo: dict[tuple, dict[int, object]] = {}
@@ -156,7 +199,12 @@ class HWModule:
         self._solve_memo: dict[tuple, list | None] = {}
 
     def dim_of(self, mu: Weight) -> int:
+        """dim V(lam)_mu, extending the module down to mu when it is not
+        decided yet."""
         b = self.basis.get(mu)
+        if b is None and not self.complete:
+            _reach(self, mu)
+            b = self.basis.get(mu)
         return len(b) if b else 0
 
     def basis_vector(self, mu: Weight, idx: int) -> "ModuleVector":
@@ -422,8 +470,8 @@ class _Shadow:
 
 
 def _multiplicity(mod: HWModule, mu: Weight) -> int:
-    """dim V(lam)_mu from the weight spaces above mu, which are built: that of
-    the dominant conjugate, or for a dominant mu Freudenthal's formula
+    """dim V(lam)_mu from the weight spaces above mu, which are decided: that
+    of the dominant conjugate, or for a dominant mu Freudenthal's formula
 
         ((lam+rho)^2 - (mu+rho)^2) m(mu) = 2 sum_{beta>0, k>=1} m(mu+k beta) (mu+k beta, beta),
 
@@ -431,7 +479,7 @@ def _multiplicity(mod: HWModule, mu: Weight) -> int:
     datum = mod.datum
     dom = dominant_conjugate(datum, mu)[1]
     if dom != mu:
-        return mod.dim_of(dom)
+        return len(mod.basis.get(dom, ()))
     total = 0
     for beta in datum.positive_roots():
         step = datum.root_to_weight(beta)
@@ -454,133 +502,234 @@ class ModuleTooLarge(ValueError):
     """The Weyl dimension of the requested module exceeds DIM_CAP."""
 
 
-# The largest Weyl dimension build_module constructs.
+# The largest Weyl dimension a module is created with.
 DIM_CAP = 5000
 
 
-def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
-    """The layer walk: V(lam) for dominant lam over field, all weight spaces
-    at once.  One elimination of each weight space's e-images over field
-    gives its pick, their column rank profile, and every candidate's
-    coordinates over it."""
+def _deeper(depth: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The depth of mu - alpha_i, for depth that of mu."""
+    return depth[: i - 1] + (depth[i - 1] + 1,) + depth[i:]
+
+
+def _within(depth: tuple[int, ...], floor: tuple[int, ...]) -> bool:
+    """Whether the weight of depth lam - mu (root coordinates) is at or above
+    the weight of depth floor."""
+    return all(d <= f for d, f in zip(depth, floor))
+
+
+def _decided(mod: HWModule, depth: tuple[int, ...]) -> bool:
+    """Whether the weight of depth lam - mu is within a floor mod was extended
+    to: then it is built exactly when it is a weight of V(lam)."""
+    return any(_within(depth, floor) for floor in mod._floors)
+
+
+def _new_module(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
+    """V(lam) for dominant lam over field with its highest weight space
+    built; _extend builds the others on demand.  Raises ModuleTooLarge when
+    the Weyl dimension exceeds DIM_CAP."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     total = weyl_dim(datum, lam)
     if total > DIM_CAP:
         raise ModuleTooLarge(f"module dimension {total} exceeds cap {DIM_CAP}")
-
-    mod = HWModule(datum, lam, field)
-    alpha_w = {i: datum.alpha_weight(i) for i in datum.index_set}
-
+    mod = HWModule(datum, lam, field, total)
+    top = (0,) * datum.rank
     mod.basis[lam] = ((),)
     mod.gram[lam] = [[field.one]]
-    prev_layer = [lam]
+    mod._depth[lam] = top
+    mod._pending = {lam - datum.alpha_weight(i): _deeper(top, i) for i in datum.index_set}
+    # the depth of the lowest weight w0 lam = -(dominant conjugate of -lam)
+    mod._bottom = datum.weight_to_root(lam + dominant_conjugate(datum, -lam)[1]).coords
+    _extend(mod, top)
+    return mod
 
-    while prev_layer:
-        cand_set = {mu - alpha_w[i] for mu in prev_layer for i in datum.index_set}
-        new_layer = []
-        for mu in sorted(cand_set, key=lambda w: w.coords):
-            mult = _multiplicity(mod, mu)
-            if not mult:
-                continue
-            # candidate vectors f_i . b_w, tagged (i,) + tag(b_w)
-            cands: list[tuple[int, Weight, int, tuple[int, ...]]] = []
-            for i in datum.index_set:
-                parent = mu + alpha_w[i]
-                tags = mod.basis.get(parent)
-                if tags:
-                    for widx, w in enumerate(tags):
-                        cands.append((i, parent, widx, (i,) + w))
-            cands.sort(key=lambda t: t[3])
 
-            # z[i][c] = coefficients of f_{j_c} e_i b_{w_c} over basis(mu + alpha_i),
-            # plus the commutator delta-term when i = j_c
-            zvecs: dict[int, list[list]] = {}
-            for i in sorted({t[0] for t in cands}):
-                parent_i = mu + alpha_w[i]
-                tdim = len(mod.basis[parent_i])
-                per_col = []
-                for (j, parent_j, widx, _tag) in cands:
-                    z = [field.zero] * tdim
-                    inter = parent_j + alpha_w[i]
-                    ecols = mod.emat.get((i, parent_j))
-                    if ecols is not None and inter in mod.basis:
-                        evec = list(ecols[widx])
-                        fcols = mod.fmat.get((j, inter))
-                        if fcols is not None:
-                            z = field.apply_cols(fcols, evec, tdim)
-                    if i == j:
-                        hval = datum.h_weight(i, parent_j)
-                        if hval:
-                            qn = qint(hval).subst(datum.di(i)).to_scalar()
-                            z[widx] = field.plus(z[widx], field.of(qn))
-                    per_col.append(z)
-                zvecs[i] = per_col
+def _extend(mod: HWModule, floor: tuple[int, ...]) -> None:
+    """The layer walk: build every weight space of mod of depth at most floor
+    that is not built yet, by depth and by coords within a layer.  It starts
+    from the pending weights within floor, the children of built weights
+    that are not decided yet, and goes on through the children of each
+    weight space it builds: those within floor join the walk, the others
+    wait in _pending.  Every weight a new weight space reads (its parents,
+    the intermediate weights of Phi, Freudenthal's strings, its dominant
+    conjugate) is above it, so of depth at most floor and built before it.
 
-            # mu is below lam, so a vector of weight mu is fixed by its
-            # e-images: row (i, s) of phi is coordinate s of z[i][c] across
-            # the candidates c.  The Gram matrix is D phi, with D block
-            # diagonal of the nonsingular Gram matrices above, so phi has its
-            # column rank profile, the pick, and the coordinates of the other
-            # candidates over the pick
-            phi = [list(row) for per_col in zvecs.values() for row in zip(*per_col)]
-            sel, coords = column_dependencies(phi, field)
-            # the pick is the Gram matrix's profile, so it has m(mu) vectors
-            # over Q(q); a Phi(q0) profile is never longer, as a minor of
-            # Phi(q0) is a minor of Phi at q0, and a shorter one makes the
-            # shadow give up
-            if len(sel) != mult:
-                raise field.give_up(
-                    f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}"
-                )
-            # the Gram block on the pick, by adjointness:
-            # (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c])
-            g = []
-            for r in sel:
-                i, parent_i, vidx, _t = cands[r]
-                grow = mod.gram[parent_i][vidx]
-                g.append([field.dot(grow, zvecs[i][c]) for c in sel])
+    The floor is recorded only once the walk is through.  A walk that gives
+    up puts its unvisited weights back in _pending and leaves no weight
+    decided and unbuilt; a shadow that gives up leaves the shadow cache,
+    with its extremal memo cleared as get_module clears it.  Once the lowest
+    weight is decided the module is complete: its dimension must be the
+    Weyl dimension, and its weight spaces are put in the walk's order."""
+    datum = mod.datum
+    depth = mod._depth
+    pending = mod._pending
+    # the weights to visit by total depth, each with its depth
+    todo: dict[int, dict[Weight, tuple[int, ...]]] = {}
+    for mu, d in list(pending.items()):
+        if _within(d, floor):
+            del pending[mu]
+            todo.setdefault(sum(d), {})[mu] = d
+    try:
+        while todo:
+            k = min(todo)
+            layer = todo[k]
+            for mu in sorted(layer, key=lambda w: w.coords):
+                mult = _multiplicity(mod, mu)
+                if mult:
+                    _build_weight(mod, mu, mult)
+                    d = depth[mu] = layer[mu]
+                    for i in datum.index_set:
+                        e = _deeper(d, i)
+                        wait = todo.setdefault(k + 1, {}) if e[i - 1] <= floor[i - 1] else pending
+                        wait.setdefault(mu - datum.alpha_weight(i), e)
+                del layer[mu]
+            del todo[k]
+    except mod.field.give_up:
+        for layer in todo.values():
+            pending.update(layer)
+        cache = datum._shadow_cache
+        if cache.get(mod.lam.coords) is mod:
+            cache[mod.lam.coords] = None
+            mod._extremal_memo.clear()
+        raise
+    mod._floors = [f for f in mod._floors if not _within(f, floor)]
+    mod._floors.append(floor)
+    if not mod.complete and _decided(mod, mod._bottom):
+        built = sum(len(b) for b in mod.basis.values())
+        if built != mod.dim:
+            raise AssertionError(f"built dimension {built}, Weyl dimension {mod.dim}")
+        order = sorted(mod.basis, key=lambda mu: (sum(depth[mu]), mu.coords))
+        for table in (mod.basis, mod.gram):
+            items = [(mu, table[mu]) for mu in order]
+            table.clear()
+            table.update(items)
+        mod.complete = True
 
-            mod.basis[mu] = tuple(cands[c][3] for c in sel)
-            mod.gram[mu] = g
-            # z[i][c] is e_i of candidate c, so the selected columns are the
-            # raising action out of mu; every entry z reads is from an earlier
-            # layer and already final
-            for i, per_col in zvecs.items():
-                mod.emat[(i, mu)] = [tuple(per_col[c]) for c in sel]
-            new_layer.append(mu)
 
-            # express every candidate over the picked basis to get the f_i
-            # action matrices out of the parents; each parent basis vector is
-            # exactly one candidate, so every column gets filled
-            for k, c in enumerate(sel):
-                coords[c] = [field.one if r == k else field.zero for r in range(mult)]
-            for cidx, (j, parent_j, widx, _tag) in enumerate(cands):
-                store = mod.fmat.setdefault((j, parent_j), [None] * len(mod.basis[parent_j]))
-                store[widx] = tuple(coords[cidx])
+def _reach(mod: HWModule, mu: Weight, depth: tuple[int, ...] | None = None) -> None:
+    """Extend mod down to mu when mu is not decided yet.  depth is lam - mu
+    in root coordinates when the caller has it; a mu off lam - Q_+ is no
+    weight of V(lam)."""
+    if mod.complete or mu in mod.basis:
+        return
+    if depth is None:
+        try:
+            depth = mod.datum.weight_to_root(mod.lam - mu).coords
+        except ValueError:
+            return
+        if min(depth) < 0:
+            return
+    if not _decided(mod, depth):
+        _extend(mod, depth)
 
-        prev_layer = new_layer
 
-    mod.dim = sum(len(b) for b in mod.basis.values())
-    if mod.dim != total:
-        raise AssertionError(f"built dimension {mod.dim}, Weyl dimension {total}")
+def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
+    """Build the weight space mu, of multiplicity mult > 0, from the weight
+    spaces above it.  One elimination of its candidates' e-images over the
+    module's field gives the pick, their column rank profile, and every
+    candidate's coordinates over it."""
+    datum = mod.datum
+    field = mod.field
+    alpha = datum.alpha_weight
+    # candidate vectors f_i . b_w, tagged (i,) + tag(b_w)
+    cands: list[tuple[int, Weight, int, tuple[int, ...]]] = []
+    for i in datum.index_set:
+        parent = mu + alpha(i)
+        tags = mod.basis.get(parent)
+        if tags:
+            for widx, w in enumerate(tags):
+                cands.append((i, parent, widx, (i,) + w))
+    cands.sort(key=lambda t: t[3])
+
+    # z[i][c] = coefficients of f_{j_c} e_i b_{w_c} over basis(mu + alpha_i),
+    # plus the commutator delta-term when i = j_c
+    zvecs: dict[int, list[list]] = {}
+    for i in sorted({t[0] for t in cands}):
+        parent_i = mu + alpha(i)
+        tdim = len(mod.basis[parent_i])
+        per_col = []
+        for (j, parent_j, widx, _tag) in cands:
+            z = [field.zero] * tdim
+            inter = parent_j + alpha(i)
+            ecols = mod.emat.get((i, parent_j))
+            if ecols is not None and inter in mod.basis:
+                evec = list(ecols[widx])
+                fcols = mod.fmat.get((j, inter))
+                if fcols is not None:
+                    z = field.apply_cols(fcols, evec, tdim)
+            if i == j:
+                hval = datum.h_weight(i, parent_j)
+                if hval:
+                    qn = qint(hval).subst(datum.di(i)).to_scalar()
+                    z[widx] = field.plus(z[widx], field.of(qn))
+            per_col.append(z)
+        zvecs[i] = per_col
+
+    # mu is below lam, so a vector of weight mu is fixed by its e-images:
+    # row (i, s) of phi is coordinate s of z[i][c] across the candidates c.
+    # The Gram matrix is D phi, with D block diagonal of the nonsingular Gram
+    # matrices above, so phi has its column rank profile, the pick, and the
+    # coordinates of the other candidates over the pick
+    phi = [list(row) for per_col in zvecs.values() for row in zip(*per_col)]
+    sel, coords = column_dependencies(phi, field)
+    # the pick is the Gram matrix's profile, so it has m(mu) vectors over
+    # Q(q); a Phi(q0) profile is never longer, as a minor of Phi(q0) is a
+    # minor of Phi at q0, and a shorter one makes the shadow give up
+    if len(sel) != mult:
+        raise field.give_up(f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}")
+    # the Gram block on the pick, by adjointness:
+    # (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c]); the block is symmetric,
+    # so only the entries on and above the diagonal are paired
+    g: list[list] = [[field.zero] * mult for _ in range(mult)]
+    for a, r in enumerate(sel):
+        i, parent_i, vidx, _t = cands[r]
+        grow = mod.gram[parent_i][vidx]
+        for b in range(a, mult):
+            g[a][b] = g[b][a] = field.dot(grow, zvecs[i][sel[b]])
+
+    mod.basis[mu] = tuple(cands[c][3] for c in sel)
+    mod.gram[mu] = g
+    # z[i][c] is e_i of candidate c, so the selected columns are the raising
+    # action out of mu; every entry z reads is from a weight above and
+    # already final
+    for i, per_col in zvecs.items():
+        mod.emat[(i, mu)] = [tuple(per_col[c]) for c in sel]
+
+    # express every candidate over the picked basis to get the f_i action
+    # matrices out of the parents; each parent basis vector is exactly one
+    # candidate, so every column gets filled
+    for k, c in enumerate(sel):
+        coords[c] = [field.one if r == k else field.zero for r in range(mult)]
+    for cidx, (j, parent_j, widx, _tag) in enumerate(cands):
+        store = mod.fmat.setdefault((j, parent_j), [None] * len(mod.basis[parent_j]))
+        store[widx] = tuple(coords[cidx])
+
+
+def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
+    """V(lam) for dominant lam over field with every weight space built: a
+    new module extended to its lowest weight w0 lam."""
+    mod = _new_module(datum, lam, field)
+    if not mod.complete:
+        _extend(mod, mod._bottom)
     return mod
 
 
 def build_module(datum: RootDatum, lam: Weight) -> HWModule:
-    """Construct V(lam) over Q(q) for dominant lam, all weight spaces at once."""
+    """Construct V(lam) over Q(q) for dominant lam, every weight space built."""
     return _build(datum, lam, _Exact())
 
 
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
-    """V(lam) from the datum's module cache, built on the first request.  A
-    built module needs no screen, so its shadow leaves the shadow cache; the
-    shadow's extremal vectors point back at it, so their memo is cleared to
-    let refcounting free it, and its descent memos, which hold no vector,
-    go with it."""
+    """V(lam) from the datum's module cache, created on the first request with
+    its highest weight space only; it builds the weight spaces its callers
+    reach as they need them, with the same entries build_module gives.  A
+    cached module needs no screen, so its shadow leaves the shadow cache;
+    the shadow's extremal vectors point back at it, so their memo is
+    cleared to let refcounting free it, and its descent memos, which hold no
+    vector, go with it."""
     mod = datum._module_cache.get(lam.coords)
     if mod is None:
-        mod = build_module(datum, lam)
+        mod = _new_module(datum, lam, _Exact())
         datum._module_cache[lam.coords] = mod
         shadow = datum._shadow_cache.pop(lam.coords, None)
         if shadow is not None:
@@ -590,16 +739,15 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
 
 def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
     """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
-    built on the first request and dropped once get_module builds V(lam):
-    the specialization of every exact entry, or None when the shadow gave
-    up (a short pick or a constant undefined at q0).  Raises ModuleTooLarge
+    created on the first request and dropped once get_module creates V(lam).
+    Like get_module's modules it builds its weight spaces on demand, each
+    the specialization of the exact one with the shadow's picks.  None when
+    the shadow gave up on some extension (a short pick or a constant
+    undefined at q0): then no screen reads it again.  Raises ModuleTooLarge
     as build_module does."""
     cache = datum._shadow_cache
     if lam.coords not in cache:
-        try:
-            cache[lam.coords] = _build(datum, lam, _Shadow())
-        except ZeroDivisionError:
-            cache[lam.coords] = None
+        cache[lam.coords] = _new_module(datum, lam, _Shadow())
     return cache[lam.coords]
 
 
@@ -607,12 +755,17 @@ def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
 # Chevalley actions
 
 
-def _act(mats: dict, step: Weight, i: int, vec: ModuleVector) -> ModuleVector:
-    """Apply the action stored in mats, which moves weight mu to mu + step."""
+def _act(mats: dict, step: Weight, i: int, vec: ModuleVector, reach: bool = False) -> ModuleVector:
+    """Apply the action stored in mats, which moves weight mu to mu + step.
+    With reach, a missing matrix first extends the module down to mu + step,
+    where the weight is not decided yet."""
     mod = vec.mod
     out: dict[Weight, list] = {}
     for mu, coeffs in vec.parts.items():
         cols = mats.get((i, mu))
+        if cols is None and reach:
+            _reach(mod, mu + step, _deeper(mod._depth[mu], i))
+            cols = mats.get((i, mu))
         if cols is not None:
             target = mu + step
             out[target] = mod.field.apply_cols(cols, coeffs, len(mod.basis[target]))
@@ -620,7 +773,8 @@ def _act(mats: dict, step: Weight, i: int, vec: ModuleVector) -> ModuleVector:
 
 
 def act_f(i: int, vec: ModuleVector) -> ModuleVector:
-    return _act(vec.mod.fmat, -vec.mod.datum.alpha_weight(i), i, vec)
+    mod = vec.mod
+    return _act(mod.fmat, -mod.datum.alpha_weight(i), i, vec, not mod.complete)
 
 
 def act_e(i: int, vec: ModuleVector) -> ModuleVector:
@@ -696,6 +850,8 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     got = mod._extremal_memo.get(key)
     if got is not None:
         return got
+    # the divided monomial passes weights at or above w lam only
+    _reach(mod, key)
     vec = mod.highest()
     for i, c in zip(reversed(word), reversed(exps)):
         vec = act_f_divided(i, c, vec)

@@ -14,9 +14,11 @@ from qcells import cells, cli, hwmod
 from qcells.cartan import (
     Weight,
     build_root_datum,
+    dominant_conjugate,
     reduced_words,
     weyl_act,
     weyl_act_root,
+    weyl_dim,
     weyl_elements,
     word_exponents,
 )
@@ -55,6 +57,13 @@ B2 = build_root_datum("B2")
 P1 = TorusPresentation(A1, (1,))
 P121 = TorusPresentation(A2, (1, 2, 1))
 PB = TorusPresentation(B2, (2, 1, 2, 1))
+
+
+def completed(mod):
+    """mod with every weight space built: asking for the lowest weight
+    w0 lam extends a cached module to the bottom."""
+    mod.dim_of(-dominant_conjugate(mod.datum, -mod.lam)[1])
+    return mod
 
 
 def act_word(word, vec):
@@ -164,7 +173,7 @@ def descent_pairs(mod, word):
 def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, coords):
     datum = build_root_datum(cartan)
     pres = TorusPresentation(datum, word)
-    mod = get_module(datum, Weight(coords))
+    mod = completed(get_module(datum, Weight(coords)))
     calls, own = [], [None]
     real_dot = hwmod._Exact.dot
 
@@ -226,6 +235,7 @@ def test_descent_over_the_shadow():
     pres = TorusPresentation(datum, (1, 2, 1, 2))
     shadow = shadow_module(datum, Weight((1, 1)))
     assert shadow is not None and isinstance(shadow.field, hwmod._Shadow)
+    completed(shadow)
     for left, right in descent_pairs(shadow, pres.letters):
         want = brute_descent(pres, left, right)[0]
         assert feigin_matrix_coeff(pres, left, right).terms == want
@@ -243,7 +253,7 @@ def test_descent_sums_over_right_coordinates(cartan, word, coords, images, field
     datum = build_root_datum(cartan)
     pres = TorusPresentation(datum, word)
     lam = Weight(coords)
-    mod = get_module(datum, lam) if field == "exact" else shadow_module(datum, lam)
+    mod = completed(get_module(datum, lam) if field == "exact" else shadow_module(datum, lam))
     of = mod.field.of
     nonzero = 0
     for mu in mod.basis:
@@ -358,6 +368,29 @@ def test_cold_descent_climbs_each_vector_once(monkeypatch, cartan, coords, max_l
             assert len(climbs) == len(mod._node_memo.get((mu, s), ()))
             total += len(climbs)
     assert total > len(word)
+
+
+@pytest.mark.parametrize("cartan, coords, max_length", MEMO_CASES)
+@pytest.mark.parametrize("field", ["exact", "shadow"])
+def test_path_codes_do_not_depend_on_how_much_is_built(monkeypatch, cartan, coords, max_length, field):
+    """The descents of a word's prefixes extend a cached module a little
+    deeper each time, and fill its memos under the same path codes as on a
+    complete module: a code's base is fixed when the module is created."""
+    datum = build_root_datum(cartan)
+    lam = Weight(coords)
+    fresh_caches(monkeypatch, datum)
+    lazy = get_module(datum, lam) if field == "exact" else shadow_module(datum, lam)
+    whole = hwmod._build(datum, lam, lazy.field)
+    word = reduced_words(datum, weyl_elements(datum, max_length)[-1])[0]
+    pres = TorusPresentation(datum, word)
+    sizes = []
+    for k in range(len(word) + 1):
+        for mod in (lazy, whole):
+            cells._coeff_terms(pres, extremal_vector(mod, word[:k]), lam, 0)
+        sizes.append(len(lazy.basis))
+    assert sizes[0] < sizes[-1] and sizes[0] < len(whole.basis)
+    assert lazy._node_memo == whole._node_memo
+    assert lazy._leaf_memo == whole._leaf_memo
 
 
 def test_descent_memos_hold_no_vectors(monkeypatch, capsys):
@@ -706,7 +739,7 @@ def test_modular_point_changes_no_output(monkeypatch, capsys):
         for name, coords in cases:
             datum = build_root_datum(name)
             fresh_caches(monkeypatch, datum)
-            bases.append(get_module(datum, Weight(coords)).basis)
+            bases.append(completed(get_module(datum, Weight(coords))).basis)
         fresh_caches(monkeypatch, build_root_datum("A3"))
         code = cli.main(["sweep", "--cartan", "A3", "--format", "json"])
         runs.append((bases, code, capsys.readouterr().out))
@@ -803,6 +836,65 @@ def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
     fresh_caches(monkeypatch, datum)
     got = find_presentation(pres, k)
     assert (got.lam, got.coeffs) == (default.lam, default.coeffs)
+
+
+def test_shadow_that_gives_up_below_its_first_floor_never_certifies(monkeypatch):
+    """A screen reads the upper part of a shadow; a later screen needs a
+    weight below it, where the shadow gives up.  That screen proves nothing,
+    the shadow leaves the cache with no weight decided and unbuilt, and the
+    search ends where the exact search does."""
+    A3 = build_root_datum("A3")
+    lamp, low = Weight((2, 0, 0)), Weight((1, 0, -1))
+    first, second = TorusPresentation(A3, (1, 2, 1)), TorusPresentation(A3, (1, 3, 2, 1))
+    with monkeypatch.context() as m:
+        m.setattr(cells, "_screened_out", lambda *args: False)
+        fresh_caches(m, A3)
+        want = find_presentation(second, 1)
+    fresh_caches(monkeypatch, A3)
+    real_screen = cells._screened_out
+    verdicts = []
+
+    def spy(pres, lam, mup, target):
+        verdicts.append((lam, real_screen(pres, lam, mup, target)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(cells, "_screened_out", spy)
+    # word 1,2,1 at k = 1: the screen rejects V(2,0,0) on its upper weights
+    assert find_presentation(first, 1).lam.coords == (1, 1, 0)
+    assert (lamp, True) in verdicts
+    shadow = A3._shadow_cache[lamp.coords]
+    assert not shadow.complete and low not in shadow.basis
+    real_mult = hwmod._multiplicity
+    monkeypatch.setattr(
+        hwmod,
+        "_multiplicity",
+        lambda mod, mu: real_mult(mod, mu) + (mod is shadow and mu == low),
+    )
+    verdicts.clear()
+    # word 1,3,2,1 at k = 1: the screen of V(2,0,0) needs the weight low
+    got = find_presentation(second, 1)
+    assert (lamp, False) in verdicts
+    assert lamp.coords not in A3._shadow_cache
+    assert (got.lam, got.coeffs) == (want.lam, want.coeffs)
+    # low is not decided: asking for it extends again, and gives up again
+    assert low not in shadow.basis
+    with pytest.raises(ZeroDivisionError, match="multiplicity"):
+        shadow.dim_of(low)
+
+
+def test_search_builds_weight_spaces_on_demand(monkeypatch, capsys):
+    """The search reads each module only down to the weights its pairings
+    reach: after verify on B3 3,2,3,2 the screened shadows and one exact
+    module hold fewer weights than their complete modules."""
+    datum = build_root_datum("B3")
+    fresh_caches(monkeypatch, datum)
+    assert cli.main(["verify", "--cartan", "B3", "--word", "3,2,3,2"]) == 0
+    capsys.readouterr()
+    mods = [datum._shadow_cache[c] for c in ((1, 1, 0), (0, 2, 0), (0, 1, 1))]
+    mods.append(datum._module_cache[(0, 0, 2)])
+    for mod in mods:
+        assert not mod.complete
+        assert sum(map(len, mod.basis.values())) < mod.dim == weyl_dim(datum, mod.lam)
 
 
 # ------------------------------------------------------------------- twist

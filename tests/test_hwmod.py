@@ -11,8 +11,10 @@ import pytest
 from qcells import cells, hwmod
 from qcells.cartan import (
     RootDatum,
+    RootVector,
     Weight,
     build_root_datum,
+    dominant_conjugate,
     reduced_words,
     weyl_dim,
     weyl_elements,
@@ -56,6 +58,13 @@ def shadow_dependencies(rows):
     return column_dependencies(rows, hwmod._Shadow())
 
 
+def completed(mod):
+    """mod with every weight space built: asking for the lowest weight
+    w0 lam extends a cached module to the bottom."""
+    mod.dim_of(-dominant_conjugate(mod.datum, -mod.lam)[1])
+    return mod
+
+
 def rand_vector(mod, rng):
     out = mod.zero()
     for mu in list(mod.basis):
@@ -80,7 +89,7 @@ def test_dimensions_match_weyl_formula():
     ]
     for datum, coords, dim in cases:
         lam = Weight(coords)
-        mod = get_module(datum, lam)
+        mod = completed(get_module(datum, lam))
         assert mod.dim == dim == weyl_dim(datum, lam)
         assert sum(mod.dim_of(mu) for mu in mod.basis) == dim
 
@@ -96,14 +105,14 @@ def test_highest_vector_is_normalized():
 
 
 def test_gram_adjoint_zero_weight_space():
-    mod = get_module(A2, Weight((1, 1)))
+    mod = completed(get_module(A2, Weight((1, 1))))
     g = mod.gram[Weight((0, 0))]
     two = ScalarQ(LaurentQ({1: 1, -1: 1}))
     assert g == [[two, ONE], [ONE, two]]
 
 
 def test_gram_inverse_is_exact():
-    mod = get_module(B2, Weight((1, 1)))
+    mod = completed(get_module(B2, Weight((1, 1))))
     for mu in mod.basis:
         n = mod.dim_of(mu)
         g = mod.gram[mu]
@@ -119,7 +128,7 @@ def test_gram_inverse_is_exact():
 def test_form_is_contravariant_and_symmetric():
     rng = random.Random(2)
     for datum, coords in ((A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0))):
-        mod = get_module(datum, Weight(coords))
+        mod = completed(get_module(datum, Weight(coords)))
         x, y = rand_vector(mod, rng), rand_vector(mod, rng)
         assert contravariant_form(x, y) == contravariant_form(y, x)
         for i in datum.index_set:
@@ -187,14 +196,14 @@ def test_extremal_weight_is_weyl_image():
 
 def test_braid_operators_are_inverse():
     rng = random.Random(7)
-    mod = get_module(A2, Weight((1, 1)))
+    mod = completed(get_module(A2, Weight((1, 1))))
     v = rand_vector(mod, rng)
     for i in (1, 2):
         assert braid_T_inv(mod, i, braid_T(mod, i, v)) == v
         assert braid_T(mod, i, braid_T_inv(mod, i, v)) == v
     # d_i > 1 in B2 and G2, where q_i and q differ
     for datum, coords in ((B2, (1, 1)), (G2, (1, 0))):
-        mod = get_module(datum, Weight(coords))
+        mod = completed(get_module(datum, Weight(coords)))
         for mu in mod.basis:
             for s in range(mod.dim_of(mu)):
                 b = mod.basis_vector(mu, s)
@@ -353,7 +362,7 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
     """Only the screen builds shadows.  The exact build of a screened winner
     builds none and reads none, and get_module then drops the screened
     shadow from the cache with its memos cleared."""
-    real_build = hwmod._build
+    real_build = hwmod._new_module
     builds = []
 
     def counted(datum, lam, field):
@@ -362,7 +371,7 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
 
     for cache in ("_module_cache", "_shadow_cache"):
         monkeypatch.setattr(A2, cache, {})
-    monkeypatch.setattr(hwmod, "_build", counted)
+    monkeypatch.setattr(hwmod, "_new_module", counted)
     # A2 word 1,2,1 at k = 1: the target V(1,0) is built without a screen,
     # V(2,0) is screened out and V(1,1) is screened and wins
     shadows = []
@@ -471,7 +480,7 @@ def test_f_columns_solve_the_gram_block():
     the raising action and the Gram matrix of the parent weight."""
     A3 = build_root_datum("A3")
     for datum, coords in ((A3, (1, 1, 1)), (B2, (1, 1)), (G2, (1, 1))):
-        mod = get_module(datum, Weight(coords))
+        mod = completed(get_module(datum, Weight(coords)))
         unpicked = 0
         for (j, parent), cols in mod.fmat.items():
             mu = parent - datum.alpha_weight(j)
@@ -535,9 +544,11 @@ def test_shadow_specializes_exact_module():
     B3 = build_root_datum("B3")
     for datum, coords in ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 1)), (B3, (0, 2, 0))):
         lam = Weight(coords)
-        exact = get_module(datum, lam)
         shadow = shadow_module(datum, lam)
-        assert shadow is not None and shadow.dim == exact.dim
+        assert shadow is not None
+        shadow = completed(shadow)
+        exact = completed(get_module(datum, lam))
+        assert shadow.dim == exact.dim
         assert shadow.basis == exact.basis
         assert list(shadow.basis) == list(exact.basis)
         powers = {}
@@ -586,11 +597,88 @@ def test_weight_multiplicities_are_weyl_invariant():
         theta = datum.root_to_weight(datum.positive_roots()[-1])
         ends = datum.fundamental(1) + datum.fundamental(datum.rank)
         for lam in (theta, ends):
-            mod = get_module(datum, lam)
+            mod = completed(get_module(datum, lam))
             for mu in mod.basis:
                 for i in datum.index_set:
                     assert mod.dim_of(datum.reflect_weight(i, mu)) == mod.dim_of(mu)
         assert get_module(datum, theta).dim_of(Weight((0,) * datum.rank)) == datum.rank
+
+
+def test_gram_lower_triangle_matches_its_own_pairing():
+    """The build pairs only the entries on and above the diagonal of a Gram
+    block and mirrors them.  Each entry below it is the pairing it mirrors:
+    (b_b, b_a) = (b'_b, e_i b_a) for the basis vector b_b = f_i b'_b, with
+    e_i b_a the stored raising column, over either field."""
+    checked = 0
+    for datum, coords in ((A2, (2, 1)), (B2, (1, 1)), (G2, (1, 1))):
+        for field in (hwmod._Exact(), hwmod._Shadow()):
+            mod = hwmod._build(datum, Weight(coords), field)
+            for mu, g in mod.gram.items():
+                for b, tag in enumerate(mod.basis[mu][1:], 1):
+                    i, parent = tag[0], mu + datum.alpha_weight(tag[0])
+                    grow = mod.gram[parent][mod.basis[parent].index(tag[1:])]
+                    for a in range(b):
+                        assert g[b][a] == field.dot(grow, list(mod.emat[(i, mu)][a]))
+                        checked += 1
+    assert checked > 20
+
+
+def tables(mod):
+    """What a module stores, its weight spaces in their order."""
+    return list(mod.basis.items()), list(mod.gram.items()), mod.fmat, mod.emat
+
+
+@pytest.mark.parametrize(
+    "cartan, coords", [("A3", (1, 1, 1)), ("B3", (0, 2, 0)), ("C3", (1, 1, 0)), ("G2", (2, 1))]
+)
+def test_modules_extended_in_any_order_equal_whole_builds(monkeypatch, cartan, coords):
+    """A cached module and a cached shadow, extended to seeded random floors
+    in random order and then completed, store what the all-at-once walk
+    stores: a weight space reads only the weights above it.  After every
+    extension the built weights are an up-set of the weights."""
+    datum = build_root_datum(cartan)
+    lam = Weight(coords)
+    whole = [build_module(datum, lam), hwmod._build(datum, lam, hwmod._Shadow())]
+    for cache in ("_module_cache", "_shadow_cache"):
+        monkeypatch.setattr(datum, cache, {})
+    # get_module drops the cached shadow, so the shadow comes first
+    shadow = shadow_module(datum, lam)
+    lazy = [get_module(datum, lam), shadow]
+    rng = random.Random(f"{cartan} {coords}")
+    for mod, ref in zip(lazy, whole):
+        bottom = mod._bottom
+        floors = [tuple(rng.randint(0, b) for b in bottom) for _ in range(6)]
+        rng.shuffle(floors)
+        for depth in floors:
+            mu = lam - datum.root_to_weight(RootVector(depth))
+            assert mod.dim_of(mu) == ref.dim_of(mu)
+            for nu in mod.basis:
+                for i in datum.index_set:
+                    up = nu + datum.alpha_weight(i)
+                    assert up in mod.basis or up not in ref.basis
+        assert tables(completed(mod)) == tables(ref)
+        assert mod.complete and mod.dim == ref.dim
+
+
+def test_completion_checks_the_weyl_dimension(monkeypatch):
+    """A module that misses a weight space builds every other one, and the
+    Weyl-dimension check fails once the lowest weight is decided."""
+    lam = Weight((1, 1))
+    lowest = -dominant_conjugate(B2, -lam)[1]
+    real = hwmod._multiplicity
+    monkeypatch.setattr(
+        hwmod, "_multiplicity", lambda mod, mu: 0 if mu == lowest else real(mod, mu)
+    )
+    for cache in ("_module_cache", "_shadow_cache"):
+        monkeypatch.setattr(B2, cache, {})
+    mod = get_module(B2, lam)
+    # every weight above the lowest is above one of these
+    for i in B2.index_set:
+        mod.dim_of(lowest + B2.alpha_weight(i))
+    assert not mod.complete
+    assert sum(map(len, mod.basis.values())) == mod.dim - 1
+    with pytest.raises(AssertionError, match="Weyl dimension"):
+        mod.dim_of(lowest)
 
 
 def test_dimension_cap(monkeypatch):
