@@ -307,9 +307,13 @@ def _coeff_terms(
                     walk(p, child)
                     path.pop()
             rem[i - 1] = cap
-            # the ladder is done: vecs keeps the current path's ladders only
-            for b in range(1, a + 1):
-                vecs.pop(code * base + b * r1 + i, None)
+            # the ladder is done: vecs keeps the current path's ladders only.
+            # A rung a > 1 is only climbed through rung 1, so a ladder whose
+            # first rung is not held, as on memo hits, holds nothing
+            first = code * base + r1 + i
+            if first in vecs:
+                for b in range(a):
+                    vecs.pop(first + b * r1, None)
 
     try:
         walk(n, 0)

@@ -293,19 +293,22 @@ _PROFILE_Q0 = 1220703125
 
 
 def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
-    """c at q = _PROFILE_Q0 in GF(_PROFILE_P), with powers memoizing q0^e.
+    """c at q = _PROFILE_Q0 in GF(_PROFILE_P), by Horner's rule on each
+    coefficient tuple, with powers memoizing the q0^lo factors.
 
     Raises ZeroDivisionError when the denominator vanishes at the point."""
     p = _PROFILE_P
     vals = []
     for x in (c.num, c.den):
         acc = 0
-        for e, k in x.c.items():
-            w = powers.get(e)
+        for k in reversed(x.c):
+            acc = (acc * _PROFILE_Q0 + k) % p
+        if x.lo:
+            w = powers.get(x.lo)
             if w is None:
-                w = powers[e] = pow(_PROFILE_Q0, e, p)
-            acc += k * w
-        vals.append(acc % p)
+                w = powers[x.lo] = pow(_PROFILE_Q0, x.lo, p)
+            acc = acc * w % p
+        vals.append(acc)
     num, den = vals
     if not den:
         raise ZeroDivisionError("denominator vanishes at the profile point")
@@ -356,8 +359,10 @@ class _Exact(RationalFunctions):
 
     @staticmethod
     def key(c: ScalarQ) -> tuple:
-        """c's canonical numerator and denominator, which fix its value."""
-        return tuple(sorted(c.num.c.items())), tuple(sorted(c.den.c.items()))
+        """c's canonical form: num's lowest exponent and the coefficient
+        tuples of num and den, whose lowest exponent is 0.  Equal keys are
+        equal values, and the other way round."""
+        return c.num.lo, c.num.c, c.den.c
 
     @staticmethod
     def nonzero(coeffs: list[ScalarQ]) -> bool:

@@ -28,9 +28,9 @@ __all__ = [
 class RationalFunctions:
     """Q(q), with ScalarQ entries, as the row operations of the elimination.
 
-    The pivot of a column is its smallest live entry, by the number of terms
-    of its numerator and denominator, which keeps the fractions of the
-    eliminated rows small."""
+    The pivot of a column is its smallest live entry, by the number of
+    nonzero terms of its numerator and denominator, which keeps the
+    fractions of the eliminated rows small."""
 
     is_zero = staticmethod(ScalarQ.is_zero)
     inverse = staticmethod(ScalarQ.inverse)
@@ -46,7 +46,8 @@ class RationalFunctions:
 
     @staticmethod
     def pivot_size(x: ScalarQ) -> int:
-        return len(x.num.c) + len(x.den.c)
+        num, den = x.num.c, x.den.c
+        return len(num) - num.count(0) + len(den) - den.count(0)
 
 
 def column_dependencies(rows: list[list], field) -> tuple[list[int], dict[int, list]]:

@@ -2,10 +2,13 @@
 
 Everything downstream (bilinear forms, module matrices, torus coefficients)
 runs on the two classes here, so the representation is chosen for tight
-loops: a Laurent polynomial is a plain ``{exponent: coefficient}`` dict over
-Python ints, and a general scalar is a reduced fraction of those with the
-denominator normalized to an honest polynomial.  No floats anywhere;
-equality of canonical forms is structural equality.
+loops: a Laurent polynomial is dense, the exponent ``lo`` of its first term
+and the tuple ``c`` of its Python int coefficients from there on, trimmed
+at both ends, and a general scalar is a reduced fraction of those with the
+denominator normalized to an honest polynomial.  Products, sums, shifts,
+exact division and the gcd all work on those tuples as they are, so no
+operation converts between forms.  No floats anywhere; equality of
+canonical forms is structural equality.
 
 Reducing a fraction takes a gcd in Z[q].  It is read from one integer gcd
 at an evaluation point xi (Char, Geddes & Gonnet's GCDHEU, J. Symb. Comp.
@@ -20,6 +23,7 @@ gcd on the denominators only, by Henrici's rule (ScalarQ.__add__).
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import add
 
 
 __all__ = [
@@ -36,7 +40,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials (index = exponent, trimmed), used for gcd/division
+# dense integer polynomials (index = exponent, trimmed): the coefficient
+# sequences of LaurentQ, for gcd and division
 # ---------------------------------------------------------------------------
 
 def _trim(a: list[int]) -> list[int]:
@@ -97,7 +102,8 @@ def _dgcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _ddiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[q]; raises if the remainder does not vanish."""
+    """Exact division in Z[q], of lists or tuples; raises if the remainder
+    does not vanish."""
     if not a:
         return []
     if not b:
@@ -105,7 +111,7 @@ def _ddiv_exact(a: list[int], b: list[int]) -> list[int]:
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         raise ArithmeticError("inexact polynomial division")
-    a = a[:]
+    a = list(a)
     lb = b[-1]
     out = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
@@ -223,78 +229,105 @@ def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], li
 # Laurent polynomials in q over Z
 # ---------------------------------------------------------------------------
 
-class LaurentQ:
-    """Laurent polynomial in q with integer coefficients.
+def _laurent(lo: int, a: list[int]) -> "LaurentQ":
+    """q^lo * a(q) for a dense coefficient list a, trimmed at both ends."""
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    if not n:
+        return _L_ZERO
+    i = 0
+    while not a[i]:
+        i += 1
+    if i or n != len(a):
+        a = a[i:n]
+    return LaurentQ._raw(lo + i, tuple(a))
 
-    Stored as ``{exponent: coefficient}`` with no zero coefficients.
+
+def _sum(la: int, a: tuple[int, ...], lb: int, b: "tuple[int, ...] | list[int]") -> "LaurentQ":
+    """q^la a(q) + q^lb b(q), for nonzero dense a and b."""
+    if lb < la:
+        la, a, lb, b = lb, b, la, a
+    out = list(a)
+    off = lb - la
+    end = off + len(b)
+    if end > len(out):
+        out += [0] * (end - len(out))
+    out[off:end] = map(add, out[off:end], b)
+    return _laurent(la, out)
+
+
+class LaurentQ:
+    """Laurent polynomial in q with integer coefficients, stored dense.
+
+    ``c`` is the tuple of coefficients of q^lo, q^(lo+1), ..., with nonzero
+    first and last entries, and ``lo`` the exponent of the first one; zero
+    is lo = 0, c = ().  Each polynomial has one such form, so equality is
+    equality of (lo, c).  The gcd and division kernels above take c as it
+    is.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("lo", "c")
 
     def __init__(self, coeffs: dict[int, int] | int = 0):
         if isinstance(coeffs, int):
-            self.c = {0: coeffs} if coeffs else {}
-        else:
-            self.c = {e: c for e, c in coeffs.items() if c}
+            self.lo, self.c = 0, ((coeffs,) if coeffs else ())
+            return
+        live = {e: c for e, c in coeffs.items() if c}
+        lo = min(live, default=0)
+        self.lo = lo
+        self.c = tuple(live.get(e, 0) for e in range(lo, max(live, default=-1) + 1))
 
     @classmethod
-    def _raw(cls, d: dict[int, int]) -> "LaurentQ":
+    def _raw(cls, lo: int, c: tuple[int, ...]) -> "LaurentQ":
         obj = object.__new__(cls)
-        obj.c = d
+        obj.lo = lo
+        obj.c = c
         return obj
 
     @classmethod
     def q_power(cls, e: int) -> "LaurentQ":
-        return cls._raw({e: 1})
+        return cls._raw(e, (1,))
+
+    def items(self) -> list[tuple[int, int]]:
+        """The (exponent, coefficient) pairs of the nonzero terms, by
+        increasing exponent."""
+        return [(e, x) for e, x in enumerate(self.c, self.lo) if x]
 
     def is_zero(self) -> bool:
         return not self.c
 
     def is_one(self) -> bool:
-        return self.c == {0: 1}
+        return self.c == (1,) and not self.lo
 
     def __bool__(self) -> bool:
         return bool(self.c)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentQ):
-            return self.c == other.c
+            return self.c == other.c and self.lo == other.lo
         if isinstance(other, int):
-            return self.c == ({0: other} if other else {})
+            return self.c == ((other,) if other else ()) and not self.lo
         return NotImplemented
 
     __hash__ = None
 
     def __neg__(self) -> "LaurentQ":
-        return LaurentQ._raw({e: -c for e, c in self.c.items()})
+        return LaurentQ._raw(self.lo, tuple([-x for x in self.c]))
 
     def __add__(self, other: "LaurentQ") -> "LaurentQ":
-        a, b = self.c, other.c
-        if not a:
+        if not self.c:
             return other
-        if not b:
+        if not other.c:
             return self
-        out = dict(a)
-        for e, c in b.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentQ._raw(out)
+        return _sum(self.lo, self.c, other.lo, other.c)
 
     def __sub__(self, other: "LaurentQ") -> "LaurentQ":
-        a, b = self.c, other.c
-        if not b:
+        if not other.c:
             return self
-        out = dict(a)
-        for e, c in b.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentQ._raw(out)
+        if not self.c:
+            return -other
+        return _sum(self.lo, self.c, other.lo, [-x for x in other.c])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -302,79 +335,55 @@ class LaurentQ:
                 return _L_ZERO
             if other == 1:
                 return self
-            return LaurentQ._raw({e: c * other for e, c in self.c.items()})
+            return LaurentQ._raw(self.lo, tuple([x * other for x in self.c]))
         a, b = self.c, other.c
         if not a or not b:
             return _L_ZERO
+        lo = self.lo + other.lo
         if len(b) < len(a):
             a, b = b, a
         if len(a) == 1:
-            ((ea, ca),) = a.items()
-            if ca == 1:
-                return LaurentQ._raw({eb + ea: cb for eb, cb in b.items()})
-            return LaurentQ._raw({eb + ea: cb * ca for eb, cb in b.items()})
-        # dense convolution; sparse dicts pay too much overhead here
-        alo, ahi = min(a), max(a)
-        blo, bhi = min(b), max(b)
-        da = [0] * (ahi - alo + 1)
-        for e, c in a.items():
-            da[e - alo] = c
-        db = [0] * (bhi - blo + 1)
-        for e, c in b.items():
-            db[e - blo] = c
-        lo = alo + blo
-        dout = [0] * (len(da) + len(db) - 1)
-        for ka, ca in enumerate(da):
+            ca = a[0]
+            return LaurentQ._raw(lo, b if ca == 1 else tuple([x * ca for x in b]))
+        # Dense convolution over the nonzero terms of the longer factor.  The
+        # product of trimmed factors is trimmed: its end coefficients are the
+        # products of theirs.
+        live = [(k, x) for k, x in enumerate(b) if x]
+        out = [0] * (len(a) + len(b) - 1)
+        for ka, ca in enumerate(a):
             if ca:
-                if ca == 1:
-                    for kb, cb in enumerate(db):
-                        if cb:
-                            dout[ka + kb] += cb
-                else:
-                    for kb, cb in enumerate(db):
-                        if cb:
-                            dout[ka + kb] += ca * cb
-        return LaurentQ._raw({lo + k: c for k, c in enumerate(dout) if c})
+                for k, x in live:
+                    out[ka + k] += ca * x
+        return LaurentQ._raw(lo, tuple(out))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentQ":
         """Multiply by q^k."""
-        if k == 0:
+        if k == 0 or not self.c:
             return self
-        return LaurentQ._raw({e + k: c for e, c in self.c.items()})
+        return LaurentQ._raw(self.lo + k, self.c)
 
     def subst(self, d: int) -> "LaurentQ":
-        """Substitute q -> q^d (d >= 1)."""
-        if d == 1:
+        """Substitute q -> q^d, for d >= 1."""
+        if d < 1:
+            raise ValueError(f"subst needs d >= 1, got {d}")
+        if d == 1 or not self.c:
             return self
-        return LaurentQ._raw({e * d: c for e, c in self.c.items()})
-
-    def _dense(self) -> tuple[list[int], int]:
-        """Return (coefficient list, shift) with value = q^shift * poly."""
-        if not self.c:
-            return [], 0
-        lo = min(self.c)
-        hi = max(self.c)
-        out = [0] * (hi - lo + 1)
-        for e, c in self.c.items():
-            out[e - lo] = c
-        return out, lo
-
-    @classmethod
-    def _from_dense(cls, a: list[int], shift: int = 0) -> "LaurentQ":
-        return cls._raw({i + shift: c for i, c in enumerate(a) if c})
+        out = [0] * ((len(self.c) - 1) * d + 1)
+        out[::d] = self.c
+        return LaurentQ._raw(self.lo * d, tuple(out))
 
     def exact_div(self, other: "LaurentQ") -> "LaurentQ":
-        """Exact division; raises ArithmeticError when not divisible."""
+        """Exact division; raises ArithmeticError when not divisible.  The
+        quotient of trimmed polynomials is trimmed: its constant term times
+        other's is self's."""
         if not self.c:
             return _L_ZERO
-        a, sa = self._dense()
-        b, sb = other._dense()
-        return LaurentQ._from_dense(_ddiv_exact(a, b), sa - sb)
+        return LaurentQ._raw(self.lo - other.lo, tuple(_ddiv_exact(self.c, other.c)))
 
     def to_scalar(self) -> "ScalarQ":
-        return ScalarQ._make(dict(self.c), {0: 1})
+        return ScalarQ._raw(self, _L_ONE)
 
     def __str__(self) -> str:
         return laurent_str(self)
@@ -383,8 +392,8 @@ class LaurentQ:
         return f"LaurentQ({laurent_str(self)!r})"
 
 
-_L_ZERO = LaurentQ._raw({})
-_L_ONE = LaurentQ._raw({0: 1})
+_L_ZERO = LaurentQ._raw(0, ())
+_L_ONE = LaurentQ._raw(0, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +404,10 @@ class ScalarQ:
     """Element of Q(q) as a reduced fraction of integer (Laurent) polynomials.
 
     Canonical form: ``den`` is a polynomial with nonzero constant term and
-    positive leading coefficient, gcd(num, den) = 1 in Z[q] (integer content
-    included), and ``num`` carries any overall power of q.  Equality of
-    canonical forms is structural, so ``__eq__`` just compares dicts.
+    positive leading coefficient, so its ``lo`` is 0; gcd(num, den) = 1 in
+    Z[q] (integer content included); and ``num`` carries any overall power
+    of q.  Equality of canonical forms is structural, so ``__eq__`` just
+    compares the coefficient tuples and num's ``lo``.
     """
 
     __slots__ = ("num", "den")
@@ -407,7 +417,7 @@ class ScalarQ:
             num = LaurentQ(num)
         if isinstance(den, int):
             den = LaurentQ(den)
-        obj = ScalarQ._make(dict(num.c), dict(den.c))
+        obj = ScalarQ._make(num, den)
         self.num = obj.num
         self.den = obj.den
 
@@ -419,52 +429,51 @@ class ScalarQ:
         return obj
 
     @classmethod
-    def _make(cls, num: dict[int, int], den: dict[int, int]) -> "ScalarQ":
-        """Canonicalize a raw fraction of Laurent coefficient dicts.
+    def _make(cls, num: LaurentQ, den: LaurentQ) -> "ScalarQ":
+        """Canonicalize the raw fraction num / den.
 
         Both sides are divided by their gcd in Z[q], content included; the
         quotients are the cofactors _gcd_cofactors returns with the gcd, so
-        no second division runs.  The gcd is certified (see _heu_gcd)."""
-        if not den:
+        no second division runs.  The gcd is certified (see _heu_gcd).  The
+        cofactors of trimmed polynomials are trimmed, as the gcd divides
+        their nonzero constant terms."""
+        b = den.c
+        if not b:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if not num:
-            return cls._raw(_L_ZERO, _L_ONE)
-        sn = min(num)
-        sd = min(den)
-        a = [0] * (max(num) - sn + 1)
-        for e, c in num.items():
-            a[e - sn] = c
-        b = [0] * (max(den) - sd + 1)
-        for e, c in den.items():
-            b[e - sd] = c
-        if b != [1]:
-            _, a, b = _gcd_cofactors(a, b)
-            if b[-1] < 0:
-                a = [-x for x in a]
-                b = [-x for x in b]
-        return cls._raw(
-            LaurentQ._from_dense(a, sn - sd),
-            LaurentQ._from_dense(b, 0),
-        )
+        a = num.c
+        if not a:
+            return S_ZERO
+        lo = num.lo - den.lo
+        if b == (1,):
+            return cls._raw(num if lo == num.lo else LaurentQ._raw(lo, a), _L_ONE)
+        _, a, b = _gcd_cofactors(a, b)
+        if b[-1] < 0:
+            a = [-x for x in a]
+            b = [-x for x in b]
+        return cls._raw(LaurentQ._raw(lo, tuple(a)), LaurentQ._raw(0, tuple(b)))
 
     @classmethod
     def q_power(cls, e: int) -> "ScalarQ":
-        return cls._raw(LaurentQ._raw({e: 1}), _L_ONE)
+        return cls._raw(LaurentQ._raw(e, (1,)), _L_ONE)
 
     def is_zero(self) -> bool:
         return not self.num.c
 
     def is_one(self) -> bool:
-        return self.num.c == {0: 1} and self.den.c == {0: 1}
+        return self.num.c == (1,) and not self.num.lo and self.den.c == (1,)
 
     def __bool__(self) -> bool:
         return bool(self.num.c)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ScalarQ):
-            return self.num.c == other.num.c and self.den.c == other.den.c
+            return (
+                self.num.c == other.num.c
+                and self.num.lo == other.num.lo
+                and self.den.c == other.den.c
+            )
         if isinstance(other, int):
-            return self.den.c == {0: 1} and self.num == other
+            return self.den.c == (1,) and self.num == other
         return NotImplemented
 
     __hash__ = None
@@ -495,15 +504,15 @@ class ScalarQ:
         d1, d2 = self.den, other.den
         if d1.c == d2.c:
             s = n1 + n2
-            if d1.c == {0: 1}:
+            if d1.c == (1,):
                 return ScalarQ._raw(s, _L_ONE)
-            return ScalarQ._make(s.c, d1.c)
-        g, c1, c2 = _gcd_cofactors(d1._dense()[0], d2._dense()[0])
+            return ScalarQ._make(s, d1)
+        g, c1, c2 = _gcd_cofactors(d1.c, d2.c)
         if g == [1]:
             return ScalarQ._raw(n1 * d2 + n2 * d1, d1 * d2)
-        e1 = LaurentQ._from_dense(c1)
-        e2 = LaurentQ._from_dense(c2)
-        x = ScalarQ._make((n1 * e2 + n2 * e1).c, LaurentQ._from_dense(g).c)
+        e1 = LaurentQ._raw(0, tuple(c1))
+        e2 = LaurentQ._raw(0, tuple(c2))
+        x = ScalarQ._make(n1 * e2 + n2 * e1, LaurentQ._raw(0, tuple(g)))
         return ScalarQ._raw(x.num, x.den * e1 * e2)
 
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":
@@ -514,33 +523,34 @@ class ScalarQ:
         n2, d2 = other.num, other.den
         if not n1.c or not n2.c:
             return S_ZERO
-        if d2.c == {0: 1}:
-            if d1.c == {0: 1}:
+        if d2.c == (1,):
+            if d1.c == (1,):
                 return ScalarQ._raw(n1 * n2, _L_ONE)
             # n1 and d1 are coprime, so only n2 and d1 can share a factor
-            y = ScalarQ._make(n2.c, d1.c)
+            y = ScalarQ._make(n2, d1)
             return ScalarQ._raw(n1 * y.num, y.den)
-        if d1.c == {0: 1}:
-            x = ScalarQ._make(n1.c, d2.c)
+        if d1.c == (1,):
+            x = ScalarQ._make(n1, d2)
             return ScalarQ._raw(x.num * n2, x.den)
         # cross-reduce so the final product is already canonical
-        x = ScalarQ._make(n1.c, d2.c)
-        y = ScalarQ._make(n2.c, d1.c)
+        x = ScalarQ._make(n1, d2)
+        y = ScalarQ._make(n2, d1)
         num = x.num * y.num
         den = x.den * y.den
         return ScalarQ._raw(num, den)
 
     def inverse(self) -> "ScalarQ":
-        if not self.num.c:
+        """q^-lo d / a for self = q^lo a / d, which is canonical once the
+        leading coefficient of a is made positive: a is trimmed, so its
+        constant term is nonzero."""
+        num = self.num
+        a, d = num.c, self.den.c
+        if not a:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        num, lo = self.num._dense()
-        den, _ = self.den._dense()
-        if num[-1] < 0:
-            num = [-x for x in num]
-            den = [-x for x in den]
-        return ScalarQ._raw(
-            LaurentQ._from_dense(den, -lo), LaurentQ._from_dense(num, 0)
-        )
+        if a[-1] < 0:
+            a = tuple([-x for x in a])
+            d = tuple([-x for x in d])
+        return ScalarQ._raw(LaurentQ._raw(-num.lo, d), LaurentQ._raw(0, a))
 
     def __truediv__(self, other: "ScalarQ") -> "ScalarQ":
         return self * other.inverse()
@@ -553,10 +563,8 @@ class ScalarQ:
 
     def as_q_power(self) -> "int | None":
         """Exponent k when the value is exactly q^k, else None."""
-        if self.den.c == {0: 1} and len(self.num.c) == 1:
-            e, c = next(iter(self.num.c.items()))
-            if c == 1:
-                return e
+        if self.num.c == (1,) and self.den.c == (1,):
+            return self.num.lo
         return None
 
     def __str__(self) -> str:
@@ -591,7 +599,7 @@ def qint(n: int) -> LaurentQ:
         return _L_ZERO
     if n < 0:
         return -qint(-n)
-    return LaurentQ._raw({e: 1 for e in range(n - 1, -n - 1, -2)})
+    return LaurentQ._raw(1 - n, tuple([1, 0] * (n - 1) + [1]))
 
 
 def qfact(n: int) -> LaurentQ:
@@ -651,8 +659,7 @@ def laurent_str(x: LaurentQ) -> str:
     if not x.c:
         return "0"
     parts: list[str] = []
-    for e in sorted(x.c, reverse=True):
-        c = x.c[e]
+    for e, c in reversed(x.items()):
         mag = abs(c)
         if e == 0:
             body = str(mag)
@@ -670,6 +677,6 @@ def laurent_str(x: LaurentQ) -> str:
 def scalar_str(x: "ScalarQ | LaurentQ") -> str:
     if isinstance(x, LaurentQ):
         return laurent_str(x)
-    if x.den.c == {0: 1}:
+    if x.den.c == (1,):
         return laurent_str(x.num)
     return f"({laurent_str(x.num)})/({laurent_str(x.den)})"

@@ -7,6 +7,8 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcells import cells, hwmod
 from qcells.cartan import (
@@ -426,6 +428,33 @@ def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
         gc.enable()
     assert [o.lam.coords for o in new] == [(2, 0)]
     assert dropped == []
+
+
+laurents = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4).map(LaurentQ)
+scalars = st.builds(ScalarQ, laurents, laurents.filter(bool))
+
+
+@given(scalars, scalars, scalars.filter(bool))
+@settings(max_examples=200)
+def test_exact_key_is_the_value(x, y, z):
+    """_Exact.key(x) == _Exact.key(y) exactly when x == y, also for values
+    reached by different routes, and a key is hashable."""
+    key = hwmod._Exact.key
+    assert (key(x) == key(y)) == (x == y)
+    assert key(x * z / z) == key(x)
+    assert key(x + y - y) == key(x)
+    # the same coefficients at another power of q
+    assert (key(x.mul_qpow(1)) == key(x)) == (not x)
+    assert len({key(x), key(y)}) == (1 if x == y else 2)
+
+
+@given(scalars)
+@settings(max_examples=200)
+def test_eval_mod_is_the_value_at_the_profile_point(x):
+    """_eval_mod evaluates num and den term by term at q0 in GF(p)."""
+    p, q0 = hwmod._PROFILE_P, hwmod._PROFILE_Q0
+    num, den = (sum(c * pow(q0, e, p) for e, c in part.items()) % p for part in (x.num, x.den))
+    assert hwmod._eval_mod(x, {}) == num * pow(den, -1, p) % p
 
 
 def test_mod_solve_full_column_rank():

@@ -59,9 +59,8 @@ def _laurent_lcm(a: LaurentQ, b: LaurentQ) -> LaurentQ:
         return b
     if b.is_one():
         return a
-    da, _ = a._dense()
-    db, _ = b._dense()
-    return (a * b).exact_div(LaurentQ._from_dense(_dgcd(da, db)))
+    g = _dgcd(list(a.c), list(b.c))
+    return (a * b).exact_div(LaurentQ(dict(enumerate(g))))
 
 
 def _clear_rows(rows: list[list[ScalarQ]]) -> list[list[LaurentQ]]:
@@ -76,7 +75,7 @@ def _clear_rows(rows: list[list[ScalarQ]]) -> list[list[LaurentQ]]:
 
 
 def _span(x: LaurentQ) -> tuple[int, int]:
-    return (max(x.c) - min(x.c), len(x.c))
+    return (len(x.c) - 1, len(x.items()))
 
 
 def _echelon(rows: list[list[LaurentQ]]) -> list[tuple[int, int]]:

@@ -74,7 +74,8 @@ def test_qbinom_nonnegative_cases():
             assert qbinom(n, k) * qfact(k) * qfact(n - k) == qfact(n)
             assert qbinom(n, k) == qbinom(n, n - k)
             # bar symmetry q -> q^{-1} of balanced q-binomials
-            assert {-e: c for e, c in qbinom(n, k).c.items()} == qbinom(n, k).c
+            x = qbinom(n, k)
+            assert sorted((-e, c) for e, c in x.items()) == x.items()
 
 
 def test_qbinom_negative_upper_argument():
@@ -106,6 +107,19 @@ def test_laurent_basics():
     assert x + (-x) == lau({})
     assert x * LaurentQ.q_power(5) == x.shift(5)
     assert x.subst(3) == lau({6: 3, -3: -1})
+
+
+def test_subst_needs_a_positive_power():
+    # q -> q^0 would collapse q + q^-1 to 2, and a dict keyed by exponent
+    # kept only one of the colliding terms
+    x = lau({1: 1, -1: 1})
+    for d in (0, -1, -2):
+        with pytest.raises(ValueError):
+            x.subst(d)
+    with pytest.raises(ValueError):
+        lau({}).subst(0)
+    assert x.subst(1) == x
+    assert x.subst(2) == lau({2: 1, -2: 1})
 
 
 def test_laurent_exact_division():
@@ -153,28 +167,139 @@ def test_large_products_match_sparse_convolution():
     for bits in (2, 64, 200):
         for na, nb in sizes:
             a, b = operand(na, bits), operand(nb, bits)
-            want = sparse_product(a, b)
-            assert (LaurentQ(a) * LaurentQ(b)).c == want
-            assert (LaurentQ(b) * LaurentQ(a)).c == want
+            want = sorted(sparse_product(a, b).items())
+            for got in (LaurentQ(a) * LaurentQ(b), LaurentQ(b) * LaurentQ(a)):
+                assert got.items() == want
+                _assert_dense(got)
     # the extreme coefficients +-2^200 and a product that cancels to zero
     top = {0: 2**200, 17: -(2**200), 40: 3}
     wide = operand(90, 200)
-    assert (LaurentQ(top) * LaurentQ(wide)).c == sparse_product(top, wide)
+    assert (LaurentQ(top) * LaurentQ(wide)).items() == sorted(sparse_product(top, wide).items())
     neg = {e: -c for e, c in wide.items()}
-    assert (LaurentQ(top) * LaurentQ(wide) + LaurentQ(top) * LaurentQ(neg)).c == {}
+    zero = LaurentQ(top) * LaurentQ(wide) + LaurentQ(top) * LaurentQ(neg)
+    assert (zero.lo, zero.c) == (0, ())
+
+
+def live(a: dict[int, int]) -> dict[int, int]:
+    return {e: c for e, c in a.items() if c}
+
+
+def sparse_sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Reference: the termwise sum of two exponent dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return live(out)
+
+
+def sparse_div(a: dict[int, int], b: dict[int, int]) -> "dict[int, int] | None":
+    """Reference: a / b in Z[q, q^-1] by long division from the top term,
+    or None when b does not divide a.  Units are +-q^k, so b divides a
+    exactly when no quotient term falls below min(a) - min(b) and every
+    leading coefficient divides."""
+    a, b = live(a), live(b)
+    if not a:
+        return {}
+    top, low = max(b), min(a) - min(b)
+    quo: dict[int, int] = {}
+    while a:
+        e = max(a)
+        k = e - top
+        c, r = divmod(a[e], b[top])
+        if k < low or r:
+            return None
+        quo[k] = c
+        a = sparse_sum(a, {k + eb: -c * cb for eb, cb in b.items()})
+    return quo
+
+
+exponent_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5)
+
+
+@given(exponent_dicts, exponent_dicts, st.integers(-5, 5), st.integers(1, 3))
+@settings(max_examples=300)
+def test_laurent_arithmetic_matches_dict_reference(a, b, k, d):
+    """Products, sums, differences, shifts, substitutions and exact
+    quotients of the dense form agree with term-by-term dict arithmetic,
+    on inputs with zero coefficients and on cancelling sums."""
+    A, B = LaurentQ(a), LaurentQ(b)
+    assert A.items() == sorted(live(a).items())
+    assert (A * B).items() == sorted(sparse_product(a, b).items())
+    assert (A + B).items() == sorted(sparse_sum(a, b).items())
+    assert (A - B).items() == sorted(sparse_sum(a, {e: -c for e, c in b.items()}).items())
+    assert (A + (-A)).items() == []
+    assert A.shift(k).items() == sorted((e + k, c) for e, c in live(a).items())
+    assert A.subst(d).items() == sorted((e * d, c) for e, c in live(a).items())
+    if B:
+        prod = sparse_product(a, b)
+        assert LaurentQ(prod).exact_div(B).items() == sorted(live(a).items())
+        want = sparse_div(a, b)
+        if want is None:
+            with pytest.raises(ArithmeticError):
+                A.exact_div(B)
+        else:
+            assert A.exact_div(B).items() == sorted(want.items())
+
+
+def test_dict_reference_division_examples():
+    """The reference division itself, on a few hand-checked quotients."""
+    assert sparse_div({2: 1, -2: -1}, {1: 1, -1: -1}) == {1: 1, -1: 1}
+    assert sparse_div({3: 2, 0: 2}, {1: 1, 0: 1}) == {2: 2, 1: -2, 0: 2}
+    assert sparse_div({0: 1}, {1: 1, 0: 1}) is None
+    assert sparse_div({0: 3}, {0: 2}) is None
+    assert sparse_div({}, {5: 1}) == {}
+
+
+@given(exponent_dicts, exponent_dicts, st.integers(-9, 9), st.integers(-5, 5), st.integers(1, 3))
+@settings(max_examples=200)
+def test_laurent_results_are_dense_canonical(a, b, n, k, d):
+    """Every LaurentQ result is a tuple of ints trimmed at both ends, with
+    zero as lo = 0, c = ()."""
+    A, B = LaurentQ(a), LaurentQ(b)
+    made = [A, B, LaurentQ(n), LaurentQ(), A + B, A - B, B - A, A + (-A), -A,
+            A * B, A * n, n * A, A * 0, A.shift(k), A.subst(d),
+            qint(n), qbinom(n, 2), qfact(abs(n) % 5), LaurentQ.q_power(k)]
+    if B:
+        made += [(A * B).exact_div(B), B.exact_div(B)]
+    for x in made:
+        _assert_dense(x)
+
+
+@given(scalars, scalars, st.integers(-5, 5), exponent_dicts)
+@settings(max_examples=200)
+def test_scalar_results_are_canonical(x, y, k, a):
+    """Every ScalarQ result is a canonical fraction of dense forms."""
+    made = [x, y, x + y, x - y, x - x, x * y, -x, x.mul_qpow(k), ScalarQ(LaurentQ(a)),
+            LaurentQ(a).to_scalar(), ScalarQ(LaurentQ(a), LaurentQ.q_power(k)),
+            ScalarQ.q_power(k), ScalarQ(k)]
+    if y:
+        made += [y.inverse(), x / y, (-y).inverse()]
+    for z in made:
+        _assert_canonical(z)
 
 
 # ------------------------------------------------------------------ the field
 
+def _assert_dense(x: LaurentQ):
+    """x is in canonical dense form: a tuple of ints with nonzero ends, and
+    zero as lo = 0, c = ()."""
+    assert type(x.c) is tuple and all(type(k) is int for k in x.c)
+    assert type(x.lo) is int
+    if x.c:
+        assert x.c[0] and x.c[-1]
+    else:
+        assert x.lo == 0
+
+
 def _assert_canonical(x: ScalarQ):
     den = x.den
+    _assert_dense(x.num)
+    _assert_dense(den)
     assert den.c, "denominator must be nonzero"
-    assert min(den.c) == 0
-    assert den.c[max(den.c)] > 0
+    assert den.lo == 0
+    assert den.c[-1] > 0
     if x.num.c:
-        a, _ = x.num._dense()
-        b, _ = den._dense()
-        assert _dgcd(a, b) == [1]
+        assert _dgcd(list(x.num.c), list(den.c)) == [1]
     else:
         assert den.is_one()
 
@@ -265,7 +390,7 @@ def test_sum_is_the_reduced_sum_fraction(x, y, shared, cancel):
     cancel."""
     x = x * ScalarQ(1, shared)
     y = -x if cancel else y * ScalarQ(1, shared)
-    want = ScalarQ._make((x.num * y.den + y.num * x.den).c, (x.den * y.den).c)
+    want = ScalarQ._make(x.num * y.den + y.num * x.den, x.den * y.den)
     assert x + y == want
     _assert_canonical(x + y)
 
