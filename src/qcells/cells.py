@@ -24,24 +24,29 @@ on a rank certificate that no exact u' exists.  On the exact module it
 first walks the columns along the target's paths only, and skips the
 candidate where one of them is zero in every column; the system's solution
 is memoized on the module, as its paths, weight space and target module
-fix the system.  The localized algebra itself is never materialized; all
-identities are verified between normal-ordered torus elements.
+fix the system.  What depends on the word alone, and not on the position
+k, is computed once per TorusPresentation and kept on it (_per_word): the
+proof that the word is reduced, the Weyl walks of its prefixes, the
+predicted monomials, the minors with their pairing cross-check, and the
+descent's letter table.  The localized algebra itself is never
+materialized; all identities are verified between normal-ordered torus
+elements.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .cartan import (
     RootDatum,
     RootVector,
     Weight,
     is_reduced,
+    walk_word,
     weyl_act,
-    word_exponents,
 )
 from .freeuq import FreeNegElement, lusztig_form, words_of_weight
 from .hwmod import (
@@ -49,7 +54,7 @@ from .hwmod import (
     ModuleVector,
     act_f,
     contravariant_form,
-    extremal_vector,
+    extremal_from_walk,
     get_module,
     inv_qint,
     path_factor,
@@ -107,6 +112,50 @@ class VerificationReport:
     presentation: Presentation | None = None
     exponent_match: bool | None = None
     residual_q_power: int | None = None
+
+
+def _per_word(f: Callable) -> Callable:
+    """f(pres, *args) computed once per presentation and args, on first use,
+    and kept on pres (TorusPresentation._memo) for as long as it lives.  A
+    call that raises keeps nothing.  Every caller gets the one kept value,
+    so none may change it, and no kept value may point back at pres: the
+    cycle would keep a dropped presentation alive until the cycle collector
+    runs, so monomials are kept as (exponents, coefficient) pairs."""
+    name = f.__name__
+
+    @wraps(f)
+    def kept(pres: TorusPresentation, *args):
+        key = (name, *args)
+        memo = pres._memo
+        try:
+            return memo[key]
+        except KeyError:
+            val = memo[key] = f(pres, *args)
+            return val
+
+    return kept
+
+
+@_per_word
+def _walk(pres: TorusPresentation, m: int, lam: Weight) -> tuple[tuple[int, ...], Weight]:
+    """walk_word of the first m letters of pres's word and lam: the prefix
+    walk of position m for lam = varpi_{i_m}, and for m = len(word) the
+    walk that gives w lam and u_{w lam}."""
+    return walk_word(pres.datum, pres.letters[:m], lam)
+
+
+@_per_word
+def _reduced(pres: TorusPresentation) -> bool:
+    return is_reduced(pres.datum, pres.letters)
+
+
+@_per_word
+def _letter_table(pres: TorusPresentation) -> list[dict[int, int]]:
+    """last[k]: the rightmost position of each letter below position k."""
+    last: list[dict[int, int]] = [{}]
+    for k, i in enumerate(pres.letters):
+        last.append({**last[k], i: k})
+    return last
 
 
 def class_equal(x: TorusElement, y: TorusElement) -> bool:
@@ -219,12 +268,8 @@ def _coeff_terms(
         lkey = (nu, s, mu, tuple(map(field.key, left.parts[mu])))
         leaf = mod._leaf_memo.setdefault(lkey, {})
     shared = mod._leaf_values
-    letters = pres.letters
-    n = len(letters)
-    # last[k]: the rightmost position of each letter below position k
-    last: list[dict[int, int]] = [{}]
-    for k, i in enumerate(letters):
-        last.append({**last[k], i: k})
+    n = len(pres.letters)
+    last = _letter_table(pres)
     terms: dict[tuple[tuple[int, int], ...], object] = {}
     rem = list(need.coords)
     path: list[tuple[int, int]] = []
@@ -363,45 +408,59 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     """
     if not lam.is_dominant():
         raise ValueError("minor weight must be dominant")
-    if not is_reduced(pres.datum, pres.letters):
-        raise ValueError("letter sequence must be reduced")
+    _check_reduced(pres)
     return _minor(pres, lam)
 
 
 def _minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     """feigin_minor for a dominant lam and a word proven reduced."""
+    return pres.monomial(*_checked_minor(pres, lam))
+
+
+@_per_word
+def _checked_minor(pres: TorusPresentation, lam: Weight) -> tuple[tuple[int, ...], ScalarQ]:
+    """The exponents and coefficient of the minor's closed form, once it has
+    been checked against the module pairing: once per presentation and
+    lam."""
     datum = pres.datum
     word = pres.letters
-    a = word_exponents(datum, word, lam)
+    walk = _walk(pres, len(word), lam)
+    a = walk[0]
     tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
     closed = pres.monomial(a, ScalarQ.q_power(tw))
 
     mod = get_module(datum, lam)
-    paired = feigin_matrix_coeff(pres, extremal_vector(mod, word), mod.highest())
+    paired = feigin_matrix_coeff(pres, extremal_from_walk(mod, word, walk), mod.highest())
     if not class_equal(closed, paired):
         raise MinorRoutesDisagree(closed, paired)
-    return closed
+    return closed.monomial()
 
 
-def _check_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> None:
-    """Raise ValueError unless word is reduced and 1 <= k <= len(word)."""
-    if not 1 <= k <= len(word):
-        raise ValueError("position k out of range")
-    if not is_reduced(datum, word):
+def _check_reduced(pres: TorusPresentation) -> None:
+    """Raise ValueError unless pres's word is reduced, which is proven once
+    per presentation."""
+    if not _reduced(pres):
         raise ValueError("letter sequence must be reduced")
+
+
+def _check_instance(pres: TorusPresentation, k: int) -> None:
+    """Raise ValueError unless 1 <= k <= len(word) and pres's word is reduced."""
+    if not 1 <= k <= pres.nvars:
+        raise ValueError("position k out of range")
+    _check_reduced(pres)
 
 
 def theorem_instance(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Exponent data d_j = <w_{<=j} h_{i_j}, w_{<=k} varpi_{i_k}> for j <= k,
     which equals <h_{i_j}, s_{i_{j+1}} ... s_{i_k} varpi_{i_k}>."""
-    word = tuple(word)
-    _check_instance(datum, word, k)
-    return _exponents(datum, word, k)
+    pres = TorusPresentation(datum, tuple(word))
+    _check_instance(pres, k)
+    return _exponents(pres, k)
 
 
-def _exponents(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[int, ...]:
+def _exponents(pres: TorusPresentation, k: int) -> tuple[int, ...]:
     """theorem_instance for an instance that _check_instance has passed."""
-    d = word_exponents(datum, word[:k], datum.fundamental(word[k - 1]))
+    d = _walk(pres, k, pres.datum.fundamental(pres.letters[k - 1]))[0]
     if d[-1] != 1:
         raise AssertionError(f"exponent d_k = {d[-1]}, expected 1")
     return d
@@ -410,19 +469,26 @@ def _exponents(datum: RootDatum, word: tuple[int, ...], k: int) -> tuple[int, ..
 def theorem_monomial(pres: TorusPresentation, k: int) -> TorusElement:
     """Predicted image of the k-th twisted flag minor:
     q^{sum_j d_{i_j} d_j(d_j+1)/2} t_1^{-d_1} ... t_k^{-d_k}."""
-    _check_instance(pres.datum, pres.letters, k)
+    _check_instance(pres, k)
     return _monomial(pres, k)
 
 
 def _monomial(pres: TorusPresentation, k: int) -> TorusElement:
     """theorem_monomial for an instance that _check_instance has passed."""
-    d = _exponents(pres.datum, pres.letters, k)
+    return pres.monomial(*_predicted(pres, k))
+
+
+@_per_word
+def _predicted(pres: TorusPresentation, k: int) -> tuple[tuple[int, ...], ScalarQ]:
+    """The exponents and coefficient of theorem_monomial, once per
+    presentation and k."""
+    d = _exponents(pres, k)
     exps = [0] * pres.nvars
     tw = 0
     for j, dj in enumerate(d):
         exps[j] = -dj
         tw += pres.datum.di(pres.letters[j]) * (dj * (dj + 1) // 2)
-    return pres.monomial(tuple(exps), ScalarQ.q_power(tw))
+    return tuple(exps), ScalarQ.q_power(tw)
 
 
 # A pure function of small ints: weights are in fundamental-weight
@@ -529,11 +595,12 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
         # reading the weight space may extend the shadow, which can give up
         if shadow.dim_of(mup) == 0:
             return True
-        need = datum.weight_to_root(mup - weyl_act(datum, pres.letters, lamp))
+        walk = _walk(pres, pres.nvars, lamp)
+        need = datum.weight_to_root(mup - walk[1])
         for i, c in enumerate(need.coords, 1):
             for a in range(2, c + 1):
                 field.of(inv_qint(a, datum.di(i)))
-        uw = extremal_vector(shadow, pres.letters)
+        uw = extremal_from_walk(shadow, pres.letters, walk)
         _, rows, rhs = _system(pres, uw, mup, {path: field.of(c) for path, c in target.items()})
     except ZeroDivisionError:
         return False
@@ -572,17 +639,19 @@ def find_presentation(
     """
     datum = pres.datum
     word = pres.letters
-    _check_instance(datum, word, k)
+    _check_instance(pres, k)
     ik = word[k - 1]
-    mod_k = get_module(datum, datum.fundamental(ik))
-    target_left = extremal_vector(mod_k, word[:k])
-    target = _coeff_terms(pres, target_left, mod_k.lam, 0)
-    shift = weyl_act(datum, word[:k], datum.fundamental(ik)) - datum.fundamental(ik)
+    fund = datum.fundamental(ik)
+    mod_k = get_module(datum, fund)
+    walk_k = _walk(pres, k, fund)
+    target = _coeff_terms(pres, extremal_from_walk(mod_k, word[:k], walk_k), fund, 0)
+    shift = walk_k[1] - fund
 
     tried: list[tuple[int, ...]] = []
     for lamp in _candidate_weights(datum.rank, ik, search_cap):
         tried.append(lamp.coords)
-        mup = weyl_act(datum, word, lamp) - shift
+        walk = _walk(pres, len(word), lamp)
+        mup = walk[1] - shift
         try:
             if lamp.coords not in datum._module_cache and _screened_out(
                 pres, lamp, mup, target
@@ -593,7 +662,7 @@ def find_presentation(
             continue
         if modp.dim_of(mup) == 0:
             continue
-        uw = extremal_vector(modp, word)
+        uw = extremal_from_walk(modp, word, walk)
         if _target_row_zero(pres, uw, mup, target):
             continue
         coeffs = _solve(pres, uw, mup, target, mod_k.lam)
@@ -615,8 +684,7 @@ def twist_inverse_image(
         raise ValueError("vector and presentation use different root data")
     if modp.lam != lamp:
         raise ValueError("vector does not live in V(lam')")
-    if not is_reduced(datum, pres.letters):
-        raise ValueError("letter sequence must be reduced")
+    _check_reduced(pres)
     return _twist(pres, lamp, uprime)
 
 
@@ -627,7 +695,7 @@ def _twist(pres: TorusPresentation, lamp: Weight, uprime: ModuleVector) -> Torus
     its leaves once."""
     datum = pres.datum
     modp = uprime.mod
-    wlamp = weyl_act(datum, pres.letters, lamp)
+    wlamp = _walk(pres, pres.nvars, lamp)[1]
     nu = datum.weight_to_root(uprime.weight() - wlamp)
     qpow = datum.sym_pair(lamp, nu)
     minor_inv = _minor(pres, lamp).invert_monomial()
@@ -664,7 +732,7 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
     """
     datum = pres.datum
     word = pres.letters
-    _check_instance(datum, word, k)
+    _check_instance(pres, k)
     ik = word[k - 1]
 
     def dprime(upto: int, j: int) -> TorusElement:

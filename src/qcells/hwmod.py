@@ -38,9 +38,9 @@ extension to a floor builds every weight of depth at most the floor, so:
     weight that is not built has multiplicity 0.
 
 Extension happens in a few places, each before its walk: extremal_vector
-extends to w lam before it climbs, dim_of and basis_vector extend to a
-weight that is not decided yet, and act_f extends only where its matrix is
-missing and its target is not decided.  Once the lowest weight w0 lam is
+and extremal_from_walk extend to w lam before they climb, dim_of and
+basis_vector extend to a weight that is not decided yet, and act_f extends
+only where its matrix is missing and its target is not decided.  Once the lowest weight w0 lam is
 decided the module is complete: its dimension must be the Weyl dimension
 (AssertionError otherwise), its weight spaces are put in the walk's order,
 and the per-access checks stop.  HWModule.dim is the Weyl dimension from
@@ -141,6 +141,7 @@ __all__ = [
     "path_factor",
     "contravariant_form",
     "extremal_vector",
+    "extremal_from_walk",
     "braid_T",
     "braid_T_inv",
     "extremal_by_braid",
@@ -849,7 +850,15 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     has a letter outside the index set, raises ValueError and never reads
     the memo."""
     word = tuple(word)
-    exps, key = walk_word(mod.datum, word, mod.lam)
+    return extremal_from_walk(mod, word, walk_word(mod.datum, word, mod.lam))
+
+
+def extremal_from_walk(
+    mod: HWModule, word: tuple[int, ...], walk: tuple[tuple[int, ...], Weight]
+) -> ModuleVector:
+    """extremal_vector for a word whose walk_word(mod.datum, word, mod.lam)
+    the caller already holds, as a presentation keeps its word's walks."""
+    exps, key = walk
     if any(c < 0 for c in exps):
         raise ValueError(f"word {word} is not reduced for weight {mod.lam.coords}")
     got = mod._extremal_memo.get(key)

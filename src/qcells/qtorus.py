@@ -16,9 +16,15 @@ __all__ = ["TorusPresentation", "TorusElement", "torus_str"]
 
 
 class TorusPresentation:
-    """The based quantum torus of a root datum and a word over its index set."""
+    """The based quantum torus of a root datum and a word over its index set.
 
-    __slots__ = ("datum", "letters", "kappa")
+    It also keeps what cells computes from the word alone, once per
+    presentation and on first use: the proof that the word is reduced, the
+    Weyl walks of its prefixes, the predicted monomials, the minors and the
+    Feigin descent's letter table.  They live in _memo for as long as the
+    presentation does."""
+
+    __slots__ = ("datum", "letters", "kappa", "_memo")
 
     def __init__(self, datum: RootDatum, letters: tuple[int, ...]):
         for i in letters:
@@ -31,6 +37,7 @@ class TorusPresentation:
             tuple(d[ij - 1] * a[ij - 1][ik - 1] for ik in self.letters)
             for ij in self.letters
         )
+        self._memo: dict = {}
 
     @property
     def nvars(self) -> int:

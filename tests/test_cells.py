@@ -3,7 +3,9 @@ predicted monomials, and generator recovery."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -465,8 +467,11 @@ def test_theorem_instance_check_survives_optimized_mode(child_env):
     # under -O an assert would vanish; a wrong final exponent must still raise
     script = (
         "import qcells.cells as c\n"
-        "from qcells.cartan import build_root_datum, word_exponents\n"
-        "c.word_exponents = lambda *args: tuple(2 * x for x in word_exponents(*args))\n"
+        "from qcells.cartan import build_root_datum, walk_word\n"
+        "def doubled(*args):\n"
+        "    exps, end = walk_word(*args)\n"
+        "    return tuple(2 * x for x in exps), end\n"
+        "c.walk_word = doubled\n"
         "try:\n"
         "    c.theorem_instance(build_root_datum('A2'), (1, 2, 1), 2)\n"
         "except AssertionError:\n"
@@ -937,31 +942,165 @@ def test_verify_rejects_non_reduced():
         verify_theorem(TorusPresentation(A2, (1, 1)), 1)
 
 
-def test_each_instance_proves_its_word_reduced_once(monkeypatch):
-    """chamber_ansatz proves its word reduced once, however many predicted
-    minors it forms, and verify_theorem once, in the search, which its
-    twist and its minor rely on; the public theorem_monomial,
-    twist_inverse_image and feigin_minor keep their own checks."""
+def test_each_presentation_proves_its_word_reduced_once(monkeypatch):
+    """A presentation proves its word reduced once, on first use, and every
+    position's search, twist, minor and chamber check reads that proof; the
+    public theorem_monomial, twist_inverse_image and feigin_minor keep their
+    own checks, and reject a word that is not reduced."""
+    calls = reduced_proofs(monkeypatch)
+    pres = TorusPresentation(B2, PB.letters)
+    for k in (1, 2, 3, 4):
+        assert chamber_ansatz(pres, k).equal
+        assert verify_theorem(pres, k).equal
+        assert theorem_monomial(pres, k) == verify_theorem(pres, k).rhs
+    assert calls == [PB.letters]
+    mod = get_module(A2, Weight((1, 0)))
+    checks = (
+        lambda bad: theorem_monomial(bad, 1),
+        lambda bad: twist_inverse_image(bad, mod.lam, mod.highest()),
+        lambda bad: feigin_minor(bad, mod.lam),
+    )
+    for check in checks:
+        calls.clear()
+        bad = TorusPresentation(A2, (1, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reduced"):
+                check(bad)
+        assert calls == [bad.letters]
+
+
+# ------------------------------------------------- word data shared across k
+
+B3 = build_root_datum("B3")
+C3 = build_root_datum("C3")
+G2 = build_root_datum("G2")
+
+
+def reduced_proofs(monkeypatch):
+    """The words cells proves reduced, one entry per is_reduced call."""
     calls = []
     real = cells.is_reduced
     monkeypatch.setattr(
         cells, "is_reduced", lambda datum, word: calls.append(word) or real(datum, word)
     )
-    for k in (1, 2, 3, 4):
-        calls.clear()
-        assert chamber_ansatz(PB, k).equal
-        assert calls == [PB.letters]
-        calls.clear()
-        assert verify_theorem(PB, k).equal
-        assert calls == [PB.letters]
-    bad = TorusPresentation(A2, (1, 1))
-    mod = get_module(A2, Weight((1, 0)))
-    with pytest.raises(ValueError, match="reduced"):
-        theorem_monomial(bad, 1)
-    with pytest.raises(ValueError, match="reduced"):
-        twist_inverse_image(bad, mod.lam, mod.highest())
-    with pytest.raises(ValueError, match="reduced"):
-        feigin_minor(bad, mod.lam)
+    return calls
+
+
+def minor_pairings(monkeypatch):
+    """The (word, lam coordinates) of each pairing cross-check of a minor, the image of
+    (u_{w lam}, x . u_lam); the twist's pairing starts at u', whose weight
+    lies above w lam' by w_{<=k} varpi_{i_k} - varpi_{i_k} != 0."""
+    pairs = []
+    real = cells.feigin_matrix_coeff
+
+    def counted(pres, left, right):
+        lam = right.mod.lam
+        if right.weight() == lam and left.weight() == weyl_act(pres.datum, pres.letters, lam):
+            pairs.append((pres.letters, lam.coords))
+        return real(pres, left, right)
+
+    monkeypatch.setattr(cells, "feigin_matrix_coeff", counted)
+    return pairs
+
+
+def json_records(out):
+    return [json.loads(line) for line in out.splitlines() if '"summary"' not in line]
+
+
+def test_word_data_is_computed_once_per_presentation(monkeypatch, capsys):
+    """verify --k all and a sweep prove each word reduced once, and pair the
+    minor of each distinct (word, lam') of their presentations once; a new
+    presentation of the same word computes both again, so no cache outside
+    the presentation holds them."""
+    proofs = reduced_proofs(monkeypatch)
+    pairs = minor_pairings(monkeypatch)
+    runs = (
+        ["verify", "--cartan", "B3", "--word", "3,2,3,2"],
+        ["sweep", "--cartan", "C3", "--max-length", "6"],
+    )
+    for argv in runs:
+        proofs.clear()
+        pairs.clear()
+        assert cli.main(argv + ["--format", "json"]) == 0
+        recs = json_records(capsys.readouterr().out)
+        words = list(dict.fromkeys(tuple(rec["word"]) for rec in recs))
+        presented = {(tuple(rec["word"]), tuple(rec["presentation"]["lambda"])) for rec in recs}
+        assert proofs == words
+        assert sorted(pairs) == sorted(presented)
+        # some lam' repeats across the positions of a word
+        assert len(presented) < len(recs)
+    assert len(words) == sum(len(reduced_words(C3, w)) for w in weyl_elements(C3, 6) if w)
+
+    proofs.clear()
+    pairs.clear()
+    word = (3, 2, 3, 2)
+    for _ in range(2):
+        pres = TorusPresentation(B3, word)
+        for k in (1, 2, 3, 4):
+            assert verify_theorem(pres, k).equal
+    assert proofs == [word, word]
+    assert len(pairs) == 2 * 3
+
+
+def test_dropped_presentation_is_freed_by_refcounting():
+    """Nothing a presentation keeps points back at it: with the cycle
+    collector off, a presentation that ran every position is freed when its
+    last reference goes, as a sweep drops each word's."""
+
+    def live():
+        return {id(o) for o in gc.get_objects() if isinstance(o, TorusPresentation)}
+
+    gc.collect()
+    before = live()
+    gc.disable()
+    try:
+        pres = TorusPresentation(B3, (3, 2, 3, 2))
+        for k in (1, 2, 3, 4):
+            assert verify_theorem(pres, k).equal
+            assert chamber_ansatz(pres, k).equal
+        assert feigin_minor(pres, Weight((0, 1, 0))).pres is pres
+        assert pres._memo
+        del pres
+        left = live() - before
+    finally:
+        gc.enable()
+    assert left == set()
+
+
+@pytest.mark.parametrize("cartan, word", [("G2", "1,2,1,2,1,2"), ("B3", "3,2,3,2")])
+def test_all_positions_print_the_single_position_records(capsys, cartan, word):
+    """verify --k all, on one presentation, prints the records of one --k j
+    run per position, each on its own presentation, concatenated."""
+
+    def verify(k):
+        code = cli.main(["verify", "--cartan", cartan, "--word", word, "--k", k, "--format", "json"])
+        return code, capsys.readouterr().out
+
+    code, shared = verify("all")
+    assert code == 0
+    singles = [verify(str(k)) for k in range(1, word.count(",") + 2)]
+    assert [c for c, _ in singles] == [0] * len(singles)
+    assert shared == "".join(out for _, out in singles)
+
+
+@pytest.mark.parametrize("datum, word", [(G2, (1, 2, 1, 2, 1, 2)), (B3, (3, 2, 3, 2))])
+def test_shared_presentation_in_reverse_order_equals_fresh_ones(datum, word):
+    """verify_theorem and chamber_ansatz give one presentation's positions,
+    last first, the reports they give on a fresh presentation each."""
+    shared = TorusPresentation(datum, word)
+    for k in range(len(word), 0, -1):
+        for check in (verify_theorem, chamber_ansatz):
+            got = check(shared, k)
+            want = check(TorusPresentation(datum, word), k)
+            assert (got.description, got.equal) == (want.description, want.equal)
+            assert got.lhs == want.lhs and got.rhs == want.rhs
+            assert (got.exponent_match, got.residual_q_power) == (
+                want.exponent_match,
+                want.residual_q_power,
+            )
+            if check is verify_theorem:
+                assert got.presentation.lam == want.presentation.lam
+                assert got.presentation.coeffs == want.presentation.coeffs
 
 
 # --------------------------------------------------------- generator recovery
