@@ -40,13 +40,13 @@ extension to a floor builds every weight of depth at most the floor, so:
 Extension happens in a few places, each before its walk: extremal_vector
 and extremal_from_walk extend to w lam before they climb, dim_of and
 basis_vector extend to a weight that is not decided yet, and act_f extends
-only where its matrix is missing and its target is not decided.  Once the lowest weight w0 lam is
-decided the module is complete: its dimension must be the Weyl dimension
-(AssertionError otherwise), its weight spaces are put in the walk's order,
-and the per-access checks stop.  HWModule.dim is the Weyl dimension from
-the start, and DIM_CAP is checked against it when the module is created.
-build_module returns a complete module; get_module and shadow_module
-return modules that extend on demand.
+only where its matrix is missing and its target is not decided.  Once the
+lowest weight w0 lam is decided the module is complete: its dimension must
+be the Weyl dimension (AssertionError otherwise), its weight spaces are put
+in the walk's order, and the per-access checks stop.  HWModule.dim is the
+Weyl dimension from the start, and DIM_CAP is checked against it when the
+module is created.  build_module returns a complete module; get_module and
+shadow_module return modules that extend on demand.
 
 Each module also owns memos that live as long as it does and are filled
 lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is

@@ -55,6 +55,9 @@ from qcells.scalars import S_ZERO, ScalarQ
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
 B2 = build_root_datum("B2")
+B3 = build_root_datum("B3")
+C3 = build_root_datum("C3")
+G2 = build_root_datum("G2")
 
 P1 = TorusPresentation(A1, (1,))
 P121 = TorusPresentation(A2, (1, 2, 1))
@@ -942,39 +945,7 @@ def test_verify_rejects_non_reduced():
         verify_theorem(TorusPresentation(A2, (1, 1)), 1)
 
 
-def test_each_presentation_proves_its_word_reduced_once(monkeypatch):
-    """A presentation proves its word reduced once, on first use, and every
-    position's search, twist, minor and chamber check reads that proof; the
-    public theorem_monomial, twist_inverse_image and feigin_minor keep their
-    own checks, and reject a word that is not reduced."""
-    calls = reduced_proofs(monkeypatch)
-    pres = TorusPresentation(B2, PB.letters)
-    for k in (1, 2, 3, 4):
-        assert chamber_ansatz(pres, k).equal
-        assert verify_theorem(pres, k).equal
-        assert theorem_monomial(pres, k) == verify_theorem(pres, k).rhs
-    assert calls == [PB.letters]
-    mod = get_module(A2, Weight((1, 0)))
-    checks = (
-        lambda bad: theorem_monomial(bad, 1),
-        lambda bad: twist_inverse_image(bad, mod.lam, mod.highest()),
-        lambda bad: feigin_minor(bad, mod.lam),
-    )
-    for check in checks:
-        calls.clear()
-        bad = TorusPresentation(A2, (1, 1))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="reduced"):
-                check(bad)
-        assert calls == [bad.letters]
-
-
 # ------------------------------------------------- word data shared across k
-
-B3 = build_root_datum("B3")
-C3 = build_root_datum("C3")
-G2 = build_root_datum("G2")
-
 
 def reduced_proofs(monkeypatch):
     """The words cells proves reduced, one entry per is_reduced call."""
@@ -987,9 +958,10 @@ def reduced_proofs(monkeypatch):
 
 
 def minor_pairings(monkeypatch):
-    """The (word, lam coordinates) of each pairing cross-check of a minor, the image of
-    (u_{w lam}, x . u_lam); the twist's pairing starts at u', whose weight
-    lies above w lam' by w_{<=k} varpi_{i_k} - varpi_{i_k} != 0."""
+    """The (word, lam coordinates) of each pairing cross-check of a minor,
+    the image of (u_{w lam}, x . u_lam); the twist's pairing starts at u',
+    whose weight lies above w lam' by w_{<=k} varpi_{i_k} - varpi_{i_k},
+    which is not zero."""
     pairs = []
     real = cells.feigin_matrix_coeff
 
@@ -1005,6 +977,35 @@ def minor_pairings(monkeypatch):
 
 def json_records(out):
     return [json.loads(line) for line in out.splitlines() if '"summary"' not in line]
+
+
+def test_each_presentation_proves_its_word_reduced_once(monkeypatch):
+    """A presentation proves its word reduced once, on first use, and every
+    position's search, twist, minor and chamber check reads that proof; the
+    public theorem_monomial, twist_inverse_image and feigin_minor keep their
+    own checks, and reject a word that is not reduced."""
+    calls = reduced_proofs(monkeypatch)
+    pres = TorusPresentation(B2, PB.letters)
+    for k in (1, 2, 3, 4):
+        assert chamber_ansatz(pres, k).equal
+        rep = verify_theorem(pres, k)
+        assert rep.equal
+        assert theorem_monomial(pres, k) == rep.rhs
+    assert calls == [PB.letters]
+    mod = get_module(A2, Weight((1, 0)))
+    checks = (
+        lambda bad: theorem_monomial(bad, 1),
+        lambda bad: twist_inverse_image(bad, mod.lam, mod.highest()),
+        lambda bad: feigin_minor(bad, mod.lam),
+    )
+    for check in checks:
+        calls.clear()
+        bad = TorusPresentation(A2, (1, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reduced"):
+                check(bad)
+        assert calls == [bad.letters]
+
 
 
 def test_word_data_is_computed_once_per_presentation(monkeypatch, capsys):
@@ -1029,6 +1030,7 @@ def test_word_data_is_computed_once_per_presentation(monkeypatch, capsys):
         assert sorted(pairs) == sorted(presented)
         # some lam' repeats across the positions of a word
         assert len(presented) < len(recs)
+    # the sweep proved every reduced word of length <= 6
     assert len(words) == sum(len(reduced_words(C3, w)) for w in weyl_elements(C3, 6) if w)
 
     proofs.clear()
@@ -1073,8 +1075,8 @@ def test_all_positions_print_the_single_position_records(capsys, cartan, word):
     run per position, each on its own presentation, concatenated."""
 
     def verify(k):
-        code = cli.main(["verify", "--cartan", cartan, "--word", word, "--k", k, "--format", "json"])
-        return code, capsys.readouterr().out
+        argv = ["verify", "--cartan", cartan, "--word", word, "--k", k, "--format", "json"]
+        return cli.main(argv), capsys.readouterr().out
 
     code, shared = verify("all")
     assert code == 0
