@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 
 from .cartan import (
     RootDatum,
@@ -409,11 +409,6 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     if not lam.is_dominant():
         raise ValueError("minor weight must be dominant")
     _check_reduced(pres)
-    return _minor(pres, lam)
-
-
-def _minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
-    """feigin_minor for a dominant lam and a word proven reduced."""
     return pres.monomial(*_checked_minor(pres, lam))
 
 
@@ -470,11 +465,6 @@ def theorem_monomial(pres: TorusPresentation, k: int) -> TorusElement:
     """Predicted image of the k-th twisted flag minor:
     q^{sum_j d_{i_j} d_j(d_j+1)/2} t_1^{-d_1} ... t_k^{-d_k}."""
     _check_instance(pres, k)
-    return _monomial(pres, k)
-
-
-def _monomial(pres: TorusPresentation, k: int) -> TorusElement:
-    """theorem_monomial for an instance that _check_instance has passed."""
     return pres.monomial(*_predicted(pres, k))
 
 
@@ -491,22 +481,32 @@ def _predicted(pres: TorusPresentation, k: int) -> tuple[tuple[int, ...], Scalar
     return tuple(exps), ScalarQ.q_power(tw)
 
 
-# A pure function of small ints: weights are in fundamental-weight
-# coordinates, so the candidates depend on the rank only, not on the datum.
-@lru_cache(maxsize=None)
-def _candidate_weights(rank: int, ik: int, cap: int) -> tuple[Weight, ...]:
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of parts nonnegative ints with sum total, in lexicographic
+    order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _candidate_weights(rank: int, ik: int, cap: int) -> Iterator[Weight]:
     """The lam' candidates of find_presentation, in search order and without
     repeats: varpi_ik, then varpi_ik + varpi_j for each j, then the dominant
-    weights of coordinate sum 1, 2, ..., cap."""
+    weights of coordinate sum 1, 2, ..., cap, each sum's in lexicographic
+    order.  Weights are in fundamental-weight coordinates, so the candidates
+    depend on the rank only.  They are generated as the search asks for
+    them, so it generates none past its winner."""
     varpi = [Weight(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
-    out = [varpi[ik - 1]]
-    for j in range(rank):
-        out.append(varpi[ik - 1] + varpi[j])
+    first = dict.fromkeys([varpi[ik - 1]] + [varpi[ik - 1] + v for v in varpi])
+    yield from first
     for total in range(1, cap + 1):
-        for coords in itertools.product(range(total + 1), repeat=rank):
-            if sum(coords) == total:
-                out.append(Weight(coords))
-    return tuple(dict.fromkeys(out))
+        for coords in _compositions(total, rank):
+            lamp = Weight(coords)
+            if lamp not in first:
+                yield lamp
 
 
 def _system(
@@ -592,7 +592,7 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
         return False
     field = shadow.field
     try:
-        # reading the weight space may extend the shadow, which can give up
+        # reading the weight space may build the shadow's, which can give up
         if shadow.dim_of(mup) == 0:
             return True
         walk = _walk(pres, pres.nvars, lamp)
@@ -677,7 +677,9 @@ def twist_inverse_image(
 ) -> TorusElement:
     """Torus image of the inverse twist of [D_{u_{w lam'}, u'}]:
     q^{(lam', wt u' - w lam')} times minor^{-1} times the image of
-    D_{u', highest}."""
+    D_{u', highest}.  The pairing of u' with the highest vector reads the
+    module's leaf memo under u''s exact value, so the words whose
+    presentations share u' pair its leaves once."""
     datum = pres.datum
     modp = uprime.mod
     if modp.datum is not datum:
@@ -685,20 +687,10 @@ def twist_inverse_image(
     if modp.lam != lamp:
         raise ValueError("vector does not live in V(lam')")
     _check_reduced(pres)
-    return _twist(pres, lamp, uprime)
-
-
-def _twist(pres: TorusPresentation, lamp: Weight, uprime: ModuleVector) -> TorusElement:
-    """twist_inverse_image for a u' of V(lam') and a word proven reduced.
-    The pairing of u' with the highest vector reads the module's leaf memo
-    under u''s exact value, so the words whose presentations share u' pair
-    its leaves once."""
-    datum = pres.datum
-    modp = uprime.mod
     wlamp = _walk(pres, pres.nvars, lamp)[1]
     nu = datum.weight_to_root(uprime.weight() - wlamp)
     qpow = datum.sym_pair(lamp, nu)
-    minor_inv = _minor(pres, lamp).invert_monomial()
+    minor_inv = feigin_minor(pres, lamp).invert_monomial()
     part = feigin_matrix_coeff(pres, uprime, modp.highest())
     return (minor_inv * part).scaled(ScalarQ.q_power(qpow))
 
@@ -712,10 +704,8 @@ def verify_theorem(
     twist, and compares with the closed-form monomial.
     """
     p = find_presentation(pres, k, search_cap)
-    # find_presentation has checked the instance, and p.uprime lives in
-    # V(p.lam) of pres's datum
-    lhs = _twist(pres, p.lam, p.uprime)
-    rhs = _monomial(pres, k)
+    lhs = twist_inverse_image(pres, p.lam, p.uprime)
+    rhs = theorem_monomial(pres, k)
     desc = f"{pres.datum.name} word {','.join(map(str, pres.letters))} k={k}"
     return VerificationReport(desc, lhs, rhs, class_equal(lhs, rhs), presentation=p)
 
@@ -738,7 +728,7 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
     def dprime(upto: int, j: int) -> TorusElement:
         for m in range(upto, 0, -1):
             if word[m - 1] == j:
-                return _monomial(pres, m)
+                return theorem_monomial(pres, m)
         return pres.unit()
 
     prod = dprime(k - 1, ik).invert_monomial() * dprime(k, ik).invert_monomial()

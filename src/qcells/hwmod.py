@@ -25,28 +25,25 @@ matrices of the Chevalley actions f_i, e_i between adjacent weight spaces.
 Missing action keys mean the zero map.
 
 The weight spaces are built on demand.  A weight space reads only weights
-above it, so a module builds those down to the lowest weight a caller
-reaches, and resumes the same walk when a later caller goes deeper
-(_extend); every entry, pick and basis tag is the one of the all-at-once
-walk.  Each weight mu has its depth lam - mu in root coordinates, and an
-extension to a floor builds every weight of depth at most the floor, so:
+above it (its parents, the intermediate weights of Phi, Freudenthal's
+strings, its dominant conjugate), so a query for mu decides mu by one walk
+(_reach): first every undecided weight mu + alpha_i inside lam - Q_+, the
+same way, then mu, built when its multiplicity is nonzero and recorded as a
+zero weight otherwise.  Every entry, pick and basis tag is the one of the
+whole build, and the decided weights are always an up-set: a vector of
+weight mu has every weight above mu built, and so does any descent below
+it down to a built weight, as cells._coeff_terms never leaves [left,
+right].
 
-  - the built weights are always an up-set: a vector of weight mu has every
-    weight above mu built, and so does any descent below it down to a
-    built weight, as cells._coeff_terms never leaves [left, right];
-  - a weight is decided once some floor is at or below it, and a decided
-    weight that is not built has multiplicity 0.
-
-Extension happens in a few places, each before its walk: extremal_vector
-and extremal_from_walk extend to w lam before they climb, dim_of and
-basis_vector extend to a weight that is not decided yet, and act_f extends
-only where its matrix is missing and its target is not decided.  Once the
-lowest weight w0 lam is decided the module is complete: its dimension must
-be the Weyl dimension (AssertionError otherwise), its weight spaces are put
-in the walk's order, and the per-access checks stop.  HWModule.dim is the
-Weyl dimension from the start, and DIM_CAP is checked against it when the
-module is created.  build_module returns a complete module; get_module and
-shadow_module return modules that extend on demand.
+The walk runs before a few reads: extremal_vector and extremal_from_walk
+decide w lam before they climb, dim_of and basis_vector decide the weight
+they read, and act_f decides its target only where its matrix is missing.
+Once the lowest weight w0 lam is decided the module is complete: its
+dimension must be the Weyl dimension (AssertionError otherwise), its weight
+spaces are put in (height, coords) order, and the per-access walks stop.
+HWModule.dim is the Weyl dimension from the start, and DIM_CAP is checked
+against it when the module is created.  build_module returns a complete
+module; get_module and shadow_module return modules that build on demand.
 
 Each module also owns memos that live as long as it does and are filled
 lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
@@ -81,7 +78,7 @@ path, and the target's only on its module and the path.
                                          ordered paths, for a target minor
                                          from V(lam_k)
 
-One layer walk builds a module over either of two fields: Q(q) with ScalarQ
+One walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
 (shadow_module), with int entries.  The field interface, the same on both:
 
@@ -106,12 +103,11 @@ shadow's built part is the specialization at q0 of the exact module with
 its picks: each of its Phi(q0) profiles has m(mu) columns, so some
 m(mu) x m(mu) minor of the picked columns is nonzero at q0, and by Cramer's
 rule every exact coordinate over the pick is defined there; the shadow
-computes those entries by the same ring operations mod p.  A shadow that
-gives up during an extension records no floor, so it leaves no weight
-decided and unbuilt, and it leaves the shadow cache: what a screen proved
-on its built part stands, and no later screen reads it.  Actions, divided
-powers, the form and extremal vectors work over both fields; the braid
-operators are exact only.
+computes those entries by the same ring operations mod p.  The weight a
+shadow gives up on stays undecided, and the shadow leaves the shadow cache:
+what a screen proved on its built part stands, and no later screen reads
+it.  Actions, divided powers, the form and extremal vectors work over both
+fields; the braid operators are exact only.
 """
 
 from __future__ import annotations
@@ -162,10 +158,8 @@ class HWModule:
         "emat",
         "dim",
         "complete",
-        "_depth",
-        "_floors",
-        "_pending",
-        "_bottom",
+        "_lowest",
+        "_absent",
         "_extremal_memo",
         "_node_memo",
         "_leaf_memo",
@@ -186,13 +180,9 @@ class HWModule:
         # the Weyl dimension, whether or not every weight space is built
         self.dim = dim
         self.complete = False
-        # lam - mu in root coordinates for each built mu, the depths of the
-        # floors extended to, the children of built weights that no floor
-        # reaches yet with their depths, and the depth of the lowest weight
-        self._depth: dict[Weight, tuple[int, ...]] = {}
-        self._floors: list[tuple[int, ...]] = []
-        self._pending: dict[Weight, tuple[int, ...]] = {}
-        self._bottom: tuple[int, ...] = ()
+        # the lowest weight w0 lam, and the decided weights of multiplicity 0
+        self._lowest = -dominant_conjugate(datum, -lam)[1]
+        self._absent: set[Weight] = set()
         self._extremal_memo: dict[Weight, "ModuleVector"] = {}
         self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
         self._leaf_memo: dict[tuple, dict[int, object]] = {}
@@ -200,8 +190,7 @@ class HWModule:
         self._solve_memo: dict[tuple, list | None] = {}
 
     def dim_of(self, mu: Weight) -> int:
-        """dim V(lam)_mu, extending the module down to mu when it is not
-        decided yet."""
+        """dim V(lam)_mu, deciding mu first when it is not decided yet."""
         b = self.basis.get(mu)
         if b is None and not self.complete:
             _reach(self, mu)
@@ -512,26 +501,9 @@ class ModuleTooLarge(ValueError):
 DIM_CAP = 5000
 
 
-def _deeper(depth: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """The depth of mu - alpha_i, for depth that of mu."""
-    return depth[: i - 1] + (depth[i - 1] + 1,) + depth[i:]
-
-
-def _within(depth: tuple[int, ...], floor: tuple[int, ...]) -> bool:
-    """Whether the weight of depth lam - mu (root coordinates) is at or above
-    the weight of depth floor."""
-    return all(d <= f for d, f in zip(depth, floor))
-
-
-def _decided(mod: HWModule, depth: tuple[int, ...]) -> bool:
-    """Whether the weight of depth lam - mu is within a floor mod was extended
-    to: then it is built exactly when it is a weight of V(lam)."""
-    return any(_within(depth, floor) for floor in mod._floors)
-
-
 def _new_module(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
     """V(lam) for dominant lam over field with its highest weight space
-    built; _extend builds the others on demand.  Raises ModuleTooLarge when
+    built; _reach builds the others on demand.  Raises ModuleTooLarge when
     the Weyl dimension exceeds DIM_CAP."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
@@ -539,94 +511,79 @@ def _new_module(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWM
     if total > DIM_CAP:
         raise ModuleTooLarge(f"module dimension {total} exceeds cap {DIM_CAP}")
     mod = HWModule(datum, lam, field, total)
-    top = (0,) * datum.rank
     mod.basis[lam] = ((),)
     mod.gram[lam] = [[field.one]]
-    mod._depth[lam] = top
-    mod._pending = {lam - datum.alpha_weight(i): _deeper(top, i) for i in datum.index_set}
-    # the depth of the lowest weight w0 lam = -(dominant conjugate of -lam)
-    mod._bottom = datum.weight_to_root(lam + dominant_conjugate(datum, -lam)[1]).coords
-    _extend(mod, top)
+    if mod._lowest == lam:
+        _complete(mod)
     return mod
 
 
-def _extend(mod: HWModule, floor: tuple[int, ...]) -> None:
-    """The layer walk: build every weight space of mod of depth at most floor
-    that is not built yet, by depth and by coords within a layer.  It starts
-    from the pending weights within floor, the children of built weights
-    that are not decided yet, and goes on through the children of each
-    weight space it builds: those within floor join the walk, the others
-    wait in _pending.  Every weight a new weight space reads (its parents,
-    the intermediate weights of Phi, Freudenthal's strings, its dominant
-    conjugate) is above it, so of depth at most floor and built before it.
+def _reach(mod: HWModule, mu: Weight) -> None:
+    """Decide mu, when it is in lam - Q_+ and not decided yet: first every
+    undecided weight mu + alpha_i in lam - Q_+, then mu itself, built when
+    _multiplicity is nonzero and added to _absent otherwise.  The walk keeps
+    an explicit stack of weights with their depths lam - mu in root
+    coordinates, so a module taller than the recursion limit is walked too.
 
-    The floor is recorded only once the walk is through.  A walk that gives
-    up puts its unvisited weights back in _pending and leaves no weight
-    decided and unbuilt; a shadow that gives up leaves the shadow cache,
-    with its extremal memo cleared as get_module clears it.  Once the lowest
-    weight is decided the module is complete: its dimension must be the
-    Weyl dimension, and its weight spaces are put in the walk's order."""
+    A shadow that gives up leaves the shadow cache, with its extremal memo
+    cleared as get_module clears it, and the weight it gave up on stays
+    undecided.  Deciding the lowest weight completes the module."""
+    basis, absent = mod.basis, mod._absent
+    if mod.complete or mu in basis or mu in absent:
+        return
     datum = mod.datum
-    depth = mod._depth
-    pending = mod._pending
-    # the weights to visit by total depth, each with its depth
-    todo: dict[int, dict[Weight, tuple[int, ...]]] = {}
-    for mu, d in list(pending.items()):
-        if _within(d, floor):
-            del pending[mu]
-            todo.setdefault(sum(d), {})[mu] = d
     try:
-        while todo:
-            k = min(todo)
-            layer = todo[k]
-            for mu in sorted(layer, key=lambda w: w.coords):
-                mult = _multiplicity(mod, mu)
+        depth = datum.weight_to_root(mod.lam - mu).coords
+    except ValueError:
+        return
+    if min(depth) < 0:
+        return
+    alpha = datum.alpha_weight
+    stack = [(mu, depth)]
+    try:
+        while stack:
+            nu, d = stack[-1]
+            if nu in basis or nu in absent:
+                stack.pop()
+                continue
+            # nu + alpha_i is in lam - Q_+ when depth coordinate i is positive
+            undecided = len(stack)
+            for i, di in enumerate(d, 1):
+                if di:
+                    up = nu + alpha(i)
+                    if up not in basis and up not in absent:
+                        stack.append((up, d[: i - 1] + (di - 1,) + d[i:]))
+            if len(stack) == undecided:
+                stack.pop()
+                mult = _multiplicity(mod, nu)
                 if mult:
-                    _build_weight(mod, mu, mult)
-                    d = depth[mu] = layer[mu]
-                    for i in datum.index_set:
-                        e = _deeper(d, i)
-                        wait = todo.setdefault(k + 1, {}) if e[i - 1] <= floor[i - 1] else pending
-                        wait.setdefault(mu - datum.alpha_weight(i), e)
-                del layer[mu]
-            del todo[k]
+                    _build_weight(mod, nu, mult)
+                else:
+                    absent.add(nu)
     except mod.field.give_up:
-        for layer in todo.values():
-            pending.update(layer)
         cache = datum._shadow_cache
         if cache.get(mod.lam.coords) is mod:
             cache[mod.lam.coords] = None
             mod._extremal_memo.clear()
         raise
-    mod._floors = [f for f in mod._floors if not _within(f, floor)]
-    mod._floors.append(floor)
-    if not mod.complete and _decided(mod, mod._bottom):
-        built = sum(len(b) for b in mod.basis.values())
-        if built != mod.dim:
-            raise AssertionError(f"built dimension {built}, Weyl dimension {mod.dim}")
-        order = sorted(mod.basis, key=lambda mu: (sum(depth[mu]), mu.coords))
-        for table in (mod.basis, mod.gram):
-            items = [(mu, table[mu]) for mu in order]
-            table.clear()
-            table.update(items)
-        mod.complete = True
+    if mu == mod._lowest:
+        _complete(mod)
 
 
-def _reach(mod: HWModule, mu: Weight, depth: tuple[int, ...] | None = None) -> None:
-    """Extend mod down to mu when mu is not decided yet.  depth is lam - mu
-    in root coordinates when the caller has it; a mu off lam - Q_+ is no
-    weight of V(lam)."""
-    if mod.complete or mu in mod.basis:
-        return
-    if depth is None:
-        try:
-            depth = mod.datum.weight_to_root(mod.lam - mu).coords
-        except ValueError:
-            return
-        if min(depth) < 0:
-            return
-    if not _decided(mod, depth):
-        _extend(mod, depth)
+def _complete(mod: HWModule) -> None:
+    """Mark mod complete once its lowest weight is decided: its dimension
+    must be the Weyl dimension, and its weight spaces are put in (height,
+    coords) order."""
+    built = sum(len(b) for b in mod.basis.values())
+    if built != mod.dim:
+        raise AssertionError(f"built dimension {built}, Weyl dimension {mod.dim}")
+    to_root = mod.datum.weight_to_root
+    order = sorted(mod.basis, key=lambda mu: (to_root(mod.lam - mu).height(), mu.coords))
+    for table in (mod.basis, mod.gram):
+        items = [(mu, table[mu]) for mu in order]
+        table.clear()
+        table.update(items)
+    mod.complete = True
 
 
 def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
@@ -713,10 +670,9 @@ def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
 
 def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
     """V(lam) for dominant lam over field with every weight space built: a
-    new module extended to its lowest weight w0 lam."""
+    new module with its lowest weight w0 lam decided."""
     mod = _new_module(datum, lam, field)
-    if not mod.complete:
-        _extend(mod, mod._bottom)
+    _reach(mod, mod._lowest)
     return mod
 
 
@@ -748,7 +704,7 @@ def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
     created on the first request and dropped once get_module creates V(lam).
     Like get_module's modules it builds its weight spaces on demand, each
     the specialization of the exact one with the shadow's picks.  None when
-    the shadow gave up on some extension (a short pick or a constant
+    the shadow gave up on some weight (a short pick or a constant
     undefined at q0): then no screen reads it again.  Raises ModuleTooLarge
     as build_module does."""
     cache = datum._shadow_cache
@@ -763,14 +719,13 @@ def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
 
 def _act(mats: dict, step: Weight, i: int, vec: ModuleVector, reach: bool = False) -> ModuleVector:
     """Apply the action stored in mats, which moves weight mu to mu + step.
-    With reach, a missing matrix first extends the module down to mu + step,
-    where the weight is not decided yet."""
+    With reach, a missing matrix first decides the weight mu + step."""
     mod = vec.mod
     out: dict[Weight, list] = {}
     for mu, coeffs in vec.parts.items():
         cols = mats.get((i, mu))
         if cols is None and reach:
-            _reach(mod, mu + step, _deeper(mod._depth[mu], i))
+            _reach(mod, mu + step)
             cols = mats.get((i, mu))
         if cols is not None:
             target = mu + step

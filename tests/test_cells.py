@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -654,6 +655,33 @@ def test_presentation_error_reports_candidates():
     err = PresentationError([(1, 0), (0, 1)])
     assert err.tried == [(1, 0), (0, 1)]
     assert "candidates tried" in str(err)
+
+
+def product_candidates(rank, ik, cap):
+    """The lam' candidates by filtering every (t+1)^rank tuple by its sum t."""
+    varpi = [Weight(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+    out = [varpi[ik - 1]] + [varpi[ik - 1] + v for v in varpi]
+    for total in range(1, cap + 1):
+        for coords in itertools.product(range(total + 1), repeat=rank):
+            if sum(coords) == total:
+                out.append(Weight(coords))
+    return list(dict.fromkeys(out))
+
+
+def test_candidates_are_generated_lazily_in_product_order():
+    """The lam' candidates come in the product-and-filter order, repeats
+    dropped, and are generated as the search asks for them: a cap of 40 on
+    rank 4, whose product order filters 41^4 tuples for its last sum alone,
+    yields its first candidate at once."""
+    for rank in range(1, 5):
+        for ik in range(1, rank + 1):
+            for cap in range(5):
+                got = list(cells._candidate_weights(rank, ik, cap))
+                assert got == product_candidates(rank, ik, cap)
+    start = time.process_time()
+    first = next(iter(cells._candidate_weights(4, 2, 40)))
+    assert time.process_time() - start < 0.5
+    assert first == Weight((0, 1, 0, 0))
 
 
 def test_capped_candidate_is_tried_and_skipped(monkeypatch):

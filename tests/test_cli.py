@@ -319,8 +319,8 @@ def test_selftest_reports_disagreeing_minor_routes(capsys, monkeypatch):
     def broken(pres, lam):
         raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
 
-    # feigin_minor and the twist both reach the minor through cells._minor
-    monkeypatch.setattr(cells, "_minor", broken)
+    # feigin_minor and the twist both reach the minor through cells._checked_minor
+    monkeypatch.setattr(cells, "_checked_minor", broken)
     monkeypatch.setattr(cli, "feigin_minor", broken)
     code, out, err = run(capsys, "selftest")
     assert code == 1
@@ -505,7 +505,7 @@ def test_disagreeing_minor_routes_are_a_sweep_mismatch(capsys, monkeypatch):
     def broken(pres, lam):
         raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
 
-    monkeypatch.setattr(cells, "_minor", broken)
+    monkeypatch.setattr(cells, "_checked_minor", broken)
     code, out, err = run(capsys, "sweep", "--cartan", "A2")
     assert code == 1
     lines = out.strip().splitlines()

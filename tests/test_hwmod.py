@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -661,10 +662,10 @@ def tables(mod):
     "cartan, coords", [("A3", (1, 1, 1)), ("B3", (0, 2, 0)), ("C3", (1, 1, 0)), ("G2", (2, 1))]
 )
 def test_modules_extended_in_any_order_equal_whole_builds(monkeypatch, cartan, coords):
-    """A cached module and a cached shadow, extended to seeded random floors
-    in random order and then completed, store what the all-at-once walk
-    stores: a weight space reads only the weights above it.  After every
-    extension the built weights are an up-set of the weights."""
+    """A cached module and a cached shadow, queried at seeded random weights
+    in random order and then completed, store what the whole build stores:
+    a weight space reads only the weights above it.  After every query the
+    built weights are an up-set of the weights."""
     datum = build_root_datum(cartan)
     lam = Weight(coords)
     whole = [build_module(datum, lam), hwmod._build(datum, lam, hwmod._Shadow())]
@@ -675,7 +676,8 @@ def test_modules_extended_in_any_order_equal_whole_builds(monkeypatch, cartan, c
     lazy = [get_module(datum, lam), shadow]
     rng = random.Random(f"{cartan} {coords}")
     for mod, ref in zip(lazy, whole):
-        bottom = mod._bottom
+        # the depth of the lowest weight w0 lam = -(dominant conjugate of -lam)
+        bottom = datum.weight_to_root(lam + dominant_conjugate(datum, -lam)[1]).coords
         floors = [tuple(rng.randint(0, b) for b in bottom) for _ in range(6)]
         rng.shuffle(floors)
         for depth in floors:
@@ -708,6 +710,18 @@ def test_completion_checks_the_weyl_dimension(monkeypatch):
     assert sum(map(len, mod.basis.values())) == mod.dim - 1
     with pytest.raises(AssertionError, match="Weyl dimension"):
         mod.dim_of(lowest)
+
+
+def test_tall_shadow_completes(monkeypatch):
+    """The walk keeps its own stack: the shadow of A1 V(1200), taller than
+    the recursion limit, completes from a query for its lowest weight."""
+    lam = Weight((1200,))
+    assert 1200 > sys.getrecursionlimit()
+    monkeypatch.setattr(A1, "_shadow_cache", {})
+    mod = shadow_module(A1, lam)
+    assert mod.dim_of(-lam) == 1
+    assert mod.complete
+    assert sum(map(len, mod.basis.values())) == mod.dim == 1201
 
 
 def test_dimension_cap(monkeypatch):
