@@ -12,25 +12,24 @@ path ends at the weight of left, so each pairing is one covector of left
 times the path's vector.  The descent returns one value per path, and
 feigin_matrix_coeff writes it under every embedding of the path's letters
 in the word.  Only those embeddings depend on the word: whether a path's
-vector is nonzero and the path's term, for an extremal left vector or any
-other by its exact value, are memoized on the module, keyed by right's
-basis index and the path (see hwmod), so the reduced words of one element,
-and the elements sharing a module, climb each vector and pair each leaf
-once.  The search for a presentation D_{u_{w lam'}, u'} never expands the
-embeddings: its linear system has one row per path, where one row per
-exponent vector would repeat each path's row once per embedding.  It
-screens a candidate lam' by the GF(p) shadow of V(lam') and skips it only
-on a rank certificate that no exact u' exists.  On the exact module it
-first walks the columns along the target's paths only, and skips the
-candidate where one of them is zero in every column; the system's solution
-is memoized on the module, as its paths, weight space and target module
-fix the system.  What depends on the word alone, and not on the position
-k, is computed once per TorusPresentation and kept on it (_per_word): the
-proof that the word is reduced, the Weyl walks of its prefixes, the
-predicted monomials, the minors with their pairing cross-check, and the
-descent's letter table.  The localized algebra itself is never
-materialized; all identities are verified between normal-ordered torus
-elements.
+vector is nonzero and the path's term, for a left vector given by its exact
+value, are memoized on the module, keyed by right's basis index and the
+path (see hwmod), so the reduced words of one element, and the elements
+sharing a module, climb each vector and pair each leaf once.  The search for
+a presentation D_{u_{w lam'}, u'} never expands the embeddings: its linear
+system has one row per path, where one row per exponent vector would repeat
+each path's row once per embedding.  It screens a candidate lam' by the
+GF(p) shadow of V(lam') and skips it only on a rank certificate that no
+exact u' exists.  On the exact module it skips the candidate where a target
+path is zero in every column, which adjointness decides from e-powers of
+u_{w lam'} with no column walked (_target_row_zero); the system's solution
+is memoized on the module, as its paths, weight space and target module fix
+the system.  What depends on the word alone, and not on the position k, is
+computed once per TorusPresentation and kept on it (_per_word): the proof
+that the word is reduced, the Weyl walks of its prefixes, the predicted
+monomials, the minors with their pairing cross-check, and the descent's
+letter table.  The localized algebra itself is never materialized; all
+identities are verified between normal-ordered torus elements.
 """
 
 from __future__ import annotations
@@ -48,10 +47,11 @@ from .cartan import (
     walk_word,
     weyl_act,
 )
-from .freeuq import FreeNegElement, lusztig_form, words_of_weight
+from .freeuq import FreeNegElement, _compositions, lusztig_form, words_of_weight
 from .hwmod import (
     ModuleTooLarge,
     ModuleVector,
+    act_e,
     act_f,
     contravariant_form,
     extremal_from_walk,
@@ -219,16 +219,12 @@ def feigin_matrix_coeff(
     return TorusElement._raw(pres, terms)
 
 
-def _coeff_terms(
-    pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int, only=None
-) -> dict:
+def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int) -> dict:
     """The nonzero path values {path: value} of feigin_matrix_coeff for the
     right vector b, basis vector s of the weight space nu, in the field of
     left's module: Q(q), or GF(p) at q0 for a shadow.  A path is the tuple
     of (letter, a > 0) steps in the order they are applied, and its value is
-    the term of every exponent vector that embeds it in the word.  Given a
-    collection of paths only, the walk goes down prefixes of those paths
-    only, and returns their values.
+    the term of every exponent vector that embeds it in the word.
 
     The walk visits each path that embeds in the word once: it places each
     next letter at its rightmost occurrence below the previous one, and
@@ -242,13 +238,11 @@ def _coeff_terms(
 
     Neither whether f^path b is nonzero nor a path's term depends on the
     word, or on how much of the module is built, so both are memoized on
-    the module (see hwmod): the first in
-    _node_memo under the key (nu, s), which keeps the walk's zero pruning,
-    and the second in _leaf_memo, under (nu, s) when left is the module's
-    extremal vector of its weight, the very object extremal_vector returns,
-    and else under (nu, s) and left's exact value.  Vectors are climbed
-    only where a memo misses: a path's int code fixes its vector, which is
-    f_i of its parent's or, for a > 1, of the same ladder's one power lower,
+    the module (see hwmod): the first in _node_memo under the key (nu, s),
+    which keeps the walk's zero pruning, and the second in _leaf_memo under
+    (nu, s) and left's weight and exact value.  Vectors are climbed only
+    where a memo misses: a path's int code fixes its vector, which is f_i
+    of its parent's or, for a > 1, of the same ladder's one power lower,
     and the call keeps the vectors of the current path's ladders by code,
     so none is climbed twice."""
     datum = pres.datum
@@ -262,11 +256,7 @@ def _coeff_terms(
     field = mod.field
     mu = left.weight()
     node = mod._node_memo.setdefault((nu, s), {})
-    if left is mod._extremal_memo.get(mu):
-        leaf = mod._leaf_memo.setdefault((nu, s), {})
-    else:
-        lkey = (nu, s, mu, tuple(map(field.key, left.parts[mu])))
-        leaf = mod._leaf_memo.setdefault(lkey, {})
+    leaf = mod._leaf_memo.setdefault((nu, s, mu, tuple(map(field.key, left.parts[mu]))), {})
     shared = mod._leaf_values
     n = len(pres.letters)
     last = _letter_table(pres)
@@ -282,18 +272,6 @@ def _coeff_terms(
     # of the module is built
     r1 = datum.rank + 1
     base = r1 * (mod.dim + 1)
-    # allowed: the codes of the prefixes of the paths in only.  Past a =
-    # dim V(lam) f_i^a is zero here, and its digit would not fit
-    allowed = None
-    if only is not None:
-        allowed = set()
-        for only_path in only:
-            code = 0
-            for i, a in only_path:
-                if a > mod.dim:
-                    break
-                code = code * base + a * r1 + i
-                allowed.add(code)
     # vecs: f^path right by path code, for the current path's ladders only;
     # code - r1 is the same ladder one power lower, code // base the parent
     vecs: dict[int, ModuleVector] = {0: right}
@@ -331,22 +309,15 @@ def _coeff_terms(
             below = last[p]
             if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
                 continue
-            top = cap
-            if allowed is not None:
-                # the highest power of the ladder on a prefix of only
-                step = code * base + i
-                top = next((a for a in range(cap, 0, -1) if step + a * r1 in allowed), 0)
-                if not top:
-                    continue
-            # f_i^a for a = 1..top, up to the first zero
-            for a in range(1, top + 1):
+            # f_i^a for a = 1..cap, up to the first zero
+            for a in range(1, cap + 1):
                 child = code * base + a * r1 + i
                 nonzero = node.get(child)
                 if nonzero is None:
                     nonzero = node[child] = not vector(child).is_zero()
                 if not nonzero:
                     break
-                if (a == cap or i in below) and (allowed is None or child in allowed):
+                if a == cap or i in below:
                     rem[i - 1] = cap - a
                     path.append((i, a))
                     walk(p, child)
@@ -481,17 +452,6 @@ def _predicted(pres: TorusPresentation, k: int) -> tuple[tuple[int, ...], Scalar
     return tuple(exps), ScalarQ.q_power(tw)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """The tuples of parts nonnegative ints with sum total, in lexicographic
-    order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _candidate_weights(rank: int, ik: int, cap: int) -> Iterator[Weight]:
     """The lam' candidates of find_presentation, in search order and without
     repeats: varpi_ik, then varpi_ik + varpi_j for each j, then the dominant
@@ -532,18 +492,26 @@ def _system(
     return keys, rows, [target_paths.get(e, zero) for e in keys]
 
 
-def _target_row_zero(pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict) -> bool:
+def _target_row_zero(uw: ModuleVector, target: dict) -> bool:
     """True when some path of the target, whose values are all nonzero, is
     zero in every column of _system: a zero row of A with a nonzero b, on
-    which solve_linear returns None.  The columns are walked only along
-    prefixes of the target's paths, and only until every target path is
-    nonzero in one of them."""
-    hit: set = set()
-    for s in range(uw.mod.dim_of(mup)):
-        hit.update(_coeff_terms(pres, uw, mup, s, target))
-        if len(hit) == len(target):
-            return False
-    return True
+    which solve_linear returns None.  No column is walked.  By adjointness,
+    (u, f^P b) = (e^{P*} u, b), where e^{P*} applies the steps of the path P
+    as e-powers, last step first.  P embeds in the word with the columns'
+    content, so its value in the column of b is that pairing for u = uw
+    times P's path factor, a unit.  The form is nondegenerate on the weight
+    space mu' of the columns, where e^{P*} uw lives, so P is zero in every
+    column exactly when e^{P*} uw is zero.  On a module still being built
+    the e-powers read only weights above the built weight of uw, which are
+    decided."""
+    for path in target:
+        v = uw
+        for i, a in reversed(path):
+            for _ in range(a):
+                v = act_e(i, v)
+        if v.is_zero():
+            return True
+    return False
 
 
 def _solve(
@@ -631,11 +599,12 @@ def find_presentation(
     first by its GF(p) shadow, and skipped without an exact build only when
     the screen proves it cannot present the class (see _screened_out), so
     the result is the one of the exact search.  On the exact module a
-    candidate is skipped before its full system when a target path is zero
-    in every column (_target_row_zero), where solve_linear would return
-    None, and the system is solved once per module, weight space, target
-    module and row paths (_solve).  Raises PresentationError when the cap
-    is exhausted.
+    candidate is skipped before its columns are walked when a target path
+    is zero in every column, where solve_linear would return None: by
+    adjointness, when e-powers of u_{w lam'} along the path give zero
+    (_target_row_zero).  The system is solved once per module, weight
+    space, target module and row paths (_solve).  Raises PresentationError
+    when the cap is exhausted.
     """
     datum = pres.datum
     word = pres.letters
@@ -663,7 +632,7 @@ def find_presentation(
         if modp.dim_of(mup) == 0:
             continue
         uw = extremal_from_walk(modp, word, walk)
-        if _target_row_zero(pres, uw, mup, target):
+        if _target_row_zero(uw, target):
             continue
         coeffs = _solve(pres, uw, mup, target, mod_k.lam)
         if coeffs is None:

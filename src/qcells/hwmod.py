@@ -37,7 +37,8 @@ right].
 
 The walk runs before a few reads: extremal_vector and extremal_from_walk
 decide w lam before they climb, dim_of and basis_vector decide the weight
-they read, and act_f decides its target only where its matrix is missing.
+they read, and an action decides its target only where its matrix is
+missing, which for e_i is a weight above a built one, decided already.
 Once the lowest weight w0 lam is decided the module is complete: its
 dimension must be the Weyl dimension (AssertionError otherwise), its weight
 spaces are put in (height, coords) order, and the per-access walks stop.
@@ -50,28 +51,26 @@ lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
 bounded by the Weyl orbit of lam, the two memos of the Feigin descent
 (cells._coeff_terms), and on an exact module the solve memo of the
 presentation search (cells._solve).  Only the extremal memo holds vectors,
-so no other memo points back at the module.  Both descent memos map the
-right key the descent is given, the (weight, basis index) r of a basis
-vector, to a dict keyed by one int path code, whose base the Weyl dimension
-fixes, so a code does not depend on how much of the module is built:
+so no other memo points back at the module.  Both descent memos map a key
+that starts with the right key the descent is given, the (weight, basis
+index) r of a basis vector, to a dict keyed by one int path code, whose
+base the Weyl dimension fixes, so a code does not depend on how much of the
+module is built:
 
     _node_memo[r][code]       whether f^path r is nonzero
-    _leaf_memo[r][code]       the path's term, path factor applied, for the
-                                extremal vector of the weight of f^path r
-                                on the left; a zero term is the field's zero
-    _leaf_memo[r + l][code]   the same term for any other left vector, with
-                                l = (mu, key(c) of each coordinate c at mu)
-                                its weight and exact value
+    _leaf_memo[r + l][code]   the path's term, path factor applied, for the
+                                left vector with l = (mu, key(c) of each
+                                coordinate c at mu) its weight and exact
+                                value; a zero term is the field's zero
 
-A path's end weight is wt r minus its content, so the right key and the
-code fix the extremal left vector too.  Equal terms are stored once: each
-leaf value is the module's _leaf_values[key(value)].  None of these values
-depends on a reduced word; only the positions of a path's letters in a word
-do.  The descent returns its terms keyed by path, (letter, a) steps, and
-the presentation search's linear system has one row per path, so the
-system is fixed by its module, weight space, target module and ordered row
-paths: a column's values depend only on the module, the basis key and the
-path, and the target's only on its module and the path.
+Equal terms are stored once: each leaf value is the module's
+_leaf_values[key(value)].  None of these values depends on a reduced word;
+only the positions of a path's letters in a word do.  The descent returns
+its terms keyed by path, (letter, a) steps, and the presentation search's
+linear system has one row per path, so the system is fixed by its module,
+weight space, target module and ordered row paths: a column's values
+depend only on the module, the basis key and the path, and the target's
+only on its module and the path.
 
     _solve_memo[(mu', lam_k, paths)]   solve_linear of the system of the
                                          weight space mu' whose rows are the
@@ -717,14 +716,16 @@ def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
 # Chevalley actions
 
 
-def _act(mats: dict, step: Weight, i: int, vec: ModuleVector, reach: bool = False) -> ModuleVector:
+def _act(mats: dict, step: Weight, i: int, vec: ModuleVector) -> ModuleVector:
     """Apply the action stored in mats, which moves weight mu to mu + step.
-    With reach, a missing matrix first decides the weight mu + step."""
+    On a module that is not complete, a missing matrix first decides the
+    weight mu + step; for e_i that weight is above a built one, so it is
+    decided already."""
     mod = vec.mod
     out: dict[Weight, list] = {}
     for mu, coeffs in vec.parts.items():
         cols = mats.get((i, mu))
-        if cols is None and reach:
+        if cols is None and not mod.complete:
             _reach(mod, mu + step)
             cols = mats.get((i, mu))
         if cols is not None:
@@ -734,8 +735,7 @@ def _act(mats: dict, step: Weight, i: int, vec: ModuleVector, reach: bool = Fals
 
 
 def act_f(i: int, vec: ModuleVector) -> ModuleVector:
-    mod = vec.mod
-    return _act(mod.fmat, -mod.datum.alpha_weight(i), i, vec, not mod.complete)
+    return _act(vec.mod.fmat, -vec.mod.datum.alpha_weight(i), i, vec)
 
 
 def act_e(i: int, vec: ModuleVector) -> ModuleVector:

@@ -5,21 +5,19 @@ a field given as a few row-level operations: is-zero, inverse, scale a
 row, subtract a multiple of a row, and a pivot size.  The profile and the
 coordinates read off that form are unique, so they do not depend on the
 pivot rows chosen.  `RationalFunctions` is the field Q(q) with ScalarQ
-entries; `solve_linear` reads the dependencies of [A | b] and
-`invert_matrix` those of [A | I].  The GF(p) field of the module shadow is
-hwmod's.  Everything is deterministic.
+entries, and `solve_linear` reads the dependencies of [A | b].  The GF(p)
+field of the module shadow is hwmod's.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from .scalars import ScalarQ, S_ONE, S_ZERO
+from .scalars import ScalarQ, S_ZERO
 
 
 __all__ = [
     "RationalFunctions",
     "solve_linear",
     "column_dependencies",
-    "invert_matrix",
     "dot",
     "mat_vec",
 ]
@@ -106,19 +104,6 @@ def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ]
     for c, v in zip(profile, deps[nc]):
         x[c] = v
     return x
-
-
-def invert_matrix(rows: list[list[ScalarQ]]) -> list[list[ScalarQ]]:
-    """Inverse of a square matrix over Q(q), from the column dependencies of
-    [A | I]: A is invertible exactly when its columns are the profile, and
-    then column j of I has column j of the inverse as its coordinates.
-    Raises ValueError when A is singular."""
-    n = len(rows)
-    aug = [row + [S_ONE if r == c else S_ZERO for c in range(n)] for r, row in enumerate(rows)]
-    profile, deps = column_dependencies(aug, RationalFunctions)
-    if profile != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[deps[n + j][i] for j in range(n)] for i in range(n)]
 
 
 def dot(u: list[ScalarQ], v: list[ScalarQ]) -> ScalarQ:

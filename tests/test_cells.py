@@ -333,14 +333,16 @@ def test_memoized_terms_equal_fresh_ones(monkeypatch, cartan, coords, max_length
     for word in words:
         pres = TorusPresentation(datum, word)
         for got, want in zip(call_shapes(pres, warm), call_shapes(pres, fresh)):
-            # _leaf_memo holds the value-keyed leaf entries too
             fresh._node_memo.clear()
             fresh._leaf_memo.clear()
             fresh._leaf_values.clear()
             fresh._solve_memo.clear()
             assert got() == want()
     assert warm._leaf_memo and warm._node_memo
-    assert any(len(key) > 2 for key in warm._leaf_memo)
+    # one key form: the right key, then the left vector's weight and value
+    for nu, s, mu, value in warm._leaf_memo:
+        assert nu in warm.basis and 0 <= s < warm.dim_of(nu)
+        assert mu in warm.basis and len(value) == warm.dim_of(mu)
 
     climbs = []
     real_act_f = cells.act_f
@@ -584,16 +586,31 @@ def test_target_row_check_rejects_where_the_solve_does(monkeypatch, cartan, max_
     """On every candidate of every instance that reaches the exact system,
     the target-row check rejects exactly where solve_linear of the full
     _system returns None; the searches with and without the check reach the
-    same candidates, in the same order, and find the same winners."""
+    same candidates, in the same order, and find the same winners.  Some
+    rejection falls on a weight space of dimension > 1, where the check
+    rests on the form being nondegenerate beyond a 1 x 1 Gram block."""
     datum = build_root_datum(cartan)
     real_check, real_solve = cells._target_row_zero, cells._solve
+    real_instance = cells._check_instance
     reached = [], []
+    current, wide = [], []
 
-    def checked(pres, uw, mup, target):
-        rejected = real_check(pres, uw, mup, target)
+    def instance(pres, k):
+        current[:] = [pres]
+        return real_instance(pres, k)
+
+    def checked(uw, target):
+        rejected = real_check(uw, target)
+        pres = current[0]
+        # the columns' weight space is uw's weight plus a target path's content
+        mup = uw.weight()
+        for i, a in next(iter(target)):
+            mup = mup + datum.alpha_weight(i).scaled(a)
         _, rows, rhs = cells._system(pres, uw, mup, target)
         assert rejected == (solve_linear(rows, rhs) is None), (pres.letters, uw.mod.lam)
         reached[0].append((pres.letters, uw.mod.lam, mup, rejected))
+        if rejected and uw.mod.dim_of(mup) > 1:
+            wide.append(mup)
         return rejected
 
     def solved(pres, uw, mup, target, target_lam):
@@ -604,6 +621,7 @@ def test_target_row_check_rejects_where_the_solve_does(monkeypatch, cartan, max_
     runs = []
     for check, solve in ((checked, real_solve), (lambda *args: False, solved)):
         with monkeypatch.context() as m:
+            m.setattr(cells, "_check_instance", instance)
             m.setattr(cells, "_target_row_zero", check)
             m.setattr(cells, "_solve", solve)
             fresh_caches(m, datum)
@@ -611,6 +629,7 @@ def test_target_row_check_rejects_where_the_solve_does(monkeypatch, cartan, max_
     assert runs[0] == runs[1]
     assert reached[0] == reached[1]
     assert any(rejected for *_, rejected in reached[0])
+    assert wide
 
 
 def test_memoized_solve_equals_a_fresh_one(monkeypatch):
@@ -804,10 +823,10 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
     where it does without the screen."""
     real_terms = cells._coeff_terms
 
-    def collapsed(pres, left, nu, s, only=None):
+    def collapsed(pres, left, nu, s):
         if isinstance(left.mod.field, hwmod._Shadow):
             return {}
-        return real_terms(pres, left, nu, s, only)
+        return real_terms(pres, left, nu, s)
 
     # the search computes its target path values by _coeff_terms from the
     # highest vector of an exact module; the shadow fails to take exactly
@@ -815,8 +834,8 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
     targets, raised = [], []
     real_of = hwmod._Shadow.of
 
-    def recorded(pres, left, nu, s, only=None):
-        terms = real_terms(pres, left, nu, s, only)
+    def recorded(pres, left, nu, s):
+        terms = real_terms(pres, left, nu, s)
         if isinstance(left.mod.field, hwmod._Exact) and (nu, s) == (left.mod.lam, 0):
             targets.append(terms)
         return terms

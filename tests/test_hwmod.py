@@ -39,7 +39,7 @@ from qcells.hwmod import (
     shadow_module,
 )
 from qcells.cells import find_presentation
-from qcells.linalg import RationalFunctions, column_dependencies, invert_matrix, mat_vec
+from qcells.linalg import RationalFunctions, column_dependencies, mat_vec, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -115,17 +115,17 @@ def test_gram_adjoint_zero_weight_space():
 
 
 def test_gram_inverse_is_exact():
+    """Every Gram matrix is invertible over Q(q): G x = e_j has an exact
+    solution x for each j, and G x is e_j again."""
     mod = completed(get_module(B2, Weight((1, 1))))
     for mu in mod.basis:
         n = mod.dim_of(mu)
         g = mod.gram[mu]
-        ginv = invert_matrix(g)
-        for i in range(n):
-            for j in range(n):
-                acc = ScalarQ(0)
-                for k in range(n):
-                    acc = acc + g[i][k] * ginv[k][j]
-                assert acc == (ONE if i == j else ScalarQ(0))
+        for j in range(n):
+            e_j = [ONE if i == j else ScalarQ(0) for i in range(n)]
+            x = solve_linear(g, e_j)
+            assert x is not None
+            assert mat_vec(g, x) == e_j
 
 
 def test_form_is_contravariant_and_symmetric():
