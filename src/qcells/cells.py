@@ -89,7 +89,11 @@ class Presentation:
 
     lam: Weight
     uprime: ModuleVector
-    coeffs: list[ScalarQ]
+
+    @property
+    def coeffs(self) -> list[ScalarQ]:
+        """The search's solution: uprime's own coefficient list."""
+        return self.uprime.coeffs
 
 
 class PresentationError(RuntimeError):
@@ -170,7 +174,7 @@ def _content(left: ModuleVector, right: ModuleVector) -> RootVector | None:
     root vector wt right - wt left, or None when it is not a nonnegative
     combination of simple roots.
 
-    Both vectors must live in one module and be weight-homogeneous."""
+    Both vectors must live in one module and be nonzero."""
     if left.mod is not right.mod:
         raise ValueError("vectors live in different modules")
     diff = right.weight() - left.weight()
@@ -187,7 +191,7 @@ def feigin_matrix_coeff(
     pres: TorusPresentation, left: ModuleVector, right: ModuleVector
 ) -> TorusElement:
     """Image of the matrix coefficient x -> (left, x . right) under the
-    Feigin map, for weight-homogeneous vectors of one module.
+    Feigin map, for nonzero vectors of one module.
 
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
@@ -207,7 +211,7 @@ def feigin_matrix_coeff(
     nu = right.weight()
     field = right.mod.field
     paths: dict = {}
-    for s, c in enumerate(right.parts[nu]):
+    for s, c in enumerate(right.coeffs):
         if not field.is_zero(c):
             for path, v in _coeff_terms(pres, left, nu, s).items():
                 field.add_term(paths, path, v if c == field.one else field.mul(c, v))
@@ -256,7 +260,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     field = mod.field
     mu = left.weight()
     node = mod._node_memo.setdefault((nu, s), {})
-    leaf = mod._leaf_memo.setdefault((nu, s, mu, tuple(map(field.key, left.parts[mu]))), {})
+    leaf = mod._leaf_memo.setdefault((nu, s, mu, tuple(map(field.key, left.coeffs))), {})
     shared = mod._leaf_values
     n = len(pres.letters)
     last = _letter_table(pres)
@@ -292,9 +296,8 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
                 if not cov:
                     # (left, v) = cov . v for every v of weight mu; G is
                     # symmetric, so cov is G left
-                    lc = left.parts[mu]
-                    cov.extend(field.dot(row, lc) for row in mod.gram[mu])
-                val = field.dot(cov, vector(code).parts[mu])
+                    cov.extend(field.dot(row, left.coeffs) for row in mod.gram[mu])
+                val = field.dot(cov, vector(code).coeffs)
                 steps = tuple((datum.di(i), a) for i, a in path if a > 1)
                 if field.is_zero(val):
                     val = field.zero
@@ -637,7 +640,7 @@ def find_presentation(
         coeffs = _solve(pres, uw, mup, target, mod_k.lam)
         if coeffs is None:
             continue
-        return Presentation(lamp, ModuleVector(modp, {mup: coeffs}), coeffs)
+        return Presentation(lamp, ModuleVector(modp, mup, coeffs))
     raise PresentationError(tried)
 
 
@@ -776,7 +779,7 @@ def _act_word(word: tuple[int, ...], vec: ModuleVector) -> ModuleVector:
 
 def minor_representative(left: ModuleVector, right: ModuleVector) -> FreeNegElement:
     """A free element y with (y, x) = (left, x . right) for every word x, for
-    weight-homogeneous vectors of one module.
+    nonzero vectors of one module.
 
     Solves the (possibly singular) Gram system on the words of the right
     content; the functional factors through the form's radical, so a

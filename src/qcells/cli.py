@@ -44,6 +44,7 @@ from .cells import (
     feigin_minor,
     verify_theorem,
 )
+from .hwmod import ModuleTooLarge
 from .qtorus import TorusPresentation, torus_str
 from .scalars import scalar_str
 
@@ -338,6 +339,8 @@ def cmd_feigin_minor(args: argparse.Namespace) -> int:
         equal = True
     except MinorRoutesDisagree as exc:
         closed, pairing, equal = exc.closed, exc.paired, False
+    except ModuleTooLarge as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         rec = {
             "cartan": datum.name,

@@ -24,6 +24,11 @@ Stored per module: basis tags, Gram matrices, which are symmetric, and the
 matrices of the Chevalley actions f_i, e_i between adjacent weight spaces.
 Missing action keys mean the zero map.
 
+A ModuleVector is one weight mu and one coefficient list over the basis of
+V(lam)_mu, as every vector formed here (basis, extremal and Chevalley images,
+braid images T_i(V_mu) = V_{s_i mu}, the search's u') lies in one weight
+space.  The zero vector has no weight.
+
 The weight spaces are built on demand.  A weight space reads only weights
 above it (its parents, the intermediate weights of Phi, Freudenthal's
 strings, its dominant conjugate), so a query for mu decides mu by one walk
@@ -202,69 +207,63 @@ class HWModule:
             raise ValueError("basis index out of range")
         coeffs = [self.field.zero] * n
         coeffs[idx] = self.field.one
-        return ModuleVector(self, {mu: coeffs})
+        return ModuleVector(self, mu, coeffs)
 
     def highest(self) -> "ModuleVector":
         return self.basis_vector(self.lam, 0)
 
     def zero(self) -> "ModuleVector":
-        return ModuleVector(self, {})
+        return ModuleVector(self, None, [])
 
     def __repr__(self) -> str:
         return f"HWModule({self.datum.name}, {self.lam.coords}, dim={self.dim})"
 
 
 class ModuleVector:
-    """Element of a module, coefficient lists keyed by weight."""
+    """Element of one weight space: its weight mu and its coefficient list
+    over the basis of V(lam)_mu.  The zero vector has no weight (mu None)."""
 
-    __slots__ = ("mod", "parts")
+    __slots__ = ("mod", "mu", "coeffs")
 
-    def __init__(self, mod: HWModule, parts: dict[Weight, list]):
+    def __init__(self, mod: HWModule, mu: Weight | None, coeffs: list):
         self.mod = mod
-        nonzero = mod.field.nonzero
-        self.parts = {mu: coeffs for mu, coeffs in parts.items() if nonzero(coeffs)}
+        if mod.field.nonzero(coeffs):
+            self.mu, self.coeffs = mu, coeffs
+        else:
+            self.mu, self.coeffs = None, []
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return self.mu is None
 
     def weight(self) -> Weight:
-        """Weight of a homogeneous vector."""
-        if len(self.parts) != 1:
-            raise ValueError("vector is not weight-homogeneous")
-        return next(iter(self.parts))
+        """Weight of a nonzero vector."""
+        if self.mu is None:
+            raise ValueError("the zero vector has no weight")
+        return self.mu
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if self.mod is not other.mod:
             raise ValueError("vectors live in different modules")
-        add = self.mod.field.add
-        out = dict(self.parts)
-        for mu, coeffs in other.parts.items():
-            acc = out.get(mu)
-            out[mu] = coeffs if acc is None else add(acc, coeffs)
-        return ModuleVector(self.mod, out)
+        if other.mu is None:
+            return self
+        if self.mu is None:
+            return other
+        if self.mu != other.mu:
+            raise ValueError("vectors of different weights")
+        return ModuleVector(self.mod, self.mu, self.mod.field.add(self.coeffs, other.coeffs))
 
     def scaled(self, c) -> "ModuleVector":
-        field = self.mod.field
-        if field.is_zero(c):
-            return ModuleVector(self.mod, {})
-        return ModuleVector(
-            self.mod, {mu: field.scale(coeffs, c) for mu, coeffs in self.parts.items()}
-        )
+        return ModuleVector(self.mod, self.mu, self.mod.field.scale(self.coeffs, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        if self.mod is not other.mod or self.parts.keys() != other.parts.keys():
-            return False
-        return all(self.parts[mu] == other.parts[mu] for mu in self.parts)
+        return self.mod is other.mod and self.mu == other.mu and self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        bits = []
-        for mu in sorted(self.parts, key=lambda w: w.coords):
-            bits.append(f"{mu.coords}: [{', '.join(str(c) for c in self.parts[mu])}]")
-        return "ModuleVector({" + "; ".join(bits) + "})"
+        return f"ModuleVector({self.mu!r}, [{', '.join(map(str, self.coeffs))}])"
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +720,18 @@ def _act(mats: dict, step: Weight, i: int, vec: ModuleVector) -> ModuleVector:
     On a module that is not complete, a missing matrix first decides the
     weight mu + step; for e_i that weight is above a built one, so it is
     decided already."""
-    mod = vec.mod
-    out: dict[Weight, list] = {}
-    for mu, coeffs in vec.parts.items():
+    mod, mu = vec.mod, vec.mu
+    if mu is None:
+        return vec
+    target = mu + step
+    cols = mats.get((i, mu))
+    if cols is None and not mod.complete:
+        _reach(mod, target)
         cols = mats.get((i, mu))
-        if cols is None and not mod.complete:
-            _reach(mod, mu + step)
-            cols = mats.get((i, mu))
-        if cols is not None:
-            target = mu + step
-            out[target] = mod.field.apply_cols(cols, coeffs, len(mod.basis[target]))
-    return ModuleVector(mod, out)
+    if cols is None:
+        return mod.zero()
+    coeffs = mod.field.apply_cols(cols, vec.coeffs, len(mod.basis[target]))
+    return ModuleVector(mod, target, coeffs)
 
 
 def act_f(i: int, vec: ModuleVector) -> ModuleVector:
@@ -779,14 +779,10 @@ def contravariant_form(v: ModuleVector, w: ModuleVector):
     valued in the field of the module."""
     if v.mod is not w.mod:
         raise ValueError("vectors live in different modules")
-    mod = v.mod
-    field = mod.field
-    acc = field.zero
-    for mu, vc in v.parts.items():
-        wc = w.parts.get(mu)
-        if wc is not None:
-            acc = field.plus(acc, field.dot(vc, [field.dot(row, wc) for row in mod.gram[mu]]))
-    return acc
+    field = v.mod.field
+    if v.mu is None or v.mu != w.mu:
+        return field.zero
+    return field.dot(v.coeffs, [field.dot(row, w.coeffs) for row in v.mod.gram[v.mu]])
 
 
 # ---------------------------------------------------------------------------
@@ -829,24 +825,25 @@ def extremal_from_walk(
 
 
 def _braid(mod: HWModule, i: int, vec: ModuleVector, x, y, sign: int) -> ModuleVector:
-    """Weight component by weight component, the sum over a, b, c >= 0 with
+    """For vec of weight mu, the sum over a, b, c >= 0 with
     a = b - c - sign <h_i, mu> of (-1)^b q_i^{sign (b - ac)} x^{(a)} y^{(b)}
-    x^{(c)} . u: T_i for (x, y, sign) = (act_e, act_f, 1), T_i^{-1} for
-    (act_f, act_e, -1)."""
+    x^{(c)} . vec, whose terms all have weight s_i mu: T_i for (x, y, sign)
+    = (act_e, act_f, 1), T_i^{-1} for (act_f, act_e, -1)."""
+    if vec.is_zero():
+        return vec
     di = mod.datum.di(i)
+    h = mod.datum.h_weight(i, vec.mu)
     out = mod.zero()
-    for mu, coeffs in vec.parts.items():
-        h = mod.datum.h_weight(i, mu)
-        for c, xc in enumerate(divided_powers(x, i, ModuleVector(mod, {mu: coeffs}))):
-            for b, yb in enumerate(divided_powers(y, i, xc)):
-                a = b - c - sign * h
-                if a >= 0:
-                    term = _act_divided(x, i, a, yb)
-                    if not term.is_zero():
-                        coeff = ScalarQ.q_power(sign * di * (b - a * c))
-                        if b % 2:
-                            coeff = -coeff
-                        out = out + term.scaled(coeff)
+    for c, xc in enumerate(divided_powers(x, i, vec)):
+        for b, yb in enumerate(divided_powers(y, i, xc)):
+            a = b - c - sign * h
+            if a >= 0:
+                term = _act_divided(x, i, a, yb)
+                if not term.is_zero():
+                    coeff = ScalarQ.q_power(sign * di * (b - a * c))
+                    if b % 2:
+                        coeff = -coeff
+                    out = out + term.scaled(coeff)
     return out
 
 

@@ -83,9 +83,7 @@ def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ]
     The system is inconsistent, and the result None, exactly when b's
     column is in the profile.  Otherwise b's coordinates over the profile
     give the solution whose free coordinates (the columns of A outside its
-    profile) are zero.  A zero row of A with a nonzero b already puts b's
-    column in the profile, so such a system returns None without an
-    elimination.
+    profile) are zero.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -93,8 +91,6 @@ def solve_linear(rows: list[list[ScalarQ]], rhs: list[ScalarQ]) -> list[ScalarQ]
         raise ValueError("rhs length mismatch")
     if not nr:
         return []
-    if any(b.num.c and not any(x.num.c for x in row) for row, b in zip(rows, rhs)):
-        return None
     profile, deps = column_dependencies(
         [row + [b] for row, b in zip(rows, rhs)], RationalFunctions
     )

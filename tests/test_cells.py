@@ -116,16 +116,18 @@ def test_matrix_coeff_highest_is_unit():
 def test_matrix_coeff_vectors_from_two_modules_rejected():
     mod = get_module(A2, Weight((1, 0)))
     other = get_module(A2, Weight((0, 1)))
-    mixed = mod.highest() + act_f(1, mod.highest())
+    # a vector lies in one weight space, so no vector mixes two weights
+    with pytest.raises(ValueError, match="different weights"):
+        mod.highest() + act_f(1, mod.highest())
     for fn in (lambda l, r: feigin_matrix_coeff(P121, l, r), minor_representative):
         with pytest.raises(ValueError, match="different modules"):
             fn(other.highest(), mod.highest())
         with pytest.raises(ValueError, match="different modules"):
             fn(mod.highest(), other.highest())
-        with pytest.raises(ValueError, match="homogeneous"):
-            fn(mixed, mod.highest())
-        with pytest.raises(ValueError, match="homogeneous"):
-            fn(mod.highest(), mixed)
+        with pytest.raises(ValueError, match="no weight"):
+            fn(mod.zero(), mod.highest())
+        with pytest.raises(ValueError, match="no weight"):
+            fn(mod.highest(), mod.zero())
 
 
 # ------------------------------------------------------ the Feigin descent
@@ -194,7 +196,7 @@ def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, co
     shared = paired = 0
     for left, right in descent_pairs(mod, word):
         want, paths = brute_descent(pres, left, right)
-        own[0] = left.parts[left.weight()]
+        own[0] = left.coeffs
         calls.clear()
         assert feigin_matrix_coeff(pres, left, right).terms == want
         # one pairing per distinct path, however many a's embed it
@@ -265,9 +267,8 @@ def test_descent_sums_over_right_coordinates(cartan, word, coords, images, field
     for mu in mod.basis:
         if mod.dim_of(mu) < 2:
             continue
-        right = hwmod.ModuleVector(
-            mod, {mu: [of(ScalarQ.q_power(s)) for s in range(mod.dim_of(mu))]}
-        )
+        coeffs = [of(ScalarQ.q_power(s)) for s in range(mod.dim_of(mu))]
+        right = hwmod.ModuleVector(mod, mu, coeffs)
         for k in range(len(word) + 1):
             left = extremal_vector(mod, word[:k])
             got = feigin_matrix_coeff(pres, left, right).terms
@@ -299,7 +300,7 @@ def call_shapes(pres, mod):
         # the sum of a weight space's basis vectors is a fresh vector, never
         # the extremal one, even where it equals it
         coeffs = [mod.field.one] * mod.dim_of(mu)
-        left = hwmod.ModuleVector(mod, {mu: coeffs})
+        left = hwmod.ModuleVector(mod, mu, coeffs)
         shapes.append(lambda left=left: cells._coeff_terms(pres, left, mod.lam, 0))
     return shapes
 

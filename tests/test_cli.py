@@ -197,6 +197,23 @@ def test_feigin_minor_rejects_non_dominant(capsys):
     assert (code, out, err) == (2, "", "error: weight must be dominant (all coordinates >= 0)\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_feigin_minor_over_the_size_cap_is_usage_error(capsys, fmt):
+    code, out, err = run(
+        capsys,
+        "feigin-minor",
+        "--cartan",
+        "A2",
+        "--word",
+        "1,2,1",
+        "--lambda",
+        "100,100",
+        "--format",
+        fmt,
+    )
+    assert (code, out, err) == (2, "", "error: module dimension 1030301 exceeds cap 5000\n")
+
+
 def test_abbreviated_option_takes_a_signed_value(capsys):
     # argparse takes "--lam" for "--lambda" and "--w" for "--word"; their
     # negative values reach the CLI's own checks too

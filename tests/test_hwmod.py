@@ -68,13 +68,14 @@ def completed(mod):
     return mod
 
 
-def rand_vector(mod, rng):
+def rand_vector(mod, mu, rng):
+    """A random vector of weight mu: each basis coordinate q^c for a random
+    c in -2..2, or zero for c = 0."""
     out = mod.zero()
-    for mu in list(mod.basis):
-        for s in range(mod.dim_of(mu)):
-            c = rng.randrange(-2, 3)
-            if c:
-                out = out + mod.basis_vector(mu, s).scaled(ScalarQ.q_power(c))
+    for s in range(mod.dim_of(mu)):
+        c = rng.randrange(-2, 3)
+        if c:
+            out = out + mod.basis_vector(mu, s).scaled(ScalarQ.q_power(c))
     return out
 
 
@@ -132,12 +133,16 @@ def test_form_is_contravariant_and_symmetric():
     rng = random.Random(2)
     for datum, coords in ((A2, (1, 1)), (B2, (1, 0)), (G2, (1, 0))):
         mod = completed(get_module(datum, Weight(coords)))
-        x, y = rand_vector(mod, rng), rand_vector(mod, rng)
-        assert contravariant_form(x, y) == contravariant_form(y, x)
-        for i in datum.index_set:
-            lhs = contravariant_form(act_f(i, x), y)
-            rhs = contravariant_form(x, act_e(i, y))
-            assert lhs == rhs
+        # every operator is weight-graded, so each weight space is checked
+        # on its own: x, y of weight mu, z of weight mu - alpha_i
+        for mu in mod.basis:
+            x, y = rand_vector(mod, mu, rng), rand_vector(mod, mu, rng)
+            assert contravariant_form(x, y) == contravariant_form(y, x)
+            for i in datum.index_set:
+                z = rand_vector(mod, mu - datum.alpha_weight(i), rng)
+                lhs = contravariant_form(act_f(i, x), z)
+                rhs = contravariant_form(x, act_e(i, z))
+                assert lhs == rhs
 
 
 def test_ef_on_highest_gives_q_integer():
@@ -200,10 +205,11 @@ def test_extremal_weight_is_weyl_image():
 def test_braid_operators_are_inverse():
     rng = random.Random(7)
     mod = completed(get_module(A2, Weight((1, 1))))
-    v = rand_vector(mod, rng)
-    for i in (1, 2):
-        assert braid_T_inv(mod, i, braid_T(mod, i, v)) == v
-        assert braid_T(mod, i, braid_T_inv(mod, i, v)) == v
+    for mu in mod.basis:
+        v = rand_vector(mod, mu, rng)
+        for i in (1, 2):
+            assert braid_T_inv(mod, i, braid_T(mod, i, v)) == v
+            assert braid_T(mod, i, braid_T_inv(mod, i, v)) == v
     # d_i > 1 in B2 and G2, where q_i and q differ
     for datum, coords in ((B2, (1, 1)), (G2, (1, 0))):
         mod = completed(get_module(datum, Weight(coords)))
@@ -552,7 +558,7 @@ def test_dependent_pick_is_refused():
             def e_images(v):
                 out = []
                 for i, parent in parents.items():
-                    out += act_e(i, v).parts.get(parent, [field.zero] * mod.dim_of(parent))
+                    out += act_e(i, v).coeffs or [field.zero] * mod.dim_of(parent)
                 return out
 
             sel, deps = dependencies([list(row) for row in zip(*map(e_images, vecs))])
@@ -593,15 +599,16 @@ def test_shadow_specializes_exact_module():
                 assert block == [list(col) for col in zip(*block)]
 
         def pairs(mod):
-            """Every pair of basis vectors of one weight, and the sum of all
-            basis vectors with itself."""
-            out, total = [], mod.zero()
+            """Every pair of basis vectors of one weight, and the sum of each
+            weight space's basis vectors with itself."""
+            out = []
             for mu in mod.basis:
                 vecs = [mod.basis_vector(mu, s) for s in range(mod.dim_of(mu))]
-                out += [(v, w) for v in vecs for w in vecs]
+                total = mod.zero()
                 for v in vecs:
                     total = total + v
-            return out + [(total, total)]
+                out += [(v, w) for v in vecs for w in vecs] + [(total, total)]
+            return out
 
         want = [hwmod._eval_mod(contravariant_form(v, w), powers) for v, w in pairs(exact)]
         assert [contravariant_form(v, w) for v, w in pairs(shadow)] == want
