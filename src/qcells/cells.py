@@ -22,8 +22,9 @@ each path's row once per embedding.  It screens a candidate lam' by the
 GF(p) shadow of V(lam') and skips it only on a rank certificate that no
 exact u' exists.  On the exact module it skips the candidate where a target
 path is zero in every column, which adjointness decides from e-powers of
-u_{w lam'} with no column walked (_target_row_zero); the system's solution
-is memoized on the module, as its paths, weight space and target module fix
+u_{w lam'} with no column walked (_target_row_zero), and memoizes on the
+module whether each path's e-power vanishes; the system's solution is
+memoized on the module, as its paths, weight space and target module fix
 the system.  What depends on the word alone, and not on the position k, is
 computed once per TorusPresentation and kept on it (_per_word): the proof
 that the word is reduced, the Weyl walks of its prefixes, the predicted
@@ -506,13 +507,24 @@ def _target_row_zero(uw: ModuleVector, target: dict) -> bool:
     space mu' of the columns, where e^{P*} uw lives, so P is zero in every
     column exactly when e^{P*} uw is zero.  On a module still being built
     the e-powers read only weights above the built weight of uw, which are
-    decided."""
+    decided.
+
+    Whether e^{P*} uw is zero depends on neither the word nor the target, so
+    it is memoized on the module (see hwmod), in _target_memo under uw's
+    weight and exact value, then the path."""
+    mod = uw.mod
+    memo = mod._target_memo.setdefault(
+        (uw.weight(), tuple(map(mod.field.key, uw.coeffs))), {}
+    )
     for path in target:
-        v = uw
-        for i, a in reversed(path):
-            for _ in range(a):
-                v = act_e(i, v)
-        if v.is_zero():
+        zero = memo.get(path)
+        if zero is None:
+            v = uw
+            for i, a in reversed(path):
+                for _ in range(a):
+                    v = act_e(i, v)
+            zero = memo[path] = v.is_zero()
+        if zero:
             return True
     return False
 

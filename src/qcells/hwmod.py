@@ -54,13 +54,13 @@ module; get_module and shadow_module return modules that build on demand.
 Each module also owns memos that live as long as it does and are filled
 lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
 bounded by the Weyl orbit of lam, the two memos of the Feigin descent
-(cells._coeff_terms), and on an exact module the solve memo of the
-presentation search (cells._solve).  Only the extremal memo holds vectors,
-so no other memo points back at the module.  Both descent memos map a key
-that starts with the right key the descent is given, the (weight, basis
-index) r of a basis vector, to a dict keyed by one int path code, whose
-base the Weyl dimension fixes, so a code does not depend on how much of the
-module is built:
+(cells._coeff_terms), and on an exact module the target-row and solve memos
+of the presentation search (cells._target_row_zero, cells._solve).  Only
+the extremal memo holds vectors, so no other memo points back at the
+module.  Both descent memos map a key that starts with the right key the
+descent is given, the (weight, basis index) r of a basis vector, to a dict
+keyed by one int path code, whose base the Weyl dimension fixes, so a code
+does not depend on how much of the module is built:
 
     _node_memo[r][code]       whether f^path r is nonzero
     _leaf_memo[r + l][code]   the path's term, path factor applied, for the
@@ -75,8 +75,14 @@ its terms keyed by path, (letter, a) steps, and the presentation search's
 linear system has one row per path, so the system is fixed by its module,
 weight space, target module and ordered row paths: a column's values
 depend only on the module, the basis key and the path, and the target's
-only on its module and the path.
+only on its module and the path.  Whether a target path is zero in every
+column depends only on the module, u_{w lam'} and the path (adjointness,
+see cells._target_row_zero).
 
+    _target_memo[u][path]              whether e^{path*} u is zero, with
+                                         u = (mu, key(c) of each coordinate
+                                         c at mu) the weight and exact value
+                                         of u_{w lam'}, as in _leaf_memo
     _solve_memo[(mu', lam_k, paths)]   solve_linear of the system of the
                                          weight space mu' whose rows are the
                                          ordered paths, for a target minor
@@ -168,6 +174,7 @@ class HWModule:
         "_node_memo",
         "_leaf_memo",
         "_leaf_values",
+        "_target_memo",
         "_solve_memo",
     )
 
@@ -191,6 +198,7 @@ class HWModule:
         self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
         self._leaf_memo: dict[tuple, dict[int, object]] = {}
         self._leaf_values: dict[object, object] = {}
+        self._target_memo: dict[tuple, dict[tuple, bool]] = {}
         self._solve_memo: dict[tuple, list | None] = {}
 
     def dim_of(self, mu: Weight) -> int:

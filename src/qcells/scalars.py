@@ -18,10 +18,20 @@ the candidate is accepted only under a bound that proves it is the gcd
 then the Euclidean pseudo-remainder gcd (_dgcd) decides.  So the gcd is
 certified, never a specialization.  Sums with unequal denominators run the
 gcd on the denominators only, by Henrici's rule (ScalarQ.__add__).
+
+The path values of the Feigin descent do not depend on the reduced word,
+so the words of one Weyl element reduce the same fractions again and
+again.  Both callers of the gcd, ScalarQ._make and ScalarQ.__add__, reach
+it through _cofactors, one least-recently-used cache of _COFACTORS_MAX
+entries keyed by the two coefficient tuples.  The exponents lo stay outside
+it, so operands that differ by a power of q share an entry, and its entries
+are tuples, which no caller can change.  The gcd is a pure function of its
+operands, so the cache changes no result.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import add
 
@@ -202,9 +212,10 @@ def _heu_gcd(A: list[int], B: list[int]) -> "tuple[list[int], list[int], list[in
 
 
 def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(g, a/g, b/g) for nonzero a and b, with g = _dgcd(a, b): integer
-    content included and a positive leading coefficient.  The gcd of the
-    primitive parts comes from _heu_gcd, or from _dgcd when that gives up."""
+    """(g, a/g, b/g) for nonzero a and b, lists or tuples, with
+    g = _dgcd(a, b): integer content included and a positive leading
+    coefficient.  Each part is a list or a tuple.  The gcd of the primitive
+    parts comes from _heu_gcd, or from _dgcd when that gives up."""
     ca, cb = _dcontent(a), _dcontent(b)
     g0 = gcd(ca, cb)
     A = [x // ca for x in a] if ca != 1 else a
@@ -223,6 +234,18 @@ def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], li
         [x * ka for x in qa] if ka != 1 else qa,
         [x * kb for x in qb] if kb != 1 else qb,
     )
+
+
+# Entries of the _cofactors cache: a C3 sweep of length <= 8 runs 20,508
+# gcds on 1,187 distinct operand pairs, and 512 entries serve 93% of them.
+_COFACTORS_MAX = 512
+
+
+@lru_cache(maxsize=_COFACTORS_MAX)
+def _cofactors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """_gcd_cofactors(a, b) as three tuples, for nonzero coefficient tuples
+    a and b, remembered for the last _COFACTORS_MAX pairs."""
+    return tuple(map(tuple, _gcd_cofactors(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +456,8 @@ class ScalarQ:
         """Canonicalize the raw fraction num / den.
 
         Both sides are divided by their gcd in Z[q], content included; the
-        quotients are the cofactors _gcd_cofactors returns with the gcd, so
-        no second division runs.  The gcd is certified (see _heu_gcd).  The
+        quotients are the cofactors _cofactors returns with the gcd, so no
+        second division runs.  The gcd is certified (see _heu_gcd).  The
         cofactors of trimmed polynomials are trimmed, as the gcd divides
         their nonzero constant terms."""
         b = den.c
@@ -446,11 +469,11 @@ class ScalarQ:
         lo = num.lo - den.lo
         if b == (1,):
             return cls._raw(num if lo == num.lo else LaurentQ._raw(lo, a), _L_ONE)
-        _, a, b = _gcd_cofactors(a, b)
+        _, a, b = _cofactors(a, b)
         if b[-1] < 0:
-            a = [-x for x in a]
-            b = [-x for x in b]
-        return cls._raw(LaurentQ._raw(lo, tuple(a)), LaurentQ._raw(0, tuple(b)))
+            a = tuple([-x for x in a])
+            b = tuple([-x for x in b])
+        return cls._raw(LaurentQ._raw(lo, a), LaurentQ._raw(0, b))
 
     @classmethod
     def q_power(cls, e: int) -> "ScalarQ":
@@ -507,12 +530,12 @@ class ScalarQ:
             if d1.c == (1,):
                 return ScalarQ._raw(s, _L_ONE)
             return ScalarQ._make(s, d1)
-        g, c1, c2 = _gcd_cofactors(d1.c, d2.c)
-        if g == [1]:
+        g, c1, c2 = _cofactors(d1.c, d2.c)
+        if g == (1,):
             return ScalarQ._raw(n1 * d2 + n2 * d1, d1 * d2)
-        e1 = LaurentQ._raw(0, tuple(c1))
-        e2 = LaurentQ._raw(0, tuple(c2))
-        x = ScalarQ._make(n1 * e2 + n2 * e1, LaurentQ._raw(0, tuple(g)))
+        e1 = LaurentQ._raw(0, c1)
+        e2 = LaurentQ._raw(0, c2)
+        x = ScalarQ._make(n1 * e2 + n2 * e1, LaurentQ._raw(0, g))
         return ScalarQ._raw(x.num, x.den * e1 * e2)
 
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import qcells.scalars as qscalars
 from qcells import cells, cli, hwmod
 from qcells.cartan import (
     Weight,
@@ -669,6 +670,45 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
         assert len(calls) == miss
         calls.clear()
     assert hits == len(instances) > misses > 0
+
+
+def test_target_row_memo_equals_fresh_e_powers(monkeypatch, capsys):
+    """After C3 <= 6 sweeps every target-row memo entry, a bool under u_{w
+    lam'}'s weight and value and then a path, is whether e^{P*} u_{w lam'}
+    is zero, recomputed; a sweep that repeats the last one's route applies
+    no e-power in the check; and the gcd cache holds at most its bound.
+
+    The second sweep searches exactly some candidates that the first
+    screened while their module was not built yet, so it is the third that
+    repeats the second's route."""
+    datum = build_root_datum("C3")
+    fresh_caches(monkeypatch, datum)
+    argv = ["sweep", "--cartan", "C3", "--max-length", "6", "--format", "json"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    entries = 0
+    for mod in datum._module_cache.values():
+        for (mu, value), inner in mod._target_memo.items():
+            uw = mod._extremal_memo[mu]
+            assert tuple(map(mod.field.key, uw.coeffs)) == value
+            for path, zero in inner.items():
+                v = uw
+                for i, a in reversed(path):
+                    for _ in range(a):
+                        v = hwmod.act_e(i, v)
+                assert type(zero) is bool and zero == v.is_zero()
+                entries += 1
+    assert entries
+    calls = []
+    monkeypatch.setattr(cells, "act_e", lambda i, v: calls.append(i) or hwmod.act_e(i, v))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == outs[0]
+    assert not calls
+    info = qscalars._cofactors.cache_info()
+    assert info.maxsize == qscalars._COFACTORS_MAX and 0 < info.currsize <= info.maxsize
 
 
 def test_presentation_error_reports_candidates():

@@ -333,6 +333,19 @@ def test_gcd_with_cofactors_equals_euclidean_gcd(f, g, shared, ka, kb):
     assert _dmul(h, qa) == a and _dmul(h, qb) == b
 
 
+@given(dense, dense, dense)
+@settings(max_examples=200)
+def test_cached_cofactors_equal_the_kernel(f, g, shared):
+    """The gcd cache returns _gcd_cofactors's gcd and cofactors as tuples,
+    on a first call and on a second one, which may be served from it."""
+    a, b = tuple(_dmul(f, shared)), tuple(_dmul(g, shared))
+    want = tuple(map(tuple, _gcd_cofactors(list(a), list(b))))
+    for _ in range(2):
+        got = qscalars._cofactors(a, b)
+        assert got == want
+        assert type(got) is tuple and all(type(x) is tuple for x in got)
+
+
 def test_fixed_divisor_pair():
     """q^2 + q and q^2 + q + 2 are coprime, yet both values at every
     integer are even, so the integer gcd at the point is c = 2, not 1.
@@ -364,7 +377,9 @@ def test_rejected_candidate_moves_to_the_next_point(monkeypatch):
 def test_gcd_falls_back_to_euclid_when_no_candidate_passes(monkeypatch, digits):
     """With candidate digits that never divide, or a constant candidate whose
     content c = xi breaks the bound xi >= c + 2 + min |cofactor|, every
-    point fails, and the Euclidean gcd decides the same canonical forms."""
+    point fails, and the Euclidean gcd decides the same canonical forms.  The
+    gcd cache starts empty, so ScalarQ runs the gcd whatever ran before."""
+    qscalars._cofactors.cache_clear()
     monkeypatch.setattr(qscalars, "_digits", digits)
     euclid = []
     monkeypatch.setattr(qscalars, "_dgcd", lambda a, b: euclid.append(1) or _dgcd(a, b))
