@@ -123,16 +123,15 @@ class RootDatum:
             tuple(int(x * self._inv_den) for x in row) for row in inv
         )
         # the one owner of per-datum caches, filled lazily: reduced words by
-        # w.rho (cartan), Lusztig form values (freeuq), and exact modules and
-        # their GF(p) shadows by highest weight (hwmod).  Each module owns
-        # its own memos, of extremal vectors by weight and of the Feigin
-        # descent's path values (hwmod.HWModule), and they live as long as
-        # it does
+        # w.rho (cartan), Lusztig form values (freeuq), and one module per
+        # highest weight (hwmod): the exact module, or its GF(p) shadow until
+        # the exact one replaces it.  Each module owns its own memos, of
+        # extremal coefficients by weight and of the Feigin descent's path
+        # values (hwmod.HWModule), and they live as long as it does
         self._pos_roots: tuple[RootVector, ...] | None = None
         self._rw_memo: dict = {}
         self._form_memo: dict = {}
         self._module_cache: dict = {}
-        self._shadow_cache: dict = {}
 
     def _validate(self) -> None:
         n = self.rank

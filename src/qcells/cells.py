@@ -566,9 +566,10 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
     A(q0) x(q0) = b(q0), which rank [A|b](q0) = r + 1 rules out.  Whether
     some u' has the target image does not depend on the basis, so neither
     does the certificate, and the exact search, in the basis of the exact
-    build, finds no u' either.  Every other outcome (no shadow, a division
-    by zero at q0, rank A(q0) < r, a consistent system) proves nothing and
-    returns False, leaving the candidate to the exact search."""
+    build, finds no u' either.  Every other outcome (no shadow, as V(lam')
+    is cached exactly or its shadow gave up, a division by zero at q0,
+    rank A(q0) < r, a consistent system) proves nothing and returns False,
+    leaving the candidate to the exact search."""
     datum = pres.datum
     shadow = shadow_module(datum, lamp)
     if shadow is None:
@@ -617,9 +618,10 @@ def find_presentation(
     candidate is skipped before its columns are walked when a target path
     is zero in every column, where solve_linear would return None: by
     adjointness, when e-powers of u_{w lam'} along the path give zero
-    (_target_row_zero).  The system is solved once per module, weight
-    space, target module and row paths (_solve).  Raises PresentationError
-    when the cap is exhausted.
+    (_target_row_zero).  That covers an empty weight space mu', as the
+    target is the image of a nonzero minor and has a path.  The system is
+    solved once per module, weight space, target module and row paths
+    (_solve).  Raises PresentationError when the cap is exhausted.
     """
     datum = pres.datum
     word = pres.letters
@@ -637,14 +639,10 @@ def find_presentation(
         walk = _walk(pres, len(word), lamp)
         mup = walk[1] - shift
         try:
-            if lamp.coords not in datum._module_cache and _screened_out(
-                pres, lamp, mup, target
-            ):
+            if _screened_out(pres, lamp, mup, target):
                 continue
             modp = get_module(datum, lamp)
         except ModuleTooLarge:
-            continue
-        if modp.dim_of(mup) == 0:
             continue
         uw = extremal_from_walk(modp, word, walk)
         if _target_row_zero(uw, target):

@@ -52,15 +52,15 @@ against it when the module is created.  build_module returns a complete
 module; get_module and shadow_module return modules that build on demand.
 
 Each module also owns memos that live as long as it does and are filled
-lazily: extremal vectors u_{w lam} keyed by their weight w lam, which is
-bounded by the Weyl orbit of lam, the two memos of the Feigin descent
-(cells._coeff_terms), and on an exact module the target-row and solve memos
-of the presentation search (cells._target_row_zero, cells._solve).  Only
-the extremal memo holds vectors, so no other memo points back at the
-module.  Both descent memos map a key that starts with the right key the
-descent is given, the (weight, basis index) r of a basis vector, to a dict
-keyed by one int path code, whose base the Weyl dimension fixes, so a code
-does not depend on how much of the module is built:
+lazily: the coefficient lists of the extremal vectors u_{w lam} keyed by
+their weight w lam, which is bounded by the Weyl orbit of lam, the two memos
+of the Feigin descent (cells._coeff_terms), and on an exact module the
+target-row and solve memos of the presentation search
+(cells._target_row_zero, cells._solve).  No memo holds a vector, so none
+points back at the module.  Both descent memos map a key that starts with
+the right key the descent is given, the (weight, basis index) r of a basis
+vector, to a dict keyed by one int path code, whose base the Weyl dimension
+fixes, so a code does not depend on how much of the module is built:
 
     _node_memo[r][code]       whether f^path r is nonzero
     _leaf_memo[r + l][code]   the path's term, path factor applied, for the
@@ -114,10 +114,12 @@ its picks: each of its Phi(q0) profiles has m(mu) columns, so some
 m(mu) x m(mu) minor of the picked columns is nonzero at q0, and by Cramer's
 rule every exact coordinate over the pick is defined there; the shadow
 computes those entries by the same ring operations mod p.  The weight a
-shadow gives up on stays undecided, and the shadow leaves the shadow cache:
-what a screen proved on its built part stands, and no later screen reads
-it.  Actions, divided powers, the form and extremal vectors work over both
-fields; the braid operators are exact only.
+shadow gives up on stays undecided, and its cache entry becomes None: what
+a screen proved on its built part stands, and no later screen reads it.
+The datum keeps one module per highest weight: the exact one, or the
+shadow until get_module replaces it.  Actions, divided powers, the form and
+extremal vectors work over both fields; the braid operators are exact
+only.
 """
 
 from __future__ import annotations
@@ -141,7 +143,6 @@ __all__ = [
     "act_f",
     "act_e",
     "act_f_divided",
-    "act_e_divided",
     "divided_powers",
     "inv_qint",
     "path_factor",
@@ -194,7 +195,7 @@ class HWModule:
         # the lowest weight w0 lam, and the decided weights of multiplicity 0
         self._lowest = -dominant_conjugate(datum, -lam)[1]
         self._absent: set[Weight] = set()
-        self._extremal_memo: dict[Weight, "ModuleVector"] = {}
+        self._extremal_memo: dict[Weight, list] = {}
         self._node_memo: dict[tuple[Weight, int], dict[int, bool]] = {}
         self._leaf_memo: dict[tuple, dict[int, object]] = {}
         self._leaf_values: dict[object, object] = {}
@@ -288,9 +289,9 @@ _PROFILE_P = (1 << 61) - 1
 _PROFILE_Q0 = 1220703125
 
 
-def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
+def _eval_mod(c: ScalarQ) -> int:
     """c at q = _PROFILE_Q0 in GF(_PROFILE_P), by Horner's rule on each
-    coefficient tuple, with powers memoizing the q0^lo factors.
+    coefficient tuple.
 
     Raises ZeroDivisionError when the denominator vanishes at the point."""
     p = _PROFILE_P
@@ -300,10 +301,7 @@ def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
         for k in reversed(x.c):
             acc = (acc * _PROFILE_Q0 + k) % p
         if x.lo:
-            w = powers.get(x.lo)
-            if w is None:
-                w = powers[x.lo] = pow(_PROFILE_Q0, x.lo, p)
-            acc = acc * w % p
+            acc = acc * pow(_PROFILE_Q0, x.lo, p) % p
         vals.append(acc)
     num, den = vals
     if not den:
@@ -311,15 +309,13 @@ def _eval_mod(c: ScalarQ, powers: dict[int, int]) -> int:
     return num * pow(den, p - 2, p) % p
 
 
-# A pure function of two small ints, the same for every root datum, so one
-# module-level cache serves all data and no datum needs to own it.
-@lru_cache(maxsize=None)
 def inv_qint(a: int, d: int) -> ScalarQ:
     """1/[a]_{q^d} over Q(q)."""
     return qint(a).subst(d).to_scalar().inverse()
 
 
-# Like inv_qint, a pure function of small ints.
+# A pure function of small ints, the same for every root datum, so one
+# module-level cache serves all data and no datum needs to own it.
 @lru_cache(maxsize=None)
 def path_factor(steps: tuple[tuple[int, int], ...]) -> ScalarQ:
     """q^{sum d a(a-1)/2} / prod [a]_{q^d}! over the (d, a) steps of a path:
@@ -395,11 +391,8 @@ class _Shadow:
     give_up = ZeroDivisionError
     nonzero = any
 
-    def __init__(self) -> None:
-        self.powers: dict[int, int] = {}
-
     def of(self, c: ScalarQ) -> int:
-        return _eval_mod(c, self.powers)
+        return _eval_mod(c)
 
     @staticmethod
     def key(c: int) -> int:
@@ -531,9 +524,9 @@ def _reach(mod: HWModule, mu: Weight) -> None:
     an explicit stack of weights with their depths lam - mu in root
     coordinates, so a module taller than the recursion limit is walked too.
 
-    A shadow that gives up leaves the shadow cache, with its extremal memo
-    cleared as get_module clears it, and the weight it gave up on stays
-    undecided.  Deciding the lowest weight completes the module."""
+    A shadow that gives up leaves None in its cache entry, and the weight
+    it gave up on stays undecided.  Deciding the lowest weight completes
+    the module."""
     basis, absent = mod.basis, mod._absent
     if mod.complete or mu in basis or mu in absent:
         return
@@ -567,10 +560,8 @@ def _reach(mod: HWModule, mu: Weight) -> None:
                 else:
                     absent.add(nu)
     except mod.field.give_up:
-        cache = datum._shadow_cache
-        if cache.get(mod.lam.coords) is mod:
-            cache[mod.lam.coords] = None
-            mod._extremal_memo.clear()
+        if isinstance(mod.field, _Shadow) and datum._module_cache.get(mod.lam.coords) is mod:
+            datum._module_cache[mod.lam.coords] = None
         raise
     if mu == mod._lowest:
         _complete(mod)
@@ -690,33 +681,27 @@ def build_module(datum: RootDatum, lam: Weight) -> HWModule:
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     """V(lam) from the datum's module cache, created on the first request with
     its highest weight space only; it builds the weight spaces its callers
-    reach as they need them, with the same entries build_module gives.  A
-    cached module needs no screen, so its shadow leaves the shadow cache;
-    the shadow's extremal vectors point back at it, so their memo is
-    cleared to let refcounting free it, and its descent memos, which hold no
-    vector, go with it."""
+    reach as they need them, with the same entries build_module gives.  It
+    replaces the entry's shadow, if any."""
     mod = datum._module_cache.get(lam.coords)
-    if mod is None:
-        mod = _new_module(datum, lam, _Exact())
-        datum._module_cache[lam.coords] = mod
-        shadow = datum._shadow_cache.pop(lam.coords, None)
-        if shadow is not None:
-            shadow._extremal_memo.clear()
+    if mod is None or isinstance(mod.field, _Shadow):
+        mod = datum._module_cache[lam.coords] = _new_module(datum, lam, _Exact())
     return mod
 
 
 def shadow_module(datum: RootDatum, lam: Weight) -> HWModule | None:
-    """The GF(p) shadow of V(lam) at q = q0 from the datum's shadow cache,
-    created on the first request and dropped once get_module creates V(lam).
-    Like get_module's modules it builds its weight spaces on demand, each
-    the specialization of the exact one with the shadow's picks.  None when
-    the shadow gave up on some weight (a short pick or a constant
-    undefined at q0): then no screen reads it again.  Raises ModuleTooLarge
-    as build_module does."""
-    cache = datum._shadow_cache
+    """The GF(p) shadow of V(lam) at q = q0 from the datum's module cache,
+    created on the first request for an empty entry.  Like get_module's
+    modules it builds its weight spaces on demand, each the specialization
+    of the exact one with the shadow's picks.  None when there is nothing
+    to screen with: V(lam) is cached exactly, or the shadow gave up on some
+    weight (a short pick or a constant undefined at q0).  Raises
+    ModuleTooLarge as build_module does."""
+    cache = datum._module_cache
     if lam.coords not in cache:
         cache[lam.coords] = _new_module(datum, lam, _Shadow())
-    return cache[lam.coords]
+    mod = cache[lam.coords]
+    return mod if mod is not None and isinstance(mod.field, _Shadow) else None
 
 
 # ---------------------------------------------------------------------------
@@ -777,11 +762,6 @@ def act_f_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
     return _act_divided(act_f, i, a, vec)
 
 
-def act_e_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
-    """Divided power e_i^{(a)} = e_i^a / [a]_{q_i}!."""
-    return _act_divided(act_e, i, a, vec)
-
-
 def contravariant_form(v: ModuleVector, w: ModuleVector):
     """The symmetric form with (u_lam, u_lam) = 1 and (f_i x, y) = (x, e_i y),
     valued in the field of the module."""
@@ -804,10 +784,10 @@ def extremal_vector(mod: HWModule, word: tuple[int, ...]) -> ModuleVector:
     c_m = <h_{i_m}, s_{i_{m+1}} ... s_{i_l} lam>,
 
     applied rightmost factor first.  The vector depends on w lam only, not
-    on the word, so it is memoized on the module by its weight w lam; the
-    exponents are checked first, so a word that is not reduced for lam, or
-    has a letter outside the index set, raises ValueError and never reads
-    the memo."""
+    on the word, so its coefficients are memoized on the module by its
+    weight w lam; the exponents are checked first, so a word that is not
+    reduced for lam, or has a letter outside the index set, raises
+    ValueError and never reads the memo."""
     word = tuple(word)
     return extremal_from_walk(mod, word, walk_word(mod.datum, word, mod.lam))
 
@@ -822,13 +802,13 @@ def extremal_from_walk(
         raise ValueError(f"word {word} is not reduced for weight {mod.lam.coords}")
     got = mod._extremal_memo.get(key)
     if got is not None:
-        return got
+        return ModuleVector(mod, key, got)
     # the divided monomial passes weights at or above w lam only
     _reach(mod, key)
     vec = mod.highest()
     for i, c in zip(reversed(word), reversed(exps)):
         vec = act_f_divided(i, c, vec)
-    mod._extremal_memo[key] = vec
+    mod._extremal_memo[key] = vec.coeffs
     return vec
 
 

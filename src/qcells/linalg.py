@@ -19,7 +19,6 @@ __all__ = [
     "solve_linear",
     "column_dependencies",
     "dot",
-    "mat_vec",
 ]
 
 
@@ -108,7 +107,3 @@ def dot(u: list[ScalarQ], v: list[ScalarQ]) -> ScalarQ:
         if a.num.c and b.num.c:
             acc = acc + a * b
     return acc
-
-
-def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:
-    return [dot(row, v) for row in m]

@@ -242,9 +242,7 @@ def test_descent_zero_content_and_empty_word():
 def test_descent_over_the_shadow():
     datum = build_root_datum("B2")
     pres = TorusPresentation(datum, (1, 2, 1, 2))
-    shadow = shadow_module(datum, Weight((1, 1)))
-    assert shadow is not None and isinstance(shadow.field, hwmod._Shadow)
-    completed(shadow)
+    shadow = hwmod._build(datum, Weight((1, 1)), hwmod._Shadow())
     for left, right in descent_pairs(shadow, pres.letters):
         want = brute_descent(pres, left, right)[0]
         assert feigin_matrix_coeff(pres, left, right).terms == want
@@ -262,7 +260,10 @@ def test_descent_sums_over_right_coordinates(cartan, word, coords, images, field
     datum = build_root_datum(cartan)
     pres = TorusPresentation(datum, word)
     lam = Weight(coords)
-    mod = completed(get_module(datum, lam) if field == "exact" else shadow_module(datum, lam))
+    if field == "exact":
+        mod = completed(get_module(datum, lam))
+    else:
+        mod = hwmod._build(datum, lam, hwmod._Shadow())
     of = mod.field.of
     nonzero = 0
     for mu in mod.basis:
@@ -403,21 +404,51 @@ def test_path_codes_do_not_depend_on_how_much_is_built(monkeypatch, cartan, coor
     assert lazy._leaf_memo == whole._leaf_memo
 
 
+MODULE_MEMOS = (
+    "_extremal_memo",
+    "_node_memo",
+    "_leaf_memo",
+    "_leaf_values",
+    "_target_memo",
+    "_solve_memo",
+)
+
+
+def held(obj):
+    """obj and everything reachable from it through dicts, lists and tuples."""
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        yield o
+        if isinstance(o, dict):
+            stack += [*o.keys(), *o.values()]
+        elif isinstance(o, (list, tuple)):
+            stack += o
+
+
 def test_descent_memos_hold_no_vectors(monkeypatch, capsys):
-    """After a short sweep every module's descent memos map right keys to
-    dicts of int path codes, with bools in the node memo and field scalars
-    in the leaf memo; no ModuleVector, so no memo points back at a module."""
+    """After a short sweep no module memo holds a ModuleVector or a module,
+    so no memo points back at a module, and every memo is filled on some
+    module.  The descent memos map right keys to dicts of int path codes,
+    with bools in the node memo and field scalars in the leaf memo; the
+    extremal memo maps a weight to a coefficient list of that weight
+    space."""
+    assert set(MODULE_MEMOS) == {
+        name for name in hwmod.HWModule.__slots__ if name.endswith(("_memo", "_values"))
+    }
     datum = build_root_datum("B2")
     fresh_caches(monkeypatch, datum)
     assert cli.main(["sweep", "--cartan", "B2"]) == 0
     capsys.readouterr()
-    mods = list(datum._module_cache.values())
+    mods = [m for m in datum._module_cache.values() if m is not None]
     # a shadow the screen built stays in the cache, its memos filled
-    shadows = [m for m in datum._shadow_cache.values() if m is not None]
-    assert any(m._node_memo for m in shadows)
-    mods += shadows
+    assert any(isinstance(m.field, hwmod._Shadow) and m._node_memo for m in mods)
+    for name in MODULE_MEMOS:
+        assert any(getattr(mod, name) for mod in mods), name
+        for mod in mods:
+            kinds = {type(x) for x in held(getattr(mod, name))}
+            assert not kinds & {hwmod.ModuleVector, hwmod.HWModule}, (name, mod)
     scalars = (ScalarQ, int)
-    leaves = 0
     for mod in mods:
         for memo, kind in ((mod._node_memo, bool), (mod._leaf_memo, scalars)):
             for rkey, inner in memo.items():
@@ -425,8 +456,9 @@ def test_descent_memos_hold_no_vectors(monkeypatch, capsys):
                 assert isinstance(mu, Weight) and 0 <= s < mod.dim_of(mu)
                 assert all(type(code) is int for code in inner)
                 assert all(isinstance(v, kind) for v in inner.values())
-        leaves += sum(map(len, mod._leaf_memo.values()))
-    assert leaves
+        for mu, coeffs in mod._extremal_memo.items():
+            assert isinstance(mu, Weight) and len(coeffs) == mod.dim_of(mu)
+            assert all(isinstance(c, scalars) for c in coeffs)
 
 
 # ------------------------------------------------------- predicted monomials
@@ -672,6 +704,41 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
     assert hits == len(instances) > misses > 0
 
 
+def test_target_row_check_rejects_every_empty_weight_space(monkeypatch, capsys):
+    """The exact stage of the search has no exit for an empty weight space
+    mu' of V(lam'): over the C3 <= 6 sweep _target_row_zero rejects every
+    such candidate, as no e-power of u_{w lam'} lands on a weight that
+    V(lam') lacks, and the target, the image of a nonzero minor, is never
+    empty.  Emptiness is read from complete modules, so the sweep's own
+    modules are not extended."""
+    datum = build_root_datum("C3")
+    fresh_caches(monkeypatch, datum)
+    real_screen, real_check = cells._screened_out, cells._target_row_zero
+    screened, whole, empty = [], {}, []
+
+    def screen(pres, lamp, mup, target):
+        screened.append((lamp, mup, target))
+        return real_screen(pres, lamp, mup, target)
+
+    def check(uw, target):
+        # the screen runs for every candidate, just before its exact stage
+        lamp, mup, screened_target = screened[-1]
+        assert uw.mod.lam == lamp and target is screened_target and target
+        if lamp not in whole:
+            whole[lamp] = build_module(datum, lamp)
+        rejected = real_check(uw, target)
+        if whole[lamp].dim_of(mup) == 0:
+            assert rejected, (lamp, mup)
+            empty.append(mup)
+        return rejected
+
+    monkeypatch.setattr(cells, "_screened_out", screen)
+    monkeypatch.setattr(cells, "_target_row_zero", check)
+    assert cli.main(["sweep", "--cartan", "C3", "--max-length", "6"]) == 0
+    capsys.readouterr()
+    assert empty
+
+
 def test_target_row_memo_equals_fresh_e_powers(monkeypatch, capsys):
     """After C3 <= 6 sweeps every target-row memo entry, a bool under u_{w
     lam'}'s weight and value and then a path, is whether e^{P*} u_{w lam'}
@@ -690,9 +757,9 @@ def test_target_row_memo_equals_fresh_e_powers(monkeypatch, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     entries = 0
-    for mod in datum._module_cache.values():
+    for mod in filter(None, datum._module_cache.values()):
         for (mu, value), inner in mod._target_memo.items():
-            uw = mod._extremal_memo[mu]
+            uw = hwmod.ModuleVector(mod, mu, mod._extremal_memo[mu])
             assert tuple(map(mod.field.key, uw.coeffs)) == value
             for path, zero in inner.items():
                 v = uw
@@ -768,8 +835,7 @@ def test_build_failure_propagates_from_search(monkeypatch):
 
 # ---------------------------------------------------------- the GF(p) screen
 def fresh_caches(monkeypatch, datum):
-    for cache in ("_module_cache", "_shadow_cache"):
-        monkeypatch.setattr(datum, cache, {})
+    monkeypatch.setattr(datum, "_module_cache", {})
 
 
 def search_all(datum, max_length):
@@ -922,7 +988,7 @@ def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
     inv2 = [hwmod.inv_qint(2, datum.di(i)) for i in datum.index_set]
 
     def vanishing(self, c):
-        if any(c is x for x in inv2):
+        if c in inv2:
             raise ZeroDivisionError("[2] vanishes at q0")
         return real(self, c)
 
@@ -937,8 +1003,9 @@ def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
 def test_shadow_that_gives_up_below_its_first_floor_never_certifies(monkeypatch):
     """A screen reads the upper part of a shadow; a later screen needs a
     weight below it, where the shadow gives up.  That screen proves nothing,
-    the shadow leaves the cache with no weight decided and unbuilt, and the
-    search ends where the exact search does."""
+    the shadow gives up with no weight decided and unbuilt, the exact module
+    replaces it in the cache, and the search ends where the exact search
+    does."""
     A3 = build_root_datum("A3")
     lamp, low = Weight((2, 0, 0)), Weight((1, 0, -1))
     first, second = TorusPresentation(A3, (1, 2, 1)), TorusPresentation(A3, (1, 3, 2, 1))
@@ -958,7 +1025,8 @@ def test_shadow_that_gives_up_below_its_first_floor_never_certifies(monkeypatch)
     # word 1,2,1 at k = 1: the screen rejects V(2,0,0) on its upper weights
     assert find_presentation(first, 1).lam.coords == (1, 1, 0)
     assert (lamp, True) in verdicts
-    shadow = A3._shadow_cache[lamp.coords]
+    shadow = A3._module_cache[lamp.coords]
+    assert isinstance(shadow.field, hwmod._Shadow)
     assert not shadow.complete and low not in shadow.basis
     real_mult = hwmod._multiplicity
     monkeypatch.setattr(
@@ -970,7 +1038,7 @@ def test_shadow_that_gives_up_below_its_first_floor_never_certifies(monkeypatch)
     # word 1,3,2,1 at k = 1: the screen of V(2,0,0) needs the weight low
     got = find_presentation(second, 1)
     assert (lamp, False) in verdicts
-    assert lamp.coords not in A3._shadow_cache
+    assert isinstance(A3._module_cache[lamp.coords].field, hwmod._Exact)
     assert (got.lam, got.coeffs) == (want.lam, want.coeffs)
     # low is not decided: asking for it extends again, and gives up again
     assert low not in shadow.basis
@@ -986,9 +1054,14 @@ def test_search_builds_weight_spaces_on_demand(monkeypatch, capsys):
     fresh_caches(monkeypatch, datum)
     assert cli.main(["verify", "--cartan", "B3", "--word", "3,2,3,2"]) == 0
     capsys.readouterr()
-    mods = [datum._shadow_cache[c] for c in ((1, 1, 0), (0, 2, 0), (0, 1, 1))]
-    mods.append(datum._module_cache[(0, 0, 2)])
-    for mod in mods:
+    for c, field in (
+        ((1, 1, 0), hwmod._Shadow),
+        ((0, 2, 0), hwmod._Shadow),
+        ((0, 1, 1), hwmod._Shadow),
+        ((0, 0, 2), hwmod._Exact),
+    ):
+        mod = datum._module_cache[c]
+        assert isinstance(mod.field, field)
         assert not mod.complete
         assert sum(map(len, mod.basis.values())) < mod.dim == weyl_dim(datum, mod.lam)
 

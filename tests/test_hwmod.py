@@ -25,7 +25,6 @@ from qcells.cartan import (
 )
 from qcells.hwmod import (
     act_e,
-    act_e_divided,
     act_f,
     act_f_divided,
     braid_T,
@@ -39,7 +38,7 @@ from qcells.hwmod import (
     shadow_module,
 )
 from qcells.cells import find_presentation
-from qcells.linalg import RationalFunctions, column_dependencies, mat_vec, solve_linear
+from qcells.linalg import RationalFunctions, column_dependencies, dot, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -126,7 +125,7 @@ def test_gram_inverse_is_exact():
             e_j = [ONE if i == j else ScalarQ(0) for i in range(n)]
             x = solve_linear(g, e_j)
             assert x is not None
-            assert mat_vec(g, x) == e_j
+            assert [dot(row, x) for row in g] == e_j
 
 
 def test_form_is_contravariant_and_symmetric():
@@ -161,8 +160,9 @@ def test_divided_powers_rescale_plain_powers():
     v2 = act_f(1, act_f(1, u))
     two = ScalarQ(LaurentQ({1: 1, -1: 1}))
     assert v2 == act_f_divided(1, 2, u).scaled(two)
-    # e^{(2)} brings it back to a q-binomial multiple of u
-    back = act_e_divided(1, 2, act_f_divided(1, 2, u))
+    # e^{(2)}, the third rung of the e-ladder, brings it back to a
+    # q-binomial multiple of u
+    back = list(divided_powers(act_e, 1, act_f_divided(1, 2, u)))[2]
     # [4 choose 2] = q^4 + q^2 + 2 + q^-2 + q^-4
     binom = ScalarQ(LaurentQ({4: 1, 2: 1, 0: 2, -2: 1, -4: 1}))
     assert back == u.scaled(binom)
@@ -272,7 +272,10 @@ def test_extremal_vectors_agree_across_reduced_words(cartan, coords):
     orbit = weyl_orbit(datum, lam)
     assert words > len(mod._extremal_memo)
     assert set(mod._extremal_memo) <= orbit
-    assert all(u.weight() == mu for mu, u in mod._extremal_memo.items())
+    # each entry is the coefficient list of a nonzero vector of its weight
+    assert all(
+        len(c) == mod.dim_of(mu) and mod.field.nonzero(c) for mu, c in mod._extremal_memo.items()
+    )
 
 
 def test_extremal_vector_rejects_letters_outside_index_set():
@@ -348,20 +351,16 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
     pres = TorusPresentation(A2, (1, 2, 1))
     results = []
     for force in (real_deps, *forces):
-        for cache in ("_module_cache", "_shadow_cache"):
-            monkeypatch.setattr(A2, cache, {})
+        monkeypatch.setattr(A2, "_module_cache", {})
         monkeypatch.setattr(hwmod, "column_dependencies", force)
         p = find_presentation(pres, 1)
         results.append((p.lam.coords, p.coeffs))
-        if force is real_deps:
-            assert A2._shadow_cache[(2, 0)] is not None
-            assert (2, 0) not in A2._module_cache
-        else:
-            # both shadows gave up, and the exact builds dropped their entries
-            assert {(2, 0), (1, 1)} <= set(A2._module_cache)
-            assert A2._shadow_cache == {}
-        # a built module drops its shadow
-        assert not set(A2._shadow_cache) & set(A2._module_cache)
+        fields = {c: type(m.field) for c, m in A2._module_cache.items()}
+        # both shadows gave up under a force, and exact builds replaced them;
+        # the winner's exact module replaces its shadow in any case
+        screened = hwmod._Shadow if force is real_deps else hwmod._Exact
+        assert fields[(2, 0)] is screened
+        assert fields[(1, 1)] is hwmod._Exact
     monkeypatch.setattr(hwmod, "column_dependencies", real_deps)
     assert results[0][0] == (1, 1)
     assert results == [results[0]] * 3
@@ -369,8 +368,9 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
 
 def test_screened_winner_reuses_its_shadow(monkeypatch):
     """Only the screen builds shadows.  The exact build of a screened winner
-    builds none and reads none, and get_module then drops the screened
-    shadow from the cache with its memos cleared."""
+    builds none and reads none, and get_module replaces the screened shadow
+    in the cache's one entry for its highest weight.  The screen of a
+    candidate cached exactly gets no shadow."""
     real_build = hwmod._new_module
     builds = []
 
@@ -378,11 +378,11 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
         builds.append((lam.coords, type(field).__name__))
         return real_build(datum, lam, field)
 
-    for cache in ("_module_cache", "_shadow_cache"):
-        monkeypatch.setattr(A2, cache, {})
+    monkeypatch.setattr(A2, "_module_cache", {})
     monkeypatch.setattr(hwmod, "_new_module", counted)
-    # A2 word 1,2,1 at k = 1: the target V(1,0) is built without a screen,
-    # V(2,0) is screened out and V(1,1) is screened and wins
+    # A2 word 1,2,1 at k = 1: the target V(1,0) is built exactly first, so
+    # its screen gets no shadow; V(2,0) is screened out and V(1,1) is
+    # screened and wins
     shadows = []
     real_shadow = hwmod.shadow_module
 
@@ -398,10 +398,10 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
         ((1, 1), "_Shadow"),
         ((1, 1), "_Exact"),
     ]
-    assert set(A2._shadow_cache) == {(2, 0)}
-    winner = shadows[-1]
-    assert winner.lam.coords == (1, 1)
-    assert not winner._extremal_memo
+    fields = {c: type(m.field).__name__ for c, m in A2._module_cache.items()}
+    assert fields == {(1, 0): "_Exact", (2, 0): "_Shadow", (1, 1): "_Exact"}
+    assert shadows[0] is None
+    assert [s.lam.coords for s in shadows[1:]] == [(2, 0), (1, 1)]
     builds.clear()
     build_module(A2, Weight((1, 1)))
     assert builds == [((1, 1), "_Exact")]
@@ -419,17 +419,16 @@ def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
             if isinstance(o, hwmod.HWModule) and isinstance(o.field, hwmod._Shadow)
         ]
 
-    for cache in ("_module_cache", "_shadow_cache"):
-        monkeypatch.setattr(A2, cache, {})
+    monkeypatch.setattr(A2, "_module_cache", {})
     gc.collect()
     before = {id(o) for o in live_shadows()}
     gc.disable()
     try:
         # the screen builds the shadows of V(2,0) and V(1,1); get_module
-        # drops that of V(1,1) once its exact module is built
+        # replaces that of V(1,1) with its exact module
         assert find_presentation(TorusPresentation(A2, (1, 2, 1)), 1).lam.coords == (1, 1)
         new = [o for o in live_shadows() if id(o) not in before]
-        kept = set(map(id, A2._shadow_cache.values()))
+        kept = set(map(id, A2._module_cache.values()))
         dropped = [o.lam.coords for o in new if id(o) not in kept]
     finally:
         gc.enable()
@@ -461,7 +460,7 @@ def test_eval_mod_is_the_value_at_the_profile_point(x):
     """_eval_mod evaluates num and den term by term at q0 in GF(p)."""
     p, q0 = hwmod._PROFILE_P, hwmod._PROFILE_Q0
     num, den = (sum(c * pow(q0, e, p) for e, c in part.items()) % p for part in (x.num, x.den))
-    assert hwmod._eval_mod(x, {}) == num * pow(den, -1, p) % p
+    assert hwmod._eval_mod(x) == num * pow(den, -1, p) % p
 
 
 def test_mod_solve_full_column_rank():
@@ -503,7 +502,7 @@ def test_mod_dependencies_match_exact_ones():
         assert got[0] == want[0]
         assert got[1].keys() == want[1].keys()
         for c, xs in want[1].items():
-            specialized = [hwmod._eval_mod(x, {}) for x in xs]
+            specialized = [hwmod._eval_mod(x) for x in xs]
             assert got[1][c] == specialized
             for row in rows:
                 picked = sum(row[k] * y for k, y in zip(got[0], specialized))
@@ -527,7 +526,7 @@ def test_f_columns_solve_the_gram_block():
                     contravariant_form(act_e(j, mod.basis_vector(mu, k)), b_w)
                     for k in range(len(tags))
                 ]
-                assert mat_vec(mod.gram[mu], list(x)) == rhs
+                assert [dot(row, x) for row in mod.gram[mu]] == rhs
                 unpicked += (j,) + mod.basis[parent][widx] not in tags
         assert unpicked > 0
 
@@ -580,19 +579,16 @@ def test_shadow_specializes_exact_module():
     B3 = build_root_datum("B3")
     for datum, coords in ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 1)), (B3, (0, 2, 0))):
         lam = Weight(coords)
-        shadow = shadow_module(datum, lam)
-        assert shadow is not None
-        shadow = completed(shadow)
+        shadow = hwmod._build(datum, lam, hwmod._Shadow())
         exact = completed(get_module(datum, lam))
         assert shadow.dim == exact.dim
         assert shadow.basis == exact.basis
         assert list(shadow.basis) == list(exact.basis)
-        powers = {}
         for name in ("gram", "fmat", "emat"):
             want, got = getattr(exact, name), getattr(shadow, name)
             assert want.keys() == got.keys(), name
             for key, block in want.items():
-                spec = [[hwmod._eval_mod(x, powers) for x in line] for line in block]
+                spec = [[hwmod._eval_mod(x) for x in line] for line in block]
                 assert [list(line) for line in got[key]] == spec, (name, key)
         for mod in (exact, shadow):
             for block in mod.gram.values():
@@ -610,7 +606,7 @@ def test_shadow_specializes_exact_module():
                 out += [(v, w) for v in vecs for w in vecs] + [(total, total)]
             return out
 
-        want = [hwmod._eval_mod(contravariant_form(v, w), powers) for v, w in pairs(exact)]
+        want = [hwmod._eval_mod(contravariant_form(v, w)) for v, w in pairs(exact)]
         assert [contravariant_form(v, w) for v, w in pairs(shadow)] == want
 
 
@@ -676,10 +672,10 @@ def test_modules_extended_in_any_order_equal_whole_builds(monkeypatch, cartan, c
     datum = build_root_datum(cartan)
     lam = Weight(coords)
     whole = [build_module(datum, lam), hwmod._build(datum, lam, hwmod._Shadow())]
-    for cache in ("_module_cache", "_shadow_cache"):
-        monkeypatch.setattr(datum, cache, {})
-    # get_module drops the cached shadow, so the shadow comes first
+    # the cache keeps one module per highest weight, so each gets a fresh one
+    monkeypatch.setattr(datum, "_module_cache", {})
     shadow = shadow_module(datum, lam)
+    monkeypatch.setattr(datum, "_module_cache", {})
     lazy = [get_module(datum, lam), shadow]
     rng = random.Random(f"{cartan} {coords}")
     for mod, ref in zip(lazy, whole):
@@ -707,8 +703,7 @@ def test_completion_checks_the_weyl_dimension(monkeypatch):
     monkeypatch.setattr(
         hwmod, "_multiplicity", lambda mod, mu: 0 if mu == lowest else real(mod, mu)
     )
-    for cache in ("_module_cache", "_shadow_cache"):
-        monkeypatch.setattr(B2, cache, {})
+    monkeypatch.setattr(B2, "_module_cache", {})
     mod = get_module(B2, lam)
     # every weight above the lowest is above one of these
     for i in B2.index_set:
@@ -724,7 +719,7 @@ def test_tall_shadow_completes(monkeypatch):
     the recursion limit, completes from a query for its lowest weight."""
     lam = Weight((1200,))
     assert 1200 > sys.getrecursionlimit()
-    monkeypatch.setattr(A1, "_shadow_cache", {})
+    monkeypatch.setattr(A1, "_module_cache", {})
     mod = shadow_module(A1, lam)
     assert mod.dim_of(-lam) == 1
     assert mod.complete

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qcells.linalg import (
     RationalFunctions,
     column_dependencies,
-    mat_vec,
+    dot,
     solve_linear,
 )
 from qcells.scalars import LaurentQ, ScalarQ, _dgcd
@@ -26,6 +26,11 @@ L_ONE = LaurentQ(1)
 
 def sc(n: int) -> ScalarQ:
     return ScalarQ(n)
+
+
+def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:
+    """Reference matrix-vector product."""
+    return [dot(row, v) for row in m]
 
 
 def mat_mul(a: list[list[ScalarQ]], b: list[list[ScalarQ]]) -> list[list[ScalarQ]]:

@@ -1,8 +1,10 @@
 """No source file of the package imports a name it does not use, and every
-module-level private function or class, and every non-dunder method or
-assigned class member, is referenced somewhere in the package beyond its own
+module-level function or class, and every non-dunder method or assigned
+class member, is referenced somewhere in the package beyond its own
 definition: code that nothing reaches is deleted, not left for its own unit
-test."""
+test.  A public name listed in __all__ but called only by tests counts as
+unreached, unless it is one of the named cross-checks and entry points in
+KEPT_PUBLIC."""
 
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ SOURCES = sorted(Path(qcells.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
-def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names read in tree, outside the subtree skip: bare names, attributes,
+def _referenced(tree: ast.AST, *skip: ast.AST | None) -> set[str]:
+    """Names read in tree, outside the subtrees skip: bare names, attributes,
     quoted annotations and the strings of __all__."""
-    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    skipped = {id(node) for s in skip if s is not None for node in ast.walk(s)}
     names: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -69,6 +71,69 @@ def test_private_definitions_are_referenced(name):
         ):
             unreached.append((node.name, node.lineno))
     assert not unreached, f"{name} defines private names nothing references: {unreached}"
+
+
+# Public names that nothing in the package calls, kept on purpose: the
+# acceptance battery's independent cross-checks and the library's entry
+# points.
+KEPT_PUBLIC = {
+    "build_module",
+    "extremal_vector",
+    "theorem_instance",
+    "braid_T",
+    "extremal_by_braid",
+    "serre_element",
+    "minor_representative",
+    "ore_commutation_check",
+    "gauss_product",
+}
+
+
+def _exports(tree: ast.AST) -> list[ast.AST]:
+    """The __all__ assignments of a module, whose strings only list names."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_public_definitions_are_referenced(name):
+    """Every public module-level function or class is referenced somewhere
+    in the package beyond its own definition and the __all__ lists, or is
+    one of KEPT_PUBLIC."""
+    unreached = []
+    for node in TREES[name].body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") or node.name in KEPT_PUBLIC:
+            continue
+        if not any(
+            node.name in _referenced(tree, node if other == name else None, *_exports(tree))
+            for other, tree in TREES.items()
+        ):
+            unreached.append((node.name, node.lineno))
+    assert not unreached, f"{name} defines public names only tests reach: {unreached}"
+
+
+def test_kept_public_names_exist_and_are_unreached():
+    """KEPT_PUBLIC names only definitions that exist and that nothing in the
+    package references, so the list does not outlive its reasons."""
+    defined = {
+        node.name: name
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert KEPT_PUBLIC <= set(defined)
+    for kept in KEPT_PUBLIC:
+        for other, tree in TREES.items():
+            skip = _exports(tree) + [
+                node for node in tree.body if getattr(node, "name", None) == kept
+            ]
+            assert kept not in _referenced(tree, *skip), (kept, other)
 
 
 @pytest.mark.parametrize("name", sorted(TREES))
