@@ -8,11 +8,14 @@ Conventions, fixed once for the whole package:
   In particular B2 has a_12 = -1, a_21 = -2, d = (2, 1) and G2 has
   a_12 = -3, a_21 = -1, d = (1, 3).
 * Weights live in the weight lattice with fundamental-weight coordinates,
-  root vectors in the root lattice with simple-root coordinates.  All
-  integer tuples.  The coordinate ``lam.coords[i - 1]`` is the pairing
-  ``<h_i, lam>``, and the Cartan matrix converts root coordinates into
-  weight coordinates.  Every pairing ``<w h_i, lam> = <h_i, w^{-1} lam>``
-  the package needs is read off a weight this way.
+  root vectors in the root lattice with simple-root coordinates.  Each is
+  a tuple of ints of its own class: ``+`` and ``-`` act on each coordinate
+  and reject a rank mismatch, and two values are equal only within one
+  class, so a weight never equals a root vector or a plain tuple.  The
+  coordinate ``lam[i - 1]`` is the pairing ``<h_i, lam>``, and the Cartan
+  matrix converts root coordinates into weight coordinates.  Every pairing
+  ``<w h_i, lam> = <h_i, w^{-1} lam>`` the package needs is read off a
+  weight this way.
 * A word ``(i_1, ..., i_m)`` over the 1-based index set acts as the group
   element s_{i_1} ... s_{i_m}, i.e. s_{i_m} is applied first.
 * Words are handled on the weight side, by walking one weight through
@@ -26,10 +29,9 @@ Supported types: A1-A4, B2-B3, C2-C3, D4, G2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
+from operator import add, mul, neg, sub
 
 
 __all__ = [
@@ -50,49 +52,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class _Lattice(tuple):
+    """Integer coordinates of a lattice element, a tuple of its own class.
+
+    Equal only to a value of the same class with the same coordinates, and
+    hashed as the tuple; ``+`` and ``-`` act on each coordinate and raise
+    ValueError when the ranks differ."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and _tuple_eq(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not type(self) or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coords={tuple(self)!r})"
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The coordinates as a plain tuple."""
+        return tuple(self)
+
+    def __add__(self, other: _Lattice) -> _Lattice:
+        if len(self) != len(other):
+            raise ValueError(f"rank mismatch: {self!r} + {other!r}")
+        return type(self)(map(add, self, other))
+
+    def __sub__(self, other: _Lattice) -> _Lattice:
+        if len(self) != len(other):
+            raise ValueError(f"rank mismatch: {self!r} - {other!r}")
+        return type(self)(map(sub, self, other))
+
+    def __neg__(self) -> _Lattice:
+        return type(self)(map(neg, self))
+
+
+class Weight(_Lattice):
     """Element of the weight lattice, coordinates over fundamental weights."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def scaled(self, n: int) -> "Weight":
-        return Weight(tuple(n * a for a in self.coords))
+    def scaled(self, n: int) -> Weight:
+        return Weight([n * a for a in self])
 
     def is_dominant(self) -> bool:
-        return all(a >= 0 for a in self.coords)
+        return all(a >= 0 for a in self)
 
 
-@dataclass(frozen=True, slots=True)
-class RootVector:
+class RootVector(_Lattice):
     """Element of the root lattice, coordinates over simple roots."""
 
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(tuple(-a for a in self.coords))
+    __slots__ = ()
 
     def height(self) -> int:
-        return sum(self.coords)
+        return sum(self)
 
     def is_positive(self) -> bool:
         """Nonzero with all coordinates >= 0."""
-        return any(self.coords) and all(a >= 0 for a in self.coords)
+        return any(self) and all(a >= 0 for a in self)
 
 
 class RootDatum:
@@ -111,17 +136,15 @@ class RootDatum:
         self._validate()
         # the simple roots in weight coordinates (the columns of a), and the
         # inverse Cartan matrix as integer rows over one common denominator
-        self._alpha_w = tuple(
-            Weight(tuple(row[j] for row in a)) for j in range(rank)
-        )
-        # a^-1 = B^-1 diag(d) for the symmetrized B = (d_i a_ij); inverting B
-        # also proves it positive definite, i.e. a of finite type
-        binv = _inverse([[Fraction(d[i] * x) for x in row] for i, row in enumerate(a)])
-        inv = [[x * d[j] for j, x in enumerate(row)] for row in binv]
-        self._inv_den = lcm(*(x.denominator for row in inv for x in row))
-        self._inv_num = tuple(
-            tuple(int(x * self._inv_den) for x in row) for row in inv
-        )
+        self._alpha_w = tuple(Weight([row[j] for row in a]) for j in range(rank))
+        # a^-1 = adj(B) diag(d) / det B for the symmetrized B = (d_i a_ij);
+        # inverting B also proves it positive definite, i.e. a of finite
+        # type.  The rows are cut to the least common denominator
+        det, adj = _inverse([[d[i] * x for x in row] for i, row in enumerate(a)])
+        num = [[x * d[j] for j, x in enumerate(row)] for row in adj]
+        g = gcd(det, *(x for row in num for x in row))
+        self._inv_den = det // g
+        self._inv_num = tuple(tuple(x // g for x in row) for row in num)
         # the one owner of per-datum caches, filled lazily: reduced words by
         # w.rho (cartan), Lusztig form values (freeuq), and one module per
         # highest weight (hwmod): the exact module, or its GF(p) shadow until
@@ -165,7 +188,7 @@ class RootDatum:
     def alpha(self, i: int) -> RootVector:
         c = [0] * self.rank
         c[i - 1] = 1
-        return RootVector(tuple(c))
+        return RootVector(c)
 
     def alpha_weight(self, i: int) -> Weight:
         """alpha_i in weight coordinates."""
@@ -174,7 +197,7 @@ class RootDatum:
     def fundamental(self, i: int) -> Weight:
         c = [0] * self.rank
         c[i - 1] = 1
-        return Weight(tuple(c))
+        return Weight(c)
 
     def rho(self) -> Weight:
         return Weight((1,) * self.rank)
@@ -183,28 +206,21 @@ class RootDatum:
 
     def h_weight(self, i: int, lam: Weight) -> int:
         """<h_i, lam>."""
-        return lam.coords[i - 1]
+        return lam[i - 1]
 
     def h_root(self, i: int, nu: RootVector) -> int:
         """<h_i, nu>."""
         row = self.a[i - 1]
-        return sum(row[j] * c for j, c in enumerate(nu.coords) if c)
+        return sum(row[j] * c for j, c in enumerate(nu) if c)
 
     def sym_pair(self, lam: Weight, nu: RootVector) -> int:
         """(lam, nu) for lam in the weight lattice, nu in the root lattice."""
-        return sum(
-            c * self.d[j] * lam.coords[j] for j, c in enumerate(nu.coords) if c
-        )
+        return sum(c * self.d[j] * lam[j] for j, c in enumerate(nu) if c)
 
     # lattice conversions ----------------------------------------------------
 
     def root_to_weight(self, nu: RootVector) -> Weight:
-        return Weight(
-            tuple(
-                sum(self.a[i][j] * nu.coords[j] for j in range(self.rank))
-                for i in range(self.rank)
-            )
-        )
+        return Weight([sum(map(mul, row, nu)) for row in self.a])
 
     def weight_to_root(self, lam: Weight) -> RootVector:
         """Express a weight in simple-root coordinates; it must lie in the
@@ -212,28 +228,27 @@ class RootDatum:
         den = self._inv_den
         out = []
         for row in self._inv_num:
-            x = sum(r * c for r, c in zip(row, lam.coords))
+            x = sum(map(mul, row, lam))
             if x % den:
                 raise ValueError(f"{lam} is not in the root lattice")
             out.append(x // den)
-        return RootVector(tuple(out))
+        return RootVector(out)
 
     # reflections -------------------------------------------------------------
 
     def reflect_weight(self, i: int, lam: Weight) -> Weight:
-        k = lam.coords[i - 1]
+        k = lam[i - 1]
         if k == 0:
             return lam
-        col = [self.a[r][i - 1] for r in range(self.rank)]
-        return Weight(tuple(c - k * col[r] for r, c in enumerate(lam.coords)))
+        return Weight([c - k * a for c, a in zip(lam, self._alpha_w[i - 1])])
 
     def reflect_root(self, i: int, nu: RootVector) -> RootVector:
         k = self.h_root(i, nu)
         if k == 0:
             return nu
-        c = list(nu.coords)
+        c = list(nu)
         c[i - 1] -= k
-        return RootVector(tuple(c))
+        return RootVector(c)
 
     def positive_roots(self) -> tuple[RootVector, ...]:
         """All positive roots, sorted by (height, coordinates)."""
@@ -258,23 +273,26 @@ class RootDatum:
         return f"RootDatum({self.name})"
 
 
-def _inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a symmetric positive definite matrix, by Gauss-Jordan
-    elimination without row swaps.  The pivots are the ratios of successive
-    leading principal minors, so a pivot <= 0 proves the matrix is not
-    positive definite: then ValueError, "not of finite type"."""
+def _inverse(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det B, adj B) for a symmetric positive definite integer matrix B, so
+    that B^-1 = adj B / det B, by fraction-free (Bareiss) Gauss-Jordan
+    elimination of [B | I] without row swaps; every division is exact.  The
+    pivot of step c is the leading principal minor of order c + 1, so by
+    Sylvester's criterion a pivot <= 0 proves B is not positive definite:
+    then ValueError, "not of finite type"."""
     n = len(rows)
-    aug = [row + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
+    aug = [row + [int(r == c) for c in range(n)] for r, row in enumerate(rows)]
+    prev = 1
     for c in range(n):
-        if aug[c][c] <= 0:
+        pivot = aug[c][c]
+        if pivot <= 0:
             raise ValueError("root datum is not of finite type")
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
         for r in range(n):
-            if r != c and aug[r][c]:
+            if r != c:
                 f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+                aug[r] = [(pivot * x - f * y) // prev for x, y in zip(aug[r], aug[c])]
+        prev = pivot
+    return prev, [row[n:] for row in aug]
 
 
 _SUPPORTED = {
@@ -336,7 +354,7 @@ def _build_root_datum(family: str, rank: int) -> RootDatum:
 
 def _check_letters(datum: RootDatum, word: tuple[int, ...]) -> None:
     """Raise ValueError on a letter outside the index set 1..rank, which
-    reflect_weight, reading coords[i - 1], would wrap to another letter."""
+    reflect_weight, reading lam[i - 1], would wrap to another letter."""
     bad = next((i for i in word if not 1 <= i <= datum.rank), None)
     if bad is not None:
         raise ValueError(f"letter {bad} outside the index set of {datum.name}")
@@ -367,7 +385,7 @@ def walk_word(
     _check_letters(datum, word)
     out = []
     for i in reversed(word):
-        out.append(lam.coords[i - 1])
+        out.append(lam[i - 1])
         lam = datum.reflect_weight(i, lam)
     out.reverse()
     return tuple(out), lam
@@ -402,7 +420,7 @@ def dominant_conjugate(datum: RootDatum, mu: Weight) -> tuple[tuple[int, ...], W
     letters are the lexicographically smallest reduced word of w."""
     out: list[int] = []
     while True:
-        i = next((j + 1 for j, c in enumerate(mu.coords) if c < 0), None)
+        i = next((j + 1 for j, c in enumerate(mu) if c < 0), None)
         if i is None:
             return tuple(out), mu
         out.append(i)
@@ -427,7 +445,7 @@ def reduced_words(datum: RootDatum, word: tuple[int, ...]) -> tuple[tuple[int, .
             got = memo[mu] = tuple(
                 (i,) + tail
                 for i in datum.index_set
-                if mu.coords[i - 1] < 0
+                if mu[i - 1] < 0
                 for tail in rec(datum.reflect_weight(i, mu))
             )
         return got
@@ -451,7 +469,7 @@ def weyl_elements(
         nxt = []
         for mu in layer:
             for i in datum.index_set:
-                if mu.coords[i - 1] > 0:
+                if mu[i - 1] > 0:
                     nu = datum.reflect_weight(i, mu)
                     if nu not in seen:
                         seen.add(nu)
@@ -468,9 +486,10 @@ def weyl_dim(datum: RootDatum, lam: Weight) -> int:
         raise ValueError("highest weight must be dominant")
     rho = datum.rho()
     top = lam + rho
-    dim = Fraction(1)
+    num = den = 1
     for beta in datum.positive_roots():
-        dim *= Fraction(datum.sym_pair(top, beta), datum.sym_pair(rho, beta))
-    if dim.denominator != 1:  # pragma: no cover - sanity net
+        num *= datum.sym_pair(top, beta)
+        den *= datum.sym_pair(rho, beta)
+    if num % den:  # pragma: no cover - sanity net
         raise AssertionError("Weyl dimension came out non-integral")
-    return int(dim)
+    return num // den

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import wraps
 
 from .cartan import (
@@ -84,12 +83,14 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class Presentation:
     """A minor class written as D_{extremal, uprime} on the module V(lam)."""
 
-    lam: Weight
-    uprime: ModuleVector
+    __slots__ = ("lam", "uprime")
+
+    def __init__(self, lam: Weight, uprime: ModuleVector):
+        self.lam = lam
+        self.uprime = uprime
 
     @property
     def coeffs(self) -> list[ScalarQ]:
@@ -106,17 +107,36 @@ class PresentationError(RuntimeError):
         super().__init__(f"no presentation found; candidates tried: {shown}")
 
 
-@dataclass(eq=False)
 class VerificationReport:
     """Outcome of one identity check between torus elements."""
 
-    description: str
-    lhs: TorusElement
-    rhs: TorusElement
-    equal: bool
-    presentation: Presentation | None = None
-    exponent_match: bool | None = None
-    residual_q_power: int | None = None
+    __slots__ = (
+        "description",
+        "lhs",
+        "rhs",
+        "equal",
+        "presentation",
+        "exponent_match",
+        "residual_q_power",
+    )
+
+    def __init__(
+        self,
+        description: str,
+        lhs: TorusElement,
+        rhs: TorusElement,
+        equal: bool,
+        presentation: Presentation | None = None,
+        exponent_match: bool | None = None,
+        residual_q_power: int | None = None,
+    ):
+        self.description = description
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equal = equal
+        self.presentation = presentation
+        self.exponent_match = exponent_match
+        self.residual_q_power = residual_q_power
 
 
 def _per_word(f: Callable) -> Callable:
@@ -183,7 +203,7 @@ def _content(left: ModuleVector, right: ModuleVector) -> RootVector | None:
         need = left.mod.datum.weight_to_root(diff)
     except ValueError:
         return None
-    if any(c < 0 for c in need.coords):
+    if any(c < 0 for c in need):
         return None
     return need
 
@@ -266,7 +286,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     n = len(pres.letters)
     last = _letter_table(pres)
     terms: dict[tuple[tuple[int, int], ...], object] = {}
-    rem = list(need.coords)
+    rem = list(need)
     path: list[tuple[int, int]] = []
     # a path's code: each step (i, a) is one digit a * r1 + i in base
     # r1 * (dim V(lam) + 1).  The walk asks for f_i^a only where f_i^{a-1}
@@ -581,7 +601,7 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
             return True
         walk = _walk(pres, pres.nvars, lamp)
         need = datum.weight_to_root(mup - walk[1])
-        for i, c in enumerate(need.coords, 1):
+        for i, c in enumerate(need, 1):
             for a in range(2, c + 1):
                 field.of(inv_qint(a, datum.di(i)))
         uw = extremal_from_walk(shadow, pres.letters, walk)

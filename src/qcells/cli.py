@@ -17,16 +17,18 @@ Defaults for --search-cap (verify and sweep) and --format can be
 overridden with the environment variables QCELLS_SEARCH_CAP and
 QCELLS_FORMAT; each is read, and checked, only by the subcommands that
 take its option.
+
+A single verification is mostly interpreter start-up, so importing this
+module loads nothing beyond argparse and the package itself, and json is
+imported only when the first JSON record is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from typing import Any, Callable
+from collections.abc import Callable, Iterable, Iterator
 
 from .cartan import (
     RootDatum,
@@ -93,7 +95,7 @@ def _format_name(text: str) -> str:
     return text
 
 
-def _env_default(name: str, parse: Callable[[str], Any], fallback: Any) -> Any:
+def _env_default(name: str, parse: Callable[[str], object], fallback: object) -> object:
     """Option default from the environment, checked like the option itself."""
     raw = os.environ.get(name)
     if raw is None:
@@ -175,8 +177,8 @@ def _record(
     k: int,
     rep: VerificationReport,
     chamber: VerificationReport,
-) -> dict[str, Any]:
-    rec: dict[str, Any] = {
+) -> dict[str, object]:
+    rec: dict[str, object] = {
         "cartan": cartan,
         "word": list(word),
         "k": k,
@@ -196,11 +198,11 @@ def _record(
     return rec
 
 
-def _passed(rec: dict[str, Any]) -> bool:
+def _passed(rec: dict[str, object]) -> bool:
     return rec["equal"] and "chamber_mismatch" not in rec
 
 
-def _text_line(rec: dict[str, Any]) -> str:
+def _text_line(rec: dict[str, object]) -> str:
     word = ",".join(map(str, rec["word"]))
     if "error" in rec:
         return f"{rec['cartan']} word {word} k={rec['k']}: CAP  {rec['error']}"
@@ -227,7 +229,7 @@ def _text_line(rec: dict[str, Any]) -> str:
 
 def _run_instance(
     cartan: str, pres: TorusPresentation, k: int, search_cap: int
-) -> dict[str, Any]:
+) -> dict[str, object]:
     try:
         rep = verify_theorem(pres, k, search_cap)
     except PresentationError as exc:
@@ -264,10 +266,18 @@ def _emit_records(
         elif _passed(rec):
             passed += 1
         if fmt == "json":
-            print(json.dumps(rec, ensure_ascii=False))
+            _print_json(rec)
         else:
             print(_text_line(rec))
     return total, passed, capped
+
+
+def _print_json(obj: object) -> None:
+    """Print one JSON record on a line of its own.  json is imported here, on
+    the first record, so that a text-format command never loads it."""
+    import json
+
+    print(json.dumps(obj, ensure_ascii=False))
 
 
 def _exit_code(mismatched: int, capped: int) -> int:
@@ -319,7 +329,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "capped": capped,
             }
         }
-        print(json.dumps(summary, ensure_ascii=False))
+        _print_json(summary)
     else:
         print(
             f"{datum.name}: {total} instances, {passed} equal, "
@@ -350,7 +360,7 @@ def cmd_feigin_minor(args: argparse.Namespace) -> int:
             "pairing": torus_str(pairing),
             "equal": equal,
         }
-        print(json.dumps(rec, ensure_ascii=False))
+        _print_json(rec)
     else:
         print(torus_str(closed))
         print(f"pairing route: {torus_str(pairing)}")
@@ -369,7 +379,7 @@ def cmd_reduced_words(args: argparse.Namespace) -> int:
                 "word": list(word),
                 "reduced_words": [list(w) for w in words],
             }
-            print(json.dumps(rec, ensure_ascii=False))
+            _print_json(rec)
         else:
             for w in words:
                 print(",".join(map(str, w)))
@@ -383,7 +393,7 @@ def cmd_reduced_words(args: argparse.Namespace) -> int:
                 for w in elements
             ],
         }
-        print(json.dumps(rec, ensure_ascii=False))
+        _print_json(rec)
     else:
         for w in elements:
             n = len(reduced_words(datum, w))

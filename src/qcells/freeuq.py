@@ -247,10 +247,10 @@ def _word_permutations(pool: list[int]) -> list[tuple[int, ...]]:
 def words_of_weight(datum: RootDatum, nu: RootVector) -> list[tuple[int, ...]]:
     """All words in the f_i of weight nu (nu must be a nonpositive root
     vector), in lexicographic order."""
-    if any(c > 0 for c in nu.coords):
+    if any(c > 0 for c in nu):
         return []
     pool: list[int] = []
-    for j, c in enumerate(nu.coords):
+    for j, c in enumerate(nu):
         pool.extend([j + 1] * (-c))
     return sorted(_word_permutations(pool))
 
@@ -305,7 +305,7 @@ def feigin_on_element(pres, x: FreeNegElement):
     letters = pres.letters
     terms: dict[tuple[int, ...], ScalarQ] = {}
     for nu, part in x.homogeneous_parts().items():
-        content = [-c for c in nu.coords]
+        content = [-c for c in nu]
         for a in _content_solutions(letters, content):
             val = lusztig_form(part, divided_monomial(datum, letters, a))
             if not val.num.c:

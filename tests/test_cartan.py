@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -71,6 +72,47 @@ def test_inverse_cartan_tables():
             for j in range(n):
                 got = sum(dat.a[i][k] * dat._inv_num[k][j] for k in range(n))
                 assert got == (dat._inv_den if i == j else 0)
+        # the least common denominator, which pins den and num uniquely
+        assert gcd(dat._inv_den, *(x for row in dat._inv_num for x in row)) == 1
+
+
+@pytest.mark.parametrize("cls", [Weight, RootVector])
+def test_lattice_value_semantics(cls):
+    other = RootVector if cls is Weight else Weight
+    v = cls((1, 0))
+    assert v == cls((1, 0)) and not v != cls((1, 0))
+    assert hash(v) == hash(cls((1, 0)))
+    assert v != cls((0, 1)) and not v == cls((0, 1))
+    for stranger in (other((1, 0)), (1, 0), [1, 0]):
+        assert v != stranger and not v == stranger
+        assert stranger != v and not stranger == v
+    assert {v: 1}.get(cls((1, 0))) == 1 and {v: 1}.get((1, 0)) is None
+    assert repr(v) == f"{cls.__name__}(coords=(1, 0))" == str(v)
+    assert type(v.coords) is tuple and v.coords == (1, 0)
+    with pytest.raises(AttributeError):
+        v.coords = (0, 0)
+    w = cls((2, -3))
+    assert -w == cls((-2, 3)) and type(-w) is cls
+    assert w - v == cls((1, -3)) and type(w - v) is cls
+    assert w + v == cls((3, -3)) and type(w + v) is cls
+
+
+def test_lattice_methods():
+    assert Weight((2, -3)).scaled(-2) == Weight((-4, 6))
+    assert Weight((0, 2)).is_dominant() and not Weight((1, -1)).is_dominant()
+    assert RootVector((2, -3, 1)).height() == 0
+    assert RootVector((0, 1)).is_positive()
+    assert not RootVector((0, 0)).is_positive()
+    assert not RootVector((1, -1)).is_positive()
+
+
+@pytest.mark.parametrize("cls", [Weight, RootVector])
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_lattice_arithmetic_rejects_a_rank_mismatch(cls, op):
+    long, short = cls((1, 2)), cls((1,))
+    for left, right in ((long, short), (short, long)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            left + right if op == "+" else left - right
 
 
 def test_parse_and_interning():

@@ -27,7 +27,9 @@ from qcells.cartan import (
     word_exponents,
 )
 from qcells.cells import (
+    Presentation,
     PresentationError,
+    VerificationReport,
     chamber_ansatz,
     class_equal,
     feigin_matrix_coeff,
@@ -1104,6 +1106,31 @@ def test_verify_theorem_b2_all_positions():
 def test_verify_rejects_non_reduced():
     with pytest.raises(ValueError):
         verify_theorem(TorusPresentation(A2, (1, 1)), 1)
+
+
+def test_report_and_presentation_fields():
+    """Positional and keyword construction with the defaults, and equality
+    by identity only."""
+    uprime = verify_theorem(P1, 1).presentation.uprime
+    p = Presentation(Weight((1,)), uprime)
+    assert p.lam == Weight((1,)) and p.uprime is uprime and p.coeffs is uprime.coeffs
+    assert Presentation(lam=Weight((1,)), uprime=uprime) != p
+    lhs, rhs = P1.unit(), P1.generator(1)
+    rep = VerificationReport("d", lhs, rhs, False)
+    assert (rep.description, rep.lhs, rep.rhs, rep.equal) == ("d", lhs, rhs, False)
+    assert (rep.presentation, rep.exponent_match, rep.residual_q_power) == (None,) * 3
+    full = VerificationReport(
+        description="d",
+        lhs=lhs,
+        rhs=rhs,
+        equal=True,
+        presentation=p,
+        exponent_match=True,
+        residual_q_power=-2,
+    )
+    assert full.presentation is p and full.exponent_match and full.residual_q_power == -2
+    assert VerificationReport("d", lhs, rhs, False, p, False, 3).residual_q_power == 3
+    assert rep == rep and rep != VerificationReport("d", lhs, rhs, False)
 
 
 # ------------------------------------------------- word data shared across k

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -599,3 +601,40 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert ">= 0" in err and not out
+
+
+# Standard-library modules the CLI's start-up must not load: dataclasses
+# pulls in inspect, fractions pulls in decimal, and json serves only
+# --format json.  The child runs without site (-S), so none of them is
+# loaded before the probe and each one it loads shows as new.
+SLOW_TO_IMPORT = {"dataclasses", "fractions", "decimal", "inspect", "json"}
+IMPORT_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "from qcells import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    "raise SystemExit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ((), set()),
+        (("verify", "--cartan", "A1", "--word", "1"), set()),
+        (("verify", "--cartan", "A1", "--word", "1", "--format", "json"), {"json"}),
+    ],
+)
+def test_start_up_loads_no_slow_module(child_env, argv, loaded):
+    child_env.pop("QCELLS_FORMAT", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    new = set(proc.stdout.splitlines()[-1].split())
+    assert "qcells.cli" in new
+    assert new & SLOW_TO_IMPORT == loaded
