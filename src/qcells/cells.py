@@ -28,9 +28,13 @@ memoized on the module, as its paths, weight space and target module fix
 the system.  What depends on the word alone, and not on the position k, is
 computed once per TorusPresentation and kept on it (_per_word): the proof
 that the word is reduced, the Weyl walks of its prefixes, the predicted
-monomials, the minors with their pairing cross-check, and the descent's
-letter table.  The localized algebra itself is never materialized; all
-identities are verified between normal-ordered torus elements.
+monomials and the minors with their pairing cross-check, each as an
+(exponents, q-exponent) pair, and the descent's successor table of
+letters, positions and letter masks.  The per-word checks multiply and
+invert those pairs in integers (TorusPresentation.pair_product and
+pair_inverse) and build a TorusElement only for a report.  The localized
+algebra itself is never materialized; all identities are verified between
+normal-ordered torus elements.
 """
 
 from __future__ import annotations
@@ -145,7 +149,8 @@ def _per_word(f: Callable) -> Callable:
     call that raises keeps nothing.  Every caller gets the one kept value,
     so none may change it, and no kept value may point back at pres: the
     cycle would keep a dropped presentation alive until the cycle collector
-    runs, so monomials are kept as (exponents, coefficient) pairs."""
+    runs, so monomials are kept as (exponents, q-exponent) pairs (see
+    TorusPresentation.pair_product)."""
     name = f.__name__
 
     @wraps(f)
@@ -175,12 +180,17 @@ def _reduced(pres: TorusPresentation) -> bool:
 
 
 @_per_word
-def _letter_table(pres: TorusPresentation) -> list[dict[int, int]]:
-    """last[k]: the rightmost position of each letter below position k."""
+def _successors(pres: TorusPresentation) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """succ[k]: for each letter i below position k, in the order of first
+    occurrence in the word, the triple (i, p, below): p is the rightmost
+    position of i below k, and below the mask of the letters below p, with
+    bit i for letter i."""
     last: list[dict[int, int]] = [{}]
+    masks = [0]
     for k, i in enumerate(pres.letters):
         last.append({**last[k], i: k})
-    return last
+        masks.append(masks[k] | 1 << i)
+    return tuple(tuple((i, p, masks[p]) for i, p in lk.items()) for lk in last)
 
 
 def class_equal(x: TorusElement, y: TorusElement) -> bool:
@@ -254,12 +264,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     The walk visits each path that embeds in the word once: it places each
     next letter at its rightmost occurrence below the previous one, and
     skips a letter at once unless every other letter the content still
-    needs occurs below it.  The ladders climb plain powers f_i^a, and no
-    vector is divided.  At a path that uses up the content the walk pairs
-    left with the path's vector once, as cov . vec with the covector
-    cov = left^T G of the Gram matrix G at the weight of left, and
-    multiplies the value by the path factor hwmod.path_factor of its
-    (d_i, a) steps.
+    needs occurs below it, a test of two letter masks (see _successors).
+    The ladders climb plain powers f_i^a, and no vector is divided.  At a
+    path that uses up the content the walk pairs left with the path's
+    vector once, as cov . vec with the covector cov = left^T G of the Gram
+    matrix G at the weight of left, and multiplies the value by the path
+    factor hwmod.path_factor of its (d_i, a) steps.
 
     Neither whether f^path b is nonzero nor a path's term depends on the
     word, or on how much of the module is built, so both are memoized on
@@ -284,7 +294,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     leaf = mod._leaf_memo.setdefault((nu, s, mu, tuple(map(field.key, left.coeffs))), {})
     shared = mod._leaf_values
     n = len(pres.letters)
-    last = _letter_table(pres)
+    succ = _successors(pres)
     terms: dict[tuple[tuple[int, int], ...], object] = {}
     rem = list(need)
     path: list[tuple[int, int]] = []
@@ -310,8 +320,9 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
             v = vecs[code] = act_f(i, vector(code - r1 if a > 1 else parent))
         return v
 
-    def walk(k: int, code: int) -> None:
-        if not any(rem):
+    def walk(k: int, code: int, needed: int) -> None:
+        # needed: the mask of the letters i with rem[i - 1] > 0
+        if not needed:
             val = leaf.get(code)
             if val is None:
                 if not cov:
@@ -328,11 +339,12 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
             if not field.is_zero(val):
                 terms[tuple(path)] = val
             return
-        for i, p in last[k].items():
-            cap = rem[i - 1]
-            below = last[p]
-            if not cap or any(j != i and c and j not in below for j, c in enumerate(rem, 1)):
+        for i, p, below in succ[k]:
+            bit = 1 << i
+            if not needed & bit or needed & ~(below | bit):
                 continue
+            cap = rem[i - 1]
+            again = below & bit
             # f_i^a for a = 1..cap, up to the first zero
             for a in range(1, cap + 1):
                 child = code * base + a * r1 + i
@@ -341,10 +353,10 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
                     nonzero = node[child] = not vector(child).is_zero()
                 if not nonzero:
                     break
-                if a == cap or i in below:
+                if a == cap or again:
                     rem[i - 1] = cap - a
                     path.append((i, a))
-                    walk(p, child)
+                    walk(p, child, needed ^ bit if a == cap else needed)
                     path.pop()
             rem[i - 1] = cap
             # the ladder is done: vecs keeps the current path's ladders only.
@@ -356,7 +368,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
                     vecs.pop(first + b * r1, None)
 
     try:
-        walk(n, 0)
+        walk(n, 0, sum(1 << i for i, c in enumerate(need, 1) if c))
     finally:
         # each function reaches itself through its closure; dropping the
         # names ends those cycles, so refcounting frees the vectors they hold
@@ -404,12 +416,13 @@ def feigin_minor(pres: TorusPresentation, lam: Weight) -> TorusElement:
     if not lam.is_dominant():
         raise ValueError("minor weight must be dominant")
     _check_reduced(pres)
-    return pres.monomial(*_checked_minor(pres, lam))
+    e, tw = _checked_minor(pres, lam)
+    return pres.monomial(e, ScalarQ.q_power(tw))
 
 
 @_per_word
-def _checked_minor(pres: TorusPresentation, lam: Weight) -> tuple[tuple[int, ...], ScalarQ]:
-    """The exponents and coefficient of the minor's closed form, once it has
+def _checked_minor(pres: TorusPresentation, lam: Weight) -> tuple[tuple[int, ...], int]:
+    """The exponents and q-exponent of the minor's closed form, once it has
     been checked against the module pairing: once per presentation and
     lam."""
     datum = pres.datum
@@ -423,7 +436,7 @@ def _checked_minor(pres: TorusPresentation, lam: Weight) -> tuple[tuple[int, ...
     paired = feigin_matrix_coeff(pres, extremal_from_walk(mod, word, walk), mod.highest())
     if not class_equal(closed, paired):
         raise MinorRoutesDisagree(closed, paired)
-    return closed.monomial()
+    return a, tw
 
 
 def _check_reduced(pres: TorusPresentation) -> None:
@@ -460,12 +473,13 @@ def theorem_monomial(pres: TorusPresentation, k: int) -> TorusElement:
     """Predicted image of the k-th twisted flag minor:
     q^{sum_j d_{i_j} d_j(d_j+1)/2} t_1^{-d_1} ... t_k^{-d_k}."""
     _check_instance(pres, k)
-    return pres.monomial(*_predicted(pres, k))
+    e, tw = _predicted(pres, k)
+    return pres.monomial(e, ScalarQ.q_power(tw))
 
 
 @_per_word
-def _predicted(pres: TorusPresentation, k: int) -> tuple[tuple[int, ...], ScalarQ]:
-    """The exponents and coefficient of theorem_monomial, once per
+def _predicted(pres: TorusPresentation, k: int) -> tuple[tuple[int, ...], int]:
+    """The exponents and q-exponent of theorem_monomial, once per
     presentation and k."""
     d = _exponents(pres, k)
     exps = [0] * pres.nvars
@@ -473,7 +487,7 @@ def _predicted(pres: TorusPresentation, k: int) -> tuple[tuple[int, ...], Scalar
     for j, dj in enumerate(d):
         exps[j] = -dj
         tw += pres.datum.di(pres.letters[j]) * (dj * (dj + 1) // 2)
-    return tuple(exps), ScalarQ.q_power(tw)
+    return tuple(exps), tw
 
 
 def _candidate_weights(rank: int, ik: int, cap: int) -> Iterator[Weight]:
@@ -681,7 +695,11 @@ def twist_inverse_image(
     q^{(lam', wt u' - w lam')} times minor^{-1} times the image of
     D_{u', highest}.  The pairing of u' with the highest vector reads the
     module's leaf memo under u''s exact value, so the words whose
-    presentations share u' pair its leaves once."""
+    presentations share u' pair its leaves once.  The minor's checked closed
+    form q^a t^m has the inverse q^b t^{-m} (pair_inverse), so each term
+    c t^f of the pairing becomes
+    c q^{b + reorder_power(-m, f) + (lam', wt u' - w lam')} t^{f - m},
+    with no product of scalars."""
     datum = pres.datum
     modp = uprime.mod
     if modp.datum is not datum:
@@ -691,10 +709,15 @@ def twist_inverse_image(
     _check_reduced(pres)
     wlamp = _walk(pres, pres.nvars, lamp)[1]
     nu = datum.weight_to_root(uprime.weight() - wlamp)
-    qpow = datum.sym_pair(lamp, nu)
-    minor_inv = feigin_minor(pres, lamp).invert_monomial()
+    inv, b = pres.pair_inverse(_checked_minor(pres, lamp))
+    b += datum.sym_pair(lamp, nu)
     part = feigin_matrix_coeff(pres, uprime, modp.highest())
-    return (minor_inv * part).scaled(ScalarQ.q_power(qpow))
+    reorder = pres.reorder_power
+    terms = {
+        tuple([x + y for x, y in zip(inv, f)]): c.mul_qpow(b + reorder(inv, f))
+        for f, c in part.terms.items()
+    }
+    return TorusElement._raw(pres, terms)
 
 
 def verify_theorem(
@@ -716,42 +739,40 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
     """Recover the generator t_k from twisted flag minors.
 
     The product D'_{k-1}(i_k)^{-1} D'_k(i_k)^{-1} prod_j D'_k(j)^{-a_{j,i_k}}
-    is formed from predicted minor monomials, where D'_m(j) is the minor at
-    the last position <= m carrying letter j (or 1 when there is none).  The
-    report records whether the exponent vector is exactly that of t_k, and
-    the leftover q-power separately; equality is asserted against
-    q^{residual} t_k.
+    is formed from predicted minor monomials as (exponents, q-exponent)
+    pairs, where D'_m(j) is the minor at the last position <= m carrying
+    letter j (or 1 when there is none).  The report records whether the
+    exponent vector is exactly that of t_k, and the leftover q-power
+    separately; equality is asserted against q^{residual} t_k.
     """
     datum = pres.datum
     word = pres.letters
     _check_instance(pres, k)
     ik = word[k - 1]
 
-    def dprime(upto: int, j: int) -> TorusElement:
+    def dprime(upto: int, j: int) -> tuple[tuple[int, ...], int]:
         for m in range(upto, 0, -1):
             if word[m - 1] == j:
-                return theorem_monomial(pres, m)
-        return pres.unit()
+                return _predicted(pres, m)
+        return (0,) * pres.nvars, 0
 
-    prod = dprime(k - 1, ik).invert_monomial() * dprime(k, ik).invert_monomial()
+    mul = pres.pair_product
+    prod = mul(pres.pair_inverse(dprime(k - 1, ik)), pres.pair_inverse(dprime(k, ik)))
     for j in datum.index_set:
         if j != ik and datum.aij(j, ik) < 0:
             base = dprime(k, j)
             for _ in range(-datum.aij(j, ik)):
-                prod = prod * base
-    exps, coeff = prod.monomial()
+                prod = mul(prod, base)
+    exps, residual = prod
     unit = tuple(1 if m == k - 1 else 0 for m in range(pres.nvars))
-    residual = coeff.as_q_power()
-    if residual is not None:
-        rhs = pres.generator(k).scaled(ScalarQ.q_power(residual))
-    else:
-        rhs = pres.generator(k)
+    lhs = pres.monomial(exps, ScalarQ.q_power(residual))
+    rhs = pres.generator(k).scaled(ScalarQ.q_power(residual))
     desc = f"{datum.name} word {','.join(map(str, word))} t_{k} from minors"
     return VerificationReport(
         desc,
-        prod,
+        lhs,
         rhs,
-        class_equal(prod, rhs),
+        class_equal(lhs, rhs),
         exponent_match=(exps == unit),
         residual_q_power=residual,
     )

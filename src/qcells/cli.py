@@ -190,7 +190,7 @@ def _record(
             "uprime_coeffs": [scalar_str(c) for c in rep.presentation.coeffs],
         },
     }
-    if chamber.exponent_match and chamber.residual_q_power is not None:
+    if chamber.exponent_match:
         rec["residual_q_power"] = chamber.residual_q_power
     else:
         # the product of minors that should have been q^r t_k

@@ -3,7 +3,9 @@
 For a root datum and a word (i_1, ..., i_l) the torus has generators
 t_1, ..., t_l with t_j t_k = q^{kappa_jk} t_k t_j for j < k, where
 kappa_jk = (alpha_{i_j}, alpha_{i_k}).  Elements are kept in normal order
-t_1^{e_1} ... t_l^{e_l}.
+t_1^{e_1} ... t_l^{e_l}.  A monomial q^a t^e with an integer a is also kept
+as the pair (e, a), whose product and inverse are integer arithmetic on
+exponents (TorusPresentation.pair_product and pair_inverse).
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ class TorusPresentation:
 
     It also keeps what cells computes from the word alone, once per
     presentation and on first use: the proof that the word is reduced, the
-    Weyl walks of its prefixes, the predicted monomials, the minors and the
-    Feigin descent's letter table.  They live in _memo for as long as the
-    presentation does."""
+    Weyl walks of its prefixes, the predicted monomials and the minors, each
+    as an (exponents, q-exponent) pair, and the Feigin descent's successor
+    table of letters, positions and letter masks.  They live in _memo for as
+    long as the presentation does."""
 
     __slots__ = ("datum", "letters", "kappa", "_memo")
 
@@ -62,6 +65,21 @@ class TorusPresentation:
                     if f[j]:
                         acc -= row[j] * ek * f[j]
         return acc
+
+    def pair_product(
+        self, x: tuple[tuple[int, ...], int], y: tuple[tuple[int, ...], int]
+    ) -> tuple[tuple[int, ...], int]:
+        """(e, a) . (f, b) = (e + f, a + b + reorder_power(e, f)): the
+        product q^a t^e . q^b t^f in normal order."""
+        (e, a), (f, b) = x, y
+        return tuple([u + v for u, v in zip(e, f)]), a + b + self.reorder_power(e, f)
+
+    def pair_inverse(self, x: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
+        """(e, a)^-1 = (-e, -a - reorder_power(e, -e)): as t^e t^-e =
+        q^{reorder_power(e, -e)}, the inverse of q^a t^e in normal order."""
+        e, a = x
+        neg = tuple([-u for u in e])
+        return neg, -a - self.reorder_power(e, neg)
 
     def unit(self) -> "TorusElement":
         return TorusElement(self, {(0,) * self.nvars: S_ONE})
@@ -158,13 +176,6 @@ class TorusElement:
                 g = tuple(x + y for x, y in zip(e, f))
                 add_term(out, g, (ce * cf).mul_qpow(pres.reorder_power(e, f)))
         return TorusElement._raw(pres, out)
-
-    def invert_monomial(self) -> "TorusElement":
-        """Inverse of a monomial; only monomials are invertible here."""
-        e, c = self.monomial()
-        s = self.pres.reorder_power(e, tuple(-x for x in e))
-        inv = c.inverse().mul_qpow(-s)
-        return TorusElement._raw(self.pres, {tuple(-x for x in e): inv})
 
     def __str__(self) -> str:
         return torus_str(self)

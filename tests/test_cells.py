@@ -1317,6 +1317,61 @@ def test_chamber_ansatz_rank_one_residual():
     assert rep.residual_q_power == -1
 
 
+def torus_inverse(x):
+    """The inverse of a monomial torus element by TorusElement products
+    alone: t^-e x is a scalar c, so x^-1 = c^-1 t^-e."""
+    e, _ = x.monomial()
+    neg = x.pres.monomial(tuple(-u for u in e))
+    _, c = (neg * x).monomial()
+    return neg.scaled(c.inverse())
+
+
+@pytest.mark.parametrize("datum, max_len", [(G2, 6), (C3, 6)], ids=["G2", "C3"])
+def test_pair_route_matches_torus_element_route(datum, max_len):
+    """chamber_ansatz and twist_inverse_image, which multiply monomials as
+    (exponents, q-exponent) pairs, give the reports and images of the same
+    products formed from TorusElement monomials, on every instance of full
+    G2 and C3 <= 6."""
+    count = 0
+    for w in weyl_elements(datum, max_len):
+        for word in reduced_words(datum, w) if w else ():
+            pres = TorusPresentation(datum, word)
+            n = len(word)
+            for k in range(1, n + 1):
+                ik = word[k - 1]
+
+                def dprime(upto, j):
+                    for m in range(upto, 0, -1):
+                        if word[m - 1] == j:
+                            return theorem_monomial(pres, m)
+                    return pres.unit()
+
+                prod = torus_inverse(dprime(k - 1, ik)) * torus_inverse(dprime(k, ik))
+                for j in datum.index_set:
+                    if j != ik and datum.aij(j, ik) < 0:
+                        for _ in range(-datum.aij(j, ik)):
+                            prod = prod * dprime(k, j)
+                exps, coeff = prod.monomial()
+                residual = coeff.as_q_power()
+                rhs = pres.generator(k).scaled(ScalarQ.q_power(residual))
+                rep = chamber_ansatz(pres, k)
+                assert rep.lhs == prod and rep.rhs == rhs
+                assert rep.equal == class_equal(prod, rhs)
+                assert rep.exponent_match == (exps == tuple(int(m == k - 1) for m in range(n)))
+                assert rep.residual_q_power == residual
+
+                p = find_presentation(pres, k)
+                wlamp = weyl_act(datum, word, p.lam)
+                nu = datum.weight_to_root(p.uprime.weight() - wlamp)
+                part = feigin_matrix_coeff(pres, p.uprime, p.uprime.mod.highest())
+                want = (torus_inverse(feigin_minor(pres, p.lam)) * part).scaled(
+                    ScalarQ.q_power(datum.sym_pair(p.lam, nu))
+                )
+                assert twist_inverse_image(pres, p.lam, p.uprime) == want
+                count += 1
+    assert count == {"G2": 42, "C3": 399}[datum.name]
+
+
 # ----------------------------------------------------------- multiplication
 
 def test_ore_commutation_small():

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcells.cartan import build_root_datum
 from qcells.qtorus import TorusPresentation, torus_str
@@ -14,6 +16,8 @@ from qcells.scalars import LaurentQ, ScalarQ
 A2 = build_root_datum("A2")
 B2 = build_root_datum("B2")
 G2 = build_root_datum("G2")
+C3 = build_root_datum("C3")
+D4 = build_root_datum("D4")
 
 P121 = TorusPresentation(A2, (1, 2, 1))
 
@@ -50,17 +54,50 @@ def test_reorder_power_matches_product():
         assert coeff.as_q_power() == P121.reorder_power(e, f)
 
 
+def pair_element(pres, x):
+    e, a = x
+    return pres.monomial(e, ScalarQ.q_power(a))
+
+
 def test_invert_monomial():
-    x = P121.monomial((1, -2, 0), ScalarQ.q_power(3))
-    assert torus_str(x.invert_monomial()) == "q^-5 · t1^-1 t2^2"
-    assert torus_str(x * x.invert_monomial()) == "1"
-    assert torus_str(x.invert_monomial() * x) == "1"
+    x = ((1, -2, 0), 3)
+    inv = P121.pair_inverse(x)
+    assert inv == ((-1, 2, 0), -5)
+    assert torus_str(pair_element(P121, inv)) == "q^-5 · t1^-1 t2^2"
+    unit = ((0, 0, 0), 0)
+    assert P121.pair_product(x, inv) == unit
+    assert P121.pair_product(inv, x) == unit
 
 
 def test_invert_rejects_sums():
+    # a sum has no (exponents, q-exponent) pair to invert
     x = P121.generator(1) + P121.generator(2)
     with pytest.raises(ValueError):
-        x.invert_monomial()
+        P121.pair_inverse(x.monomial())
+
+
+@st.composite
+def torus_pairs(draw):
+    """A presentation of a random G2, C3 or D4 word, not necessarily
+    reduced, and two monomial pairs over it."""
+    datum = draw(st.sampled_from([G2, C3, D4]))
+    word = tuple(draw(st.lists(st.sampled_from(datum.index_set), min_size=1, max_size=7)))
+    pres = TorusPresentation(datum, word)
+    exps = st.tuples(*[st.integers(-3, 3)] * len(word))
+    qexp = st.integers(-6, 6)
+    return pres, (draw(exps), draw(qexp)), (draw(exps), draw(qexp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(torus_pairs())
+def test_pair_arithmetic_agrees_with_torus_elements(case):
+    pres, x, y = case
+    ex, ey = pair_element(pres, x), pair_element(pres, y)
+    assert pair_element(pres, pres.pair_product(x, y)) == ex * ey
+    inv = pres.pair_inverse(x)
+    assert pair_element(pres, inv) * ex == pres.unit()
+    assert ex * pair_element(pres, inv) == pres.unit()
+    assert pres.pair_product(x, inv) == pres.pair_product(inv, x) == ((0,) * pres.nvars, 0)
 
 
 def test_arithmetic_and_zero():
