@@ -23,18 +23,19 @@ GF(p) shadow of V(lam') and skips it only on a rank certificate that no
 exact u' exists.  On the exact module it skips the candidate where a target
 path is zero in every column, which adjointness decides from e-powers of
 u_{w lam'} with no column walked (_target_row_zero), and memoizes on the
-module whether each path's e-power vanishes; the system's solution is
-memoized on the module, as its paths, weight space and target module fix
-the system.  What depends on the word alone, and not on the position k, is
-computed once per TorusPresentation and kept on it (_per_word): the proof
-that the word is reduced, the Weyl walks of its prefixes, the predicted
-monomials and the minors with their pairing cross-check, each as an
-(exponents, q-exponent) pair, and the descent's successor table of
-letters, positions and letter masks.  The per-word checks multiply and
-invert those pairs in integers (TorusPresentation.pair_product and
-pair_inverse) and build a TorusElement only for a report.  The localized
-algebra itself is never materialized; all identities are verified between
-normal-ordered torus elements.
+module whether each path's e-power vanishes.  The system's solution is
+memoized on the module under the set of its distinct rows, which fixes the
+solution whatever the rows' order or repetition, so the systems that share
+a row set, on any word, weight space or target, are eliminated once.  What
+depends on the word alone, and not on the position k, is computed once per
+TorusPresentation and kept on it (_per_word): the proof that the word is
+reduced, the Weyl walks of its prefixes, the predicted monomials and the
+minors with their pairing cross-check, each as an (exponents, q-exponent)
+pair, and the descent's successor table of letters, positions and letter
+masks.  The per-word checks multiply and invert those pairs in integers
+(TorusPresentation.pair_product and pair_inverse) and build a TorusElement
+only for a report.  The localized algebra itself is never materialized;
+all identities are verified between normal-ordered torus elements.
 """
 
 from __future__ import annotations
@@ -509,25 +510,25 @@ def _candidate_weights(rank: int, ik: int, cap: int) -> Iterator[Weight]:
 
 def _system(
     pres: TorusPresentation, uw: ModuleVector, mup: Weight, target_paths: dict
-) -> tuple[tuple, list[list], list]:
-    """The ordered paths, rows A and right-hand side b of A x = b, for the
-    coordinates x of a u' in the weight space mup of uw's module V(lam')
-    whose D_{u_{w lam'}, u'} image has the path values target_paths, over
-    the module's field, for uw = u_{w lam'}: one row per path in the
-    supports of the target and of the columns, the _coeff_terms of uw
-    against mup's basis vectors.
+) -> tuple[list[list], list]:
+    """The rows A and right-hand side b of A x = b, for the coordinates x
+    of a u' in the weight space mup of uw's module V(lam') whose
+    D_{u_{w lam'}, u'} image has the path values target_paths, over the
+    module's field, for uw = u_{w lam'}: one row per path in the supports
+    of the target and of the columns, the _coeff_terms of uw against mup's
+    basis vectors, in no fixed order.
 
     The system with one row per exponent vector has, for each path, one
     copy of the path's row per embedding, and every path the walk reaches
-    has one.  So both systems have the same rows up to repetition, the same
-    row space, and the same reduced row echelon form, solution and rank
-    profiles, over either field."""
+    has one.  So both systems have the same rows up to order and
+    repetition, the same row space, and the same reduced row echelon form,
+    solution and rank profiles, over either field."""
     mod = uw.mod
     cols = [_coeff_terms(pres, uw, mup, s) for s in range(mod.dim_of(mup))]
     zero = mod.field.zero
-    keys = tuple(sorted(set(target_paths).union(*cols)))
-    rows = [[col.get(e, zero) for col in cols] for e in keys]
-    return keys, rows, [target_paths.get(e, zero) for e in keys]
+    paths = set(target_paths).union(*cols)
+    rows = [[col.get(e, zero) for col in cols] for e in paths]
+    return rows, [target_paths.get(e, zero) for e in paths]
 
 
 def _target_row_zero(uw: ModuleVector, target: dict) -> bool:
@@ -563,21 +564,30 @@ def _target_row_zero(uw: ModuleVector, target: dict) -> bool:
     return False
 
 
-def _solve(
-    pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict, target_lam: Weight
-) -> list | None:
-    """solve_linear of the _system of uw in its exact module, for the target
-    path values of a minor from V(target_lam), memoized on the module under
-    (mup, target_lam, the system's ordered paths).  A column's values depend
-    only on (module, basis key, path) and the target's only on
-    (V(target_lam), path), so that key fixes A and b, and the reduced words
-    that share a system solve it once."""
-    keys, rows, rhs = _system(pres, uw, mup, target)
+def _solve(pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict) -> list | None:
+    """solve_linear of the distinct rows of the _system of uw in its exact
+    module, memoized on the module under the set of those augmented rows
+    [a | b], each as the field keys of its entries.
+
+    solve_linear answers from the reduced row echelon form of [A | b]: None
+    when b's column is in its profile, else the solution whose free
+    coordinates are zero.  That form is a function of the row space, which
+    the set of distinct rows fixes whatever their order or repetition, and
+    a row's length fixes the column count.  So the systems that share a row
+    set, on the reduced words of one element or on another weight space or
+    target, have one answer, and it is computed once.  (A target with a
+    path never gives the empty set, which solve_linear answers with [].)"""
+    rows, rhs = _system(pres, uw, mup, target)
+    key = uw.mod.field.key
+    distinct = {}
+    for row, b in zip(rows, rhs):
+        distinct.setdefault((*map(key, row), key(b)), (row, b))
     memo = uw.mod._solve_memo
-    key = (mup, target_lam, keys)
-    if key not in memo:
-        memo[key] = solve_linear(rows, rhs)
-    x = memo[key]
+    rowset = frozenset(distinct)
+    if rowset not in memo:
+        pairs = list(distinct.values())
+        memo[rowset] = solve_linear([row for row, _ in pairs], [b for _, b in pairs])
+    x = memo[rowset]
     return None if x is None else list(x)
 
 
@@ -619,7 +629,7 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
             for a in range(2, c + 1):
                 field.of(inv_qint(a, datum.di(i)))
         uw = extremal_from_walk(shadow, pres.letters, walk)
-        _, rows, rhs = _system(pres, uw, mup, {path: field.of(c) for path, c in target.items()})
+        rows, rhs = _system(pres, uw, mup, {path: field.of(c) for path, c in target.items()})
     except ZeroDivisionError:
         return False
     return _certified_inconsistent(rows, rhs, field)
@@ -654,8 +664,8 @@ def find_presentation(
     adjointness, when e-powers of u_{w lam'} along the path give zero
     (_target_row_zero).  That covers an empty weight space mu', as the
     target is the image of a nonzero minor and has a path.  The system is
-    solved once per module, weight space, target module and row paths
-    (_solve).  Raises PresentationError when the cap is exhausted.
+    solved once per module and set of distinct rows (_solve).  Raises
+    PresentationError when the cap is exhausted.
     """
     datum = pres.datum
     word = pres.letters
@@ -681,7 +691,7 @@ def find_presentation(
         uw = extremal_from_walk(modp, word, walk)
         if _target_row_zero(uw, target):
             continue
-        coeffs = _solve(pres, uw, mup, target, mod_k.lam)
+        coeffs = _solve(pres, uw, mup, target)
         if coeffs is None:
             continue
         return Presentation(lamp, ModuleVector(modp, mup, coeffs))

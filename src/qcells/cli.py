@@ -459,7 +459,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--search-cap",
             type=_nonneg_int,
-            help="largest coordinate sum tried for the presenting highest weight",
+            help=(
+                "largest coordinate sum of the presenting highest weights tried"
+                " after varpi_{i_k} and each varpi_{i_k} + varpi_j, which are"
+                " always tried"
+            ),
         )
 
     p = sub.add_parser("verify", help="check predicted monomials for one word")

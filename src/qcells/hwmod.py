@@ -72,10 +72,10 @@ Equal terms are stored once: each leaf value is the module's
 _leaf_values[key(value)].  None of these values depends on a reduced word;
 only the positions of a path's letters in a word do.  The descent returns
 its terms keyed by path, (letter, a) steps, and the presentation search's
-linear system has one row per path, so the system is fixed by its module,
-weight space, target module and ordered row paths: a column's values
-depend only on the module, the basis key and the path, and the target's
-only on its module and the path.  Whether a target path is zero in every
+linear system has one row per path: a column's values depend only on the
+module, the basis key and the path, and the target's only on its module
+and the path.  The system's solution depends only on its set of distinct
+rows (see cells._solve).  Whether a target path is zero in every
 column depends only on the module, u_{w lam'} and the path (adjointness,
 see cells._target_row_zero).
 
@@ -83,10 +83,10 @@ see cells._target_row_zero).
                                          u = (mu, key(c) of each coordinate
                                          c at mu) the weight and exact value
                                          of u_{w lam'}, as in _leaf_memo
-    _solve_memo[(mu', lam_k, paths)]   solve_linear of the system of the
-                                         weight space mu' whose rows are the
-                                         ordered paths, for a target minor
-                                         from V(lam_k)
+    _solve_memo[rows]                  solve_linear of a search system,
+                                         under the frozenset of its distinct
+                                         augmented rows [a | b], each the
+                                         tuple of key(c) of its entries
 
 One walk builds a module over either of two fields: Q(q) with ScalarQ
 entries (build_module, get_module), or its GF(p) shadow at q = q0
@@ -200,7 +200,7 @@ class HWModule:
         self._leaf_memo: dict[tuple, dict[int, object]] = {}
         self._leaf_values: dict[object, object] = {}
         self._target_memo: dict[tuple, dict[tuple, bool]] = {}
-        self._solve_memo: dict[tuple, list | None] = {}
+        self._solve_memo: dict[frozenset, list | None] = {}
 
     def dim_of(self, mu: Weight) -> int:
         """dim V(lam)_mu, deciding mu first when it is not decided yet."""

@@ -81,9 +81,6 @@ class TorusPresentation:
         neg = tuple([-u for u in e])
         return neg, -a - self.reorder_power(e, neg)
 
-    def unit(self) -> "TorusElement":
-        return TorusElement(self, {(0,) * self.nvars: S_ONE})
-
     def zero(self) -> "TorusElement":
         return TorusElement(self, {})
 
@@ -129,12 +126,6 @@ class TorusElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def monomial(self) -> tuple[tuple[int, ...], ScalarQ]:
-        """The (exponent, coefficient) pair of a monomial element."""
-        if len(self.terms) != 1:
-            raise ValueError("not a monomial")
-        return next(iter(self.terms.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement):

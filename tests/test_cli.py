@@ -240,6 +240,18 @@ def test_only_a_prefix_of_one_signed_option_is_joined():
     assert join(["--w", "-x"]) == ["--w", "-x"]
 
 
+def test_search_cap_bounds_only_the_later_candidates(capsys):
+    """varpi_{i_k} and varpi_{i_k} + varpi_j are tried whatever the cap: at
+    cap 0 the A2 word 1,2,1 is presented with lam' = 1,1 at k = 1, whose
+    coordinate sum is 2."""
+    code, out, err = run(
+        capsys, "verify", "--cartan", "A2", "--word", "1,2,1", "--k", "all", "--search-cap", "0"
+    )
+    assert code == 0 and not err
+    lams = [line.split("lam' = ")[1].split()[0] for line in out.splitlines()]
+    assert lams == ["1,1", "0,1", "1,0"]
+
+
 def test_feigin_minor_has_no_search_cap(capsys):
     # feigin-minor runs no presentation search, so it takes no search cap
     code, out, err = run(
@@ -336,7 +348,7 @@ def test_selftest_passes(capsys):
 
 def test_selftest_reports_disagreeing_minor_routes(capsys, monkeypatch):
     def broken(pres, lam):
-        raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
+        raise cells.MinorRoutesDisagree(pres.generator(1), pres.monomial((0,) * pres.nvars))
 
     # feigin_minor and the twist both reach the minor through cells._checked_minor
     monkeypatch.setattr(cells, "_checked_minor", broken)
@@ -483,7 +495,7 @@ def test_feigin_minor_reports_disagreeing_routes(capsys, monkeypatch):
     # feigin_minor checks its closed form against the pairing route on every
     # call, so the broken route is reached however often the minor was asked
     monkeypatch.setattr(
-        cells, "feigin_matrix_coeff", lambda pres, left, right: pres.unit()
+        cells, "feigin_matrix_coeff", lambda pres, left, right: pres.monomial((0,) * pres.nvars)
     )
     argv = ("feigin-minor", "--cartan", "A2", "--word", "1,2,1", "--lambda", "1,0")
     code, out, err = run(capsys, *argv)
@@ -522,7 +534,7 @@ def test_failed_chamber_ansatz_is_a_mismatch(capsys, monkeypatch):
 
 def test_disagreeing_minor_routes_are_a_sweep_mismatch(capsys, monkeypatch):
     def broken(pres, lam):
-        raise cells.MinorRoutesDisagree(pres.generator(1), pres.unit())
+        raise cells.MinorRoutesDisagree(pres.generator(1), pres.monomial((0,) * pres.nvars))
 
     monkeypatch.setattr(cells, "_checked_minor", broken)
     code, out, err = run(capsys, "sweep", "--cartan", "A2")

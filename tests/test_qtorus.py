@@ -49,7 +49,7 @@ def test_reorder_power_matches_product():
         f = tuple(rng.randrange(-2, 3) for _ in range(3))
         x, y = P121.monomial(e), P121.monomial(f)
         prod = x * y
-        exps, coeff = prod.monomial()
+        [(exps, coeff)] = prod.terms.items()
         assert exps == tuple(a + b for a, b in zip(e, f))
         assert coeff.as_q_power() == P121.reorder_power(e, f)
 
@@ -67,13 +67,6 @@ def test_invert_monomial():
     unit = ((0, 0, 0), 0)
     assert P121.pair_product(x, inv) == unit
     assert P121.pair_product(inv, x) == unit
-
-
-def test_invert_rejects_sums():
-    # a sum has no (exponents, q-exponent) pair to invert
-    x = P121.generator(1) + P121.generator(2)
-    with pytest.raises(ValueError):
-        P121.pair_inverse(x.monomial())
 
 
 @st.composite
@@ -95,8 +88,9 @@ def test_pair_arithmetic_agrees_with_torus_elements(case):
     ex, ey = pair_element(pres, x), pair_element(pres, y)
     assert pair_element(pres, pres.pair_product(x, y)) == ex * ey
     inv = pres.pair_inverse(x)
-    assert pair_element(pres, inv) * ex == pres.unit()
-    assert ex * pair_element(pres, inv) == pres.unit()
+    unit = pres.monomial((0,) * pres.nvars)
+    assert pair_element(pres, inv) * ex == unit
+    assert ex * pair_element(pres, inv) == unit
     assert pres.pair_product(x, inv) == pres.pair_product(inv, x) == ((0,) * pres.nvars, 0)
 
 
@@ -130,7 +124,7 @@ def test_presentation_equality():
 
 
 def test_torus_str_forms():
-    assert torus_str(P121.unit()) == "1"
+    assert torus_str(P121.monomial((0, 0, 0))) == "1"
     assert torus_str(P121.generator(2)) == "t2"
     assert torus_str(P121.monomial((0, 1, 1))) == "t2 t3"
     assert torus_str(P121.monomial((-1, 0, 0), ScalarQ.q_power(1))) == "q^1 · t1^-1"
