@@ -680,7 +680,8 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
     per distinct row set of a module.  Then the search solves no system
     again, and each memo entry equals solve_linear of that word's own rows;
     the same rows shuffled or repeated hit, and a system with one changed
-    right-hand side misses and is solved once."""
+    right-hand side misses and is solved once, unless an earlier instance's
+    changed system had its row set, which some do."""
     datum = build_root_datum("C3")
     fresh_caches(monkeypatch, datum)
     elements = [w for w in weyl_elements(datum, 5) if len(w) == 5]
@@ -745,7 +746,9 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
             assert cells._solve(pres, uw, mup, target) == solve_linear(*changed)
         assert len(calls) == miss
         calls.clear()
-    assert len(instances) >= misses > 0
+    # some changed systems repeat an earlier instance's row set, and hit
+    hits = len(instances) - misses
+    assert hits > 0 and misses > 0
 
 
 @pytest.mark.parametrize("cartan, max_length", [("G2", None), ("C3", 6)])
