@@ -7,26 +7,27 @@ such images, and each twisted flag minor is checked against its predicted
 monomial.  A matrix coefficient x -> (left, x . right) is passed as its two
 vectors, which must live in one module.  Its image climbs plain f-powers
 from right: as f_i^{(a)} = f_i^a / [a]_{q_i}!, each distinct path's term is
-its plain-power pairing times one factor of its (d_i, a) steps.  Every
-path ends at the weight of left, so each pairing is one covector of left
-times the path's vector.  The descent returns one value per path, and
-feigin_matrix_coeff writes it under every embedding of the path's letters
-in the word.  Only those embeddings depend on the word: whether a path's
-vector is nonzero and the path's term, for a left vector given by its exact
-value, are memoized on the module, keyed by right's basis index and the
-path (see hwmod), so the reduced words of one element, and the elements
-sharing a module, climb each vector and pair each leaf once.  The search for
-a presentation D_{u_{w lam'}, u'} never expands the embeddings: its linear
+its plain-power pairing times one factor of its (d_i, a) steps.  Every path
+ends at the weight of left, so each pairing is one covector of left times
+the path's vector.  The descent returns one value per path, and
+feigin_matrix_coeff writes it under every embedding of the path's letters in
+the word.  Only those embeddings depend on the word: whether a path's vector
+is nonzero and the path's term, for a left vector given by its exact value,
+are memoized on the module, keyed by right's basis index and the path (see
+hwmod), so the reduced words of one element, and the elements sharing a
+module, climb each vector and pair each leaf once.  The search for a
+presentation D_{u_{w lam'}, u'} never expands the embeddings: its linear
 system has one row per path, where one row per exponent vector would repeat
-each path's row once per embedding.  It screens a candidate lam' by the
-GF(p) shadow of V(lam') and skips it only on a rank certificate that no
-exact u' exists.  On the exact module it skips the candidate where a target
-path is zero in every column, which adjointness decides from e-powers of
-u_{w lam'} with no column walked (_target_row_zero), and memoizes on the
+each path's row once per embedding, and _system keeps each distinct
+augmented row once, which both stages eliminate.  It screens a candidate
+lam' by the GF(p) shadow of V(lam') and skips it only on a rank certificate
+that no exact u' exists.  On the exact module it skips the candidate where a
+target path is zero in every column, which adjointness decides from e-powers
+of u_{w lam'} with no column walked (_target_row_zero), and memoizes on the
 module whether each path's e-power vanishes.  The system's solution is
 memoized on the module under the set of its distinct rows, which fixes the
-solution whatever the rows' order or repetition, so the systems that share
-a row set, on any word, weight space or target, are eliminated once.  What
+solution whatever the rows' order or repetition, so the systems that share a
+row set, on any word, weight space or target, are eliminated once.  What
 depends on the word alone, and not on the position k, is computed once per
 TorusPresentation and kept on it (_per_word): the proof that the word is
 reduced, the Weyl walks of its prefixes, the predicted monomials and the
@@ -34,8 +35,8 @@ minors with their pairing cross-check, each as an (exponents, q-exponent)
 pair, and the descent's successor table of letters, positions and letter
 masks.  The per-word checks multiply and invert those pairs in integers
 (TorusPresentation.pair_product and pair_inverse) and build a TorusElement
-only for a report.  The localized algebra itself is never materialized;
-all identities are verified between normal-ordered torus elements.
+only for a report.  The localized algebra itself is never materialized; all
+identities are verified between normal-ordered torus elements.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ from .hwmod import (
     path_factor,
     shadow_module,
 )
-from .linalg import column_dependencies, solve_linear
+from .linalg import RationalFunctions, column_dependencies, solve_linear
 from .qtorus import TorusElement, TorusPresentation, torus_str
-from .scalars import ScalarQ
+from .scalars import ScalarQ, add_term
 
 __all__ = [
     "Presentation",
@@ -223,7 +224,8 @@ def feigin_matrix_coeff(
     pres: TorusPresentation, left: ModuleVector, right: ModuleVector
 ) -> TorusElement:
     """Image of the matrix coefficient x -> (left, x . right) under the
-    Feigin map, for nonzero vectors of one module.
+    Feigin map, for nonzero vectors of one exact module: the image is a
+    torus element over Q(q), so vectors of a GF(p) shadow raise ValueError.
 
     The image is the sum over exponent vectors a of matching content of
     q^{sum_k d_{i_k} a_k(a_k-1)/2} (left, f^{(a)} . right) t^a.  The divided
@@ -240,13 +242,14 @@ def feigin_matrix_coeff(
     """
     if left.mod is not right.mod:
         raise ValueError("vectors live in different modules")
+    if not isinstance(right.mod.field, RationalFunctions):
+        raise ValueError("the Feigin image needs vectors of an exact module")
     nu = right.weight()
-    field = right.mod.field
     paths: dict = {}
     for s, c in enumerate(right.coeffs):
-        if not field.is_zero(c):
+        if c.num.c:
             for path, v in _coeff_terms(pres, left, nu, s).items():
-                field.add_term(paths, path, v if c == field.one else field.mul(c, v))
+                add_term(paths, path, v if c.is_one() else c * v)
     letters = pres.letters
     n = len(letters)
     terms = {
@@ -510,25 +513,30 @@ def _candidate_weights(rank: int, ik: int, cap: int) -> Iterator[Weight]:
 
 def _system(
     pres: TorusPresentation, uw: ModuleVector, mup: Weight, target_paths: dict
-) -> tuple[list[list], list]:
-    """The rows A and right-hand side b of A x = b, for the coordinates x
+) -> dict[tuple, tuple[list, object]]:
+    """The distinct augmented rows [a | b] of A x = b, for the coordinates x
     of a u' in the weight space mup of uw's module V(lam') whose
     D_{u_{w lam'}, u'} image has the path values target_paths, over the
-    module's field, for uw = u_{w lam'}: one row per path in the supports
-    of the target and of the columns, the _coeff_terms of uw against mup's
-    basis vectors, in no fixed order.
+    module's field, for uw = u_{w lam'}.  There is one row per path in the
+    supports of the target and of the columns, the _coeff_terms of uw
+    against mup's basis vectors, and each distinct row is kept once, in no
+    fixed order: keyed by the field keys of its entries, then of b, and
+    mapped to the pair (a, b).
 
     The system with one row per exponent vector has, for each path, one
     copy of the path's row per embedding, and every path the walk reaches
-    has one.  So both systems have the same rows up to order and
-    repetition, the same row space, and the same reduced row echelon form,
-    solution and rank profiles, over either field."""
+    has one.  So both systems have the same distinct rows, the same row
+    space, and the same reduced row echelon form, solution and rank
+    profiles, over either field."""
     mod = uw.mod
     cols = [_coeff_terms(pres, uw, mup, s) for s in range(mod.dim_of(mup))]
-    zero = mod.field.zero
-    paths = set(target_paths).union(*cols)
-    rows = [[col.get(e, zero) for col in cols] for e in paths]
-    return rows, [target_paths.get(e, zero) for e in paths]
+    zero, key = mod.field.zero, mod.field.key
+    system: dict = {}
+    for e in set(target_paths).union(*cols):
+        row = [col.get(e, zero) for col in cols]
+        b = target_paths.get(e, zero)
+        system.setdefault((*map(key, row), key(b)), (row, b))
+    return system
 
 
 def _target_row_zero(uw: ModuleVector, target: dict) -> bool:
@@ -565,9 +573,9 @@ def _target_row_zero(uw: ModuleVector, target: dict) -> bool:
 
 
 def _solve(pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict) -> list | None:
-    """solve_linear of the distinct rows of the _system of uw in its exact
-    module, memoized on the module under the set of those augmented rows
-    [a | b], each as the field keys of its entries.
+    """solve_linear of the _system of uw in its exact module, memoized on
+    the module under the set of its distinct augmented rows [a | b], each as
+    the field keys of its entries.
 
     solve_linear answers from the reduced row echelon form of [A | b]: None
     when b's column is in its profile, else the solution whose free
@@ -577,15 +585,11 @@ def _solve(pres: TorusPresentation, uw: ModuleVector, mup: Weight, target: dict)
     set, on the reduced words of one element or on another weight space or
     target, have one answer, and it is computed once.  (A target with a
     path never gives the empty set, which solve_linear answers with [].)"""
-    rows, rhs = _system(pres, uw, mup, target)
-    key = uw.mod.field.key
-    distinct = {}
-    for row, b in zip(rows, rhs):
-        distinct.setdefault((*map(key, row), key(b)), (row, b))
+    system = _system(pres, uw, mup, target)
     memo = uw.mod._solve_memo
-    rowset = frozenset(distinct)
+    rowset = frozenset(system)
     if rowset not in memo:
-        pairs = list(distinct.values())
+        pairs = system.values()
         memo[rowset] = solve_linear([row for row, _ in pairs], [b for _, b in pairs])
     x = memo[rowset]
     return None if x is None else list(x)
@@ -607,7 +611,10 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
     specialization of that basis's exact one.  If A(q0) has full column
     rank r, some r x r minor of A is nonzero at q0, so an exact solution x
     of A x = b would be defined there by Cramer's rule and give
-    A(q0) x(q0) = b(q0), which rank [A|b](q0) = r + 1 rules out.  Whether
+    A(q0) x(q0) = b(q0), which rank [A|b](q0) = r + 1 rules out.  That
+    certificate is a column rank profile of [A|b](q0) that is all of its
+    columns, eliminated from the system's distinct rows: solve_linear asks
+    of the exact system whether b's column is in the profile.  Whether
     some u' has the target image does not depend on the basis, so neither
     does the certificate, and the exact search, in the basis of the exact
     build, finds no u' either.  Every other outcome (no shadow, as V(lam')
@@ -629,20 +636,11 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
             for a in range(2, c + 1):
                 field.of(inv_qint(a, datum.di(i)))
         uw = extremal_from_walk(shadow, pres.letters, walk)
-        rows, rhs = _system(pres, uw, mup, {path: field.of(c) for path, c in target.items()})
+        system = _system(pres, uw, mup, {path: field.of(c) for path, c in target.items()})
     except ZeroDivisionError:
         return False
-    return _certified_inconsistent(rows, rhs, field)
-
-
-def _certified_inconsistent(rows: list[list], rhs: list, field) -> bool:
-    """True when the system A x = b over field, with r columns and at least
-    one row, has rank A = r and b's column in the profile: the column rank
-    profile of [A|b] is all of its columns, the question solve_linear asks
-    of the same augmented system over Q(q)."""
-    r = len(rows[0])
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    return column_dependencies(aug, field)[0] == list(range(r + 1))
+    aug = [row + [b] for row, b in system.values()]
+    return column_dependencies(aug, field)[0] == list(range(len(aug[0])))
 
 
 def find_presentation(
@@ -698,11 +696,9 @@ def find_presentation(
     raise PresentationError(tried)
 
 
-def twist_inverse_image(
-    pres: TorusPresentation, lamp: Weight, uprime: ModuleVector
-) -> TorusElement:
-    """Torus image of the inverse twist of [D_{u_{w lam'}, u'}]:
-    q^{(lam', wt u' - w lam')} times minor^{-1} times the image of
+def twist_inverse_image(pres: TorusPresentation, uprime: ModuleVector) -> TorusElement:
+    """Torus image of the inverse twist of [D_{u_{w lam'}, u'}], for u' in
+    V(lam'): q^{(lam', wt u' - w lam')} times minor^{-1} times the image of
     D_{u', highest}.  The pairing of u' with the highest vector reads the
     module's leaf memo under u''s exact value, so the words whose
     presentations share u' pair its leaves once.  The minor's checked closed
@@ -714,8 +710,7 @@ def twist_inverse_image(
     modp = uprime.mod
     if modp.datum is not datum:
         raise ValueError("vector and presentation use different root data")
-    if modp.lam != lamp:
-        raise ValueError("vector does not live in V(lam')")
+    lamp = modp.lam
     _check_reduced(pres)
     wlamp = _walk(pres, pres.nvars, lamp)[1]
     nu = datum.weight_to_root(uprime.weight() - wlamp)
@@ -739,7 +734,7 @@ def verify_theorem(
     twist, and compares with the closed-form monomial.
     """
     p = find_presentation(pres, k, search_cap)
-    lhs = twist_inverse_image(pres, p.lam, p.uprime)
+    lhs = twist_inverse_image(pres, p.uprime)
     rhs = theorem_monomial(pres, k)
     desc = f"{pres.datum.name} word {','.join(map(str, pres.letters))} k={k}"
     return VerificationReport(desc, lhs, rhs, class_equal(lhs, rhs), presentation=p)

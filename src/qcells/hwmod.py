@@ -89,8 +89,9 @@ see cells._target_row_zero).
                                          tuple of key(c) of its entries
 
 One walk builds a module over either of two fields: Q(q) with ScalarQ
-entries (build_module, get_module), or its GF(p) shadow at q = q0
-(shadow_module), with int entries.  The field interface, the same on both:
+entries, linalg.RationalFunctions (build_module, get_module), or its GF(p)
+shadow at q = q0, _Shadow (shadow_module), with int entries.  The field
+interface, the same on both:
 
     zero, one                     the constants 0 and 1
     of(c)                         the field's value of a constant c of Q(q)
@@ -100,26 +101,25 @@ entries (build_module, get_module), or its GF(p) shadow at q = q0
     plus, mul                     scalar sum and product
     dot, add, nonzero, apply_cols coefficient lists: pairing, sum, a nonzero
                                     test, a column-major action matrix
-    add_term                      add to a term dict, dropping zeros
     give_up                       the exception of a build that gives up
 
-A field reads every constant c of Q(q) it uses as of(c): _Exact.of is the
-identity and _Shadow.of is _eval_mod at q0, so every GF(p) name stays in
-this file.  _Exact takes linalg's row operations of Q(q), and a build over
-it that gives up is a bug (AssertionError).  The shadow only screens; no
-exact build reads it.  It gives up, raising ZeroDivisionError, when a
-Phi(q0) profile is short of m(mu) or a constant is undefined at q0.  A
-shadow's built part is the specialization at q0 of the exact module with
-its picks: each of its Phi(q0) profiles has m(mu) columns, so some
-m(mu) x m(mu) minor of the picked columns is nonzero at q0, and by Cramer's
-rule every exact coordinate over the pick is defined there; the shadow
-computes those entries by the same ring operations mod p.  The weight a
-shadow gives up on stays undecided, and its cache entry becomes None: what
-a screen proved on its built part stands, and no later screen reads it.
-The datum keeps one module per highest weight: the exact one, or the
-shadow until get_module replaces it.  Actions, divided powers, the form and
-extremal vectors work over both fields; the braid operators are exact
-only.
+A field reads every constant c of Q(q) it uses as of(c):
+RationalFunctions.of is the identity and _Shadow.of is _eval_mod at q0, so
+every GF(p) name stays in this file.  A build over RationalFunctions that
+gives up is a bug (AssertionError).  The shadow only screens; no exact build
+reads it.  It gives up, raising ZeroDivisionError, when a Phi(q0) profile is
+short of m(mu) or a constant is undefined at q0.  A shadow's built part is
+the specialization at q0 of the exact module with its picks: each of its
+Phi(q0) profiles has m(mu) columns, so some m(mu) x m(mu) minor of the
+picked columns is nonzero at q0, and by Cramer's rule every exact coordinate
+over the pick is defined there; the shadow computes those entries by the
+same ring operations mod p.  The weight a shadow gives up on stays
+undecided, and its cache entry becomes None: what a screen proved on its
+built part stands, and no later screen reads it.  The datum keeps one
+module per highest weight: the exact one, or the shadow until get_module
+replaces it.  Actions, divided powers, the form and extremal vectors work
+over both fields; the braid operators and the Feigin image
+(cells.feigin_matrix_coeff) are exact only.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .cartan import RootDatum, Weight, dominant_conjugate, walk_word, weyl_dim
-from .linalg import RationalFunctions, column_dependencies, dot
-from .scalars import ScalarQ, S_ONE, S_ZERO, add_term, qint
+from .linalg import RationalFunctions, column_dependencies
+from .scalars import ScalarQ, qint
 
 
 __all__ = [
@@ -179,7 +179,9 @@ class HWModule:
         "_solve_memo",
     )
 
-    def __init__(self, datum: RootDatum, lam: Weight, field: "_Exact | _Shadow", dim: int):
+    def __init__(
+        self, datum: RootDatum, lam: Weight, field: "RationalFunctions | _Shadow", dim: int
+    ):
         self.datum = datum
         self.lam = lam
         self.field = field
@@ -328,57 +330,6 @@ def path_factor(steps: tuple[tuple[int, int], ...]) -> ScalarQ:
     return out
 
 
-class _Exact(RationalFunctions):
-    """Q(q), with ScalarQ entries: the exact build and its vectors, on the
-    row operations of linalg's elimination.  Its constants are the exact
-    ones, so of is the identity, and a build that gives up is a bug.
-
-    The build walk calls it per vector or per weight space, never per
-    scalar inside a loop."""
-
-    zero = S_ZERO
-    one = S_ONE
-    give_up = AssertionError
-
-    plus = staticmethod(ScalarQ.__add__)
-    mul = staticmethod(ScalarQ.__mul__)
-    dot = staticmethod(dot)
-    add_term = staticmethod(add_term)
-
-    @staticmethod
-    def of(c: ScalarQ) -> ScalarQ:
-        return c
-
-    @staticmethod
-    def key(c: ScalarQ) -> tuple:
-        """c's canonical form: num's lowest exponent and the coefficient
-        tuples of num and den, whose lowest exponent is 0.  Equal keys are
-        equal values, and the other way round."""
-        return c.num.lo, c.num.c, c.den.c
-
-    @staticmethod
-    def nonzero(coeffs: list[ScalarQ]) -> bool:
-        return any(c.num.c for c in coeffs)
-
-    @staticmethod
-    def add(u: list[ScalarQ], v: list[ScalarQ]) -> list[ScalarQ]:
-        return [a + b for a, b in zip(u, v)]
-
-    @staticmethod
-    def apply_cols(
-        cols: list[tuple[ScalarQ, ...]], vec: list[ScalarQ], target_dim: int
-    ) -> list[ScalarQ]:
-        """Matrix-vector product for a column-major action matrix."""
-        out = [S_ZERO] * target_dim
-        for cidx, c in enumerate(vec):
-            if c.num.c:
-                col = cols[cidx]
-                for r, a in enumerate(col):
-                    if a.num.c:
-                        out[r] = out[r] + a * c
-        return out
-
-
 class _Shadow:
     """GF(p) at q = q0, with int entries in [0, p): the shadow build, its
     vectors, and the mod-p row operations of linalg's elimination.  Its
@@ -450,14 +401,6 @@ class _Shadow:
     def dot(u: list[int], v: list[int]) -> int:
         return sum(a * b for a, b in zip(u, v)) % _PROFILE_P
 
-    @staticmethod
-    def add_term(terms: dict, key, c: int) -> None:
-        s = (terms.get(key, 0) + c) % _PROFILE_P
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -500,7 +443,7 @@ class ModuleTooLarge(ValueError):
 DIM_CAP = 5000
 
 
-def _new_module(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
+def _new_module(datum: RootDatum, lam: Weight, field: "RationalFunctions | _Shadow") -> HWModule:
     """V(lam) for dominant lam over field with its highest weight space
     built; _reach builds the others on demand.  Raises ModuleTooLarge when
     the Weyl dimension exceeds DIM_CAP."""
@@ -665,7 +608,7 @@ def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
         store[widx] = tuple(coords[cidx])
 
 
-def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule:
+def _build(datum: RootDatum, lam: Weight, field: "RationalFunctions | _Shadow") -> HWModule:
     """V(lam) for dominant lam over field with every weight space built: a
     new module with its lowest weight w0 lam decided."""
     mod = _new_module(datum, lam, field)
@@ -675,7 +618,7 @@ def _build(datum: RootDatum, lam: Weight, field: "_Exact | _Shadow") -> HWModule
 
 def build_module(datum: RootDatum, lam: Weight) -> HWModule:
     """Construct V(lam) over Q(q) for dominant lam, every weight space built."""
-    return _build(datum, lam, _Exact())
+    return _build(datum, lam, RationalFunctions())
 
 
 def get_module(datum: RootDatum, lam: Weight) -> HWModule:
@@ -685,7 +628,7 @@ def get_module(datum: RootDatum, lam: Weight) -> HWModule:
     replaces the entry's shadow, if any."""
     mod = datum._module_cache.get(lam.coords)
     if mod is None or isinstance(mod.field, _Shadow):
-        mod = datum._module_cache[lam.coords] = _new_module(datum, lam, _Exact())
+        mod = datum._module_cache[lam.coords] = _new_module(datum, lam, RationalFunctions())
     return mod
 
 

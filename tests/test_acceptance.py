@@ -37,7 +37,7 @@ from qcells.freeuq import (
     words_of_weight,
 )
 from qcells.hwmod import act_f, contravariant_form, extremal_vector, get_module
-from qcells.linalg import RationalFunctions, column_dependencies, dot, solve_linear
+from qcells.linalg import RationalFunctions, column_dependencies, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import ScalarQ, gauss_product
 
@@ -252,7 +252,7 @@ def test_07_kernel_is_form_radical(capsys):
             # mutual containment: kernel vectors annihilate the form, and
             # radical vectors map to zero in the torus
             for v in kernel:
-                if any(not dot(row, v).is_zero() for row in gram):
+                if any(not RationalFunctions.dot(row, v).is_zero() for row in gram):
                     ok = False
             for v in radical:
                 img = pres.zero()

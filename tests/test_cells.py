@@ -133,6 +133,16 @@ def test_matrix_coeff_vectors_from_two_modules_rejected():
             fn(mod.highest(), mod.zero())
 
 
+def test_matrix_coeff_needs_an_exact_module():
+    """The Feigin image is a torus element over Q(q): vectors of a GF(p)
+    shadow, whose coefficients are ints, are rejected before any descent."""
+    shadow = hwmod._build(A2, Weight((1, 1)), hwmod._Shadow())
+    low = extremal_vector(shadow, (1, 2, 1))
+    for left, right in ((shadow.highest(), shadow.highest()), (low, shadow.highest())):
+        with pytest.raises(ValueError, match="exact module"):
+            feigin_matrix_coeff(P121, left, right)
+
+
 # ------------------------------------------------------ the Feigin descent
 
 def brute_descent(pres, left, right):
@@ -158,6 +168,26 @@ def brute_descent(pres, left, right):
             tw = sum(datum.di(i) * (x * (x - 1) // 2) for i, x in zip(word, a))
             terms[a] = field.mul(val, field.of(ScalarQ.q_power(tw)))
     return terms, paths
+
+
+def image_terms(pres, left, right):
+    """The terms of feigin_matrix_coeff, over the field of the vectors'
+    module: the Feigin image itself on an exact module, and on a shadow,
+    which has no image over Q(q), its specialization at q0 from the descent,
+    each path value of basis vector s times right's coordinate s, written
+    under every embedding of the path."""
+    field = right.mod.field
+    if not isinstance(field, hwmod._Shadow):
+        return feigin_matrix_coeff(pres, left, right).terms
+    n = len(pres.letters)
+    terms = {}
+    for s, c in enumerate(right.coeffs):
+        if not c:
+            continue
+        for path, v in cells._coeff_terms(pres, left, right.weight(), s).items():
+            for a in cells._embeddings(pres.letters, path, 0, n, [0] * n):
+                terms[a] = field.plus(terms.get(a, 0), field.mul(c, v))
+    return {a: v for a, v in terms.items() if v}
 
 
 def descent_pairs(mod, word):
@@ -186,7 +216,7 @@ def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, co
     pres = TorusPresentation(datum, word)
     mod = completed(get_module(datum, Weight(coords)))
     calls, own = [], [None]
-    real_dot = hwmod._Exact.dot
+    real_dot = RationalFunctions.dot
 
     def counted(u, coeffs):
         # the covector pairs Gram rows with left's own coefficient list
@@ -195,7 +225,7 @@ def test_descent_matches_sum_over_exponent_vectors(monkeypatch, cartan, word, co
         return real_dot(u, coeffs)
 
     # the descent's leaf pairing; brute_descent pairs through the Gram matrix
-    monkeypatch.setattr(hwmod._Exact, "dot", staticmethod(counted))
+    monkeypatch.setattr(RationalFunctions, "dot", staticmethod(counted))
     shared = paired = 0
     for left, right in descent_pairs(mod, word):
         want, paths = brute_descent(pres, left, right)
@@ -247,7 +277,7 @@ def test_descent_over_the_shadow():
     shadow = hwmod._build(datum, Weight((1, 1)), hwmod._Shadow())
     for left, right in descent_pairs(shadow, pres.letters):
         want = brute_descent(pres, left, right)[0]
-        assert feigin_matrix_coeff(pres, left, right).terms == want
+        assert image_terms(pres, left, right) == want
 
 
 @pytest.mark.parametrize(
@@ -275,7 +305,7 @@ def test_descent_sums_over_right_coordinates(cartan, word, coords, images, field
         right = hwmod.ModuleVector(mod, mu, coeffs)
         for k in range(len(word) + 1):
             left = extremal_vector(mod, word[:k])
-            got = feigin_matrix_coeff(pres, left, right).terms
+            got = image_terms(pres, left, right)
             assert got == brute_descent(pres, left, right)[0]
             nonzero += bool(got)
     assert nonzero == images
@@ -329,7 +359,8 @@ def test_memoized_terms_equal_fresh_ones(monkeypatch, cartan, coords, max_length
     lam = Weight(coords)
 
     def build():
-        return hwmod._build(datum, lam, hwmod._Exact() if field == "exact" else hwmod._Shadow())
+        over = RationalFunctions() if field == "exact" else hwmod._Shadow()
+        return hwmod._build(datum, lam, over)
 
     warm, fresh = build(), build()
     elements = [w for w in weyl_elements(datum, max_length) if len(w) >= max_length - 1]
@@ -366,7 +397,8 @@ def test_cold_descent_climbs_each_vector_once(monkeypatch, cartan, coords, max_l
     act_f once per node-memo entry it adds: every vector the walk reaches is
     climbed once, and none is climbed again for a leaf."""
     datum = build_root_datum(cartan)
-    mod = hwmod._build(datum, Weight(coords), hwmod._Exact() if field == "exact" else hwmod._Shadow())
+    over = RationalFunctions() if field == "exact" else hwmod._Shadow()
+    mod = hwmod._build(datum, Weight(coords), over)
     word = reduced_words(datum, weyl_elements(datum, max_length)[-1])[0]
     pres = TorusPresentation(datum, word)
     left = extremal_vector(mod, word)
@@ -573,13 +605,19 @@ def distinct_rows(rows, rhs):
     return {tuple(str(x) for x in row + [b]) for row, b in zip(rows, rhs)}
 
 
+def split(system):
+    """The rows A and right-hand side b of a _system, as lists."""
+    return [row for row, _ in system.values()], [b for _, b in system.values()]
+
+
 @pytest.mark.parametrize("cartan, word, k", SYSTEM_CASES)
 def test_path_keyed_system_solves_like_exponent_keyed(cartan, word, k):
     """On every candidate the exact search solves, the system of _system,
-    one row per distinct path, has the rows of the system with one row per
-    exponent vector built from feigin_matrix_coeff images, and solve_linear
-    gives the same coordinates, or None, on both; None exactly where b's
-    column is in the profile of the exponent-keyed [A | b]."""
+    each distinct row once, has the distinct rows of the system with one row
+    per exponent vector built from feigin_matrix_coeff images, and no more
+    rows than there are distinct paths; solve_linear gives the same
+    coordinates, or None, on both; None exactly where b's column is in the
+    profile of the exponent-keyed [A | b]."""
     datum = build_root_datum(cartan)
     pres = TorusPresentation(datum, word)
     varpi = datum.fundamental(word[k - 1])
@@ -600,8 +638,9 @@ def test_path_keyed_system_solves_like_exponent_keyed(cartan, word, k):
         keys = sorted(set(target).union(*cols))
         rows = [[col.get(a, S_ZERO) for col in cols] for a in keys]
         rhs = [target.get(a, S_ZERO) for a in keys]
-        new_rows, new_rhs = cells._system(pres, uw, mup, target_paths)
-        assert len(new_rows) == len({path_of(word, a) for a in keys})
+        new_rows, new_rhs = split(cells._system(pres, uw, mup, target_paths))
+        assert len(new_rows) <= len({path_of(word, a) for a in keys})
+        assert len(new_rows) == len(distinct_rows(rows, rhs))
         assert distinct_rows(new_rows, new_rhs) == distinct_rows(rows, rhs)
         got = solve_linear(new_rows, new_rhs)
         assert got == solve_linear(rows, rhs)
@@ -642,7 +681,7 @@ def test_target_row_check_rejects_where_the_solve_does(monkeypatch, cartan, max_
         mup = uw.weight()
         for i, a in next(iter(target)):
             mup = mup + datum.alpha_weight(i).scaled(a)
-        rows, rhs = cells._system(pres, uw, mup, target)
+        rows, rhs = split(cells._system(pres, uw, mup, target))
         assert rejected == (solve_linear(rows, rhs) is None), (pres.letters, uw.mod.lam)
         reached[0].append((pres.letters, uw.mod.lam, mup, rejected))
         if rejected and uw.mod.dim_of(mup) > 1:
@@ -668,18 +707,18 @@ def test_target_row_check_rejects_where_the_solve_does(monkeypatch, cartan, max_
     assert wide
 
 
-def row_set(rows, rhs):
-    """The _solve_memo key of a system: its distinct augmented rows, each as
-    the exact field's keys of its entries."""
-    key = hwmod._Exact.key
-    return frozenset((*map(key, row), key(b)) for row, b in zip(rows, rhs))
+def as_system(rows, rhs):
+    """The distinct augmented rows of A x = b over Q(q) in the form _system
+    returns them, whose key set is the _solve_memo key of the system."""
+    key = RationalFunctions.key
+    return {(*map(key, row), key(b)): (row, b) for row, b in zip(rows, rhs)}
 
 
 def test_memoized_solve_equals_a_fresh_one(monkeypatch):
     """Warming the modules over C3 words of length 5 runs solve_linear once
     per distinct row set of a module.  Then the search solves no system
     again, and each memo entry equals solve_linear of that word's own rows;
-    the same rows shuffled or repeated hit, and a system with one changed
+    the same rows shuffled hit, and a system with one changed
     right-hand side misses and is solved once, unless an earlier instance's
     changed system had its row set, which some do."""
     datum = build_root_datum("C3")
@@ -695,7 +734,7 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
         return real_solve(pres, uw, mup, target)
 
     def counted(rows, rhs):
-        calls[-1].append(row_set(rows, rhs))
+        calls[-1].append(frozenset(as_system(rows, rhs)))
         return solve_linear(rows, rhs)
 
     with monkeypatch.context() as m:
@@ -724,26 +763,26 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
         mod_k, mod = get_module(datum, varpi), p.uprime.mod
         target = cells._coeff_terms(pres, extremal_vector(mod_k, word[:k]), varpi, 0)
         uw, mup = extremal_vector(mod, word), p.uprime.weight()
-        rows, rhs = real_system(pres, uw, mup, target)
-        assert mod._solve_memo[row_set(rows, rhs)] == solve_linear(rows, rhs) == p.coeffs
-        # the same rows in another order, some of them twice
-        pairs = list(zip(rows, rhs))
-        pairs += rng.choices(pairs, k=2)
-        rng.shuffle(pairs)
-        again = [row for row, _ in pairs], [b for _, b in pairs]
+        system = real_system(pres, uw, mup, target)
+        rows, rhs = split(system)
+        assert mod._solve_memo[frozenset(system)] == solve_linear(rows, rhs) == p.coeffs
+        # the same rows in another order
+        items = list(system.items())
+        rng.shuffle(items)
+        again = dict(items)
         with monkeypatch.context() as m:
             m.setattr(cells, "_system", lambda *args: again)
             assert cells._solve(pres, uw, mup, target) == p.coeffs
         assert not calls
         # one right-hand side changed: another row set, which misses unless
         # an earlier instance's changed system had it, and is solved once
-        changed = rows, [rhs[0] + ScalarQ.q_power(1)] + rhs[1:]
-        assert row_set(*changed) != row_set(rows, rhs)
-        miss = row_set(*changed) not in mod._solve_memo
+        changed = as_system(rows, [rhs[0] + ScalarQ.q_power(1)] + rhs[1:])
+        assert frozenset(changed) != frozenset(system)
+        miss = frozenset(changed) not in mod._solve_memo
         misses += miss
         with monkeypatch.context() as m:
             m.setattr(cells, "_system", lambda *args: changed)
-            assert cells._solve(pres, uw, mup, target) == solve_linear(*changed)
+            assert cells._solve(pres, uw, mup, target) == solve_linear(*split(changed))
         assert len(calls) == miss
         calls.clear()
     # some changed systems repeat an earlier instance's row set, and hit
@@ -784,6 +823,34 @@ def test_shared_solves_equal_fresh_ones(monkeypatch, cartan, max_length):
                 assert fresh.uprime.weight() == warm.uprime.weight()
                 assert fresh.coeffs == warm.coeffs
     assert 0 < warm_calls < fresh_calls
+
+
+@pytest.mark.parametrize("cartan, max_length", [("C3", 5), ("G2", None)])
+def test_both_stages_eliminate_distinct_rows(monkeypatch, cartan, max_length):
+    """Over the C3 <= 5 and full G2 searches, every matrix the screen
+    eliminates over GF(p) and every system the exact stage solves over Q(q)
+    has no repeated row, and both stages eliminate some system with several
+    rows.  Full G2 has screens whose paths repeat a row."""
+    datum = build_root_datum(cartan)
+    fresh_caches(monkeypatch, datum)
+    key = RationalFunctions.key
+    screened, solved = [], []
+
+    def screen(rows, field):
+        screened.append(len(rows))
+        assert len({tuple(row) for row in rows}) == len(rows)
+        return column_dependencies(rows, field)
+
+    def solve(rows, rhs):
+        solved.append(len(rows))
+        aug = {(*map(key, row), key(b)) for row, b in zip(rows, rhs)}
+        assert len(aug) == len(rows)
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(cells, "column_dependencies", screen)
+    monkeypatch.setattr(cells, "solve_linear", solve)
+    search_all(datum, max_length)
+    assert max(screened) > 1 and max(solved) > 1
 
 
 def test_target_row_check_rejects_every_empty_weight_space(monkeypatch, capsys):
@@ -991,9 +1058,21 @@ def test_modular_point_changes_no_output(monkeypatch, capsys):
     assert runs[0][1] == 0
 
 
-def test_certificate_needs_full_column_rank():
+def test_certificate_needs_full_column_rank(monkeypatch):
+    """The screen certifies a system over GF(p) exactly when its column rank
+    profile of [A|b] is all of its columns, for systems of any width fed to
+    a screen that reaches its system: B2 word 2,1,2 at k = 2 on V(0,1)."""
+    pres, k, lamp, mup = TorusPresentation(B2, (2, 1, 2)), 2, Weight((0, 1)), Weight((0, 1))
+    mod_k = get_module(B2, B2.fundamental(pres.letters[k - 1]))
+    target = cells._coeff_terms(pres, extremal_vector(mod_k, pres.letters[:k]), mod_k.lam, 0)
+    reached = []
+
     def cert(rows, rhs):
-        return cells._certified_inconsistent(rows, rhs, hwmod._Shadow())
+        system = {(*row, b): (row, b) for row, b in zip(rows, rhs)}
+        with monkeypatch.context() as m:
+            fresh_caches(m, B2)
+            m.setattr(cells, "_system", lambda *args: reached.append(1) or system)
+            return cells._screened_out(pres, lamp, mup, target)
 
     assert cert([[1], [0]], [0, 1])
     assert cert([[1, 0], [0, 3], [0, 0]], [1, 3, 1])
@@ -1004,6 +1083,7 @@ def test_certificate_needs_full_column_rank():
     # solution may still exist, so nothing is proved
     assert not cert([[1, 2], [0, 0]], [0, 1])
     assert not cert([[0]], [1])
+    assert len(reached) == 6
 
 
 def test_screen_without_certificate_keeps_exact_search(monkeypatch):
@@ -1025,7 +1105,7 @@ def test_screen_without_certificate_keeps_exact_search(monkeypatch):
 
     def recorded(pres, left, nu, s):
         terms = real_terms(pres, left, nu, s)
-        if isinstance(left.mod.field, hwmod._Exact) and (nu, s) == (left.mod.lam, 0):
+        if isinstance(left.mod.field, RationalFunctions) and (nu, s) == (left.mod.lam, 0):
             targets.append(terms)
         return terms
 
@@ -1120,7 +1200,7 @@ def test_shadow_that_gives_up_below_its_first_floor_never_certifies(monkeypatch)
     # word 1,3,2,1 at k = 1: the screen of V(2,0,0) needs the weight low
     got = find_presentation(second, 1)
     assert (lamp, False) in verdicts
-    assert isinstance(A3._module_cache[lamp.coords].field, hwmod._Exact)
+    assert isinstance(A3._module_cache[lamp.coords].field, RationalFunctions)
     assert (got.lam, got.coeffs) == (want.lam, want.coeffs)
     # low is not decided: asking for it extends again, and gives up again
     assert low not in shadow.basis
@@ -1140,7 +1220,7 @@ def test_search_builds_weight_spaces_on_demand(monkeypatch, capsys):
         ((1, 1, 0), hwmod._Shadow),
         ((0, 2, 0), hwmod._Shadow),
         ((0, 1, 1), hwmod._Shadow),
-        ((0, 0, 2), hwmod._Exact),
+        ((0, 0, 2), RationalFunctions),
     ):
         mod = datum._module_cache[c]
         assert isinstance(mod.field, field)
@@ -1152,10 +1232,10 @@ def test_search_builds_weight_spaces_on_demand(monkeypatch, capsys):
 
 def test_twist_inverse_image_rank_one():
     mod = get_module(A1, Weight((1,)))
-    got = twist_inverse_image(P1, Weight((1,)), mod.highest())
+    got = twist_inverse_image(P1, mod.highest())
     assert torus_str(got) == "q^1 · t1^-1"
     low = extremal_vector(mod, (1,))
-    assert torus_str(twist_inverse_image(P1, Weight((1,)), low)) == "1"
+    assert torus_str(twist_inverse_image(P1, low)) == "1"
 
 
 # ------------------------------------------------------------ verification
@@ -1263,7 +1343,7 @@ def test_each_presentation_proves_its_word_reduced_once(monkeypatch):
     mod = get_module(A2, Weight((1, 0)))
     checks = (
         lambda bad: theorem_monomial(bad, 1),
-        lambda bad: twist_inverse_image(bad, mod.lam, mod.highest()),
+        lambda bad: twist_inverse_image(bad, mod.highest()),
         lambda bad: feigin_minor(bad, mod.lam),
     )
     for check in checks:
@@ -1447,7 +1527,7 @@ def test_pair_route_matches_torus_element_route(datum, max_len):
                 want = (torus_inverse(feigin_minor(pres, p.lam)) * part).scaled(
                     ScalarQ.q_power(datum.sym_pair(p.lam, nu))
                 )
-                assert twist_inverse_image(pres, p.lam, p.uprime) == want
+                assert twist_inverse_image(pres, p.uprime) == want
                 count += 1
     assert count == {"G2": 42, "C3": 399}[datum.name]
 

@@ -38,7 +38,7 @@ from qcells.hwmod import (
     shadow_module,
 )
 from qcells.cells import find_presentation
-from qcells.linalg import RationalFunctions, column_dependencies, dot, solve_linear
+from qcells.linalg import RationalFunctions, column_dependencies, solve_linear
 from qcells.qtorus import TorusPresentation
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -125,7 +125,7 @@ def test_gram_inverse_is_exact():
             e_j = [ONE if i == j else ScalarQ(0) for i in range(n)]
             x = solve_linear(g, e_j)
             assert x is not None
-            assert [dot(row, x) for row in g] == e_j
+            assert [RationalFunctions.dot(row, x) for row in g] == e_j
 
 
 def test_form_is_contravariant_and_symmetric():
@@ -358,9 +358,9 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
         fields = {c: type(m.field) for c, m in A2._module_cache.items()}
         # both shadows gave up under a force, and exact builds replaced them;
         # the winner's exact module replaces its shadow in any case
-        screened = hwmod._Shadow if force is real_deps else hwmod._Exact
+        screened = hwmod._Shadow if force is real_deps else RationalFunctions
         assert fields[(2, 0)] is screened
-        assert fields[(1, 1)] is hwmod._Exact
+        assert fields[(1, 1)] is RationalFunctions
     monkeypatch.setattr(hwmod, "column_dependencies", real_deps)
     assert results[0][0] == (1, 1)
     assert results == [results[0]] * 3
@@ -393,18 +393,18 @@ def test_screened_winner_reuses_its_shadow(monkeypatch):
     monkeypatch.setattr(cells, "shadow_module", kept)
     assert find_presentation(TorusPresentation(A2, (1, 2, 1)), 1).lam.coords == (1, 1)
     assert builds == [
-        ((1, 0), "_Exact"),
+        ((1, 0), "RationalFunctions"),
         ((2, 0), "_Shadow"),
         ((1, 1), "_Shadow"),
-        ((1, 1), "_Exact"),
+        ((1, 1), "RationalFunctions"),
     ]
     fields = {c: type(m.field).__name__ for c, m in A2._module_cache.items()}
-    assert fields == {(1, 0): "_Exact", (2, 0): "_Shadow", (1, 1): "_Exact"}
+    assert fields == {(1, 0): "RationalFunctions", (2, 0): "_Shadow", (1, 1): "RationalFunctions"}
     assert shadows[0] is None
     assert [s.lam.coords for s in shadows[1:]] == [(2, 0), (1, 1)]
     builds.clear()
     build_module(A2, Weight((1, 1)))
-    assert builds == [((1, 1), "_Exact")]
+    assert builds == [((1, 1), "RationalFunctions")]
 
 
 def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
@@ -436,6 +436,17 @@ def test_dropped_shadow_is_freed_by_refcounting(monkeypatch):
     assert dropped == []
 
 
+def test_both_fields_define_the_same_members():
+    """Q(q) and its GF(p) shadow define one field interface: the same
+    non-dunder members, so no member serves only one field's callers."""
+
+    def members(cls):
+        return {n for n in vars(cls) if not (n.startswith("__") and n.endswith("__"))}
+
+    assert members(RationalFunctions) == members(hwmod._Shadow)
+    assert "add_term" not in members(RationalFunctions)
+
+
 laurents = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4).map(LaurentQ)
 scalars = st.builds(ScalarQ, laurents, laurents.filter(bool))
 
@@ -443,9 +454,9 @@ scalars = st.builds(ScalarQ, laurents, laurents.filter(bool))
 @given(scalars, scalars, scalars.filter(bool))
 @settings(max_examples=200)
 def test_exact_key_is_the_value(x, y, z):
-    """_Exact.key(x) == _Exact.key(y) exactly when x == y, also for values
+    """RationalFunctions.key(x) == RationalFunctions.key(y) exactly when x == y, also for values
     reached by different routes, and a key is hashable."""
-    key = hwmod._Exact.key
+    key = RationalFunctions.key
     assert (key(x) == key(y)) == (x == y)
     assert key(x * z / z) == key(x)
     assert key(x + y - y) == key(x)
@@ -526,7 +537,7 @@ def test_f_columns_solve_the_gram_block():
                     contravariant_form(act_e(j, mod.basis_vector(mu, k)), b_w)
                     for k in range(len(tags))
                 ]
-                assert [dot(row, x) for row in mod.gram[mu]] == rhs
+                assert [RationalFunctions.dot(row, x) for row in mod.gram[mu]] == rhs
                 unpicked += (j,) + mod.basis[parent][widx] not in tags
         assert unpicked > 0
 
@@ -644,7 +655,7 @@ def test_gram_lower_triangle_matches_its_own_pairing():
     e_i b_a the stored raising column, over either field."""
     checked = 0
     for datum, coords in ((A2, (2, 1)), (B2, (1, 1)), (G2, (1, 1))):
-        for field in (hwmod._Exact(), hwmod._Shadow()):
+        for field in (RationalFunctions(), hwmod._Shadow()):
             mod = hwmod._build(datum, Weight(coords), field)
             for mu, g in mod.gram.items():
                 for b, tag in enumerate(mod.basis[mu][1:], 1):

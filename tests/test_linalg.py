@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qcells.linalg import (
     RationalFunctions,
     column_dependencies,
-    dot,
     solve_linear,
 )
 from qcells.scalars import LaurentQ, ScalarQ, _dgcd
@@ -30,7 +29,7 @@ def sc(n: int) -> ScalarQ:
 
 def mat_vec(m: list[list[ScalarQ]], v: list[ScalarQ]) -> list[ScalarQ]:
     """Reference matrix-vector product."""
-    return [dot(row, v) for row in m]
+    return [QQ.dot(row, v) for row in m]
 
 
 def mat_mul(a: list[list[ScalarQ]], b: list[list[ScalarQ]]) -> list[list[ScalarQ]]:

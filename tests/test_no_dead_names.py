@@ -32,7 +32,7 @@ def _referenced(tree: ast.AST, *skip: ast.AST | None) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # a quoted annotation such as "_Exact | _Shadow", or an __all__ entry
+            # a quoted annotation such as "RationalFunctions | _Shadow", or an __all__ entry
             try:
                 quoted = ast.parse(node.value, mode="eval")
             except SyntaxError:
@@ -139,9 +139,9 @@ def test_kept_public_names_exist_and_are_unreached():
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_methods_are_referenced(name):
     """Every non-dunder method of a class in the package, and every member a
-    class body assigns, such as dot = staticmethod(dot) or nonzero = any, is
-    referenced by name somewhere in the package beyond its own definition.
-    Dataclass fields, which are annotated, are left out."""
+    class body assigns, such as plus = staticmethod(ScalarQ.__add__) or
+    nonzero = any, is referenced by name somewhere in the package beyond its
+    own definition.  Dataclass fields, which are annotated, are left out."""
     unreached = []
     for cls in TREES[name].body:
         if not isinstance(cls, ast.ClassDef):
