@@ -62,6 +62,7 @@ from .hwmod import (
     contravariant_form,
     extremal_from_walk,
     get_module,
+    gram_block,
     inv_qint,
     path_factor,
     shadow_module,
@@ -272,8 +273,9 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
     The ladders climb plain powers f_i^a, and no vector is divided.  At a
     path that uses up the content the walk pairs left with the path's
     vector once, as cov . vec with the covector cov = left^T G of the Gram
-    matrix G at the weight of left, and multiplies the value by the path
-    factor hwmod.path_factor of its (d_i, a) steps.
+    matrix G at the weight of left, read through hwmod.gram_block, and
+    multiplies the value by the path factor hwmod.path_factor of its
+    (d_i, a) steps.
 
     Neither whether f^path b is nonzero nor a path's term depends on the
     word, or on how much of the module is built, so both are memoized on
@@ -332,7 +334,7 @@ def _coeff_terms(pres: TorusPresentation, left: ModuleVector, nu: Weight, s: int
                 if not cov:
                     # (left, v) = cov . v for every v of weight mu; G is
                     # symmetric, so cov is G left
-                    cov.extend(field.dot(row, left.coeffs) for row in mod.gram[mu])
+                    cov.extend(field.dot(row, left.coeffs) for row in gram_block(mod, mu))
                 val = field.dot(cov, vector(code).coeffs)
                 steps = tuple((datum.di(i), a) for i, a in path if a > 1)
                 if field.is_zero(val):

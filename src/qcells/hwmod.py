@@ -17,12 +17,14 @@ coordinates over the pick, which are the f_i action.  By
 adjointness, (f_i x, v) = (x, e_i v), the Gram matrix of the candidates
 under the contravariant form is D Phi, with D block diagonal of the
 nonsingular Gram matrices above; so the pick is the Gram matrix's profile
-and has m(mu) vectors, which the build checks, and only the Gram block on
-the pick is computed, its upper triangle paired and mirrored.
+and has m(mu) vectors, which the build checks.  The build computes no Gram
+block: gram_block computes the block on the pick when a pairing first reads
+it, [[1/kappa^2]] at an extremal weight w lam from u_{w lam} = kappa b, and
+elsewhere from the parents' blocks and the stored raising columns.
 
-Stored per module: basis tags, Gram matrices, which are symmetric, and the
-matrices of the Chevalley actions f_i, e_i between adjacent weight spaces.
-Missing action keys mean the zero map.
+Stored per module: basis tags, the matrices of the Chevalley actions f_i,
+e_i between adjacent weight spaces, and the Gram blocks read so far, which
+are symmetric.  Missing action keys mean the zero map.
 
 A ModuleVector is one weight mu and one coefficient list over the basis of
 V(lam)_mu, as every vector formed here (basis, extremal and Chevalley images,
@@ -187,7 +189,8 @@ class HWModule:
         self.field = field
         # the weight spaces built so far, an up-set of the weights
         self.basis: dict[Weight, tuple[tuple[int, ...], ...]] = {}
-        # entries are ScalarQ in an exact module, ints mod p in a shadow
+        # the Gram blocks gram_block has computed; entries are ScalarQ in an
+        # exact module, ints mod p in a shadow
         self.gram: dict[Weight, list[list]] = {}
         self.fmat: dict[tuple[int, Weight], list[tuple]] = {}
         self.emat: dict[tuple[int, Weight], list[tuple]] = {}
@@ -454,7 +457,6 @@ def _new_module(datum: RootDatum, lam: Weight, field: "RationalFunctions | _Shad
         raise ModuleTooLarge(f"module dimension {total} exceeds cap {DIM_CAP}")
     mod = HWModule(datum, lam, field, total)
     mod.basis[lam] = ((),)
-    mod.gram[lam] = [[field.one]]
     if mod._lowest == lam:
         _complete(mod)
     return mod
@@ -519,10 +521,9 @@ def _complete(mod: HWModule) -> None:
         raise AssertionError(f"built dimension {built}, Weyl dimension {mod.dim}")
     to_root = mod.datum.weight_to_root
     order = sorted(mod.basis, key=lambda mu: (to_root(mod.lam - mu).height(), mu.coords))
-    for table in (mod.basis, mod.gram):
-        items = [(mu, table[mu]) for mu in order]
-        table.clear()
-        table.update(items)
+    items = [(mu, mod.basis[mu]) for mu in order]
+    mod.basis.clear()
+    mod.basis.update(items)
     mod.complete = True
 
 
@@ -580,18 +581,8 @@ def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
     # minor of Phi at q0, and a shorter one makes the shadow give up
     if len(sel) != mult:
         raise field.give_up(f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}")
-    # the Gram block on the pick, by adjointness:
-    # (f_i b, v_c) = (b, e_i v_c) = (b, z[i][c]); the block is symmetric,
-    # so only the entries on and above the diagonal are paired
-    g: list[list] = [[field.zero] * mult for _ in range(mult)]
-    for a, r in enumerate(sel):
-        i, parent_i, vidx, _t = cands[r]
-        grow = mod.gram[parent_i][vidx]
-        for b in range(a, mult):
-            g[a][b] = g[b][a] = field.dot(grow, zvecs[i][sel[b]])
 
     mod.basis[mu] = tuple(cands[c][3] for c in sel)
-    mod.gram[mu] = g
     # z[i][c] is e_i of candidate c, so the selected columns are the raising
     # action out of mu; every entry z reads is from a weight above and
     # already final
@@ -705,15 +696,71 @@ def act_f_divided(i: int, a: int, vec: ModuleVector) -> ModuleVector:
     return _act_divided(act_f, i, a, vec)
 
 
+def gram_block(mod: HWModule, mu: Weight) -> list[list]:
+    """The Gram matrix of the basis of the built weight space mu under the
+    contravariant form, computed on its first read and stored in mod.gram.
+
+    At an extremal weight w lam the block is [[1/kappa^2]], with kappa the
+    one coordinate of u_{w lam} (extremal_vector on dominant_conjugate's
+    letters, memoized on the module), because (u_{w lam}, u_{w lam}) = 1:
+
+    - for v with e_i v = 0 and n = <h_i, wt v>, e_i^{(n)} f_i^{(n)} v = v,
+      so (f_i^{(n)} v, f_i^{(n)} v) = (v, e_i^{(n)} f_i^{(n)} v) = (v, v);
+    - each step of the divided f-monomial of u_{w lam} is such an f_i^{(n)}
+      on the extremal vector before it, which e_i kills, so along the walk
+      (u_{w lam}, u_{w lam}) = (u_lam, u_lam) = 1;
+    - a shadow inherits this by specialization: its u_{w lam} and its form
+      are the exact ones at q0, so kappa(q0)^2 G(q0) = 1 and kappa(q0) is
+      nonzero.
+
+    Off the extremal weights, the entries come by adjointness from the
+    blocks of the parents: for the basis vector b_a = f_i b' of mu and any
+    b_b, (b_a, b_b) = (b', e_i b_b), with e_i b_b the stored raising column.
+    The block is symmetric, so only the entries on and above the diagonal
+    are paired.  The parents' blocks are read the same way, by an explicit
+    stack of weights, so a module taller than the recursion limit works."""
+    datum, field, basis, grams = mod.datum, mod.field, mod.basis, mod.gram
+    stack = [mu]
+    while stack:
+        nu = stack[-1]
+        if nu in grams:
+            stack.pop()
+            continue
+        word, dom = dominant_conjugate(datum, nu)
+        if dom == mod.lam:
+            kappa = extremal_vector(mod, word).coeffs[0]
+            grams[nu] = [[field.inverse(field.mul(kappa, kappa))]]
+            stack.pop()
+            continue
+        tags = basis[nu]
+        parents = [nu + datum.alpha_weight(tag[0]) for tag in tags]
+        missing = [p for p in dict.fromkeys(parents) if p not in grams]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        m = len(tags)
+        g: list[list] = [[field.zero] * m for _ in range(m)]
+        for a, (tag, parent) in enumerate(zip(tags, parents)):
+            grow = grams[parent][basis[parent].index(tag[1:])]
+            ecols = mod.emat[(tag[0], nu)]
+            for b in range(a, m):
+                g[a][b] = g[b][a] = field.dot(grow, ecols[b])
+        grams[nu] = g
+    return grams[mu]
+
+
 def contravariant_form(v: ModuleVector, w: ModuleVector):
     """The symmetric form with (u_lam, u_lam) = 1 and (f_i x, y) = (x, e_i y),
-    valued in the field of the module."""
+    valued in the field of the module: v^T G w with G the gram_block of
+    their weight."""
     if v.mod is not w.mod:
         raise ValueError("vectors live in different modules")
     field = v.mod.field
     if v.mu is None or v.mu != w.mu:
         return field.zero
-    return field.dot(v.coeffs, [field.dot(row, w.coeffs) for row in v.mod.gram[v.mu]])
+    g = gram_block(v.mod, v.mu)
+    return field.dot(v.coeffs, [field.dot(row, w.coeffs) for row in g])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from qcells.hwmod import (
     extremal_by_braid,
     extremal_vector,
     get_module,
+    gram_block,
     shadow_module,
 )
 from qcells.cells import find_presentation
@@ -65,6 +66,12 @@ def completed(mod):
     w0 lam extends a cached module to the bottom."""
     mod.dim_of(-dominant_conjugate(mod.datum, -mod.lam)[1])
     return mod
+
+
+def grams(mod):
+    """Every Gram block of mod's built weight spaces, in their order, read
+    through gram_block."""
+    return {mu: gram_block(mod, mu) for mu in mod.basis}
 
 
 def rand_vector(mod, mu, rng):
@@ -109,7 +116,7 @@ def test_highest_vector_is_normalized():
 
 def test_gram_adjoint_zero_weight_space():
     mod = completed(get_module(A2, Weight((1, 1))))
-    g = mod.gram[Weight((0, 0))]
+    g = gram_block(mod, Weight((0, 0)))
     two = ScalarQ(LaurentQ({1: 1, -1: 1}))
     assert g == [[two, ONE], [ONE, two]]
 
@@ -120,7 +127,7 @@ def test_gram_inverse_is_exact():
     mod = completed(get_module(B2, Weight((1, 1))))
     for mu in mod.basis:
         n = mod.dim_of(mu)
-        g = mod.gram[mu]
+        g = gram_block(mod, mu)
         for j in range(n):
             e_j = [ONE if i == j else ScalarQ(0) for i in range(n)]
             x = solve_linear(g, e_j)
@@ -342,7 +349,7 @@ def test_shadow_give_up_falls_back_to_exact_profile(monkeypatch):
                 hwmod._build(datum, lam, hwmod._Shadow())
             monkeypatch.setattr(hwmod, "column_dependencies", real_deps)
             assert forced.basis == default.basis
-            assert forced.gram == default.gram
+            assert grams(forced) == grams(default)
             assert forced.fmat == default.fmat
             assert forced.emat == default.emat
 
@@ -537,7 +544,7 @@ def test_f_columns_solve_the_gram_block():
                     contravariant_form(act_e(j, mod.basis_vector(mu, k)), b_w)
                     for k in range(len(tags))
                 ]
-                assert [RationalFunctions.dot(row, x) for row in mod.gram[mu]] == rhs
+                assert [RationalFunctions.dot(row, x) for row in gram_block(mod, mu)] == rhs
                 unpicked += (j,) + mod.basis[parent][widx] not in tags
         assert unpicked > 0
 
@@ -596,13 +603,13 @@ def test_shadow_specializes_exact_module():
         assert shadow.basis == exact.basis
         assert list(shadow.basis) == list(exact.basis)
         for name in ("gram", "fmat", "emat"):
-            want, got = getattr(exact, name), getattr(shadow, name)
+            want, got = (grams(m) if name == "gram" else getattr(m, name) for m in (exact, shadow))
             assert want.keys() == got.keys(), name
             for key, block in want.items():
                 spec = [[hwmod._eval_mod(x) for x in line] for line in block]
                 assert [list(line) for line in got[key]] == spec, (name, key)
         for mod in (exact, shadow):
-            for block in mod.gram.values():
+            for block in grams(mod).values():
                 assert block == [list(col) for col in zip(*block)]
 
         def pairs(mod):
@@ -649,7 +656,7 @@ def test_weight_multiplicities_are_weyl_invariant():
 
 
 def test_gram_lower_triangle_matches_its_own_pairing():
-    """The build pairs only the entries on and above the diagonal of a Gram
+    """gram_block pairs only the entries on and above the diagonal of a Gram
     block and mirrors them.  Each entry below it is the pairing it mirrors:
     (b_b, b_a) = (b'_b, e_i b_a) for the basis vector b_b = f_i b'_b, with
     e_i b_a the stored raising column, over either field."""
@@ -657,10 +664,10 @@ def test_gram_lower_triangle_matches_its_own_pairing():
     for datum, coords in ((A2, (2, 1)), (B2, (1, 1)), (G2, (1, 1))):
         for field in (RationalFunctions(), hwmod._Shadow()):
             mod = hwmod._build(datum, Weight(coords), field)
-            for mu, g in mod.gram.items():
+            for mu, g in grams(mod).items():
                 for b, tag in enumerate(mod.basis[mu][1:], 1):
                     i, parent = tag[0], mu + datum.alpha_weight(tag[0])
-                    grow = mod.gram[parent][mod.basis[parent].index(tag[1:])]
+                    grow = gram_block(mod, parent)[mod.basis[parent].index(tag[1:])]
                     for a in range(b):
                         assert g[b][a] == field.dot(grow, list(mod.emat[(i, mu)][a]))
                         checked += 1
@@ -668,8 +675,9 @@ def test_gram_lower_triangle_matches_its_own_pairing():
 
 
 def tables(mod):
-    """What a module stores, its weight spaces in their order."""
-    return list(mod.basis.items()), list(mod.gram.items()), mod.fmat, mod.emat
+    """What a module stores, its weight spaces in their order, and the Gram
+    blocks read through gram_block."""
+    return list(mod.basis.items()), list(grams(mod).items()), mod.fmat, mod.emat
 
 
 @pytest.mark.parametrize(
@@ -735,6 +743,34 @@ def test_tall_shadow_completes(monkeypatch):
     assert mod.dim_of(-lam) == 1
     assert mod.complete
     assert sum(map(len, mod.basis.values())) == mod.dim == 1201
+
+
+def test_tall_shadow_reads_a_gram_block(monkeypatch):
+    """gram_block keeps its own stack: on the shadow of A1 V(1200), the block
+    at the weight just above the lowest reads the blocks of all 1199 weights
+    above it, the zero weight's among them, with no RecursionError."""
+    lam = Weight((1200,))
+    monkeypatch.setattr(A1, "_module_cache", {})
+    mod = shadow_module(A1, lam)
+    mod.dim_of(-lam)
+    (g,) = gram_block(mod, Weight((-1198,)))
+    assert len(g) == 1 and g[0]
+    assert Weight((0,)) in mod.gram
+    assert len(mod.gram) == 1200 and -lam not in mod.gram
+
+
+def test_minor_reads_gram_blocks_at_extremal_weights_only(monkeypatch):
+    """The minor's pairing route pairs u_{w lam} with u_lam, so after
+    feigin_minor on G2 1,2,1,2,1,2 the exact V(2,1) holds Gram blocks at
+    extremal weights w lam only, though it is built to its lowest weight."""
+    lam = Weight((2, 1))
+    monkeypatch.setattr(G2, "_module_cache", {})
+    cells.feigin_minor(TorusPresentation(G2, (1, 2, 1, 2, 1, 2)), lam)
+    mod = G2._module_cache[lam.coords]
+    assert isinstance(mod.field, RationalFunctions) and mod.complete
+    assert mod.gram
+    assert all(dominant_conjugate(G2, mu)[1] == lam for mu in mod.gram)
+    assert any(dominant_conjugate(G2, mu)[1] != lam for mu in mod.basis)
 
 
 def test_dimension_cap(monkeypatch):

@@ -8,8 +8,9 @@ import hashlib
 
 import pytest
 
-from qcells.cartan import Weight, build_root_datum
-from qcells.hwmod import build_module
+from qcells import hwmod
+from qcells.cartan import Weight, build_root_datum, dominant_conjugate
+from qcells.hwmod import build_module, gram_block
 from qcells.scalars import scalar_str
 
 
@@ -22,7 +23,7 @@ def module_text(mod) -> str:
     out = []
     for mu in mod.basis:
         out.append(f"basis {mu.coords} {mod.basis[mu]}")
-        out.append(f"gram {mu.coords} {block(mod.gram[mu])}")
+        out.append(f"gram {mu.coords} {block(gram_block(mod, mu))}")
     for name in ("fmat", "emat"):
         mats = getattr(mod, name)
         for i, mu in sorted(mats, key=lambda key: (key[0], key[1].coords)):
@@ -64,6 +65,28 @@ FINGERPRINTS = [
         "6461d02b31e70695d68601c61bd81fbb0040932ec3c50c57f7e42f125fa95d57",
     ),
 ]
+
+
+@pytest.mark.parametrize("cartan, coords", [f[:2] for f in FINGERPRINTS])
+def test_extremal_gram_block_is_its_parent_pairing(cartan, coords):
+    """At every extremal weight w lam of the module, exact and shadow, the
+    block gram_block gives by (u_{w lam}, u_{w lam}) = 1 is the one the
+    pairing formula gives from the parent's block: (f_i b', b) = (b', e_i b)
+    for the basis vector b = f_i b', with e_i b the stored raising column."""
+    datum = build_root_datum(cartan)
+    lam = Weight(coords)
+    for mod in (build_module(datum, lam), hwmod._build(datum, lam, hwmod._Shadow())):
+        field = mod.field
+        orbit = [mu for mu in mod.basis if dominant_conjugate(datum, mu)[1] == lam]
+        assert gram_block(mod, lam) == [[field.one]]
+        for mu in orbit[1:]:
+            (tag,) = mod.basis[mu]
+            i = tag[0]
+            parent = mu + datum.alpha_weight(i)
+            grow = gram_block(mod, parent)[mod.basis[parent].index(tag[1:])]
+            paired = field.dot(grow, list(mod.emat[(i, mu)][0]))
+            assert gram_block(mod, mu) == [[paired]], mu
+        assert orbit[0] == lam and mod._lowest in orbit
 
 
 @pytest.mark.parametrize("cartan, coords, digest", FINGERPRINTS)
