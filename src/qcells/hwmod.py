@@ -10,16 +10,19 @@ and the commutation
     e_i f_j b = f_j e_i b + delta_ij [<h_i, wt b>]_{q_i} b
 
 gives those of the candidates from the weight spaces above.  Row (i, s) of
-the e-image matrix Phi is coordinate s of e_i of each candidate.  One
-elimination of Phi, linalg.column_dependencies over the build's field,
-gives the pick, its column rank profile, and every other candidate's
-coordinates over the pick, which are the f_i action.  By
-adjointness, (f_i x, v) = (x, e_i v), the Gram matrix of the candidates
-under the contravariant form is D Phi, with D block diagonal of the
-nonsingular Gram matrices above; so the pick is the Gram matrix's profile
-and has m(mu) vectors, which the build checks.  The build computes no Gram
-block: gram_block computes the block on the pick when a pairing first reads
-it, [[1/kappa^2]] at an extremal weight w lam from u_{w lam} = kappa b, and
+the e-image matrix Phi is coordinate s of e_i of each candidate.  The rows
+of one e_i that is injective on V_mu have Phi's column dependencies, and
+every weight that is not dominant has such a letter; a dominant weight
+with none keeps every letter's rows (_build_weight).  One elimination of
+those rows, linalg.column_dependencies over the build's field, gives the
+pick, its column rank profile, and every other candidate's coordinates
+over the pick, which are the f_i action.  By adjointness, (f_i x, v) =
+(x, e_i v), the Gram matrix of the candidates under the contravariant
+form is D Phi, with D block diagonal of the nonsingular Gram matrices
+above; so the pick is the Gram matrix's profile and has m(mu) vectors,
+which the build checks.  The build computes no Gram block: gram_block
+computes the block on the pick when a pairing first reads it,
+[[1/kappa^2]] at an extremal weight w lam from u_{w lam} = kappa b, and
 elsewhere from the parents' blocks and the stored raising columns.
 
 Stored per module: basis tags, the matrices of the Chevalley actions f_i,
@@ -109,13 +112,14 @@ A field reads every constant c of Q(q) it uses as of(c):
 RationalFunctions.of is the identity and _Shadow.of is _eval_mod at q0, so
 every GF(p) name stays in this file.  A build over RationalFunctions that
 gives up is a bug (AssertionError).  The shadow only screens; no exact build
-reads it.  It gives up, raising ZeroDivisionError, when a Phi(q0) profile is
-short of m(mu) or a constant is undefined at q0.  A shadow's built part is
-the specialization at q0 of the exact module with its picks: each of its
-Phi(q0) profiles has m(mu) columns, so some m(mu) x m(mu) minor of the
-picked columns is nonzero at q0, and by Cramer's rule every exact coordinate
-over the pick is defined there; the shadow computes those entries by the
-same ring operations mod p.  The weight a shadow gives up on stays
+reads it.  It gives up, raising ZeroDivisionError, when the profile of the
+eliminated rows at q0, Phi_S(q0), is short of m(mu) or a constant is
+undefined at q0.  A shadow's built part is the specialization at q0 of the
+exact module with its picks: each of its Phi_S(q0) profiles has m(mu)
+columns, so some m(mu) x m(mu) minor of the picked columns is nonzero at
+q0, and by Cramer's rule every exact coordinate over the pick is defined
+there; the shadow computes those entries by the same ring operations mod
+p.  The weight a shadow gives up on stays
 undecided, and its cache entry becomes None: what a screen proved on its
 built part stands, and no later screen reads it.  The datum keeps one
 module per highest weight: the exact one, or the shadow until get_module
@@ -286,7 +290,7 @@ class ModuleVector:
 
 # The prime field and evaluation point of the shadow.  They only screen, and
 # no exact build reads a shadow, so no output depends on them.  A built
-# shadow's Phi(q0) profile has m(mu) columns at every weight, so by Cramer's
+# shadow's Phi_S(q0) profile has m(mu) columns at every weight, so by Cramer's
 # rule the shadow is the specialization of the exact module with those
 # picks.  A shorter profile, or a denominator that vanishes at the point,
 # makes the shadow give up.
@@ -527,11 +531,79 @@ def _complete(mod: HWModule) -> None:
     mod.complete = True
 
 
+def _phi_letters(mod: HWModule, mu: Weight, mult: int, letters: list[int]) -> list[int]:
+    """The letters whose e-images are the rows of Phi at mu, of multiplicity
+    mult, out of the letters with a parent: the one injective e_i on V_mu
+    with the fewest rows m(mu + alpha_i), ties to the smaller letter, and
+    every letter when none is injective (see _build_weight).  e_i is
+    injective on V_mu when <h_i, mu> < 0 or m(mu + alpha_i) = m(mu)."""
+    datum = mod.datum
+    injective = []
+    for i in letters:
+        rows = len(mod.basis[mu + datum.alpha_weight(i)])
+        if datum.h_weight(i, mu) < 0 or rows == mult:
+            injective.append((rows, i))
+    return [min(injective)[1]] if injective else letters
+
+
+def _e_images(
+    mod: HWModule, mu: Weight, i: int, cands: list[tuple[int, Weight, int, tuple[int, ...]]]
+) -> list[list]:
+    """e_i of each candidate f_j b_w of weight mu, over the basis of
+    mu + alpha_i: the coordinates of f_j e_i b_w, plus the commutator term
+    [<h_i, wt b_w>]_{q_i} b_w when i = j.  Every entry read is from a weight
+    above mu and already final."""
+    datum = mod.datum
+    field = mod.field
+    alpha_i = datum.alpha_weight(i)
+    tdim = len(mod.basis[mu + alpha_i])
+    out = []
+    for (j, parent_j, widx, _tag) in cands:
+        z = [field.zero] * tdim
+        inter = parent_j + alpha_i
+        ecols = mod.emat.get((i, parent_j))
+        if ecols is not None and inter in mod.basis:
+            fcols = mod.fmat.get((j, inter))
+            if fcols is not None:
+                z = field.apply_cols(fcols, list(ecols[widx]), tdim)
+        if i == j:
+            hval = datum.h_weight(i, parent_j)
+            if hval:
+                qn = qint(hval).subst(datum.di(i)).to_scalar()
+                z[widx] = field.plus(z[widx], field.of(qn))
+        out.append(z)
+    return out
+
+
 def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
     """Build the weight space mu, of multiplicity mult > 0, from the weight
-    spaces above it.  One elimination of its candidates' e-images over the
-    module's field gives the pick, their column rank profile, and every
-    candidate's coordinates over it."""
+    spaces above it.  Phi_S is the candidates' e-image matrix Phi cut to the
+    rows of the letters S that _phi_letters gives.  One elimination of
+    Phi_S over the module's field gives the pick, its column rank profile,
+    and every candidate's coordinates over it.  Phi_S has the column
+    dependencies of Phi:
+
+    - Phi = E F, with F the map from the candidates onto V_mu and E the
+      stacked e_i on V_mu, which is injective as mu is below lam.  When E_S
+      is injective on V_mu, ker Phi_S = ker E_S F = ker F = ker Phi, so
+      Phi_S has Phi's column rank profile and the same coordinates of every
+      other candidate over it.
+    - By the string structure of U_{q_i}(sl_2)-modules (Jantzen, Lectures
+      on Quantum Groups, ch. 2), e_i from V_mu to V_{mu + alpha_i} is onto
+      when <h_i, mu> >= 0, so its kernel has dimension m(mu) -
+      m(mu + alpha_i), and it is injective when <h_i, mu> < 0.  So e_i alone
+      is injective exactly when <h_i, mu> < 0 or m(mu + alpha_i) = m(mu).
+      A weight that is not dominant has a letter with <h_i, mu> < 0; a
+      dominant one with no such letter keeps every letter's rows.
+    - The shadow's argument holds for Phi_S: a Phi_S(q0) profile of m(mu)
+      columns has a nonzero m(mu) x m(mu) minor at q0, a minor of Phi_S
+      over Q(q), so the picked candidates are a basis of V_mu, and by
+      Cramer's rule every exact coordinate over them is defined at q0.  A
+      shorter profile, where the rows of Phi_S lose rank at q0, makes the
+      shadow give up.
+
+    The raising action of a letter outside S is its e-image of the picked
+    candidates alone."""
     datum = mod.datum
     field = mod.field
     alpha = datum.alpha_weight
@@ -544,50 +616,31 @@ def _build_weight(mod: HWModule, mu: Weight, mult: int) -> None:
             for widx, w in enumerate(tags):
                 cands.append((i, parent, widx, (i,) + w))
     cands.sort(key=lambda t: t[3])
+    letters = sorted({t[0] for t in cands})
 
-    # z[i][c] = coefficients of f_{j_c} e_i b_{w_c} over basis(mu + alpha_i),
-    # plus the commutator delta-term when i = j_c
-    zvecs: dict[int, list[list]] = {}
-    for i in sorted({t[0] for t in cands}):
-        parent_i = mu + alpha(i)
-        tdim = len(mod.basis[parent_i])
-        per_col = []
-        for (j, parent_j, widx, _tag) in cands:
-            z = [field.zero] * tdim
-            inter = parent_j + alpha(i)
-            ecols = mod.emat.get((i, parent_j))
-            if ecols is not None and inter in mod.basis:
-                evec = list(ecols[widx])
-                fcols = mod.fmat.get((j, inter))
-                if fcols is not None:
-                    z = field.apply_cols(fcols, evec, tdim)
-            if i == j:
-                hval = datum.h_weight(i, parent_j)
-                if hval:
-                    qn = qint(hval).subst(datum.di(i)).to_scalar()
-                    z[widx] = field.plus(z[widx], field.of(qn))
-            per_col.append(z)
-        zvecs[i] = per_col
-
-    # mu is below lam, so a vector of weight mu is fixed by its e-images:
-    # row (i, s) of phi is coordinate s of z[i][c] across the candidates c.
-    # The Gram matrix is D phi, with D block diagonal of the nonsingular Gram
-    # matrices above, so phi has its column rank profile, the pick, and the
-    # coordinates of the other candidates over the pick
+    # row (i, s) of phi is coordinate s of e_i of each candidate c, for the
+    # letters i of Phi_S.  The Gram matrix is D Phi, with D block diagonal of
+    # the nonsingular Gram matrices above, so phi has its column rank
+    # profile, the pick, and the coordinates of the other candidates over it
+    zvecs = {i: _e_images(mod, mu, i, cands) for i in _phi_letters(mod, mu, mult, letters)}
     phi = [list(row) for per_col in zvecs.values() for row in zip(*per_col)]
     sel, coords = column_dependencies(phi, field)
     # the pick is the Gram matrix's profile, so it has m(mu) vectors over
-    # Q(q); a Phi(q0) profile is never longer, as a minor of Phi(q0) is a
-    # minor of Phi at q0, and a shorter one makes the shadow give up
+    # Q(q); a Phi_S(q0) profile is never longer, as a minor of Phi_S(q0) is
+    # a minor of Phi_S at q0, and a shorter one makes the shadow give up
     if len(sel) != mult:
         raise field.give_up(f"picked {len(sel)} vectors at {mu.coords}, multiplicity {mult}")
 
-    mod.basis[mu] = tuple(cands[c][3] for c in sel)
-    # z[i][c] is e_i of candidate c, so the selected columns are the raising
-    # action out of mu; every entry z reads is from a weight above and
-    # already final
-    for i, per_col in zvecs.items():
-        mod.emat[(i, mu)] = [tuple(per_col[c]) for c in sel]
+    picked = [cands[c] for c in sel]
+    mod.basis[mu] = tuple(t[3] for t in picked)
+    # the e-images of the picked candidates are the raising action out of mu
+    for i in letters:
+        per_col = zvecs.get(i)
+        if per_col is None:
+            cols = _e_images(mod, mu, i, picked)
+        else:
+            cols = [per_col[c] for c in sel]
+        mod.emat[(i, mu)] = [tuple(z) for z in cols]
 
     # express every candidate over the picked basis to get the f_i action
     # matrices out of the parents; each parent basis vector is exactly one

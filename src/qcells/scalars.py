@@ -236,8 +236,9 @@ def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], li
     )
 
 
-# Entries of the _cofactors cache: a C3 sweep of length <= 8 runs 20,508
-# gcds on 1,187 distinct operand pairs, and 512 entries serve 93% of them.
+# Entries of the _cofactors cache: a C3 sweep of length <= 8 makes 14,040
+# _cofactors calls on 1,132 distinct operand pairs, and 512 entries serve
+# 12,731 of them (90.7%).
 _COFACTORS_MAX = 512
 
 

@@ -11,6 +11,7 @@ import pytest
 from qcells import hwmod
 from qcells.cartan import Weight, build_root_datum, dominant_conjugate
 from qcells.hwmod import build_module, gram_block
+from qcells.linalg import RationalFunctions
 from qcells.scalars import scalar_str
 
 
@@ -64,6 +65,13 @@ FINGERPRINTS = [
         (2, 1),
         "6461d02b31e70695d68601c61bd81fbb0040932ec3c50c57f7e42f125fa95d57",
     ),
+    # recorded before each weight space's pick came from one injective e_i's
+    # rows, when every e_i's rows were eliminated
+    (
+        "A4",
+        (1, 0, 0, 1),
+        "f189c74b2bc3f8ce9730ad747714bef9dac67e3e8e83d16b5d3f6e4b6a563463",
+    ),
 ]
 
 
@@ -93,3 +101,38 @@ def test_extremal_gram_block_is_its_parent_pairing(cartan, coords):
 def test_exact_module_fingerprint(cartan, coords, digest):
     mod = build_module(build_root_datum(cartan), Weight(coords))
     assert hashlib.sha256(module_text(mod).encode()).hexdigest() == digest
+
+
+def stored(mod):
+    """What a build stores, with the Gram block of every weight read."""
+    grams = {mu: gram_block(mod, mu) for mu in mod.basis}
+    return list(mod.basis.items()), grams, mod.fmat, mod.emat
+
+
+@pytest.mark.parametrize("cartan, coords", [f[:2] for f in FINGERPRINTS] + [("A2", (1, 1))])
+def test_one_injective_letter_builds_what_every_letter_builds(monkeypatch, cartan, coords):
+    """A build that eliminates every letter's rows of Phi stores the basis,
+    action matrices and Gram blocks of the default build, which eliminates
+    the rows of one injective e_i, exact and shadow.  The default keeps
+    every letter's rows at dominant weights only; the zero weights of A2
+    V(1,1) and A4 V(1,0,0,1) are such weights."""
+    datum = build_root_datum(cartan)
+    lam = Weight(coords)
+    fields = (RationalFunctions(), hwmod._Shadow())
+    real = hwmod._phi_letters
+    every_letter = []
+
+    def recording(mod, mu, mult, letters):
+        got = real(mod, mu, mult, letters)
+        if len(got) > 1:
+            every_letter.append(mu)
+        return got
+
+    monkeypatch.setattr(hwmod, "_phi_letters", recording)
+    default = [stored(hwmod._build(datum, lam, field)) for field in fields]
+    assert all(mu.is_dominant() for mu in every_letter), every_letter
+    if cartan in ("A2", "A4"):
+        assert Weight((0,) * datum.rank) in every_letter
+    monkeypatch.setattr(hwmod, "_phi_letters", lambda mod, mu, mult, letters: letters)
+    for field, want in zip(fields, default):
+        assert stored(hwmod._build(datum, lam, field)) == want
