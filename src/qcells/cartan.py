@@ -43,7 +43,6 @@ __all__ = [
     "weyl_act_root",
     "dominant_conjugate",
     "walk_word",
-    "word_exponents",
     "is_reduced",
     "length",
     "reduced_words",
@@ -304,19 +303,17 @@ _SUPPORTED = {
 }
 
 
-def build_root_datum(family: str, rank: int | None = None) -> RootDatum:
-    """Root datum for a supported finite type, e.g. ('A', 2) or just "A2".
+def build_root_datum(name: str) -> RootDatum:
+    """Root datum for a supported finite type named like "A2".
 
     Returns the interned datum with the Bourbaki Cartan matrix and minimal
     symmetrizers.
     """
-    if rank is None:
-        name = family.strip().upper()
-        digits = name[1:]
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"cannot parse Cartan type {family!r}")
-        family, rank = name[0], int(digits)
-    return _build_root_datum(family.upper(), rank)
+    upper = name.strip().upper()
+    digits = upper[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"cannot parse Cartan type {name!r}")
+    return _build_root_datum(upper[0], int(digits))
 
 
 @lru_cache(maxsize=None)
@@ -363,10 +360,7 @@ def _check_letters(datum: RootDatum, word: tuple[int, ...]) -> None:
 def weyl_act(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> Weight:
     """Apply s_{i_1} ... s_{i_m} to a weight (rightmost letter acts first).
     Raises ValueError on a letter outside the index set."""
-    _check_letters(datum, word)
-    for i in reversed(word):
-        lam = datum.reflect_weight(i, lam)
-    return lam
+    return walk_word(datum, word, lam)[1]
 
 
 def weyl_act_root(datum: RootDatum, word: tuple[int, ...], nu: RootVector) -> RootVector:
@@ -391,17 +385,12 @@ def walk_word(
     return tuple(out), lam
 
 
-def word_exponents(datum: RootDatum, word: tuple[int, ...], lam: Weight) -> tuple[int, ...]:
-    """The exponents of walk_word alone."""
-    return walk_word(datum, word, lam)[0]
-
-
 def is_reduced(datum: RootDatum, word: tuple[int, ...]) -> bool:
     """True when the word is reduced: every letter i_m lengthens the element
     s_{i_{m+1}} ... s_{i_l}, i.e. rho's exponent <h_{i_m}, s_{i_{m+1}} ...
     s_{i_l} rho> along the word is positive.  Raises ValueError on a letter
     outside the index set."""
-    return all(c > 0 for c in word_exponents(datum, word, datum.rho()))
+    return all(c > 0 for c in walk_word(datum, word, datum.rho())[0])
 
 
 def length(datum: RootDatum, word: tuple[int, ...]) -> int:

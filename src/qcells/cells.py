@@ -16,27 +16,29 @@ is nonzero and the path's term, for a left vector given by its exact value,
 are memoized on the module, keyed by right's basis index and the path (see
 hwmod), so the reduced words of one element, and the elements sharing a
 module, climb each vector and pair each leaf once.  The search for a
-presentation D_{u_{w lam'}, u'} never expands the embeddings: its linear
-system has one row per path, where one row per exponent vector would repeat
-each path's row once per embedding, and _system keeps each distinct
-augmented row once, which both stages eliminate.  It screens a candidate
-lam' by the GF(p) shadow of V(lam') and skips it only on a rank certificate
-that no exact u' exists.  On the exact module it skips the candidate where a
-target path is zero in every column, which adjointness decides from e-powers
-of u_{w lam'} with no column walked (_target_row_zero), and memoizes on the
-module whether each path's e-power vanishes.  The system's solution is
-memoized on the module under the set of its distinct rows, which fixes the
-solution whatever the rows' order or repetition, so the systems that share a
-row set, on any word, weight space or target, are eliminated once.  What
-depends on the word alone, and not on the position k, is computed once per
-TorusPresentation and kept on it (_per_word): the proof that the word is
-reduced, the Weyl walks of its prefixes, the predicted monomials and the
-minors with their pairing cross-check, each as an (exponents, q-exponent)
-pair, and the descent's successor table of letters, positions and letter
-masks.  The per-word checks multiply and invert those pairs in integers
-(TorusPresentation.pair_product and pair_inverse) and build a TorusElement
-only for a report.  The localized algebra itself is never materialized; all
-identities are verified between normal-ordered torus elements.
+presentation D_{u_{w lam'}, u'} returns u' itself, a vector of V(lam'), so
+lam' is the highest weight of u''s module.  It never expands the embeddings:
+its linear system has one row per path, where one row per exponent vector
+would repeat each path's row once per embedding, and _system keeps each
+distinct augmented row once, which both stages eliminate.  It screens a
+candidate lam' by the GF(p) shadow of V(lam') and skips it only on a rank
+certificate that no exact u' exists.  On the exact module it skips the
+candidate where a target path is zero in every column, which adjointness
+decides from e-powers of u_{w lam'} with no column walked
+(_target_row_zero), and memoizes on the module whether each path's e-power
+vanishes.  The system's solution is memoized on the module under the set of
+its distinct rows, which fixes the solution whatever the rows' order or
+repetition, so the systems that share a row set, on any word, weight space
+or target, are eliminated once.  What depends on the word alone, and not on
+the position k, is computed once per TorusPresentation and kept on it
+(_per_word): the proof that the word is reduced, the Weyl walks of its
+prefixes, the predicted monomials and the minors with their pairing
+cross-check, each as an (exponents, q-exponent) pair, and the descent's
+successor table of letters, positions and letter masks.  The per-word checks
+multiply and invert those pairs in integers (TorusPresentation.pair_product
+and pair_inverse) and build a TorusElement only for a report.  The localized
+algebra itself is never materialized; all identities are verified between
+normal-ordered torus elements.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from .qtorus import TorusElement, TorusPresentation, torus_str
 from .scalars import ScalarQ, add_term
 
 __all__ = [
-    "Presentation",
     "PresentationError",
     "VerificationReport",
     "feigin_matrix_coeff",
@@ -90,21 +91,6 @@ __all__ = [
 ]
 
 
-class Presentation:
-    """A minor class written as D_{extremal, uprime} on the module V(lam)."""
-
-    __slots__ = ("lam", "uprime")
-
-    def __init__(self, lam: Weight, uprime: ModuleVector):
-        self.lam = lam
-        self.uprime = uprime
-
-    @property
-    def coeffs(self) -> list[ScalarQ]:
-        """The search's solution: uprime's own coefficient list."""
-        return self.uprime.coeffs
-
-
 class PresentationError(RuntimeError):
     """No candidate highest weight admitted the requested presentation."""
 
@@ -115,33 +101,32 @@ class PresentationError(RuntimeError):
 
 
 class VerificationReport:
-    """Outcome of one identity check between torus elements."""
+    """Outcome of one identity check between torus elements.  A
+    verify_theorem report keeps the u' of its presentation, whose module is
+    V(lam')."""
 
     __slots__ = (
-        "description",
         "lhs",
         "rhs",
         "equal",
-        "presentation",
+        "uprime",
         "exponent_match",
         "residual_q_power",
     )
 
     def __init__(
         self,
-        description: str,
         lhs: TorusElement,
         rhs: TorusElement,
         equal: bool,
-        presentation: Presentation | None = None,
+        uprime: ModuleVector | None = None,
         exponent_match: bool | None = None,
         residual_q_power: int | None = None,
     ):
-        self.description = description
         self.lhs = lhs
         self.rhs = rhs
         self.equal = equal
-        self.presentation = presentation
+        self.uprime = uprime
         self.exponent_match = exponent_match
         self.residual_q_power = residual_q_power
 
@@ -645,10 +630,10 @@ def _screened_out(pres: TorusPresentation, lamp: Weight, mup: Weight, target: di
     return column_dependencies(aug, field)[0] == list(range(len(aug[0])))
 
 
-def find_presentation(
-    pres: TorusPresentation, k: int, search_cap: int = 3
-) -> Presentation:
-    """Present the k-th flag minor class as D_{u_{w lam'}, u'}.
+def find_presentation(pres: TorusPresentation, k: int, search_cap: int = 3) -> ModuleVector:
+    """Present the k-th flag minor class as D_{u_{w lam'}, u'}, and return
+    u', a vector of the exact module V(lam'): lam' is its module's highest
+    weight, u'.lam.
 
     Searches dominant weights lam' in a fixed order (the fundamental weight
     at position k first, then its sums with one fundamental weight, then all
@@ -694,7 +679,7 @@ def find_presentation(
         coeffs = _solve(pres, uw, mup, target)
         if coeffs is None:
             continue
-        return Presentation(lamp, ModuleVector(modp, mup, coeffs))
+        return ModuleVector(modp, mup, coeffs)
     raise PresentationError(tried)
 
 
@@ -735,11 +720,10 @@ def verify_theorem(
     Finds a presentation of the minor class, pushes it through the inverse
     twist, and compares with the closed-form monomial.
     """
-    p = find_presentation(pres, k, search_cap)
-    lhs = twist_inverse_image(pres, p.uprime)
+    uprime = find_presentation(pres, k, search_cap)
+    lhs = twist_inverse_image(pres, uprime)
     rhs = theorem_monomial(pres, k)
-    desc = f"{pres.datum.name} word {','.join(map(str, pres.letters))} k={k}"
-    return VerificationReport(desc, lhs, rhs, class_equal(lhs, rhs), presentation=p)
+    return VerificationReport(lhs, rhs, class_equal(lhs, rhs), uprime=uprime)
 
 
 def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
@@ -774,9 +758,7 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
     unit = tuple(1 if m == k - 1 else 0 for m in range(pres.nvars))
     lhs = pres.monomial(exps, ScalarQ.q_power(residual))
     rhs = pres.generator(k).scaled(ScalarQ.q_power(residual))
-    desc = f"{datum.name} word {','.join(map(str, word))} t_{k} from minors"
     return VerificationReport(
-        desc,
         lhs,
         rhs,
         class_equal(lhs, rhs),
@@ -787,13 +769,13 @@ def chamber_ansatz(pres: TorusPresentation, k: int) -> VerificationReport:
 
 def _sample_words(datum: RootDatum, count: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    length = 1
+    size = 1
     while len(out) < count:
-        for w in itertools.product(datum.index_set, repeat=length):
+        for w in itertools.product(datum.index_set, repeat=size):
             out.append(w)
             if len(out) == count:
                 break
-        length += 1
+        size += 1
     return out
 
 

@@ -186,8 +186,8 @@ def _record(
         "rhs": torus_str(rep.rhs),
         "equal": rep.equal,
         "presentation": {
-            "lambda": list(rep.presentation.lam.coords),
-            "uprime_coeffs": [scalar_str(c) for c in rep.presentation.coeffs],
+            "lambda": list(rep.uprime.lam.coords),
+            "uprime_coeffs": [scalar_str(c) for c in rep.uprime.coeffs],
         },
     }
     if chamber.exponent_match:

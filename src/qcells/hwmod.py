@@ -250,6 +250,12 @@ class ModuleVector:
         else:
             self.mu, self.coeffs = None, []
 
+    @property
+    def lam(self) -> Weight:
+        """The highest weight of the vector's module V(lam): lam' for the u'
+        that find_presentation returns."""
+        return self.mod.lam
+
     def is_zero(self) -> bool:
         return self.mu is None
 

@@ -84,12 +84,12 @@ class TorusPresentation:
     def zero(self) -> "TorusElement":
         return TorusElement(self, {})
 
-    def generator(self, k: int, power: int = 1) -> "TorusElement":
-        """t_k^power (1-based k)."""
+    def generator(self, k: int) -> "TorusElement":
+        """t_k (1-based k)."""
         if not 1 <= k <= self.nvars:
             raise ValueError(f"no generator t_{k}")
         e = [0] * self.nvars
-        e[k - 1] = power
+        e[k - 1] = 1
         return TorusElement(self, {tuple(e): S_ONE})
 
     def monomial(self, e: tuple[int, ...], coeff: ScalarQ = S_ONE) -> "TorusElement":

@@ -20,7 +20,6 @@ from qcells.cartan import (
     weyl_dim,
     weyl_elements,
     walk_word,
-    word_exponents,
 )
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"]
@@ -116,7 +115,7 @@ def test_lattice_arithmetic_rejects_a_rank_mismatch(cls, op):
 
 
 def test_parse_and_interning():
-    assert build_root_datum("a2") is build_root_datum("A", 2)
+    assert build_root_datum("a2") is build_root_datum(" A2 ") is build_root_datum("A2")
     for bad in ["E8", "A5", "B4", "D5", "F4", "X1", "A", "2A"]:
         with pytest.raises(ValueError):
             build_root_datum(bad)
@@ -224,8 +223,6 @@ def test_letters_outside_index_set_rejected():
                 with pytest.raises(ValueError, match="outside the index set"):
                     weyl_act(dat, word, dat.rho())
                 with pytest.raises(ValueError, match="outside the index set"):
-                    word_exponents(dat, word, dat.rho())
-                with pytest.raises(ValueError, match="outside the index set"):
                     walk_word(dat, word, dat.rho())
 
 
@@ -236,8 +233,10 @@ def test_walk_word_ends_at_the_weyl_image():
         lam = Weight(tuple(rng.randrange(-3, 4) for _ in dat.index_set))
         word = tuple(rng.choice(list(dat.index_set)) for _ in range(rng.randrange(8)))
         exps, end = walk_word(dat, word, lam)
-        assert exps == word_exponents(dat, word, lam)
-        assert end == weyl_act(dat, word, lam)
+        direct = lam
+        for i in reversed(word):
+            direct = dat.reflect_weight(i, direct)
+        assert end == weyl_act(dat, word, lam) == direct
         # w lam = lam - sum_m c_m alpha_{i_m}
         for i, c in zip(word, exps):
             lam = lam - dat.alpha_weight(i).scaled(c)

@@ -20,14 +20,13 @@ from qcells.cartan import (
     build_root_datum,
     dominant_conjugate,
     reduced_words,
+    walk_word,
     weyl_act,
     weyl_act_root,
     weyl_dim,
     weyl_elements,
-    word_exponents,
 )
 from qcells.cells import (
-    Presentation,
     PresentationError,
     VerificationReport,
     chamber_ansatz,
@@ -573,9 +572,9 @@ def test_presentations_found_and_unique():
     for k, coords in expect.items():
         p = find_presentation(PB, k)
         assert p.lam.coords == coords
-        assert not p.uprime.is_zero()
-        mod = p.uprime.mod
-        mup = p.uprime.weight()
+        assert not p.is_zero()
+        mod = p.mod
+        mup = p.weight()
         uw = extremal_vector(mod, PB.letters)
         cols = [
             feigin_matrix_coeff(PB, uw, mod.basis_vector(mup, s))
@@ -760,9 +759,9 @@ def test_memoized_solve_equals_a_fresh_one(monkeypatch):
         p = find_presentation(pres, k)
         assert not calls
         varpi = datum.fundamental(word[k - 1])
-        mod_k, mod = get_module(datum, varpi), p.uprime.mod
+        mod_k, mod = get_module(datum, varpi), p.mod
         target = cells._coeff_terms(pres, extremal_vector(mod_k, word[:k]), varpi, 0)
-        uw, mup = extremal_vector(mod, word), p.uprime.weight()
+        uw, mup = extremal_vector(mod, word), p.weight()
         system = real_system(pres, uw, mup, target)
         rows, rhs = split(system)
         assert mod._solve_memo[frozenset(system)] == solve_linear(rows, rhs) == p.coeffs
@@ -819,8 +818,8 @@ def test_shared_solves_equal_fresh_ones(monkeypatch, cartan, max_length):
                 assert [mod for mod in datum._module_cache.values() if mod is not None] == mods
                 for mod, memo in zip(mods, saved):
                     mod._solve_memo = memo
-                assert fresh.lam == warm.lam and fresh.uprime.mod is warm.uprime.mod
-                assert fresh.uprime.weight() == warm.uprime.weight()
+                assert fresh.lam == warm.lam and fresh.mod is warm.mod
+                assert fresh.weight() == warm.weight()
                 assert fresh.coeffs == warm.coeffs
     assert 0 < warm_calls < fresh_calls
 
@@ -1140,7 +1139,7 @@ def test_screen_gives_up_where_a_divided_power_would(monkeypatch):
     mod_k = get_module(datum, datum.fundamental(pres.letters[k - 1]))
     target = cells._coeff_terms(pres, extremal_vector(mod_k, pres.letters[:k]), mod_k.lam, 0)
     # the extremal vector needs no f^{(2)}, while the columns' content does
-    assert max(word_exponents(datum, pres.letters, lamp)) == 1
+    assert max(walk_word(datum, pres.letters, lamp)[0]) == 1
     assert datum.weight_to_root(mup - weyl_act(datum, pres.letters, lamp)).coords == (1, 2)
     fresh_caches(monkeypatch, datum)
     assert cells._screened_out(pres, lamp, mup, target)
@@ -1244,7 +1243,7 @@ def test_verify_theorem_rank_one():
     rep = verify_theorem(P1, 1)
     assert rep.equal
     assert torus_str(rep.lhs) == "q^1 · t1^-1"
-    assert rep.presentation.lam.coords == (1,)
+    assert rep.uprime.lam.coords == (1,)
 
 
 def test_verify_theorem_a2_all_positions():
@@ -1253,14 +1252,14 @@ def test_verify_theorem_a2_all_positions():
         rep = verify_theorem(P121, k)
         assert rep.equal
         assert len(rep.lhs.terms) == 1
-        lams[k] = rep.presentation.lam.coords
+        lams[k] = rep.uprime.lam.coords
     assert lams == {1: (1, 1), 2: (0, 1), 3: (1, 0)}
 
 
 def test_verify_theorem_b2_all_positions():
     for k in (1, 2, 3, 4):
         rep = verify_theorem(PB, k)
-        assert rep.equal, rep.description
+        assert rep.equal, k
 
 
 def test_verify_rejects_non_reduced():
@@ -1270,27 +1269,24 @@ def test_verify_rejects_non_reduced():
 
 def test_report_and_presentation_fields():
     """Positional and keyword construction with the defaults, and equality
-    by identity only."""
-    uprime = verify_theorem(P1, 1).presentation.uprime
-    p = Presentation(Weight((1,)), uprime)
-    assert p.lam == Weight((1,)) and p.uprime is uprime and p.coeffs is uprime.coeffs
-    assert Presentation(lam=Weight((1,)), uprime=uprime) != p
+    by identity only; a verify_theorem report keeps the search's u'."""
+    uprime = verify_theorem(P1, 1).uprime
+    assert uprime == find_presentation(P1, 1) and uprime.lam == uprime.mod.lam == Weight((1,))
     lhs, rhs = P1.monomial((0,)), P1.generator(1)
-    rep = VerificationReport("d", lhs, rhs, False)
-    assert (rep.description, rep.lhs, rep.rhs, rep.equal) == ("d", lhs, rhs, False)
-    assert (rep.presentation, rep.exponent_match, rep.residual_q_power) == (None,) * 3
+    rep = VerificationReport(lhs, rhs, False)
+    assert (rep.lhs, rep.rhs, rep.equal) == (lhs, rhs, False)
+    assert (rep.uprime, rep.exponent_match, rep.residual_q_power) == (None,) * 3
     full = VerificationReport(
-        description="d",
         lhs=lhs,
         rhs=rhs,
         equal=True,
-        presentation=p,
+        uprime=uprime,
         exponent_match=True,
         residual_q_power=-2,
     )
-    assert full.presentation is p and full.exponent_match and full.residual_q_power == -2
-    assert VerificationReport("d", lhs, rhs, False, p, False, 3).residual_q_power == 3
-    assert rep == rep and rep != VerificationReport("d", lhs, rhs, False)
+    assert full.uprime is uprime and full.exponent_match and full.residual_q_power == -2
+    assert VerificationReport(lhs, rhs, False, uprime, False, 3).residual_q_power == 3
+    assert rep == rep and rep != VerificationReport(lhs, rhs, False)
 
 
 # ------------------------------------------------- word data shared across k
@@ -1442,15 +1438,15 @@ def test_shared_presentation_in_reverse_order_equals_fresh_ones(datum, word):
         for check in (verify_theorem, chamber_ansatz):
             got = check(shared, k)
             want = check(TorusPresentation(datum, word), k)
-            assert (got.description, got.equal) == (want.description, want.equal)
+            assert got.equal == want.equal
             assert got.lhs == want.lhs and got.rhs == want.rhs
             assert (got.exponent_match, got.residual_q_power) == (
                 want.exponent_match,
                 want.residual_q_power,
             )
             if check is verify_theorem:
-                assert got.presentation.lam == want.presentation.lam
-                assert got.presentation.coeffs == want.presentation.coeffs
+                assert got.uprime.lam == want.uprime.lam
+                assert got.uprime.coeffs == want.uprime.coeffs
 
 
 # --------------------------------------------------------- generator recovery
@@ -1522,12 +1518,12 @@ def test_pair_route_matches_torus_element_route(datum, max_len):
 
                 p = find_presentation(pres, k)
                 wlamp = weyl_act(datum, word, p.lam)
-                nu = datum.weight_to_root(p.uprime.weight() - wlamp)
-                part = feigin_matrix_coeff(pres, p.uprime, p.uprime.mod.highest())
+                nu = datum.weight_to_root(p.weight() - wlamp)
+                part = feigin_matrix_coeff(pres, p, p.mod.highest())
                 want = (torus_inverse(feigin_minor(pres, p.lam)) * part).scaled(
                     ScalarQ.q_power(datum.sym_pair(p.lam, nu))
                 )
-                assert twist_inverse_image(pres, p.uprime) == want
+                assert twist_inverse_image(pres, p) == want
                 count += 1
     assert count == {"G2": 42, "C3": 399}[datum.name]
 

@@ -32,7 +32,7 @@ def test_readme_library_snippet_prints_its_comments():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     want = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
-    assert len(want) == 3
+    assert len(want) == 4
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})

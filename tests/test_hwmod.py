@@ -19,9 +19,9 @@ from qcells.cartan import (
     build_root_datum,
     dominant_conjugate,
     reduced_words,
+    walk_word,
     weyl_dim,
     weyl_elements,
-    word_exponents,
 )
 from qcells.hwmod import (
     act_e,
@@ -238,7 +238,7 @@ def divided_monomial(mod, word):
     """f_{i_1}^{(c_1)} ... f_{i_l}^{(c_l)} u_lam with the word's own
     exponents, climbed afresh with no memo."""
     vec = mod.highest()
-    exps = word_exponents(mod.datum, word, mod.lam)
+    exps = walk_word(mod.datum, word, mod.lam)[0]
     for i, c in zip(reversed(word), reversed(exps)):
         vec = act_f_divided(i, c, vec)
     return vec

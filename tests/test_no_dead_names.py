@@ -2,9 +2,9 @@
 module-level function or class, and every non-dunder method or assigned
 class member, is referenced somewhere in the package beyond its own
 definition: code that nothing reaches is deleted, not left for its own unit
-test.  A public name listed in __all__ but called only by tests counts as
-unreached, unless it is one of the named cross-checks and entry points in
-KEPT_PUBLIC."""
+test.  Every __slots__ field is read somewhere in the package.  A public
+name listed in __all__ but called only by tests counts as unreached, unless
+it is one of the named cross-checks and entry points in KEPT_PUBLIC."""
 
 from __future__ import annotations
 
@@ -19,10 +19,33 @@ SOURCES = sorted(Path(qcells.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
+def _quoted(tree: ast.AST) -> set[int]:
+    """The ids of the string constants in tree that name code: those inside
+    an annotation, such as "RationalFunctions | _Shadow", and the entries of
+    __all__.  Any other string, such as the option "--max-length", names
+    nothing, though it parses as an expression."""
+    roots: list[ast.AST] = _exports(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            roots += [p.annotation for p in params if p is not None and p.annotation]
+            roots += [node.returns] if node.returns else []
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {
+        id(n)
+        for root in roots
+        for n in ast.walk(root)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
 def _referenced(tree: ast.AST, *skip: ast.AST | None) -> set[str]:
     """Names read in tree, outside the subtrees skip: bare names, attributes,
     quoted annotations and the strings of __all__."""
     skipped = {id(node) for s in skip if s is not None for node in ast.walk(s)}
+    quoted = _quoted(tree)
     names: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -31,13 +54,12 @@ def _referenced(tree: ast.AST, *skip: ast.AST | None) -> set[str]:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # a quoted annotation such as "RationalFunctions | _Shadow", or an __all__ entry
-            try:
-                quoted = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+        elif id(node) in quoted:
+            names |= {
+                n.id
+                for n in ast.walk(ast.parse(node.value, mode="eval"))
+                if isinstance(n, ast.Name)
+            }
     return names
 
 
@@ -85,6 +107,7 @@ KEPT_PUBLIC = {
     "minor_representative",
     "ore_commutation_check",
     "gauss_product",
+    "length",
 }
 
 
@@ -161,3 +184,38 @@ def test_methods_are_referenced(name):
                 ):
                     unreached.append((f"{cls.name}.{member}", node.lineno))
     assert not unreached, f"{name} defines members nothing references: {unreached}"
+
+
+def _slots(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """The fields a class body lists in __slots__, with their line."""
+    return [
+        (elt.value, node.lineno)
+        for node in cls.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    ]
+
+
+LOADED = {
+    node.attr
+    for tree in TREES.values()
+    for node in ast.walk(tree)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_slot_fields_are_read(name):
+    """Every __slots__ field of a class in the package is read somewhere in
+    the package as an attribute load: a field that is only stored holds a
+    fact nothing asks for."""
+    unread = [
+        (f"{cls.name}.{field}", line)
+        for cls in ast.walk(TREES[name])
+        if isinstance(cls, ast.ClassDef)
+        for field, line in _slots(cls)
+        if field not in LOADED
+    ]
+    assert not unread, f"{name} has slot fields nothing reads: {unread}"
