@@ -20,7 +20,12 @@ take its option.
 
 A single verification is mostly interpreter start-up, so importing this
 module loads nothing beyond argparse and the package itself, and json is
-imported only when the first JSON record is printed.
+imported only when the first JSON record is printed.  For the same reason
+the entry point, run(), ends the process without interpreter finalization
+once main() has returned and stdout and stderr are flushed: tearing down
+the modules and freeing every module, memo and torus element a run built
+would only delay the exit.  Nothing is lost by it, since the package opens
+no file besides stdout and stderr and registers no atexit hook.
 """
 
 from __future__ import annotations
@@ -549,5 +554,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Entry point of ``python -m qcells.cli`` and the ``qcells`` script:
+    run main(), flush stdout and stderr, and end the process with
+    os._exit(code), skipping interpreter finalization.  The output is
+    complete by then, and the package opens no file besides stdout and
+    stderr and registers no atexit hook, so finalization would only free
+    what the run built.  An exception from main() propagates as usual, and
+    if a flush fails, SystemExit(code) hands the exit to the interpreter,
+    which retries the flush and reports its failure as it always does."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -824,6 +824,31 @@ def test_shared_solves_equal_fresh_ones(monkeypatch, cartan, max_length):
     assert 0 < warm_calls < fresh_calls
 
 
+@pytest.mark.parametrize(
+    "cartan, max_length, instances, keys", [("G2", None, 42, 40), ("C3", 6, 399, 172)]
+)
+def test_presentation_is_a_function_of_element_and_target_weight(
+    monkeypatch, cartan, max_length, instances, keys
+):
+    """Over full G2 and C3 <= 6, the search's result, lam' and the
+    coefficients of u', depends only on the key (w.rho, gamma), where w is
+    the word's element and gamma = w_{<=k} varpi_{i_k} the target minor's
+    weight: no key has two results, and some key has several words.  A
+    search shared across the reduced words of w relies on this."""
+    datum = build_root_datum(cartan)
+    fresh_caches(monkeypatch, datum)
+    found = search_all(datum, max_length)
+    results, words = {}, {}
+    for word, k, lam, coeffs in found:
+        gamma = walk_word(datum, word[:k], datum.fundamental(word[k - 1]))[1]
+        key = (walk_word(datum, word, datum.rho())[1], gamma)
+        results.setdefault(key, set()).add((lam, tuple(coeffs)))
+        words.setdefault(key, set()).add(word)
+    assert (len(found), len(results)) == (instances, keys)
+    assert all(len(result) == 1 for result in results.values())
+    assert max(len(ws) for ws in words.values()) > 1
+
+
 @pytest.mark.parametrize("cartan, max_length", [("C3", 5), ("G2", None)])
 def test_both_stages_eliminate_distinct_rows(monkeypatch, cartan, max_length):
     """Over the C3 <= 5 and full G2 searches, every matrix the screen

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -650,3 +652,82 @@ def test_start_up_loads_no_slow_module(child_env, argv, loaded):
     new = set(proc.stdout.splitlines()[-1].split())
     assert "qcells.cli" in new
     assert new & SLOW_TO_IMPORT == loaded
+
+
+def _entry_env(child_env, unbuffered):
+    """child_env for `python -m qcells.cli`, UTF-8 on its pipes, with
+    stdout block-buffered or unbuffered."""
+    child_env["PYTHONIOENCODING"] = "utf-8"
+    child_env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        child_env["PYTHONUNBUFFERED"] = "1"
+    return child_env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("verify", "--cartan", "A2", "--word", "1,2,1", "--k", "all"), 0),
+        (("verify", "--cartan", "A1", "--word", "1", "--search-cap", "-1"), 2),
+        (("no-such-command",), 2),
+        (("verify", "--cartan", "G2", "--word", "1,2,1,2,1,2", "--k", "2", "--search-cap", "2"), 3),
+    ],
+    ids=["ok", "usage", "bad-command", "cap"],
+)
+def test_entry_point_exits_with_mains_code_and_output(
+    capsys, child_env, unbuffered, argv, expected
+):
+    """`python -m qcells.cli` ends through cli.run(), which exits without
+    interpreter finalization once its output is flushed: its exit code,
+    stdout and stderr are those of cli.main() in this process."""
+    code, out, err = run(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcells.cli", *argv],
+        capture_output=True,
+        env=_entry_env(child_env, unbuffered),
+    )
+    assert proc.returncode == code == expected
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr == err.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "unbuffered, expected, first_line",
+    [
+        (False, 120, b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
+        (True, 1, b"Traceback (most recent call last):"),
+    ],
+)
+def test_entry_point_on_a_closed_pipe_reports_the_broken_pipe(
+    child_env, unbuffered, expected, first_line
+):
+    """With stdout a pipe whose read end is closed, the failure is reported
+    as without cli.run(): buffered, the flush at exit fails and the
+    interpreter reports it, with no traceback, and exits 120; unbuffered,
+    print raises in main() and the traceback ends the run with exit 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcells.cli", "verify", "--cartan", "A2", "--word", "1,2,1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_entry_env(child_env, unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == expected
+    assert lines[0].startswith(first_line)
+    assert lines[-1] == b"BrokenPipeError: [Errno 32] Broken pipe"
+    assert (b"Traceback (most recent call last):" in lines) == unbuffered
+
+
+def test_console_script_is_the_entry_point():
+    """The `qcells` script runs cli.run(), as `python -m qcells.cli` does."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert [line.strip() for line in section.splitlines() if line.strip()] == [
+        'qcells = "qcells.cli:run"'
+    ]
