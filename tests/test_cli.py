@@ -671,7 +671,10 @@ def _entry_env(child_env, unbuffered):
         (("verify", "--cartan", "A2", "--word", "1,2,1", "--k", "all"), 0),
         (("verify", "--cartan", "A1", "--word", "1", "--search-cap", "-1"), 2),
         (("no-such-command",), 2),
-        (("verify", "--cartan", "G2", "--word", "1,2,1,2,1,2", "--k", "2", "--search-cap", "2"), 3),
+        (
+            ("verify", "--cartan", "G2", "--word", "1,2,1,2,1,2", "--k", "2", "--search-cap", "2"),
+            3,
+        ),
     ],
     ids=["ok", "usage", "bad-command", "cap"],
 )
@@ -722,6 +725,23 @@ def test_entry_point_on_a_closed_pipe_reports_the_broken_pipe(
     assert lines[0].startswith(first_line)
     assert lines[-1] == b"BrokenPipeError: [Errno 32] Broken pipe"
     assert (b"Traceback (most recent call last):" in lines) == unbuffered
+
+
+def test_entry_point_with_stdout_closed_exits_with_mains_code(child_env):
+    """Started with fd 1 closed, the interpreter sets sys.stdout to None and
+    print writes nothing: the run still exits with main()'s code, as
+    cli.run() flushes only the streams that exist."""
+    proc = subprocess.run(
+        [
+            "sh",
+            "-c",
+            'exec "$0" -m qcells.cli verify --cartan A2 --word 1,2,1 >&-',
+            sys.executable,
+        ],
+        stderr=subprocess.PIPE,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_console_script_is_the_entry_point():
