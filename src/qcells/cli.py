@@ -10,8 +10,11 @@ selftest       run a small fixed battery of known values
 
 Exit codes: 0 all checks pass, 1 some identity failed (a failed chamber
 ansatz recovery included), 2 bad usage or environment, 3 the presentation
-search cap was exhausted and no identity failed.  In verify, sweep and
-selftest a failed identity outranks a capped search.
+search cap was exhausted and no identity failed.  Each instance gets one
+status, "ok", "MISMATCH" or "CAP", where it is checked, and the exit code of
+verify, sweep, feigin-minor and selftest is read from the tally of those
+statuses by one rule, under which a failed identity outranks a capped
+search.
 
 Defaults for --search-cap (verify and sweep) and --format can be
 overridden with the environment variables QCELLS_SEARCH_CAP and
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 
 from .cartan import (
@@ -46,7 +50,6 @@ from .cartan import (
 from .cells import (
     MinorRoutesDisagree,
     PresentationError,
-    VerificationReport,
     chamber_ansatz,
     feigin_minor,
     verify_theorem,
@@ -176,120 +179,96 @@ def _parse_k(text: str, word: tuple[int, ...]) -> list[int]:
     return [k]
 
 
-def _record(
-    cartan: str,
-    word: tuple[int, ...],
-    k: int,
-    rep: VerificationReport,
-    chamber: VerificationReport,
-) -> dict[str, object]:
-    rec: dict[str, object] = {
-        "cartan": cartan,
-        "word": list(word),
-        "k": k,
-        "lhs": torus_str(rep.lhs),
-        "rhs": torus_str(rep.rhs),
-        "equal": rep.equal,
-        "presentation": {
-            "lambda": list(rep.uprime.lam.coords),
-            "uprime_coeffs": [scalar_str(c) for c in rep.uprime.coeffs],
-        },
+def _run_instance(
+    cartan: str, pres: TorusPresentation, k: int, search_cap: int
+) -> tuple[str, dict[str, object]]:
+    """Check one instance and return (status, record).  The status is "ok",
+    "MISMATCH" (a failed identity, a failed chamber ansatz recovery or
+    disagreeing minor routes) or "CAP" (the presentation search was capped),
+    and it is decided here, where each outcome is met."""
+    rec: dict[str, object] = {"cartan": cartan, "word": list(pres.letters), "k": k}
+    try:
+        rep = verify_theorem(pres, k, search_cap)
+    except PresentationError as exc:
+        rec["error"] = str(exc)
+        return "CAP", rec
+    except MinorRoutesDisagree as exc:
+        # the inverse twist could not trust its minor: a failed identity
+        rec["equal"] = False
+        rec["minor_mismatch"] = f"{torus_str(exc.closed)} vs {torus_str(exc.paired)}"
+        return "MISMATCH", rec
+    chamber = chamber_ansatz(pres, k)
+    rec.update(lhs=torus_str(rep.lhs), rhs=torus_str(rep.rhs), equal=rep.equal)
+    rec["presentation"] = {
+        "lambda": list(rep.uprime.lam.coords),
+        "uprime_coeffs": [scalar_str(c) for c in rep.uprime.coeffs],
     }
     if chamber.exponent_match:
         rec["residual_q_power"] = chamber.residual_q_power
     else:
         # the product of minors that should have been q^r t_k
         rec["chamber_mismatch"] = torus_str(chamber.lhs)
-    return rec
+    return ("ok" if rep.equal and chamber.exponent_match else "MISMATCH"), rec
 
 
-def _passed(rec: dict[str, object]) -> bool:
-    return rec["equal"] and "chamber_mismatch" not in rec
-
-
-def _text_line(rec: dict[str, object]) -> str:
-    word = ",".join(map(str, rec["word"]))
-    if "error" in rec:
-        return f"{rec['cartan']} word {word} k={rec['k']}: CAP  {rec['error']}"
+def _shown(status: str, rec: dict[str, object]) -> str:
+    """What a selftest line shows of a record: its lhs, or else the error of
+    its capped search or its disagreeing minor routes, which is all that its
+    text line shows too."""
+    if status == "CAP":
+        return rec["error"]
     if "minor_mismatch" in rec:
-        return (
-            f"{rec['cartan']} word {word} k={rec['k']}: MISMATCH  "
-            f"minor routes disagree: {rec['minor_mismatch']}"
-        )
-    status = "ok" if _passed(rec) else "MISMATCH"
-    lamp = ",".join(map(str, rec["presentation"]["lambda"]))
-    parts = [
-        f"{rec['cartan']} word {word} k={rec['k']}: {status}",
-        f"lhs = {rec['lhs']}",
-        f"lam' = {lamp}",
-    ]
+        return f"minor routes disagree: {rec['minor_mismatch']}"
+    return rec["lhs"]
+
+
+def _text_line(status: str, rec: dict[str, object]) -> str:
+    head = f"{rec['cartan']} word {','.join(map(str, rec['word']))} k={rec['k']}: {status}"
+    if "lhs" not in rec:
+        return f"{head}  {_shown(status, rec)}"
+    parts = [head, f"lhs = {rec['lhs']}"]
     if not rec["equal"]:
-        parts.insert(2, f"rhs = {rec['rhs']}")
+        parts.append(f"rhs = {rec['rhs']}")
+    parts.append(f"lam' = {','.join(map(str, rec['presentation']['lambda']))}")
     if "residual_q_power" in rec:
         parts.append(f"t_{rec['k']} residual q^{rec['residual_q_power']}")
-    if "chamber_mismatch" in rec:
+    else:
         parts.append(f"t_{rec['k']} not recovered: {rec['chamber_mismatch']}")
     return "  ".join(parts)
 
 
-def _run_instance(
-    cartan: str, pres: TorusPresentation, k: int, search_cap: int
-) -> dict[str, object]:
-    try:
-        rep = verify_theorem(pres, k, search_cap)
-    except PresentationError as exc:
-        return {"cartan": cartan, "word": list(pres.letters), "k": k, "error": str(exc)}
-    except MinorRoutesDisagree as exc:
-        # the inverse twist could not trust its minor: a failed identity
-        return {
-            "cartan": cartan,
-            "word": list(pres.letters),
-            "k": k,
-            "equal": False,
-            "minor_mismatch": f"{torus_str(exc.closed)} vs {torus_str(exc.paired)}",
-        }
-    chamber = chamber_ansatz(pres, k)
-    return _record(cartan, pres.letters, k, rep, chamber)
+def _print(record: object, fmt: str, text: Callable[[], Iterable[str]]) -> None:
+    """Print record as one JSON line, or else each line of text(), which is
+    called only here, so that a JSON run renders no text.  json is imported
+    on the first JSON record, so that a text-format command never loads it."""
+    if fmt == "json":
+        import json
+
+        print(json.dumps(record, ensure_ascii=False))
+    else:
+        for line in text():
+            print(line)
+
+
+def _exit_code(tally: Counter[str]) -> int:
+    """The exit code of a tally of statuses: 1 if any identity failed, else 3
+    if any search was capped, else 0."""
+    if tally["MISMATCH"]:
+        return EXIT_MISMATCH
+    return EXIT_CAP if tally["CAP"] else EXIT_OK
 
 
 def _emit_records(
-    instances: Iterable[tuple[TorusPresentation, int]],
-    cartan: str,
-    search_cap: int,
-    fmt: str,
-) -> tuple[int, int, int]:
-    """Run instances in order, printing one record each.
-
-    Returns (total, passed, capped).
-    """
-    total = passed = capped = 0
+    instances: Iterable[tuple[TorusPresentation, int]], cartan: str, search_cap: int, fmt: str
+) -> Counter[str]:
+    """Run instances in order, printing each one's record before the next
+    runs, and return the tally of their statuses."""
+    tally: Counter[str] = Counter()
     for pres, k in instances:
-        rec = _run_instance(cartan, pres, k, search_cap)
-        total += 1
-        if "error" in rec:
-            capped += 1
-        elif _passed(rec):
-            passed += 1
-        if fmt == "json":
-            _print_json(rec)
-        else:
-            print(_text_line(rec))
-    return total, passed, capped
-
-
-def _print_json(obj: object) -> None:
-    """Print one JSON record on a line of its own.  json is imported here, on
-    the first record, so that a text-format command never loads it."""
-    import json
-
-    print(json.dumps(obj, ensure_ascii=False))
-
-
-def _exit_code(mismatched: int, capped: int) -> int:
-    """1 if any identity failed, else 3 if any search was capped, else 0."""
-    if mismatched:
-        return EXIT_MISMATCH
-    return EXIT_CAP if capped else EXIT_OK
+        status, rec = _run_instance(cartan, pres, k, search_cap)
+        tally[status] += 1
+        _print(rec, fmt, lambda: [_text_line(status, rec)])
+    return tally
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -297,11 +276,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     word = _parse_reduced_word(args.word, datum)
     ks = _parse_k(args.k, word)
     pres = TorusPresentation(datum, word)
-    instances = [(pres, k) for k in ks]
-    total, passed, capped = _emit_records(
-        instances, datum.name, args.search_cap, args.format
-    )
-    return _exit_code(total - passed - capped, capped)
+    tally = _emit_records([(pres, k) for k in ks], datum.name, args.search_cap, args.format)
+    return _exit_code(tally)
 
 
 def _sweep_instances(
@@ -320,27 +296,26 @@ def _sweep_instances(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     datum = _datum(args.cartan)
-    total, passed, capped = _emit_records(
+    tally = _emit_records(
         _sweep_instances(datum, args.max_length), datum.name, args.search_cap, args.format
     )
-    mismatched = total - passed - capped
-    if args.format == "json":
-        summary = {
-            "summary": {
-                "cartan": datum.name,
-                "instances": total,
-                "equal": passed,
-                "mismatched": mismatched,
-                "capped": capped,
-            }
-        }
-        _print_json(summary)
-    else:
-        print(
-            f"{datum.name}: {total} instances, {passed} equal, "
-            f"{mismatched} mismatched, {capped} capped"
-        )
-    return _exit_code(mismatched, capped)
+    total = sum(tally.values())
+    summary = {
+        "cartan": datum.name,
+        "instances": total,
+        "equal": tally["ok"],
+        "mismatched": tally["MISMATCH"],
+        "capped": tally["CAP"],
+    }
+    _print(
+        {"summary": summary},
+        args.format,
+        lambda: [
+            f"{datum.name}: {total} instances, {tally['ok']} equal, "
+            f"{tally['MISMATCH']} mismatched, {tally['CAP']} capped"
+        ],
+    )
+    return _exit_code(tally)
 
 
 def cmd_feigin_minor(args: argparse.Namespace) -> int:
@@ -351,26 +326,29 @@ def cmd_feigin_minor(args: argparse.Namespace) -> int:
     # feigin_minor checks its closed form against the module pairing itself
     try:
         closed = pairing = feigin_minor(pres, lam)
-        equal = True
+        status = "ok"
     except MinorRoutesDisagree as exc:
-        closed, pairing, equal = exc.closed, exc.paired, False
+        closed, pairing, status = exc.closed, exc.paired, "MISMATCH"
     except ModuleTooLarge as exc:
         raise UsageError(str(exc)) from None
-    if args.format == "json":
-        rec = {
-            "cartan": datum.name,
-            "word": list(word),
-            "lambda": list(lam.coords),
-            "closed_form": torus_str(closed),
-            "pairing": torus_str(pairing),
-            "equal": equal,
-        }
-        _print_json(rec)
-    else:
-        print(torus_str(closed))
-        print(f"pairing route: {torus_str(pairing)}")
-        print(f"equal: {'yes' if equal else 'NO'}")
-    return EXIT_OK if equal else EXIT_MISMATCH
+    rec = {
+        "cartan": datum.name,
+        "word": list(word),
+        "lambda": list(lam.coords),
+        "closed_form": torus_str(closed),
+        "pairing": torus_str(pairing),
+        "equal": status == "ok",
+    }
+    _print(
+        rec,
+        args.format,
+        lambda: [
+            rec["closed_form"],
+            f"pairing route: {rec['pairing']}",
+            f"equal: {'yes' if rec['equal'] else 'NO'}",
+        ],
+    )
+    return _exit_code(Counter([status]))
 
 
 def cmd_reduced_words(args: argparse.Namespace) -> int:
@@ -378,31 +356,24 @@ def cmd_reduced_words(args: argparse.Namespace) -> int:
     if args.word is not None:
         word = _parse_word(args.word, datum)
         words = reduced_words(datum, word)
-        if args.format == "json":
-            rec = {
-                "cartan": datum.name,
-                "word": list(word),
-                "reduced_words": [list(w) for w in words],
-            }
-            _print_json(rec)
-        else:
-            for w in words:
-                print(",".join(map(str, w)))
-        return EXIT_OK
-    elements = [w for w in weyl_elements(datum, args.max_length) if w]
-    if args.format == "json":
         rec = {
             "cartan": datum.name,
-            "elements": [
-                {"word": list(w), "reduced_words": len(reduced_words(datum, w))}
-                for w in elements
-            ],
+            "word": list(word),
+            "reduced_words": [list(w) for w in words],
         }
-        _print_json(rec)
-    else:
-        for w in elements:
-            n = len(reduced_words(datum, w))
-            print(f"{','.join(map(str, w))}  ({n} reduced words)")
+        _print(rec, args.format, lambda: (",".join(map(str, w)) for w in words))
+        return EXIT_OK
+    elements = [w for w in weyl_elements(datum, args.max_length) if w]
+    counts = [(w, len(reduced_words(datum, w))) for w in elements]
+    rec = {
+        "cartan": datum.name,
+        "elements": [{"word": list(w), "reduced_words": n} for w, n in counts],
+    }
+    _print(
+        rec,
+        args.format,
+        lambda: (f"{','.join(map(str, w))}  ({n} reduced words)" for w, n in counts),
+    )
     return EXIT_OK
 
 
@@ -417,34 +388,30 @@ _SELFTEST = (
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    failures = capped = 0
+    tally: Counter[str] = Counter()
+
+    def report(name: str, status: str, shown: str) -> None:
+        tally[status] += 1
+        print(f"{name}: {'ok' if status == 'ok' else 'FAIL'}  {shown}")
+
     for cartan, word, k, expect in _SELFTEST:
         pres = TorusPresentation(_datum(cartan), word)
-        rec = _run_instance(cartan, pres, k, _DEFAULT_SEARCH_CAP)
-        if "error" in rec:
-            capped += 1
-            ok, shown = False, rec["error"]
-        elif "minor_mismatch" in rec:
-            ok, shown = False, f"minor routes disagree: {rec['minor_mismatch']}"
-        else:
-            shown = rec["lhs"]
-            ok = _passed(rec) and (expect is None or shown == expect)
-        status = "ok" if ok else "FAIL"
-        print(f"{cartan} word {','.join(map(str, word))} k={k}: {status}  {shown}")
-        if not ok:
-            failures += 1
+        status, rec = _run_instance(cartan, pres, k, _DEFAULT_SEARCH_CAP)
+        shown = _shown(status, rec)
+        if status == "ok" and expect not in (None, shown):
+            status = "MISMATCH"
+        report(f"{cartan} word {','.join(map(str, word))} k={k}", status, shown)
     try:
         minor = feigin_minor(TorusPresentation(_datum("A2"), (1, 2, 1)), Weight((1, 0)))
     except MinorRoutesDisagree as exc:
-        ok, shown = False, str(exc)
+        status, shown = "MISMATCH", str(exc)
     else:
         shown = torus_str(minor)
-        ok = shown == "t2 t3"
-    print(f"A2 word 1,2,1 minor lambda=1,0: {'ok' if ok else 'FAIL'}  {shown}")
-    if not ok:
-        failures += 1
-    print(f"selftest: {'all passed' if failures == 0 else f'{failures} failed'}")
-    return _exit_code(failures - capped, capped)
+        status = "ok" if shown == "t2 t3" else "MISMATCH"
+    report("A2 word 1,2,1 minor lambda=1,0", status, shown)
+    failed = sum(tally.values()) - tally["ok"]
+    print(f"selftest: {'all passed' if not failed else f'{failed} failed'}")
+    return _exit_code(tally)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -72,13 +72,18 @@ class FreeNegElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeNegElement):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
+        if self.datum is not other.datum or self.terms.keys() != other.terms.keys():
             return False
         return all(c == other.terms[w] for w, c in self.terms.items())
 
     __hash__ = None
 
+    def _require_same(self, other: "FreeNegElement") -> None:
+        if self.datum is not other.datum:
+            raise ValueError("elements live over different root data")
+
     def __add__(self, other: "FreeNegElement") -> "FreeNegElement":
+        self._require_same(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             add_term(out, w, c)
@@ -97,6 +102,7 @@ class FreeNegElement:
 
     def __mul__(self, other: "FreeNegElement") -> "FreeNegElement":
         """Concatenation product of the free algebra."""
+        self._require_same(other)
         out: dict[tuple[int, ...], ScalarQ] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():

@@ -10,7 +10,7 @@ exponents (TorusPresentation.pair_product and pair_inverse).
 
 from __future__ import annotations
 
-from .cartan import RootDatum
+from .cartan import RootDatum, _check_letters
 from .scalars import ScalarQ, S_ONE, add_term, scalar_str
 
 
@@ -30,9 +30,7 @@ class TorusPresentation:
     __slots__ = ("datum", "letters", "kappa", "_memo")
 
     def __init__(self, datum: RootDatum, letters: tuple[int, ...]):
-        for i in letters:
-            if i not in datum.index_set:
-                raise ValueError(f"letter {i} outside the index set of {datum.name}")
+        _check_letters(datum, letters)
         self.datum = datum
         self.letters = tuple(letters)
         d, a = datum.d, datum.a

@@ -297,6 +297,19 @@ def test_reduced_words_json(capsys):
     assert rec["reduced_words"] == [[1, 2, 1, 2], [2, 1, 2, 1]]
 
 
+def test_reduced_words_of_no_element(capsys, monkeypatch):
+    # only the identity has length 0, and it is not listed: the text is
+    # empty, with no blank line, and the JSON record has no elements
+    monkeypatch.delenv("QCELLS_FORMAT", raising=False)
+    argv = ("reduced-words", "--cartan", "A2", "--max-length", "0")
+    assert run(capsys, *argv) == (0, "", "")
+    assert run(capsys, *argv, "--format", "json") == (
+        0,
+        '{"cartan": "A2", "elements": []}\n',
+        "",
+    )
+
+
 def test_sweep_summary_and_exit(capsys):
     code, out, err = run(capsys, "sweep", "--cartan", "A2")
     assert code == 0
@@ -491,6 +504,27 @@ def test_sweep_streams_its_instances(capsys, monkeypatch):
     assert code == 0
     assert len(made) == 6
     assert ran == [(m, k) for m, word in enumerate(made, 1) for k in range(1, len(word) + 1)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_streams_its_instances(capsys, monkeypatch, fmt):
+    """verify --k all prints each record before it runs the next instance."""
+    printed = []  # the lines printed so far, read as each instance starts
+    starts = []
+    real_run = cli._run_instance
+
+    def run_instance(cartan, p, k, search_cap):
+        printed.extend(capsys.readouterr().out.splitlines())
+        starts.append(len(printed))
+        return real_run(cartan, p, k, search_cap)
+
+    monkeypatch.setattr(cli, "_run_instance", run_instance)
+    argv = ("verify", "--cartan", "A2", "--word", "1,2,1", "--k", "all", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    printed.extend(out.splitlines())
+    assert code == 0
+    assert starts == [0, 1, 2]
+    assert len(printed) == 3
 
 
 def test_feigin_minor_reports_disagreeing_routes(capsys, monkeypatch):

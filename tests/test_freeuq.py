@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from qcells.cartan import build_root_datum
 from qcells.freeuq import (
     FreeNegElement,
@@ -65,6 +67,17 @@ def test_cancellation_leaves_no_terms():
     y = gen(A2, 1) + word_elt(A2, 1, 1)
     z = gen(A2, 1) - word_elt(A2, 1, 1)
     assert (y * z).terms == {(1, 1): ONE, (1, 1, 1, 1): -ONE}
+
+
+def test_arithmetic_refuses_to_mix_root_data():
+    # f1 of A2 and f1 of B2 are different elements: their sum, difference
+    # and product are refused, as for torus elements and the form
+    x, y = gen(A2, 1), gen(B2, 1)
+    assert x != y and not x == y
+    assert x == gen(A2, 1)
+    for op in (x.__add__, x.__sub__, x.__mul__):
+        with pytest.raises(ValueError, match="different root data"):
+            op(y)
 
 
 # ------------------------------------------------------------------ the form

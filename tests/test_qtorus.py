@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcells.cartan import build_root_datum
+from qcells.cartan import build_root_datum, walk_word
 from qcells.qtorus import TorusPresentation, torus_str
 from qcells.scalars import LaurentQ, ScalarQ
 
@@ -135,6 +135,16 @@ def test_torus_str_forms():
 def test_torus_requires_letters_in_index_set():
     with pytest.raises(ValueError):
         TorusPresentation(A2, (1, 3))
+
+
+def test_torus_rejects_letters_as_the_weyl_walks_do():
+    for bad in (0, -1, 3):
+        for word in [(bad,), (1, bad), (bad, 1)]:
+            with pytest.raises(ValueError) as torus:
+                TorusPresentation(A2, word)
+            with pytest.raises(ValueError) as walk:
+                walk_word(A2, word, A2.rho())
+            assert str(torus.value) == str(walk.value) == f"letter {bad} outside the index set of A2"
 
 
 def test_g2_commutation_strength():
